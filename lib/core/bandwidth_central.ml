@@ -5,13 +5,6 @@ type t = {
   mutable res : int array;  (* link id -> cells per frame reserved *)
   shards : int;
   shard_range : int;  (* links per shard (by link-id range) *)
-  (* BFS scratch, reused across requests. [bfs_seen] holds stamps, so a
-     new request invalidates the previous one by bumping [bfs_stamp]
-     instead of clearing; the arrays grow if the graph does. *)
-  mutable bfs_prev : int array;
-  mutable bfs_seen : int array;
-  mutable bfs_queue : int array;
-  mutable bfs_stamp : int;
   obs : Obs.Sink.t;
   c_requests : Obs.Metrics.Counter.t;
   c_granted : Obs.Metrics.Counter.t;
@@ -38,10 +31,6 @@ let create ?(obs = Obs.Sink.null) ?(shards = 1) net =
     res = Array.make (max 64 lc) 0;
     shards;
     shard_range = max 1 ((lc + shards - 1) / shards);
-    bfs_prev = [||];
-    bfs_seen = [||];
-    bfs_queue = [||];
-    bfs_stamp = 0;
     obs;
     c_requests = Obs.Sink.counter obs "bwc.requests";
     c_granted = Obs.Sink.counter obs "bwc.granted";
@@ -95,18 +84,8 @@ let reservations t =
 
 let headroom t lid = Network.frame_length t.net - reserved t lid
 
-let ensure_scratch t n =
-  if Array.length t.bfs_seen < n then begin
-    let cap = max n (2 * Array.length t.bfs_seen) in
-    t.bfs_prev <- Array.make cap (-1);
-    t.bfs_seen <- Array.make cap 0;
-    t.bfs_queue <- Array.make cap 0
-  end
-
 (* Shortest switch path where every link (host links included) has
-   [cells] of headroom. BFS with a per-link capacity filter, over the
-   reused scratch arrays (each switch enters the ring at most once, so
-   an [switch_count]-sized array is a sufficient queue). *)
+   [cells] of headroom: the shared BFS kernel with a capacity filter. *)
 let capacity_route t ~src_host ~dst_host ~cells =
   let g = Network.graph t.net in
   match
@@ -116,38 +95,16 @@ let capacity_route t ~src_host ~dst_host ~cells =
   | Ok (a, src_link), Ok (b, dst_link) ->
     if headroom t src_link < cells || headroom t dst_link < cells then
       Error No_capacity
-    else begin
-      let n = Topo.Graph.switch_count g in
-      ensure_scratch t n;
-      t.bfs_stamp <- t.bfs_stamp + 1;
-      let stamp = t.bfs_stamp in
-      let prev = t.bfs_prev
-      and seen = t.bfs_seen
-      and queue = t.bfs_queue in
-      seen.(a) <- stamp;
-      queue.(0) <- a;
-      let head = ref 0
-      and tail = ref 1 in
-      while !head < !tail do
-        let s = queue.(!head) in
-        incr head;
-        Topo.Graph.iter_switch_neighbors g s (fun s' lid ->
-            if seen.(s') <> stamp && headroom t lid >= cells then begin
-              seen.(s') <- stamp;
-              prev.(s') <- s;
-              queue.(!tail) <- s';
-              incr tail
-            end)
-      done;
-      if seen.(b) <> stamp then
+    else
+      match
+        Topo.Paths.route ~usable:(fun lid -> headroom t lid >= cells) g ~src:a
+          ~dst:b
+      with
+      | Some path -> Ok path
+      | None ->
         (* Distinguish "physically disconnected" from "saturated". *)
         if Topo.Paths.route g ~src:a ~dst:b = None then Error No_route
         else Error No_capacity
-      else begin
-        let rec walk acc s = if s = a then a :: acc else walk (s :: acc) prev.(s) in
-        Ok (walk [] b)
-      end
-    end
 
 let install_schedules t vc cells =
   List.iter
@@ -262,8 +219,8 @@ let inject_leak t ~link ~cells =
   add_reserved t link cells
 
 (* Snapshots. The core's persistent state is the shard layout and the
-   reservation counters; BFS scratch is stampable scratch and the obs
-   counters are instrumentation, neither is saved. Canonical: the res
+   reservation counters; the obs counters are instrumentation and are
+   not saved. Canonical: the res
    array is written as the exact link-count prefix. *)
 
 let snapshot_section = "an2-bwc"

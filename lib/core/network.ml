@@ -40,18 +40,14 @@ let frame_length t = t.frame
 let switch_schedule t s = t.schedules.(s)
 
 let host_attachment t h =
-  match Topo.Graph.host_links t.graph h with
-  | (s, lid) :: _ -> Ok (s, lid)
-  | [] -> Error (Printf.sprintf "host %d has no working attachment" h)
-
-(* Link id connecting two adjacent switches (lowest id wins when the
-   pair is multiply connected). *)
-let switch_link t a b =
-  match
-    List.find_opt (fun (s', _) -> s' = b) (Topo.Graph.switch_neighbors t.graph a)
-  with
-  | Some (_, lid) -> Some lid
-  | None -> None
+  let lid = Topo.Graph.first_host_link t.graph h in
+  if lid < 0 then Error (Printf.sprintf "host %d has no working attachment" h)
+  else
+    match Topo.Graph.link t.graph lid with
+    | { Topo.Graph.a = { node = Topo.Graph.Switch s; _ }; _ }
+    | { Topo.Graph.b = { node = Topo.Graph.Switch s; _ }; _ } ->
+      Ok (s, lid)
+    | _ -> assert false (* first_host_link returns switch attachments *)
 
 let links_of_switch_path t ~src_host ~dst_host switches =
   match (host_attachment t src_host, host_attachment t dst_host) with
@@ -59,7 +55,7 @@ let links_of_switch_path t ~src_host ~dst_host switches =
   | Ok (first, src_link), Ok (last, dst_link) ->
     let rec expand acc = function
       | a :: (b :: _ as rest) ->
-        (match switch_link t a b with
+        (match Topo.Graph.switch_link t.graph a b with
          | Some lid -> expand (lid :: acc) rest
          | None -> Error (Printf.sprintf "switches %d and %d not adjacent" a b))
       | _ -> Ok (List.rev acc)

@@ -57,31 +57,6 @@ let load_stats net =
     stddev = Netsim.Stats.Summary.stddev summary;
   }
 
-(* Shortest switch path between two switches avoiding one link. *)
-let route_avoiding g ~src ~dst ~avoid =
-  let n = Topo.Graph.switch_count g in
-  let prev = Array.make n (-1) in
-  let seen = Array.make n false in
-  seen.(src) <- true;
-  let queue = Queue.create () in
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter
-      (fun (s', lid) ->
-        if lid <> avoid && not seen.(s') then begin
-          seen.(s') <- true;
-          prev.(s') <- s;
-          Queue.add s' queue
-        end)
-      (Topo.Graph.switch_neighbors g s)
-  done;
-  if not seen.(dst) then None
-  else begin
-    let rec walk acc s = if s = src then src :: acc else walk (s :: acc) prev.(s) in
-    Some (walk [] dst)
-  end
-
 let rebalance ?(max_stretch = 1) ?max_moves net =
   let g = Network.graph net in
   let max_moves =
@@ -120,7 +95,8 @@ let rebalance ?(max_stretch = 1) ?max_moves net =
             with
             | Ok (a, _), Ok (b, _) ->
               (match
-                 ( route_avoiding g ~src:a ~dst:b ~avoid:hot_link,
+                 ( Topo.Paths.route ~usable:(fun lid -> lid <> hot_link) g
+                     ~src:a ~dst:b,
                    Topo.Paths.route g ~src:a ~dst:b )
                with
                | Some alt, Some shortest
@@ -131,12 +107,8 @@ let rebalance ?(max_stretch = 1) ?max_moves net =
                     cooler than the hot link is now. *)
                  let rec new_links acc = function
                    | x :: (y :: _ as rest) ->
-                     (match
-                        List.find_opt
-                          (fun (s', _) -> s' = y)
-                          (Topo.Graph.switch_neighbors g x)
-                      with
-                      | Some (_, lid) -> new_links (lid :: acc) rest
+                     (match Topo.Graph.switch_link g x y with
+                      | Some lid -> new_links (lid :: acc) rest
                       | None -> acc)
                    | _ -> acc
                  in

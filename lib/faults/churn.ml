@@ -52,15 +52,13 @@ type circuit = {
 
 (* Turn a switch sequence from Paths.route into the link ids it
    crosses. Paths.route only walks working links, so the lookup in
-   switch_neighbors (also working-only) cannot miss. *)
+   switch_link (also working-only) cannot miss. *)
 let links_of_switch_path g switches =
   let rec walk = function
     | a :: (b :: _ as rest) ->
       let link =
-        match
-          List.find_opt (fun (n, _) -> n = b) (Topo.Graph.switch_neighbors g a)
-        with
-        | Some (_, id) -> id
+        match Topo.Graph.switch_link g a b with
+        | Some id -> id
         | None -> invalid_arg "Churn: route crosses a missing link"
       in
       link :: walk rest

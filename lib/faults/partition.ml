@@ -71,32 +71,16 @@ type result = {
 let find_separator g =
   let n = Topo.Graph.switch_count g in
   if n < 2 then invalid_arg "Partition.find_separator: need >= 2 switches";
-  let parent = Array.make n (-1) in
-  let seen = Array.make n false in
-  let rev_order = ref [] in
-  let q = Queue.create () in
-  seen.(0) <- true;
-  Queue.add 0 q;
-  while not (Queue.is_empty q) do
-    let s = Queue.pop q in
-    rev_order := s :: !rev_order;
-    List.iter
-      (fun (s', _) ->
-        if not seen.(s') then begin
-          seen.(s') <- true;
-          parent.(s') <- s;
-          Queue.add s' q
-        end)
-      (Topo.Graph.switch_neighbors g s)
-  done;
+  let { Topo.Spanning.parent; depth; _ } = Topo.Spanning.bfs g ~root:0 in
+  let seen = Array.map (fun d -> d >= 0) depth in
   let reachable = Array.fold_left (fun a b -> if b then a + 1 else a) 0 seen in
   if reachable < 2 then
     invalid_arg "Partition.find_separator: working graph has one switch";
-  (* Children precede parents in [rev_order], so sizes accumulate up. *)
+  (* Deepest first: children precede parents, so sizes accumulate up. *)
   let size = Array.make n 1 in
   List.iter
-    (fun s -> if parent.(s) >= 0 then size.(parent.(s)) <- size.(parent.(s)) + size.(s))
-    !rev_order;
+    (fun s -> if depth.(s) > 0 then size.(parent.(s)) <- size.(parent.(s)) + size.(s))
+    (List.sort (fun a b -> compare depth.(b) depth.(a)) (List.init n Fun.id));
   let best = ref (-1) in
   let best_score = ref max_int in
   for v = n - 1 downto 1 do
@@ -111,7 +95,7 @@ let find_separator g =
   let in_b = Array.make n false in
   for s = 0 to n - 1 do
     if seen.(s) then begin
-      let rec under v = v = !best || (parent.(v) >= 0 && under parent.(v)) in
+      let rec under v = v = !best || (depth.(v) > 0 && under parent.(v)) in
       if under s then in_b.(s) <- true
     end
   done;

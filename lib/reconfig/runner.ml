@@ -52,18 +52,9 @@ type event =
    [root]. *)
 let true_topology g ~root =
   let n = Topo.Graph.switch_count g in
-  let in_component = Array.make n false in
-  let queue = Queue.create () in
-  in_component.(root) <- true;
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    Topo.Graph.iter_switch_neighbors g s (fun s' _ ->
-        if not in_component.(s') then begin
-          in_component.(s') <- true;
-          Queue.add s' queue
-        end)
-  done;
+  let in_component =
+    Array.map (fun d -> d >= 0) (Topo.Spanning.bfs g ~root).Topo.Spanning.depth
+  in
   let edges = ref [] in
   for s = 0 to n - 1 do
     if in_component.(s) then begin

@@ -121,9 +121,14 @@ let add_host t =
   t.version <- t.version + 1;
   id
 
+let check_switch t s =
+  if s < 0 || s >= t.n_switches then invalid_arg "Graph: bad switch id"
+
+let check_host t h = if h < 0 || h >= t.n_hosts then invalid_arg "Graph: bad host id"
+
 let check_node t = function
-  | Switch s -> if s < 0 || s >= t.n_switches then invalid_arg "Graph: bad switch id"
-  | Host h -> if h < 0 || h >= t.n_hosts then invalid_arg "Graph: bad host id"
+  | Switch s -> check_switch t s
+  | Host h -> check_host t h
 
 (* Next free port of a node, or None when the node is full. *)
 let free_port t = function
@@ -327,40 +332,73 @@ let link_working t id = (link t id).state = Working
 let working_unchecked t id =
   t.working.(id / word_bits) land (1 lsl (id mod word_bits)) <> 0
 
+(* The hot loops below name nodes by int code — switch [s] is [s], host
+   [h] is [-h-1] — and find a link's far end by direct match: no boxed
+   [Switch s] for [other_end], no polymorphic equality. *)
+let code = function Switch s -> s | Host h -> -h - 1
+
+let far l me =
+  let a = code l.a.node in
+  if a = me then code l.b.node else a
+
 let iter_switch_neighbors t s f =
-  iter_incident t (Switch s) (fun id ->
-      if working_unchecked t id then
-        let l = t.link_arr.(id) in
-        match (other_end l (Switch s)).node with
-        | Switch s' -> f s' id
-        | Host _ -> ())
+  check_switch t s;
+  ensure_csr t;
+  for i = t.sw_off.(s) to t.sw_off.(s + 1) - 1 do
+    let id = t.sw_adj.(i) in
+    let o = far t.link_arr.(id) s in
+    if o >= 0 && working_unchecked t id then f o id
+  done
 
 let iter_hosts_of_switch t s f =
-  iter_incident t (Switch s) (fun id ->
-      if working_unchecked t id then
-        let l = t.link_arr.(id) in
-        match (other_end l (Switch s)).node with
-        | Host h -> f h id
-        | Switch _ -> ())
+  check_switch t s;
+  ensure_csr t;
+  for i = t.sw_off.(s) to t.sw_off.(s + 1) - 1 do
+    let id = t.sw_adj.(i) in
+    let o = far t.link_arr.(id) s in
+    if o < 0 && working_unchecked t id then f (-o - 1) id
+  done
 
 let iter_host_links t h f =
-  iter_incident t (Host h) (fun id ->
-      if working_unchecked t id then
-        let l = t.link_arr.(id) in
-        match (other_end l (Host h)).node with
-        | Switch s -> f s id
-        | Host _ -> ())
+  check_host t h;
+  ensure_csr t;
+  for i = t.host_off.(h) to t.host_off.(h + 1) - 1 do
+    let id = t.host_adj.(i) in
+    let o = far t.link_arr.(id) (-h - 1) in
+    if o >= 0 && working_unchecked t id then f o id
+  done
+
+let first_host_link t h =
+  check_host t h;
+  ensure_csr t;
+  let found = ref (-1) and i = ref t.host_off.(h) in
+  while !found < 0 && !i < t.host_off.(h + 1) do
+    let id = t.host_adj.(!i) in
+    if far t.link_arr.(id) (-h - 1) >= 0 && working_unchecked t id then found := id;
+    incr i
+  done;
+  !found
 
 let switch_degree t s =
+  check_switch t s;
+  ensure_csr t;
   let n = ref 0 in
-  iter_switch_neighbors t s (fun _ _ -> incr n);
+  for i = t.sw_off.(s) to t.sw_off.(s + 1) - 1 do
+    let id = t.sw_adj.(i) in
+    if far t.link_arr.(id) s >= 0 && working_unchecked t id then incr n
+  done;
   !n
 
 let switch_link t s s' =
-  let found = ref None in
-  iter_switch_neighbors t s (fun o id ->
-      if o = s' && !found = None then found := Some id);
-  !found
+  check_switch t s;
+  ensure_csr t;
+  let found = ref (-1) and i = ref t.sw_off.(s) in
+  while !found < 0 && !i < t.sw_off.(s + 1) do
+    let id = t.sw_adj.(!i) in
+    if s' >= 0 && far t.link_arr.(id) s = s' && working_unchecked t id then found := id;
+    incr i
+  done;
+  if !found < 0 then None else Some !found
 
 (* CSR groups are already in (other, link) order, so collecting
    front-to-back and reversing once reproduces the sorted lists. *)

@@ -112,13 +112,18 @@ val iter_host_links : t -> int -> (int -> int -> unit) -> unit
 (** [f switch link_id] over working links at a host, in {!host_links}
     order, without allocating. *)
 
+val first_host_link : t -> int -> int
+(** The link id of the first {!host_links} entry of a host — its
+    working attachment to the lowest-numbered switch — or [-1] when it
+    has none; without allocating. *)
+
 val switch_degree : t -> int -> int
 (** Number of working switch-to-switch links at a switch (counting
     parallel links), without allocating. *)
 
 val switch_link : t -> int -> int -> int option
 (** [switch_link t s s'] is the lowest-id working link joining the two
-    switches, if any — O(degree of [s]), no allocation. *)
+    switches, if any — O(degree of [s]); allocates only the [Some]. *)
 
 val version : t -> int
 (** A counter bumped by every mutation (structural or fail/restore).

@@ -13,19 +13,20 @@ let bfs g ~root =
   let depth = Array.make n (-1) in
   parent.(root) <- root;
   depth.(root) <- 0;
-  let queue = Queue.create () in
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter
-      (fun (s', lid) ->
+  (* Each switch enters the queue once, when its depth is set. *)
+  let queue = Array.make n root in
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let s = queue.(!head) in
+    incr head;
+    Graph.iter_switch_neighbors g s (fun s' lid ->
         if depth.(s') = -1 then begin
           depth.(s') <- depth.(s) + 1;
           parent.(s') <- s;
           parent_link.(s') <- lid;
-          Queue.add s' queue
+          queue.(!tail) <- s';
+          incr tail
         end)
-      (Graph.switch_neighbors g s)
   done;
   { root; parent; parent_link; depth }
 

@@ -7,15 +7,15 @@ let orient g (tree : Spanning.t) = { graph = g; depth = tree.depth }
 
 (* The paper's rule: up is toward the root (smaller depth); ties go
    toward the higher-numbered switch. *)
-let goes_up t ~from ~to_ =
-  let adjacent =
-    List.exists (fun (s, _) -> s = to_) (Graph.switch_neighbors t.graph from)
-  in
-  if not adjacent then
-    invalid_arg
-      (Printf.sprintf "Updown.goes_up: switches %d and %d not adjacent" from to_);
+let up t ~from ~to_ =
   let df = t.depth.(from) and dt = t.depth.(to_) in
   if df <> dt then dt < df else to_ > from
+
+let goes_up t ~from ~to_ =
+  if Graph.switch_link t.graph from to_ = None then
+    invalid_arg
+      (Printf.sprintf "Updown.goes_up: switches %d and %d not adjacent" from to_);
+  up t ~from ~to_
 
 let legal_path t = function
   | [] | [ _ ] -> true
@@ -37,25 +37,27 @@ let search g t ~src =
   let prev = Array.make (2 * n) (-1) in
   let state s phase = (2 * s) + phase in
   dist.(state src 0) <- 0;
-  let queue = Queue.create () in
-  Queue.add (src, 0) queue;
-  while not (Queue.is_empty queue) do
-    let s, phase = Queue.pop queue in
-    let d = dist.(state s phase) in
-    List.iter
-      (fun (s', _) ->
-        let up = goes_up t ~from:s ~to_:s' in
+  (* Each state enters the queue once, when its distance is set. *)
+  let queue = Array.make (2 * n) (state src 0) in
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let st = queue.(!head) in
+    incr head;
+    let s = st / 2 and phase = st mod 2 in
+    let d = dist.(st) in
+    Graph.iter_switch_neighbors g s (fun s' _ ->
+        let up = up t ~from:s ~to_:s' in
         let allowed = (not up) || phase = 0 in
         if allowed then begin
           let phase' = if up then 0 else 1 in
           let st' = state s' phase' in
           if dist.(st') = -1 then begin
             dist.(st') <- d + 1;
-            prev.(st') <- state s phase;
-            Queue.add (s', phase') queue
+            prev.(st') <- st;
+            queue.(!tail) <- st';
+            incr tail
           end
         end)
-      (Graph.switch_neighbors g s)
   done;
   (dist, prev)
 
@@ -145,8 +147,8 @@ let dependency_acyclic g ~restricted =
                 match restricted with
                 | None -> true
                 | Some t ->
-                  let down_in = not (goes_up t ~from:u ~to_:v) in
-                  let up_out = goes_up t ~from:v ~to_:w in
+                  let down_in = not (up t ~from:u ~to_:v) in
+                  let up_out = up t ~from:v ~to_:w in
                   not (down_in && up_out)
               in
               if allowed then adj.(d_in) <- dlid lid_out v w :: adj.(d_in)

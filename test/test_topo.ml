@@ -702,6 +702,223 @@ let test_graph_differential =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* The route kernel: allocation and a differential against the old BFS *)
+
+(* Minor words allocated by [f ()]. The closure is built by the caller
+   before the first read, so only [f]'s own allocation is counted. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Words [f ()] allocates beyond its result's own blocks — 0 when it
+   allocates nothing but what it returns. *)
+let words_beyond_result f =
+  let res = ref (Obj.repr 0) in
+  let w = minor_words (fun () -> res := Obj.repr (f ())) in
+  w -. float_of_int (Obj.reachable_words !res)
+
+let test_route_kernel_allocation () =
+  let g, _ = Topo.Build.fat_tree ~k:8 in
+  let net = An2.Network.create g in
+  let n = Topo.Graph.switch_count g and nh = Topo.Graph.host_count g in
+  let sink = ref 0 in
+  let visit a b = sink := !sink + a + b in
+  (* Warm up: the CSR and the route scratch are built on first use. *)
+  ignore (Topo.Paths.route g ~src:0 ~dst:(n - 1));
+  let zero name f = Alcotest.(check (float 0.)) name 0. (minor_words f) in
+  zero "iter_switch_neighbors" (fun () ->
+      for s = 0 to n - 1 do
+        Topo.Graph.iter_switch_neighbors g s visit
+      done);
+  zero "iter_hosts_of_switch" (fun () ->
+      for s = 0 to n - 1 do
+        Topo.Graph.iter_hosts_of_switch g s visit
+      done);
+  zero "iter_host_links" (fun () ->
+      for h = 0 to nh - 1 do
+        Topo.Graph.iter_host_links g h visit
+      done);
+  zero "switch_degree" (fun () ->
+      for s = 0 to n - 1 do
+        sink := !sink + Topo.Graph.switch_degree g s
+      done);
+  let only_result name f =
+    Alcotest.(check (float 0.)) name 0. (words_beyond_result f)
+  in
+  for s = 0 to n - 1 do
+    for s' = 0 to n - 1 do
+      only_result "switch_link" (fun () -> Topo.Graph.switch_link g s s');
+      only_result "Paths.route" (fun () -> Topo.Paths.route g ~src:s ~dst:s')
+    done
+  done;
+  for h = 0 to nh - 1 do
+    only_result "host_attachment" (fun () -> An2.Network.host_attachment net h)
+  done
+
+(* The full-exhaustion list BFS that [Topo.Paths.route] replaced, kept
+   as the oracle; the only edit is the [usable] link filter, applied
+   where the capacity search applied its headroom test. *)
+let oracle_route ?(usable = fun _ -> true) g ~src ~dst =
+  let n = Topo.Graph.switch_count g in
+  let prev = Array.make n (-1) in
+  let dist = Array.make n (-1) in
+  dist.(src) <- 0;
+  let queue = Queue.create () in
+  Queue.add src queue;
+  while not (Queue.is_empty queue) do
+    let s = Queue.pop queue in
+    List.iter
+      (fun (s', lid) ->
+        if dist.(s') = -1 && usable lid then begin
+          dist.(s') <- dist.(s) + 1;
+          prev.(s') <- s;
+          Queue.add s' queue
+        end)
+      (Topo.Graph.switch_neighbors g s)
+  done;
+  if src = dst then Some [ src ]
+  else if dist.(dst) = -1 then None
+  else begin
+    let rec walk acc s = if s = src then src :: acc else walk (s :: acc) prev.(s) in
+    Some (walk [] dst)
+  end
+
+(* A random fail/restore word over links and switches. *)
+let churn rng g steps =
+  let nl = Topo.Graph.link_count g and ns = Topo.Graph.switch_count g in
+  for _ = 1 to steps do
+    match Netsim.Rng.int rng 4 with
+    | 0 -> Topo.Graph.fail_link g (Netsim.Rng.int rng nl)
+    | 1 -> Topo.Graph.restore_link g (Netsim.Rng.int rng nl)
+    | 2 -> Topo.Graph.fail_switch g (Netsim.Rng.int rng ns)
+    | _ -> Topo.Graph.restore_switch g (Netsim.Rng.int rng ns)
+  done
+
+(* A random per-link predicate: each link usable with probability 3/4. *)
+let random_usable rng g =
+  let ok = Array.init (Topo.Graph.link_count g) (fun _ -> Netsim.Rng.int rng 4 > 0) in
+  fun lid -> ok.(lid)
+
+(* Every ordered pair, self pairs and unreachable pairs included. *)
+let all_pairs_agree ?usable g =
+  let n = Topo.Graph.switch_count g in
+  let ok = ref true in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      if Topo.Paths.route ?usable g ~src ~dst <> oracle_route ?usable g ~src ~dst
+      then ok := false
+    done
+  done;
+  !ok
+
+let test_route_differential =
+  qtest ~count:150 "Paths.route == full-exhaustion BFS under churn"
+    (QCheck.make
+       ~print:(fun ((seed, n, extra), steps) ->
+         Printf.sprintf "seed=%d n=%d extra=%d churn=%d" seed n extra steps)
+       QCheck.Gen.(
+         pair (triple (int_range 0 10_000) (int_range 2 24) (int_range 0 20))
+           (int_range 0 30)))
+    (fun (((seed, _, _) as params), steps) ->
+      let g = build_random params in
+      let rng = Netsim.Rng.create (seed + 1) in
+      let ok = ref (all_pairs_agree g) in
+      for _ = 1 to 3 do
+        churn rng g steps;
+        let usable = random_usable rng g in
+        ok := !ok && all_pairs_agree g && all_pairs_agree ~usable g
+      done;
+      !ok)
+
+(* The old capacity route: attachments from [host_links], the
+   capacity-filtered oracle BFS, and the unfiltered one to tell "no
+   route" from "no capacity". Links are expanded hop by hop with the
+   old [List.find_opt] lookup. *)
+let oracle_capacity bwc g ~src_host ~dst_host ~cells =
+  let module B = An2.Bandwidth_central in
+  match (Topo.Graph.host_links g src_host, Topo.Graph.host_links g dst_host) with
+  | [], _ | _, [] -> Error B.No_route
+  | (a, src_link) :: _, (b, dst_link) :: _ ->
+    if B.headroom bwc src_link < cells || B.headroom bwc dst_link < cells then
+      Error B.No_capacity
+    else begin
+      let usable lid = B.headroom bwc lid >= cells in
+      match oracle_route ~usable g ~src:a ~dst:b with
+      | None ->
+        if oracle_route g ~src:a ~dst:b = None then Error B.No_route
+        else Error B.No_capacity
+      | Some switches ->
+        let rec hops = function
+          | x :: (y :: _ as rest) ->
+            snd (List.find (fun (s, _) -> s = y) (Topo.Graph.switch_neighbors g x))
+            :: hops rest
+          | _ -> []
+        in
+        Ok (switches, (src_link :: hops switches) @ [ dst_link ])
+    end
+
+let test_capacity_route_differential =
+  qtest ~count:100 "capacity_route == oracle under churn and reservations"
+    (QCheck.make
+       ~print:(fun (seed, topo) -> Printf.sprintf "seed=%d topo=%d" seed topo)
+       QCheck.Gen.(pair (int_range 0 10_000) (int_range 0 1)))
+    (fun (seed, topo) ->
+      let g = if topo = 0 then Topo.Build.src_lan () else fst (Topo.Build.fat_tree ~k:4) in
+      let net = An2.Network.create ~frame:8 g in
+      let bwc = An2.Bandwidth_central.create net in
+      let rng = Netsim.Rng.create seed in
+      let nh = Topo.Graph.host_count g and nl = Topo.Graph.link_count g in
+      let live = ref [] and ok = ref true in
+      for _ = 1 to 60 do
+        (match Netsim.Rng.int rng 6 with
+         | 0 -> churn rng g 1
+         | 1 ->
+           (* A random reservation outside any circuit. *)
+           let link = Netsim.Rng.int rng nl in
+           let cells = 1 + Netsim.Rng.int rng 3 in
+           if An2.Bandwidth_central.headroom bwc link >= cells then
+             An2.Bandwidth_central.inject_leak bwc ~link ~cells
+         | 2 -> (
+           match !live with
+           | vc :: rest ->
+             live := rest;
+             An2.Bandwidth_central.release bwc vc
+           | [] -> ())
+         | _ -> ());
+        let src_host = Netsim.Rng.int rng nh in
+        (* Same host now and then: src = dst at the switch level. *)
+        let dst_host = if Netsim.Rng.int rng 8 = 0 then src_host else Netsim.Rng.int rng nh in
+        let cells = 1 + Netsim.Rng.int rng 4 in
+        let expected = oracle_capacity bwc g ~src_host ~dst_host ~cells in
+        match (An2.Bandwidth_central.request bwc ~src_host ~dst_host ~cells, expected) with
+        | Ok vc, Ok (switches, links) ->
+          live := vc :: !live;
+          if vc.An2.Network.switches <> switches || vc.An2.Network.links <> links then
+            ok := false
+        | Error d, Error d' -> if d <> d' then ok := false
+        | _ -> ok := false
+      done;
+      !ok)
+
+let test_route_domains_private () =
+  (* Two domains search at once, each on its own graph with its own
+     predicates; a shared scratch would corrupt one side's stamps. *)
+  let search seed () =
+    let g = build_random (seed, 20 + seed, 15) in
+    let rng = Netsim.Rng.create seed in
+    let ok = ref true in
+    for _ = 1 to 40 do
+      let usable = random_usable rng g in
+      ok := !ok && all_pairs_agree ~usable g
+    done;
+    !ok
+  in
+  let d1 = Domain.spawn (search 1) and d2 = Domain.spawn (search 2) in
+  Alcotest.(check bool) "domain 1 agrees" true (Domain.join d1);
+  Alcotest.(check bool) "domain 2 agrees" true (Domain.join d2)
+
 let () =
   Alcotest.run "topo"
     [
@@ -777,5 +994,14 @@ let () =
             test_partition_balance_on_pods;
           Alcotest.test_case "pod link scopes" `Quick test_pods_scope;
           test_graph_differential;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "allocates only results" `Quick
+            test_route_kernel_allocation;
+          test_route_differential;
+          test_capacity_route_differential;
+          Alcotest.test_case "scratch is domain-local" `Quick
+            test_route_domains_private;
         ] );
     ]
