@@ -50,18 +50,38 @@ type result = {
   dark_circuits : int;
 }
 
-(* Mutable per-circuit simulation state. In a partitioned run each
-   field is written by exactly one engine partition: source-side
-   counters by the partition of the first switch, delivery-side
-   statistics by the partition of the last; [dropped] has one slot per
-   partition because any switch along the path may drop. *)
-type vc_state = {
+type simcell = {
+  born : Netsim.Time.t;
+  epoch : int;
+  payload : Host.cell option;  (* set for packet sources *)
+  pstart : Netsim.Time.t;
+      (* packet segmentation instant; carried in the cell so the
+         destination partition never reads source-side tables *)
+}
+
+(* Mutable per-circuit simulation state, addressed by path position:
+   position j in 1..k is the j-th switch of the path, entered over
+   links.(j - 1) and left over links.(j); position 0 is the source
+   host. Paths are simple, so a position names the same buffer a
+   (switch, vc) key would. In a partitioned run each field is written
+   by exactly one engine partition: source-side counters by the
+   partition of the first switch, delivery-side statistics by the
+   partition of the last, position j's queue by the partition of its
+   switch, link j's credit window by the partition of its upstream
+   end; [dropped] has one slot per partition because any switch along
+   the path may drop. *)
+type circuit = {
   vc : Network.vc;
+  is_guaranteed : bool;
   mutable links : int array;  (* l_0 .. l_k; l_0 and l_k are host links *)
   mutable switches : int array;  (* s_1 .. s_k *)
+  mutable in_port : int array;  (* position j's crossbar input; -1 at 0 *)
+  mutable out_port : int array;  (* position j's crossbar output; -1 at 0 *)
+  mutable queues : simcell Queue.t array;  (* cells buffered at position j *)
+  mutable credits : Flow.Credit.Upstream.t array;
+      (* best-effort upstream window of link j *)
   mutable epoch : int;
   mutable dark : bool;  (* a reroute failed and left the circuit unserved *)
-  is_guaranteed : bool;
   (* host-side *)
   mutable sent : int;
   mutable delivered : int;
@@ -76,15 +96,22 @@ type vc_state = {
   window_delivered : int array;
 }
 
-type simcell = {
-  st : vc_state;
-  born : Netsim.Time.t;
-  epoch : int;
-  payload : Host.cell option;  (* set for packet sources *)
-  pstart : Netsim.Time.t;
-      (* packet segmentation instant; carried in the cell so the
-         destination partition never reads source-side tables *)
+(* Per-partition slot scratch, reused by every slot of the partition's
+   switches. *)
+type scratch = {
+  used_in : bool array;
+  used_out : bool array;
+  req : Matching.Request.t;
+  pim : Matching.Pim.state;
+  outcome : Matching.Outcome.t;
+  elig : int array;  (* eligible best-effort codes, in [be_at] order *)
+  elig_pair : int array;  (* their port pair, in_port * ports + out_port *)
 }
+
+(* A (circuit index, path position) pair packed into one int. *)
+let pos_bits = 16
+let pos_mask = (1 lsl pos_bits) - 1
+let code ci j = (ci lsl pos_bits) lor j
 
 let vc_of_source = function
   | Cbr vc | Saturated_be vc | Paced_be (vc, _) | Packets_be (vc, _, _) -> vc
@@ -93,10 +120,19 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
     p ~sources ?(events = []) ~duration () =
   if partitions < 1 then invalid_arg "Netrun.run: partitions must be >= 1";
   if domains < 1 then invalid_arg "Netrun.run: domains must be >= 1";
+  (let seen = Hashtbl.create 64 in
+   List.iter
+     (fun src ->
+       let id = (vc_of_source src).Network.vc_id in
+       if Hashtbl.mem seen id then
+         invalid_arg (Printf.sprintf "Netrun.run: two sources on vc %d" id);
+       Hashtbl.add seen id ())
+     sources);
   let g = Network.graph net in
   let frame = Network.frame_length net in
   let frame_time = frame * p.cell_time in
   let n_switches = Topo.Graph.switch_count g in
+  let ports = Topo.Graph.ports_per_switch g in
   (* Partitioned execution: switches split across engines coupled at
      the minimum cross-partition link latency. Mid-run [events] mutate
      the graph and reroute circuits across partition boundaries, which
@@ -187,156 +223,172 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
              Netsim.Rng.create (p.seed + ((i + 1) * 0x2545f4914f6cdd1)))
            sources)
   in
-  (* Circuit states. *)
-  let states =
-    List.map
-      (fun src ->
-        let vc = vc_of_source src in
-        ( vc.Network.vc_id,
-          {
-            vc;
-            links = Array.of_list vc.Network.links;
-            switches = Array.of_list vc.Network.switches;
-            epoch = 0;
-            dark = false;
-            is_guaranteed =
-              (match vc.Network.cls with
-               | Network.Guaranteed _ -> true
-               | Network.Best_effort -> false);
-            sent = 0;
-            delivered = 0;
-            dropped = Array.make parts 0;
-            host_backlog = 0;
-            latencies = Netsim.Stats.Distribution.create ();
-            packets_sent = 0;
-            packets_delivered = 0;
-            packet_latencies = Netsim.Stats.Distribution.create ();
-            reassembly = Host.Reassembly.create ();
-            window_delivered = Array.make 10 0;
-          } ))
-      sources
+  let fresh_credits k =
+    Array.init (k + 1) (fun _ -> Flow.Credit.Upstream.create ~total:p.be_credits)
   in
-  let state_of id = List.assoc id states in
+  (* Point a circuit at its vc's current path: per-position ports, empty
+     queues and fresh credit windows. *)
+  let set_path c =
+    let vc = c.vc in
+    let switches = Array.of_list vc.Network.switches in
+    let links = Array.of_list vc.Network.links in
+    let k = Array.length switches in
+    if k = 0 || Array.length links <> k + 1 then
+      invalid_arg (Printf.sprintf "Netrun.run: vc %d has no path" vc.Network.vc_id);
+    if k > pos_mask then
+      invalid_arg (Printf.sprintf "Netrun.run: vc %d path too long" vc.Network.vc_id);
+    Array.iteri
+      (fun i s ->
+        for i' = i + 1 to k - 1 do
+          if switches.(i') = s then
+            invalid_arg
+              (Printf.sprintf "Netrun.run: vc %d visits switch %d twice"
+                 vc.Network.vc_id s)
+        done)
+      switches;
+    let port_of j lid =
+      if j = 0 then -1 else Network.port_at net switches.(j - 1) lid
+    in
+    c.switches <- switches;
+    c.links <- links;
+    c.in_port <- Array.init (k + 1) (fun j -> port_of j links.(max 0 (j - 1)));
+    c.out_port <- Array.init (k + 1) (fun j -> port_of j links.(j));
+    c.queues <- Array.init (k + 1) (fun _ -> Queue.create ());
+    c.credits <- fresh_credits k
+  in
+  (* Circuits, in source order. *)
+  let circuits =
+    Array.of_list
+      (List.map
+         (fun src ->
+           let vc = vc_of_source src in
+           let c =
+             {
+               vc;
+               is_guaranteed =
+                 (match vc.Network.cls with
+                  | Network.Guaranteed _ -> true
+                  | Network.Best_effort -> false);
+               links = [||];
+               switches = [||];
+               in_port = [||];
+               out_port = [||];
+               queues = [||];
+               credits = [||];
+               epoch = 0;
+               dark = false;
+               sent = 0;
+               delivered = 0;
+               dropped = Array.make parts 0;
+               host_backlog = 0;
+               latencies = Netsim.Stats.Distribution.create ();
+               packets_sent = 0;
+               packets_delivered = 0;
+               packet_latencies = Netsim.Stats.Distribution.create ();
+               reassembly = Host.Reassembly.create ();
+               window_delivered = Array.make 10 0;
+             }
+           in
+           set_path c;
+           c)
+         sources)
+  in
+  let n_be =
+    Array.fold_left (fun a c -> if c.is_guaranteed then a else a + 1) 0 circuits
+  in
   (* The partition owning the place a cell departs from when it leaves
      position [j] of its path (a host shares its switch's partition),
      and the one where it arrives. *)
-  let up_part st j = part.(st.switches.(max 0 (j - 1))) in
-  let down_part st j =
-    let last = Array.length st.links - 1 in
-    part.(st.switches.(if j = last then j - 1 else j))
+  let up_part c j = part.(c.switches.(max 0 (j - 1))) in
+  let down_part c j =
+    let last = Array.length c.links - 1 in
+    part.(c.switches.(if j = last then j - 1 else j))
   in
-  (* Buffers at switches: (switch, vc) -> queued (cell, position), in
-     the owning partition's table. The position j in 1..k says the
-     cell sits at the j-th switch of its path. *)
-  (* Size the per-partition tables from the circuit load: entries are
-     keyed by (place, vc) along each circuit's path, so total
-     switch-hops bounds the population. *)
-  let hops_total =
-    List.fold_left (fun a (_, st) -> a + Array.length st.switches) 0 states
-  in
-  let part_tbl_size = max 64 (hops_total / max 1 parts) in
-  let buffers : (int * int, (simcell * int) Queue.t) Hashtbl.t array =
-    Array.init parts (fun _ -> Hashtbl.create part_tbl_size)
-  in
-  let buffer_q s vcid =
-    let tbl = buffers.(part.(s)) in
-    match Hashtbl.find_opt tbl (s, vcid) with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.add tbl (s, vcid) q;
-      q
-  in
-  (* Best-effort credits: (link, vc) -> upstream window, held by the
-     partition of the link's upstream endpoint on that circuit — the
-     only partition that ever touches it. *)
-  let credits : (int * int, Flow.Credit.Upstream.t) Hashtbl.t array =
-    Array.init parts (fun _ -> Hashtbl.create part_tbl_size)
-  in
-  let credit pt lid vcid =
-    let tbl = credits.(pt) in
-    match Hashtbl.find_opt tbl (lid, vcid) with
-    | Some c -> c
-    | None ->
-      let c = Flow.Credit.Upstream.create ~total:p.be_credits in
-      Hashtbl.add tbl (lid, vcid) c;
-      c
-  in
-  (* Guaranteed service map per switch: (in_port, out_port) -> vc ids.
+  (* Guaranteed service map per switch: in_port * ports + out_port ->
+     circuit codes, [||] for a switch no guaranteed circuit crosses.
      Built before the engines start and (cluster runs reject events)
      only read afterwards, so one shared table is safe; the round-robin
-     cursors are written per slot, hence per partition. *)
-  let gmap : (int * int * int, int list ref) Hashtbl.t =
-    Hashtbl.create (max 64 hops_total)
-  in
-  let grr : (int * int * int, int ref) Hashtbl.t array =
-    Array.init parts (fun _ -> Hashtbl.create part_tbl_size)
-  in
+     cursors are written per slot by the switch's own partition. *)
+  let gmap = Array.make n_switches [||] in
+  let grr = Array.make n_switches [||] in
   let rebuild_gmap () =
-    Hashtbl.reset gmap;
-    List.iter
-      (fun (_, st) ->
-        if st.is_guaranteed then
-          List.iter
-            (fun (s, (in_l, out_l)) ->
-              let key = (s, Network.port_at net s in_l, Network.port_at net s out_l) in
-              match Hashtbl.find_opt gmap key with
-              | Some r -> r := st.vc.Network.vc_id :: !r
-              | None -> Hashtbl.add gmap key (ref [ st.vc.Network.vc_id ]))
-            (Network.table_entries st.vc))
-      states
+    let acc = Array.make n_switches [||] in
+    Array.iteri
+      (fun ci c ->
+        if c.is_guaranteed then
+          Array.iteri
+            (fun i s ->
+              let j = i + 1 in
+              if Array.length acc.(s) = 0 then acc.(s) <- Array.make (ports * ports) [];
+              let pair = (c.in_port.(j) * ports) + c.out_port.(j) in
+              acc.(s).(pair) <- code ci j :: acc.(s).(pair))
+            c.switches)
+      circuits;
+    Array.iteri
+      (fun s m ->
+        gmap.(s) <- Array.map Array.of_list m;
+        if Array.length m > 0 && Array.length grr.(s) = 0 then
+          grr.(s) <- Array.make (ports * ports) 0)
+      acc
   in
   rebuild_gmap ();
-  (* Best-effort circuits through each switch. *)
-  let be_at = Array.make n_switches [] in
+  (* Best-effort circuit codes through each switch. *)
+  let be_at = Array.make n_switches [||] in
   let rebuild_be () =
-    Array.fill be_at 0 n_switches [];
-    List.iter
-      (fun (_, st) ->
-        if not st.is_guaranteed then
-          Array.iter
-            (fun s -> be_at.(s) <- st.vc.Network.vc_id :: be_at.(s))
-          st.switches)
-      states
+    let acc = Array.make n_switches [] in
+    Array.iteri
+      (fun ci c ->
+        if not c.is_guaranteed then
+          Array.iteri (fun i s -> acc.(s) <- code ci (i + 1) :: acc.(s)) c.switches)
+      circuits;
+    Array.iteri (fun s l -> be_at.(s) <- Array.of_list l) acc
   in
   rebuild_be ();
-  (* Guaranteed backlog per (switch, in_link) line card. *)
-  let gbacklog : (int * int, int ref) Hashtbl.t array =
-    Array.init parts (fun _ -> Hashtbl.create part_tbl_size)
-  in
+  (* Guaranteed backlog per switch line card, indexed by input port. *)
+  let gbacklog = Array.init n_switches (fun _ -> Array.make ports 0) in
   let max_gbacklog = Array.make parts 0 in
-  let gbacklog_adj s in_l d =
+  let gbacklog_adj s in_port d =
+    let b = gbacklog.(s) in
+    let v = b.(in_port) + d in
+    b.(in_port) <- v;
     let pt = part.(s) in
-    let r =
-      match Hashtbl.find_opt gbacklog.(pt) (s, in_l) with
-      | Some r -> r
-      | None ->
-        let r = ref 0 in
-        Hashtbl.add gbacklog.(pt) (s, in_l) r;
-        r
-    in
-    r := !r + d;
-    if !r > max_gbacklog.(pt) then max_gbacklog.(pt) <- !r
+    if v > max_gbacklog.(pt) then max_gbacklog.(pt) <- v
+  in
+  (* The matching scratch is only touched when best-effort circuits
+     exist; without them, switches wider than a request bitset still
+     run. *)
+  let scratch =
+    let n = if n_be > 0 then ports else 0 in
+    Array.init parts (fun _ ->
+        {
+          used_in = Array.make ports false;
+          used_out = Array.make ports false;
+          req = Matching.Request.create n;
+          pim = Matching.Pim.create n;
+          outcome = Matching.Outcome.empty n;
+          elig = Array.make n_be 0;
+          elig_pair = Array.make n_be 0;
+        })
   in
   let link_ok lid = (Topo.Graph.link g lid).Topo.Graph.state = Topo.Graph.Working in
   let latency lid = (Topo.Graph.link g lid).Topo.Graph.latency in
-  let deliver pt st (cell : simcell) =
-    st.delivered <- st.delivered + 1;
+  let deliver pt c (cell : simcell) =
+    c.delivered <- c.delivered + 1;
     let now = Netsim.Engine.now engines.(pt) in
     (* A delivery at the closing instant (now = duration) belongs to
        the last tenth, not to a phantom eleventh bucket. *)
     let w = min 9 (now * 10 / max 1 duration) in
     if w >= 0 then
-      st.window_delivered.(w) <- st.window_delivered.(w) + 1;
-    Netsim.Stats.Distribution.add st.latencies (Netsim.Time.to_us (now - cell.born));
+      c.window_delivered.(w) <- c.window_delivered.(w) + 1;
+    Netsim.Stats.Distribution.add c.latencies (Netsim.Time.to_us (now - cell.born));
     (* Destination controller: reassemble packet sources. *)
     match cell.payload with
     | None -> ()
-    | Some c ->
-      (match Host.Reassembly.push st.reassembly c with
+    | Some hc ->
+      (match Host.Reassembly.push c.reassembly hc with
        | Some (Ok _) ->
-         st.packets_delivered <- st.packets_delivered + 1;
-         Netsim.Stats.Distribution.add st.packet_latencies
+         c.packets_delivered <- c.packets_delivered + 1;
+         Netsim.Stats.Distribution.add c.packet_latencies
            (Netsim.Time.to_us (now - cell.pstart))
        | Some (Error _) ->
          (* A cell was dropped mid-packet (failure window); the rest of
@@ -346,101 +398,94 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
   in
   (* Transmit [cell] sitting at switch position [j] of its path (or
      j = 0 for host injection) onto link links.(j). Runs on the
-     partition of the departing node. *)
-  let transmit st (cell : simcell) j =
-    let sp = up_part st j in
-    let out_l = st.links.(j) in
-    if not st.is_guaranteed then
-      Flow.Credit.Upstream.on_send (credit sp out_l cell.st.vc.Network.vc_id);
+     partition of the departing node. A callback that finds the
+     circuit's epoch unchanged finds its path arrays unchanged too. *)
+  let transmit c (cell : simcell) j =
+    let sp = up_part c j in
+    let out_l = c.links.(j) in
+    if not c.is_guaranteed then Flow.Credit.Upstream.on_send c.credits.(j);
     (* Departing switch j >= 1 frees the upstream buffer of link j-1. *)
     if j >= 1 then begin
-      let in_l = st.links.(j - 1) in
-      if st.is_guaranteed then gbacklog_adj st.switches.(j - 1) in_l (-1)
+      if c.is_guaranteed then gbacklog_adj c.switches.(j - 1) c.in_port.(j) (-1)
       else begin
-        let lat = latency in_l in
-        let vcid = st.vc.Network.vc_id in
         let ep = cell.epoch in
-        let cp = up_part st (j - 1) in
-        post ~src:sp ~dst:cp ~delay:lat (fun () ->
-            if ep = st.epoch then
-              Flow.Credit.Upstream.on_credit (credit cp in_l vcid)
+        post ~src:sp ~dst:(up_part c (j - 1)) ~delay:(latency c.links.(j - 1))
+          (fun () ->
+            if ep = c.epoch then
+              Flow.Credit.Upstream.on_credit c.credits.(j - 1)
                 Flow.Credit.Increment)
       end
     end;
-    let dp = down_part st j in
+    let dp = down_part c j in
     let transit =
       p.cell_time + latency out_l
       + if j >= 1 then p.crossbar_delay else 0
     in
     post ~src:sp ~dst:dp ~delay:transit (fun () ->
-        if cell.epoch <> st.epoch || not (link_ok out_l) then
-          st.dropped.(dp) <- st.dropped.(dp) + 1
-        else if j = Array.length st.links - 1 then begin
+        if cell.epoch <> c.epoch || not (link_ok out_l) then
+          c.dropped.(dp) <- c.dropped.(dp) + 1
+        else if j = Array.length c.links - 1 then begin
           (* Final host link: delivery; the sink frees the buffer
              instantly. *)
-          deliver dp st cell;
-          if not st.is_guaranteed then begin
-            let vcid = st.vc.Network.vc_id in
+          deliver dp c cell;
+          if not c.is_guaranteed then begin
             let ep = cell.epoch in
             post ~src:dp ~dst:dp ~delay:(latency out_l) (fun () ->
-                if ep = st.epoch then
-                  Flow.Credit.Upstream.on_credit (credit dp out_l vcid)
+                if ep = c.epoch then
+                  Flow.Credit.Upstream.on_credit c.credits.(j)
                     Flow.Credit.Increment)
           end
         end
         else begin
-          let s = st.switches.(j) in
-          Queue.add (cell, j + 1) (buffer_q s st.vc.Network.vc_id);
-          if st.is_guaranteed then gbacklog_adj s out_l 1
+          Queue.add cell c.queues.(j + 1);
+          if c.is_guaranteed then
+            gbacklog_adj c.switches.(j) c.in_port.(j + 1) 1
         end)
+  in
+  let transmit_code code =
+    let c = circuits.(code lsr pos_bits) and j = code land pos_mask in
+    transmit c (Queue.pop c.queues.(j)) j
   in
   (* One slot of switch [s]. *)
   let switch_slot = Array.make n_switches 0 in
   let do_slot s =
-    let ports = Topo.Graph.ports_per_switch g in
-    let used_in = Array.make ports false in
-    let used_out = Array.make ports false in
-    (* Guaranteed connections scheduled in this slot. *)
-    let slot_idx = switch_slot.(s) mod frame in
-    let sched = Network.switch_schedule net s in
-    for in_port = 0 to ports - 1 do
-      match Frame.Schedule.output_of sched ~slot:slot_idx ~input:in_port with
-      | None -> ()
-      | Some out_port ->
-        let key = (s, in_port, out_port) in
-        (match Hashtbl.find_opt gmap key with
-         | None -> ()
-         | Some vcs ->
-           let rrr =
-             match Hashtbl.find_opt grr.(part.(s)) key with
-             | Some r -> r
-             | None ->
-               let r = ref 0 in
-               Hashtbl.add grr.(part.(s)) key r;
-               r
-           in
-           let vl = !vcs in
-           let nvc = List.length vl in
-           let rec pick k =
-             if k = nvc then None
-             else begin
-               let vcid = List.nth vl ((!rrr + k) mod nvc) in
-               let q = buffer_q s vcid in
-               match Queue.peek_opt q with
-               | Some (_, _) -> Some (vcid, q, k)
-               | None -> pick (k + 1)
-             end
-           in
-           (match pick 0 with
-            | None -> ()  (* unused allocated slot: free for best-effort *)
-            | Some (vcid, q, k) ->
-              rrr := (!rrr + k + 1) mod nvc;
-              let cell, j = Queue.pop q in
-              let st = state_of vcid in
-              used_in.(in_port) <- true;
-              used_out.(out_port) <- true;
-              transmit st cell j))
-    done;
+    let sc = scratch.(part.(s)) in
+    let used_in = sc.used_in and used_out = sc.used_out in
+    Array.fill used_in 0 ports false;
+    Array.fill used_out 0 ports false;
+    (* Guaranteed connections scheduled in this slot, round-robin among
+       the circuits sharing an (input, output) pair. *)
+    let gm = gmap.(s) in
+    if Array.length gm > 0 then begin
+      let slot_idx = switch_slot.(s) mod frame in
+      let sched = Network.switch_schedule net s in
+      let rr = grr.(s) in
+      for in_port = 0 to ports - 1 do
+        let out_port = Frame.Schedule.output_at sched ~slot:slot_idx ~input:in_port in
+        if out_port >= 0 then begin
+          let pair = (in_port * ports) + out_port in
+          let codes = gm.(pair) in
+          let nvc = Array.length codes in
+          let k = ref 0 in
+          while
+            !k < nvc
+            &&
+            (let cd = codes.((rr.(pair) + !k) mod nvc) in
+             Queue.is_empty circuits.(cd lsr pos_bits).queues.(cd land pos_mask))
+          do
+            incr k
+          done;
+          (* k = nvc: an unused allocated slot, free for best-effort. *)
+          if !k < nvc then begin
+            let cd = codes.((rr.(pair) + !k) mod nvc) in
+            rr.(pair) <- (rr.(pair) + !k + 1) mod nvc;
+            used_in.(in_port) <- true;
+            used_out.(out_port) <- true;
+            transmit_code cd
+          end
+        end
+      done
+    end;
     (* Best-effort fills the leftover ports by parallel iterative
        matching, exactly as the real line cards do (§3): eligible
        circuits (queued cell, credit available, ports not taken by
@@ -448,47 +493,49 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
        transfers; round-robin chooses among circuits sharing a matched
        port pair. *)
     let bes = be_at.(s) in
-    if bes <> [] then begin
-      let req = Matching.Request.create ports in
-      (* (in_port, out_port) -> eligible vc ids, in be_at order. *)
-      let by_pair : (int * int, int list ref) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun vcid ->
-          match Queue.peek_opt (buffer_q s vcid) with
-          | None -> ()
-          | Some (_, j) ->
-            let st = state_of vcid in
-            if j <= Array.length st.links - 1 && st.switches.(j - 1) = s then begin
-              let in_port = Network.port_at net s st.links.(j - 1) in
-              let out_port = Network.port_at net s st.links.(j) in
-              if
-                (not used_in.(in_port))
-                && (not used_out.(out_port))
-                && Flow.Credit.Upstream.can_send
-                     (credit (part.(s)) st.links.(j) vcid)
-              then begin
-                Matching.Request.set req in_port out_port true;
-                match Hashtbl.find_opt by_pair (in_port, out_port) with
-                | Some r -> r := vcid :: !r
-                | None -> Hashtbl.add by_pair (in_port, out_port) (ref [ vcid ])
-              end
-            end)
-        bes;
-      let m = Matching.Pim.run ~rng:pim_rngs.(s) req ~iterations:3 in
-      for in_port = 0 to ports - 1 do
-        let out_port = m.Matching.Outcome.match_of_input.(in_port) in
-        if out_port >= 0 && not used_in.(in_port) then begin
-          match Hashtbl.find_opt by_pair (in_port, out_port) with
-          | None -> ()
-          | Some vcs ->
-            let vl = List.rev !vcs in
-            let vcid = List.nth vl (switch_slot.(s) mod List.length vl) in
-            used_in.(in_port) <- true;
-            used_out.(out_port) <- true;
-            let cell, j = Queue.pop (buffer_q s vcid) in
-            transmit (state_of vcid) cell j
+    let n_el = ref 0 in
+    for b = 0 to Array.length bes - 1 do
+      let cd = bes.(b) in
+      let c = circuits.(cd lsr pos_bits) and j = cd land pos_mask in
+      if not (Queue.is_empty c.queues.(j)) then begin
+        let in_port = c.in_port.(j) and out_port = c.out_port.(j) in
+        if
+          (not used_in.(in_port))
+          && (not used_out.(out_port))
+          && Flow.Credit.Upstream.can_send c.credits.(j)
+        then begin
+          Matching.Request.set sc.req in_port out_port true;
+          sc.elig.(!n_el) <- cd;
+          sc.elig_pair.(!n_el) <- (in_port * ports) + out_port;
+          incr n_el
         end
-      done
+      end
+    done;
+    (* An empty request draws nothing from the stream: skipping the
+       matching then leaves the draws unchanged. *)
+    if !n_el > 0 then begin
+      let n_el = !n_el in
+      Matching.Pim.run_into sc.pim ~rng:pim_rngs.(s) sc.req ~iterations:3
+        sc.outcome;
+      let m = sc.outcome.Matching.Outcome.match_of_input in
+      for in_port = 0 to ports - 1 do
+        let out_port = m.(in_port) in
+        if out_port >= 0 then begin
+          (* The (slot mod count)-th eligible circuit of the pair. *)
+          let pair = (in_port * ports) + out_port in
+          let count = ref 0 in
+          for e = 0 to n_el - 1 do
+            if sc.elig_pair.(e) = pair then incr count
+          done;
+          let nth = ref (switch_slot.(s) mod !count) and e = ref 0 in
+          while sc.elig_pair.(!e) <> pair || !nth > 0 do
+            if sc.elig_pair.(!e) = pair then decr nth;
+            incr e
+          done;
+          transmit_code sc.elig.(!e)
+        end
+      done;
+      Matching.Request.clear sc.req
     end;
     switch_slot.(s) <- switch_slot.(s) + 1
   in
@@ -504,69 +551,64 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
         1.0
         +. (float_of_int p.skew_ppm *. 1e-6 *. ((Netsim.Rng.float rng 2.0) -. 1.0))
     in
-    let rec tick k =
+    let ticks = ref 0 in
+    let rec tick () =
       do_slot s;
+      incr ticks;
       let at =
-        phase + int_of_float (Float.round (float_of_int (k + 1) *. float_of_int p.cell_time *. factor))
+        phase + int_of_float (Float.round (float_of_int !ticks *. float_of_int p.cell_time *. factor))
       in
-      if at <= duration then
-        Netsim.Engine.post_at eng ~at (fun () -> tick (k + 1))
+      if at <= duration then Netsim.Engine.post_at eng ~at tick
     in
-    Netsim.Engine.post_at eng ~at:phase (fun () -> tick 0)
+    Netsim.Engine.post_at eng ~at:phase tick
   in
   for s = 0 to n_switches - 1 do
     start_switch s
   done;
   (* Host sources: each runs on the partition of its first switch. *)
-  let inject ?payload ?(pstart = 0) st =
-    st.sent <- st.sent + 1;
-    let born = Netsim.Engine.now engines.(up_part st 0) in
-    let cell = { st; born; epoch = st.epoch; payload; pstart } in
-    transmit st cell 0
+  let inject ?payload ?(pstart = 0) c =
+    c.sent <- c.sent + 1;
+    let born = Netsim.Engine.now engines.(up_part c 0) in
+    let cell = { born; epoch = c.epoch; payload; pstart } in
+    transmit c cell 0
   in
   List.iteri
     (fun i src ->
-      let vc = vc_of_source src in
-      let st = state_of vc.Network.vc_id in
-      let sp = up_part st 0 in
-      let eng = engines.(sp) in
+      let c = circuits.(i) in
+      let eng = engines.(up_part c 0) in
       let srng = src_rngs.(i) in
       match src with
-      | Cbr _ ->
+      | Cbr vc ->
         let cells =
           match vc.Network.cls with
-          | Network.Guaranteed c -> c
+          | Network.Guaranteed cells -> cells
           | Network.Best_effort -> invalid_arg "Netrun: Cbr on best-effort vc"
         in
         let gap = max 1 (frame_time / cells) in
         let rec emit () =
-          inject st;
+          inject c;
           Netsim.Engine.post eng ~delay:gap emit
         in
         Netsim.Engine.post eng ~delay:(Netsim.Rng.int rng gap) emit
       | Saturated_be _ ->
         let rec emit () =
-          if Flow.Credit.Upstream.can_send (credit sp st.links.(0) vc.Network.vc_id)
-          then inject st;
+          if Flow.Credit.Upstream.can_send c.credits.(0) then inject c;
           Netsim.Engine.post eng ~delay:p.cell_time emit
         in
         Netsim.Engine.post eng ~delay:p.cell_time emit
       | Paced_be (_, rate) ->
         let rec emit () =
           if Netsim.Rng.bernoulli srng rate then
-            st.host_backlog <- st.host_backlog + 1;
-          if
-            st.host_backlog > 0
-            && Flow.Credit.Upstream.can_send
-                 (credit sp st.links.(0) vc.Network.vc_id)
+            c.host_backlog <- c.host_backlog + 1;
+          if c.host_backlog > 0 && Flow.Credit.Upstream.can_send c.credits.(0)
           then begin
-            st.host_backlog <- st.host_backlog - 1;
-            inject st
+            c.host_backlog <- c.host_backlog - 1;
+            inject c
           end;
           Netsim.Engine.post eng ~delay:p.cell_time emit
         in
         Netsim.Engine.post eng ~delay:p.cell_time emit
-      | Packets_be (_, rate, size) ->
+      | Packets_be (vc, rate, size) ->
         let cells_per_packet = Host.cells_needed size in
         let start_prob = rate /. float_of_int cells_per_packet in
         let queue : (Host.cell * Netsim.Time.t) Queue.t = Queue.create () in
@@ -575,72 +617,54 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
           if Netsim.Rng.bernoulli srng start_prob then begin
             let pid = !next_pid in
             incr next_pid;
-            st.packets_sent <- st.packets_sent + 1;
+            c.packets_sent <- c.packets_sent + 1;
             let start = Netsim.Engine.now eng in
             List.iter
-              (fun c -> Queue.add (c, start) queue)
+              (fun hc -> Queue.add (hc, start) queue)
               (Host.segment { Host.packet_id = pid; size } ~vc:vc.Network.vc_id)
           end;
           (match Queue.peek_opt queue with
-           | Some (c, start)
-             when Flow.Credit.Upstream.can_send
-                    (credit sp st.links.(0) vc.Network.vc_id) ->
+           | Some (hc, start) when Flow.Credit.Upstream.can_send c.credits.(0) ->
              ignore (Queue.pop queue);
-             inject ~payload:c ~pstart:start st
+             inject ~payload:hc ~pstart:start c
            | _ -> ());
           Netsim.Engine.post eng ~delay:p.cell_time emit
         in
         Netsim.Engine.post eng ~delay:p.cell_time emit)
     sources;
   (* Scheduled control-plane events (classic single-partition path
-     only, so partition 0 owns every table they touch). *)
-  let flush_vc st =
+     only, so partition 0 owns every cell they touch). A reroute
+     flushes the circuit: queued cells count as drops, every credit
+     window starts fresh, and the epoch bump makes cells and credits
+     still in flight on the old path drop on arrival. *)
+  let flush c =
     Array.iter
-      (fun s ->
-        match Hashtbl.find_opt buffers.(0) (s, st.vc.Network.vc_id) with
-        | Some q ->
-          st.dropped.(0) <- st.dropped.(0) + Queue.length q;
-          Queue.clear q
-        | None -> ())
-      st.switches;
-    (* Fresh credit windows for the new path. *)
-    Array.iter
-      (fun lid -> Hashtbl.remove credits.(0) (lid, st.vc.Network.vc_id))
-      st.links
+      (fun q ->
+        c.dropped.(0) <- c.dropped.(0) + Queue.length q;
+        Queue.clear q)
+      c.queues;
+    c.credits <- fresh_credits (Array.length c.switches);
+    c.epoch <- c.epoch + 1
   in
   (* A failed reroute leaves the circuit dark: it keeps its broken
      path, drops every cell, and is reported in the run outcome (plus
      the [netrun.dark_circuits] counter) instead of being silently
      forgotten. A later successful reroute — e.g. after the partition
      heals and another Reroute event fires — clears the mark. *)
-  let went_dark st =
-    if not st.dark then begin
-      st.dark <- true;
+  let went_dark c =
+    if not c.dark then begin
+      c.dark <- true;
       if obs.Obs.Sink.enabled then Obs.Metrics.Counter.incr c_dark
     end
   in
-  let reroute_vc st =
-    if Array.exists (fun lid -> not (link_ok lid)) st.links then begin
-      flush_vc st;
-      st.epoch <- st.epoch + 1;
-      match Network.reroute net st.vc with
+  let reroute c route =
+    if Array.exists (fun lid -> not (link_ok lid)) c.links then begin
+      flush c;
+      match route c.vc with
       | Ok () ->
-        st.dark <- false;
-        st.links <- Array.of_list st.vc.Network.links;
-        st.switches <- Array.of_list st.vc.Network.switches
-      | Error _ -> went_dark st
-    end
-  in
-  let reroute_guaranteed_vc bwc st =
-    if Array.exists (fun lid -> not (link_ok lid)) st.links then begin
-      flush_vc st;
-      st.epoch <- st.epoch + 1;
-      match Bandwidth_central.reroute_after_failure bwc st.vc with
-      | Ok () ->
-        st.dark <- false;
-        st.links <- Array.of_list st.vc.Network.links;
-        st.switches <- Array.of_list st.vc.Network.switches
-      | Error _ -> went_dark st
+        c.dark <- false;
+        set_path c
+      | Error _ -> went_dark c
     end
   in
   List.iter
@@ -650,15 +674,16 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
           | Fail_link lid -> Topo.Graph.fail_link g lid
           | Fail_switch s -> Topo.Graph.fail_switch g s
           | Reroute_be ->
-            List.iter
-              (fun (_, st) -> if not st.is_guaranteed then reroute_vc st)
-              states;
+            Array.iter
+              (fun c -> if not c.is_guaranteed then reroute c (Network.reroute net))
+              circuits;
             rebuild_be ()
           | Reroute_guaranteed bwc ->
-            List.iter
-              (fun (_, st) ->
-                if st.is_guaranteed then reroute_guaranteed_vc bwc st)
-              states;
+            Array.iter
+              (fun c ->
+                if c.is_guaranteed then
+                  reroute c (Bandwidth_central.reroute_after_failure bwc))
+              circuits;
             rebuild_gmap ()))
     events;
   (match cluster with
@@ -669,31 +694,32 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
   if obs_on && parts > 1 then
     Array.iter (fun s -> Obs.Sink.merge_into ~into:obs s) sinks;
   let per_vc =
-    List.map
-      (fun (id, st) ->
-        let d = st.latencies in
-        let stats =
-          {
-            sent = st.sent;
-            delivered = st.delivered;
-            dropped = Array.fold_left ( + ) 0 st.dropped;
-            mean_latency_us = Netsim.Stats.Distribution.mean d;
-            p99_latency_us = Netsim.Stats.Distribution.percentile d 99.0;
-            max_latency_us = Netsim.Stats.Distribution.max d;
-            jitter_us =
-              (if Netsim.Stats.Distribution.count d = 0 then nan
-               else
-                 Netsim.Stats.Distribution.max d
-                 -. Netsim.Stats.Distribution.percentile d 0.0);
-            packets_sent = st.packets_sent;
-            packets_delivered = st.packets_delivered;
-            packet_mean_latency_us =
-              Netsim.Stats.Distribution.mean st.packet_latencies;
-            window_delivered = st.window_delivered;
-          }
-        in
-        (id, stats))
-      states
+    Array.to_list
+      (Array.map
+         (fun c ->
+           let d = c.latencies in
+           let stats =
+             {
+               sent = c.sent;
+               delivered = c.delivered;
+               dropped = Array.fold_left ( + ) 0 c.dropped;
+               mean_latency_us = Netsim.Stats.Distribution.mean d;
+               p99_latency_us = Netsim.Stats.Distribution.percentile d 99.0;
+               max_latency_us = Netsim.Stats.Distribution.max d;
+               jitter_us =
+                 (if Netsim.Stats.Distribution.count d = 0 then nan
+                  else
+                    Netsim.Stats.Distribution.max d
+                    -. Netsim.Stats.Distribution.percentile d 0.0);
+               packets_sent = c.packets_sent;
+               packets_delivered = c.packets_delivered;
+               packet_mean_latency_us =
+                 Netsim.Stats.Distribution.mean c.packet_latencies;
+               window_delivered = c.window_delivered;
+             }
+           in
+           (c.vc.Network.vc_id, stats))
+         circuits)
   in
   {
     per_vc;
@@ -701,5 +727,5 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
     guaranteed_backlog_frames =
       float_of_int (Array.fold_left max 0 max_gbacklog) /. float_of_int frame;
     dark_circuits =
-      List.fold_left (fun acc (_, st) -> if st.dark then acc + 1 else acc) 0 states;
+      Array.fold_left (fun acc c -> if c.dark then acc + 1 else acc) 0 circuits;
   }

@@ -4,10 +4,13 @@
     cell-slot clock: in every slot it first serves the guaranteed
     connections its frame schedule assigns to that slot (§4), then
     gives leftover input/output ports to best-effort circuits gated by
-    per-link per-VC credits (§5). Intra-switch crossbar contention
-    among best-effort cells is resolved greedily here; its fidelity is
-    studied slot-accurately in the {!Fabric} library (§3), as the
-    paper itself separates the two levels.
+    per-link per-VC credits (§5). Best-effort cells contend for the
+    leftover crossbar ports by 3-iteration parallel iterative matching
+    ({!Matching.Pim}) over port-level requests, with round-robin among
+    the circuits that share a matched port pair; the matching's
+    fidelity is studied slot-accurately in the {!Fabric} library (§3),
+    as the paper itself separates the two levels. The idle slot loop
+    allocates nothing.
 
     Used for the guaranteed latency/jitter bound (E6), guaranteed
     buffer occupancy under clock skew (E7), and the failover and
@@ -112,8 +115,11 @@ val run :
     (equally deterministic) numbers differ from the classic stream's.
     Raises [Invalid_argument] if [partitions < 1] or [domains < 1], if
     a multi-partition split has no positive cross-partition lookahead,
-    or if [events] are combined with [partitions > 1] — mid-run
-    topology mutation and rerouting need the classic single engine.
+    if [events] are combined with [partitions > 1] — mid-run
+    topology mutation and rerouting need the classic single engine —
+    if two sources name the same circuit, or if a circuit has no path
+    or its path visits a switch twice (a reroute that would produce
+    such a path raises too).
 
     With an enabled [obs] sink, a partitioned run gives each partition
     its own sink (fed to the cluster, so the [Obs.Parprof] window

@@ -19,8 +19,10 @@ let create ~n ~frame =
 let n t = t.size
 let frame t = t.slots
 
+let output_at t ~slot ~input = t.out_of.(slot).(input)
+
 let output_of t ~slot ~input =
-  let o = t.out_of.(slot).(input) in
+  let o = output_at t ~slot ~input in
   if o < 0 then None else Some o
 
 let input_of t ~slot ~output =

@@ -16,6 +16,10 @@ val frame : t -> int
 val output_of : t -> slot:int -> input:int -> int option
 val input_of : t -> slot:int -> output:int -> int option
 
+val output_at : t -> slot:int -> input:int -> int
+(** As {!output_of}, but [-1] when the input is idle in the slot:
+    allocation-free, for per-slot loops. *)
+
 val place : t -> slot:int -> input:int -> output:int -> unit
 (** Direct placement; raises [Invalid_argument] if either side of the
     pair is already busy in the slot. Used to set up literal schedules

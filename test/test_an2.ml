@@ -929,6 +929,77 @@ let test_e2e_failover () =
       (s.delivered > (s.sent * 6) / 10);
     Alcotest.(check bool) "route moved" false (List.mem victim vc.switches)
 
+let raises_invalid f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let test_e2e_rejects_shared_vc () =
+  (* Two sources on one circuit would share its buffers. *)
+  let g = Topo.Build.linear 2 in
+  let h1, h2 = Topo.Build.with_host_pair g in
+  let net = An2.Network.create ~frame:16 g in
+  match An2.Network.setup_best_effort net ~src_host:h1 ~dst_host:h2 with
+  | Error e -> Alcotest.fail e
+  | Ok vc ->
+    Alcotest.(check bool) "raises" true
+      (raises_invalid (fun () ->
+           An2.Netrun.run net An2.Netrun.default_params
+             ~sources:[ An2.Netrun.Saturated_be vc; An2.Netrun.Paced_be (vc, 0.5) ]
+             ~duration:(Netsim.Time.ms 1) ()))
+
+let test_e2e_rejects_looping_path () =
+  (* A path through switches 0, 1, 0, 1: the per-position buffers need
+     every switch at most once. *)
+  let g = Topo.Build.linear 2 in
+  let h1, h2 = Topo.Build.with_host_pair g in
+  let net = An2.Network.create ~frame:16 g in
+  let switches = [ 0; 1; 0; 1 ] in
+  match An2.Network.links_of_switch_path net ~src_host:h1 ~dst_host:h2 switches with
+  | Error e -> Alcotest.fail e
+  | Ok links ->
+    let vc = An2.Network.register_best_effort net ~src_host:h1 ~dst_host:h2 in
+    An2.Network.assign_route net vc ~switches ~links;
+    Alcotest.(check bool) "raises" true
+      (raises_invalid (fun () ->
+           An2.Netrun.run net An2.Netrun.default_params
+             ~sources:[ An2.Netrun.Saturated_be vc ]
+             ~duration:(Netsim.Time.ms 1) ()))
+
+let test_e2e_slot_loop_allocation () =
+  (* One guaranteed circuit across a fat-tree:8 leaves nearly every
+     switch slot idle. Running 1 ms longer may allocate for the cells
+     carried, but at most one minor word per extra switch slot. *)
+  let g, _ = Topo.Build.fat_tree ~k:8 in
+  let net = An2.Network.create ~frame:128 g in
+  let bwc = An2.Bandwidth_central.create net in
+  let vc =
+    match
+      An2.Bandwidth_central.request bwc ~src_host:0
+        ~dst_host:(Topo.Graph.host_count g - 1) ~cells:8
+    with
+    | Ok vc -> vc
+    | Error _ -> Alcotest.fail "admit"
+  in
+  let p = An2.Netrun.default_params in
+  let words ms =
+    let before = Gc.minor_words () in
+    ignore
+      (An2.Netrun.run net p ~sources:[ An2.Netrun.Cbr vc ]
+         ~duration:(Netsim.Time.ms ms) ());
+    Gc.minor_words () -. before
+  in
+  ignore (words 1);
+  let extra = words 2 -. words 1 in
+  let slots =
+    float_of_int (Topo.Graph.switch_count g * (Netsim.Time.ms 1 / p.cell_time))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per switch slot <= 1" (extra /. slots))
+    true
+    (extra <= slots)
+
 let () =
   Alcotest.run "an2"
     [
@@ -1027,6 +1098,11 @@ let () =
             test_e2e_best_effort_saturated;
           Alcotest.test_case "be + cbr share (paper)" `Slow test_e2e_be_and_cbr_share;
           Alcotest.test_case "failover" `Slow test_e2e_failover;
+          Alcotest.test_case "rejects shared vc" `Quick test_e2e_rejects_shared_vc;
+          Alcotest.test_case "rejects looping path" `Quick
+            test_e2e_rejects_looping_path;
+          Alcotest.test_case "slot loop allocation-free" `Slow
+            test_e2e_slot_loop_allocation;
           test_e2e_conservation;
         ] );
     ]
