@@ -95,8 +95,8 @@ let partitions_arg =
     & info [ "partitions" ] ~docv:"P"
         ~doc:
           "Engine partitions for intra-run parallel simulation (>= 1; 1 = \
-           classic single engine). Fixed $(docv) gives identical output at \
-           every $(b,--par-domains) value.")
+           one engine, same run path). Fixed $(docv) gives identical output \
+           at every $(b,--par-domains) value.")
 
 let par_domains_arg =
   Arg.(
@@ -834,14 +834,14 @@ let rebalance_cmd =
     let moves = An2.Rebalance.rebalance ~max_stretch net in
     let after = An2.Rebalance.load_stats net in
     Format.printf
-      "%d identical circuits: hottest link %d -> %d after %d moves (stddev        %.2f -> %.2f)@."
+      "%d identical circuits: hottest link %d -> %d after %d moves (stddev %.2f -> %.2f)@."
       circuits before.max_load after.max_load moves before.stddev after.stddev;
     if Obs.Sink.enabled obs then begin
       Obs.Metrics.Gauge.set
-        (Obs.Sink.gauge obs "rebalance.max_load")
+        (Obs.Sink.gauge obs "rebalance.max_load_before")
         (float_of_int before.max_load);
       Obs.Metrics.Gauge.set
-        (Obs.Sink.gauge obs "rebalance.max_load")
+        (Obs.Sink.gauge obs "rebalance.max_load_after")
         (float_of_int after.max_load);
       Obs.Metrics.Counter.set (Obs.Sink.counter obs "rebalance.moves") moves;
       Obs.Sink.instant obs ~name:"rebalance" ~cat:"an2sim" ~ts:0 ~tid:0 ~v:moves

@@ -133,79 +133,32 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
   let frame_time = frame * p.cell_time in
   let n_switches = Topo.Graph.switch_count g in
   let ports = Topo.Graph.ports_per_switch g in
-  (* Partitioned execution: switches split across engines coupled at
-     the minimum cross-partition link latency. Mid-run [events] mutate
-     the graph and reroute circuits across partition boundaries, which
-     the conservative windows cannot express — scenario runs keep the
-     classic single engine. *)
-  let partitions = min partitions (max 1 n_switches) in
-  if partitions > 1 && events <> [] then
+  (* Switches split across the engines of one cluster (one engine at
+     [partitions = 1]), coupled at the minimum cross-partition link
+     latency. Mid-run [events] mutate the graph and reroute circuits
+     across partition boundaries, which the conservative windows cannot
+     express — scenario runs keep a single partition. *)
+  let pc =
+    Topo.Partition.cluster ?heartbeat ~label:"netrun" ~obs ~horizon:duration g
+      ~parts:partitions
+  in
+  let { Topo.Partition.part; parts; engines; cl; _ } = pc in
+  if parts > 1 && events <> [] then
     invalid_arg "Netrun.run: events require partitions = 1";
-  let part =
-    if partitions > 1 then Topo.Partition.assign g ~parts:partitions
-    else Array.make n_switches 0
-  in
-  let parts = 1 + Array.fold_left max 0 part in
-  let obs_on = obs.Obs.Sink.enabled in
-  (* One sink per partition (merged back into [obs] after the run in
-     partition order), so data-plane observations never cross domains. *)
-  let sinks =
-    Array.init parts (fun _ ->
-        if obs_on then Obs.Sink.create () else Obs.Sink.null)
-  in
-  let cluster =
-    if parts > 1 then begin
-      let lookahead =
-        match Topo.Partition.lookahead g part with
-        | Some l when l >= 1 -> l
-        | _ ->
-          invalid_arg
-            "Netrun.run: partitioning has no positive cross-partition lookahead"
-      in
-      Some (Netsim.Cluster.create ~sinks ~parts ~lookahead ())
-    end
-    else None
-  in
-  let engines =
-    match cluster with
-    | Some cl -> Array.init parts (Netsim.Cluster.engine cl)
-    | None -> [| Netsim.Engine.create ~obs () |]
-  in
-  let snapshot () =
-    let m = Obs.Metrics.create () in
-    Obs.Metrics.merge_into ~into:m (Obs.Sink.metrics obs);
-    if parts > 1 then
-      Array.iter
-        (fun s -> Obs.Metrics.merge_into ~into:m (Obs.Sink.metrics s))
-        sinks;
-    m
-  in
-  (match heartbeat with
-   | None -> ()
-   | Some (every, flight) -> (
-     match cluster with
-     | Some cl ->
-       Netsim.Heartbeat.attach_cluster cl ~every ~horizon:duration ~flight
-         ~label:"netrun" ~snapshot
-     | None ->
-       Netsim.Heartbeat.attach_engine engines.(0) ~every ~horizon:duration
-         ~flight ~label:"netrun" ~snapshot));
   (* Schedule [thunk] on partition [dst], [delay] after partition
      [src]'s current instant. Every cross-partition post below rides a
      link latency, which is >= the cluster lookahead by construction. *)
   let post ~src ~dst ~delay thunk =
-    match cluster with
-    | Some cl -> Netsim.Cluster.send cl ~src ~dst ~delay thunk
-    | None -> Netsim.Engine.post engines.(0) ~delay thunk
+    Netsim.Cluster.send cl ~src ~dst ~delay thunk
   in
   let c_dark = Obs.Sink.counter obs "netrun.dark_circuits" in
   (* Setup-time randomness (clock phases, skew, initial source offsets)
      comes from one stream drawn single-threadedly here. Run-time
      randomness (PIM, source pacing) must be drawn by the partition
-     that owns the drawing component: the classic path aliases every
-     slot to the same stream — byte-identical with the single-engine
-     versions — while a partitioned run gives each switch and each
-     source its own seeded stream, making the draws (and the result) a
+     that owns the drawing component: one partition aliases every
+     slot to the same stream — the historical draw order — while a
+     multi-partition run gives each switch and each source its own
+     seeded stream, making the draws (and the result) a
      pure function of the partition map, never of the domain count. *)
   let rng = Netsim.Rng.create p.seed in
   let pim_rngs =
@@ -632,8 +585,10 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
         in
         Netsim.Engine.post eng ~delay:p.cell_time emit)
     sources;
-  (* Scheduled control-plane events (classic single-partition path
-     only, so partition 0 owns every cell they touch). A reroute
+  (* Scheduled control-plane events (single-partition runs only, so
+     partition 0 owns every cell they touch). They stay plain engine
+     events posted after the slot clocks and sources: as barrier
+     actions they would run ahead of same-instant slot ticks. A reroute
      flushes the circuit: queued cells count as drops, every credit
      window starts fresh, and the epoch bump makes cells and credits
      still in flight on the old path drop on arrival. *)
@@ -686,13 +641,7 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
               circuits;
             rebuild_gmap ()))
     events;
-  (match cluster with
-   | Some cl -> Netsim.Cluster.run ~domains cl ~horizon:duration
-   | None -> Netsim.Engine.run_until engines.(0) duration);
-  (* Join: per-partition metrics and trace rings fold back into the
-     caller's sink in fixed partition order. *)
-  if obs_on && parts > 1 then
-    Array.iter (fun s -> Obs.Sink.merge_into ~into:obs s) sinks;
+  Topo.Partition.run ~domains pc;
   let per_vc =
     Array.to_list
       (Array.map

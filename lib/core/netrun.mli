@@ -101,31 +101,33 @@ val run :
   duration:Netsim.Time.t ->
   unit ->
   result
-(** [partitions] (default 1) > 1 runs the switches on a
-    {!Netsim.Cluster}: {!Topo.Partition.assign} splits them (clamped
+(** The switches always run on a {!Netsim.Cluster} of [partitions]
+    (default 1) engines: {!Topo.Partition.assign} splits them (clamped
     to the switch count), each group gets its own engine, hosts share
     their switch's partition, and every cell or credit crossing a
     partition rides its link's latency, which is >= the cluster
     lookahead by construction. [domains] (default 1) bounds the worker
     domains; {b for a fixed [partitions] the result is identical for
     every [domains]} — all mutable state is owned by exactly one
-    partition. The classic [partitions = 1] path is byte-identical to
-    earlier single-engine versions; a partitioned run draws its PIM and
-    source-pacing randomness from per-switch/per-source streams, so its
-    (equally deterministic) numbers differ from the classic stream's.
+    partition. One partition draws all randomness from the one stream
+    seeded by [params.seed], byte-identical to earlier versions; a
+    multi-partition run draws its PIM and source-pacing randomness from
+    per-switch/per-source streams, so its (equally deterministic)
+    numbers differ from the one-partition stream's.
     Raises [Invalid_argument] if [partitions < 1] or [domains < 1], if
     a multi-partition split has no positive cross-partition lookahead,
     if [events] are combined with [partitions > 1] — mid-run
-    topology mutation and rerouting need the classic single engine —
+    topology mutation and rerouting need a single partition, where
+    they run as plain engine events on partition 0 —
     if two sources name the same circuit, or if a circuit has no path
     or its path visits a switch twice (a reroute that would produce
     such a path raises too).
 
-    With an enabled [obs] sink, a partitioned run gives each partition
-    its own sink (fed to the cluster, so the [Obs.Parprof] window
-    profiler and cross-partition flow tracing are live) and merges
-    metrics and trace rings back into [obs] in partition order after
-    the run; the classic path feeds [obs] straight to its engine.
+    With an enabled [obs] sink, a multi-partition run gives each
+    partition its own sink (fed to the cluster, so the [Obs.Parprof]
+    window profiler and cross-partition flow tracing are live) and
+    merges metrics and trace rings back into [obs] in partition order
+    after the run; one partition feeds [obs] straight to its engine.
     [heartbeat = (every, flight)] appends a merged-registry snapshot
     to [flight] every [every] simulated nanoseconds. Neither changes
     the simulation's result. *)

@@ -36,8 +36,8 @@ type params = {
           flow-control run over the new path length *)
   partitions : int;
       (** engine partitions for each nested reconfiguration run (see
-          {!Reconfig.Runner.run}); the outer churn timeline stays on
-          one engine *)
+          {!Reconfig.Runner.run}; 1 runs it on one engine, through the
+          same code); the outer churn timeline stays on one engine *)
   domains : int;  (** worker domains for those nested runs *)
   seed : int;
 }

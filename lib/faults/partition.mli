@@ -40,7 +40,7 @@ type params = {
   lifecycle : An2.Lifecycle.params;  (** pacing, timeout, backoff, gc *)
   partitions : int;
       (** engine partitions for the spanning control-plane run (see
-          {!Reconfig.Runner.run}); 1 = classic single engine *)
+          {!Reconfig.Runner.run}); 1 = one engine *)
   domains : int;  (** worker domains for that run *)
   seed : int;
 }

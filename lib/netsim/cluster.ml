@@ -5,7 +5,9 @@
    barrier, (worker 0 only) decide the next command, barrier, obey the
    command. All scheduling decisions are functions of simulation
    content alone, so the dispatch sequence of every engine is
-   identical at any worker count:
+   identical at any worker count. With one part there is nothing to
+   couple: a window runs to the horizon or to the next barrier
+   action, and no window profiler is registered.
 
      round:
        barrier (every window of the previous round has finished)
@@ -16,7 +18,7 @@
                barrier actions due at or before t_min (engines caught
                up, single-threaded); then either Stop (nothing left
                at <= horizon) or Window (min (t_min+L-1) horizon
-               (next_action-1))
+               (next_action-1)); one part drops the t_min+L-1 term
        barrier (the command and the drains are published)
        obey    each owner runs run_until window_end on its engines
 
@@ -50,7 +52,7 @@ type t = {
   engines : Engine.t array;
   sinks : Obs.Sink.t array;
   obs_on : bool;
-  prof : Obs.Parprof.t;
+  prof : Obs.Parprof.t;  (* inert at one part *)
   flow_seq : int array;
       (* per-src causal-trace sequence; written only by the domain
          running src's window (or setup code), like the mailboxes *)
@@ -68,7 +70,7 @@ type t = {
 
 let create ?sinks ~parts ~lookahead () =
   if parts < 1 then invalid_arg "Cluster.create: parts must be >= 1";
-  if lookahead < 1 then
+  if parts > 1 && lookahead < 1 then
     invalid_arg "Cluster.create: lookahead must be positive";
   (match sinks with
    | Some a when Array.length a < parts ->
@@ -84,7 +86,7 @@ let create ?sinks ~parts ~lookahead () =
     engines = Array.init parts (fun p -> Engine.create ~obs:sinks.(p) ());
     sinks;
     obs_on = Array.exists Obs.Sink.enabled sinks;
-    prof = Obs.Parprof.create sinks;
+    prof = Obs.Parprof.create (if parts > 1 then sinks else [||]);
     flow_seq = Array.make parts 0;
     mailboxes =
       Array.init parts (fun _ -> Array.init parts (fun _ -> Mailbox.create ()));
@@ -171,7 +173,7 @@ let poison t ex =
 let drain_all t =
   for dst = 0 to t.parts - 1 do
     let e = t.engines.(dst) in
-    if t.obs_on then begin
+    if Obs.Parprof.enabled t.prof then begin
       let depth = ref 0 in
       for src = 0 to t.parts - 1 do
         depth := !depth + Mailbox.length t.mailboxes.(src).(dst)
@@ -233,7 +235,9 @@ let decide t ~horizon =
           t.command <- Stop
         end
         else begin
-          let end_ = min (t_min + t.lookahead - 1) horizon in
+          let end_ =
+            if t.parts = 1 then horizon else min (t_min + t.lookahead - 1) horizon
+          in
           let end_ =
             match Mheap.min_prio t.actions with
             | Some g when g <= horizon -> min end_ (g - 1)
@@ -249,7 +253,8 @@ let run ?(domains = 1) t ~horizon =
   if domains < 1 then invalid_arg "Cluster.run: domains must be >= 1";
   let workers = min domains t.parts in
   t.parties <- workers;
-  if t.obs_on then
+  let profiling = Obs.Parprof.enabled t.prof in
+  if profiling then
     Obs.Parprof.set_topology t.prof ~workers ~lookahead:t.lookahead;
   let worker w =
     let continue = ref true in
@@ -258,7 +263,7 @@ let run ?(domains = 1) t ~horizon =
        obey phase, where ownership is certain. *)
     let pending_wait = ref 0 in
     let await_timed () =
-      if t.obs_on then begin
+      if profiling then begin
         let w0 = Time.monotonic_ns () in
         await t;
         pending_wait := !pending_wait + (Time.monotonic_ns () - w0)
@@ -282,8 +287,8 @@ let run ?(domains = 1) t ~horizon =
         let p = ref w in
         while !p < t.parts do
           let e = t.engines.(!p) in
-          if t.obs_on then begin
-            Obs.Sink.claim t.sinks.(!p);
+          if t.obs_on then Obs.Sink.claim t.sinks.(!p);
+          if profiling then begin
             if !p = w && !pending_wait > 0 then begin
               (* Worker w always owns partition w (w < workers <=
                  parts), so its wait series lands on sink w. *)

@@ -25,8 +25,15 @@
     not run inside a window, where other partitions may be reading
     that state concurrently; register them with {!at_barrier} and they
     run single-threadedly between windows, before any same-time
-    engine event — matching the classic single-engine convention of
-    posting environment events ahead of protocol triggers. *)
+    engine event — as if posted on a plain engine ahead of everything
+    else at that instant.
+
+    A one-part cluster is the single-engine simulator: there is
+    nothing to couple, so a window runs to the horizon or to the next
+    barrier action, and its dispatch order and final clock are those
+    of a plain {!Engine} with the barrier actions posted first. The
+    simulators run every partition count, one included, through this
+    module. *)
 
 type t
 
@@ -34,27 +41,31 @@ val create :
   ?sinks:Obs.Sink.t array -> parts:int -> lookahead:Time.t -> unit -> t
 (** [create ~parts ~lookahead ()] builds [parts] engines coupled at
     granularity [lookahead] (the minimum cross-partition latency, from
-    {!Topo.Partition.lookahead} in the simulators). [sinks], when
-    given, supplies one observability sink per partition — sinks are
-    single-domain, so a shared sink must never be passed to more than
-    one slot; merge the per-partition sinks after {!run}, in partition
-    order, via [Obs.Sink.merge_into]. The cluster claims ownership
-    phase by phase ([Obs.Sink.claim]): the leader owns every sink
-    while it drains mailboxes between windows, each worker owns the
-    sinks of the partitions it advances during a window, and all
-    sinks are released when {!run} returns.
+    {!Topo.Partition.lookahead} in the simulators); it is ignored when
+    [parts = 1]. [sinks], when given, supplies one observability sink
+    per partition — sinks are single-domain, so a shared sink must
+    never be passed to more than one slot; merge the per-partition
+    sinks after {!run}, in partition order, via [Obs.Sink.merge_into].
+    A one-part cluster may take the caller's own sink, leaving nothing
+    to merge. The cluster claims ownership phase by phase
+    ([Obs.Sink.claim]): the leader owns every sink while it drains
+    mailboxes between windows, each worker owns the sinks of the
+    partitions it advances during a window, and all sinks are released
+    when {!run} returns.
 
-    With enabled sinks the cluster also runs an [Obs.Parprof] window
-    profiler (per-partition busy/barrier-wait wall time, dispatched
-    events per window, mailbox pressure — names [parprof.*]) and tags
-    every cross-partition {!send} with a causal flow id emitted as
-    Chrome flow phases linking enqueue, leader drain and destination
-    dispatch. Observability never alters the simulation: output stays
-    byte-identical to an unobserved run at every domain count.
+    With enabled sinks and [parts > 1] the cluster also runs an
+    [Obs.Parprof] window profiler (per-partition busy/barrier-wait
+    wall time, dispatched events per window, mailbox pressure — names
+    [parprof.*]) and tags every cross-partition {!send} with a causal
+    flow id emitted as Chrome flow phases linking enqueue, leader
+    drain and destination dispatch. Observability never alters the
+    simulation: output stays byte-identical to an unobserved run at
+    every domain count.
 
-    Raises [Invalid_argument] if [parts < 1] or [lookahead < 1]: a
-    zero lookahead would give zero-width windows — the coupling
-    degenerates and the conservative protocol cannot make progress. *)
+    Raises [Invalid_argument] if [parts < 1], or if [parts > 1] and
+    [lookahead < 1]: a zero lookahead would give zero-width windows —
+    the coupling degenerates and the conservative protocol cannot make
+    progress. *)
 
 val parts : t -> int
 val lookahead : t -> Time.t
@@ -77,7 +88,7 @@ val send : t -> src:int -> dst:int -> delay:Time.t -> (unit -> unit) -> unit
 val at_barrier : t -> at:Time.t -> (unit -> unit) -> unit
 (** Register a global action at absolute time [at]. Actions run
     between windows, on one domain, with every engine quiescent and
-    its clock caught up to [at]; same-time actions run in registration
+    its clock caught up to just before [at]; same-time actions run in registration
     order, and an action at time [g] runs before any engine event at
     [g]. Call before {!run} or from another barrier action — never
     from an engine event. *)

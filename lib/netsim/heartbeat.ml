@@ -1,31 +1,16 @@
-(* Heartbeat drivers for the [Obs.Flight] recorder: re-arming
-   simulation-time callbacks that snapshot a metrics view every
+(* Heartbeat driver for the [Obs.Flight] recorder: a re-arming
+   simulation-time callback that snapshots a metrics view every
    [every] nanoseconds. The recorder itself is a passive accumulator
-   in the obs library; the decision of *when* to snapshot needs an
-   engine or a cluster, so it lives here.
+   in the obs library; the decision of *when* to snapshot needs a
+   cluster, so it lives here.
 
-   Neither driver touches simulation state, so a run's output is
-   unchanged by attaching one: engine heartbeats are extra no-op
-   events interleaved at their own timestamps, and cluster heartbeats
-   are barrier actions, which only trim conservative windows — never
-   reorder engine dispatch. *)
-
-let check_args ~every ~horizon =
-  if every < 1 then invalid_arg "Heartbeat: every must be >= 1";
-  if horizon < 0 then invalid_arg "Heartbeat: negative horizon"
-
-let attach_engine e ~every ~horizon ~flight ~label ~snapshot =
-  check_args ~every ~horizon;
-  let rec arm at =
-    if at <= horizon then
-      Engine.post_at e ~at (fun () ->
-          Obs.Flight.record flight ~now:at ~label (snapshot ());
-          arm (at + every))
-  in
-  arm (Engine.now e + every)
+   The driver touches no simulation state, so a run's output is
+   unchanged by attaching one: heartbeats are barrier actions, which
+   only trim conservative windows — never reorder engine dispatch. *)
 
 let attach_cluster cl ~every ~horizon ~flight ~label ~snapshot =
-  check_args ~every ~horizon;
+  if every < 1 then invalid_arg "Heartbeat: every must be >= 1";
+  if horizon < 0 then invalid_arg "Heartbeat: negative horizon";
   let rec arm at =
     if at <= horizon then
       Cluster.at_barrier cl ~at (fun () ->

@@ -1,10 +1,3 @@
-type 'msg params = {
-  latency : Netsim.Time.t;
-  loss : float;
-  retransmit_after : Netsim.Time.t;
-  window : int;
-}
-
 (* The transport split. Sender-side state (window buffer, timers,
    acks) only ever moves through [sched_local]/[cancel_local]/
    [post_back]; receiver-side state only through [post_fwd]. In a
@@ -36,7 +29,7 @@ type 'msg t = {
 }
 
 let create_over ~wire ~retransmit_after ~window ~deliver =
-  if window < 1 then invalid_arg "Reliable.create: window >= 1";
+  if window < 1 then invalid_arg "Reliable.create_over: window >= 1";
   {
     wire;
     retransmit_after;
@@ -50,24 +43,6 @@ let create_over ~wire ~retransmit_after ~window ~deliver =
     timer = Netsim.Engine.no_event;
     transmissions = 0;
   }
-
-let wire_over ~engine ~rng ~params =
-  {
-    sched_local =
-      (fun ~delay thunk -> Netsim.Engine.schedule engine ~delay thunk);
-    cancel_local = (fun id -> Netsim.Engine.cancel engine id);
-    post_fwd =
-      (fun thunk -> Netsim.Engine.post engine ~delay:params.latency thunk);
-    post_back =
-      (fun thunk -> Netsim.Engine.post engine ~delay:params.latency thunk);
-    lost_fwd = (fun () -> Netsim.Rng.bernoulli rng params.loss);
-    lost_back = (fun () -> Netsim.Rng.bernoulli rng params.loss);
-  }
-
-let create ~engine ~rng ~params ~deliver =
-  create_over
-    ~wire:(wire_over ~engine ~rng ~params)
-    ~retransmit_after:params.retransmit_after ~window:params.window ~deliver
 
 let rec arm_timer t =
   if t.timer = Netsim.Engine.no_event && t.base < t.next then

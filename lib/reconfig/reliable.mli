@@ -8,18 +8,12 @@
     three-phase protocol runs correctly even when the wire drops
     control cells.
 
-    Used by {!Runner.run_lossy}, which demonstrates that the protocol
-    survives heavy control-plane loss at the cost of retransmission
-    delay — and that without this layer it deadlocks (E27). *)
+    {!Runner.run} carries every control message over these channels;
+    with [control_loss > 0] it demonstrates that the protocol survives
+    heavy control-plane loss at the cost of retransmission delay — and
+    that without this layer it deadlocks (E27). *)
 
 type 'msg t
-
-type 'msg params = {
-  latency : Netsim.Time.t;  (** one-way wire latency *)
-  loss : float;  (** per-transmission drop probability *)
-  retransmit_after : Netsim.Time.t;  (** timeout before resending *)
-  window : int;  (** go-back-N window size *)
-}
 
 type wire = {
   sched_local : delay:Netsim.Time.t -> (unit -> unit) -> Netsim.Engine.event_id;
@@ -41,25 +35,17 @@ type wire = {
     {!Netsim.Cluster} partitions (and domains), with the cross-
     partition hops carried by [Cluster.send] at the wire latency. *)
 
-val create :
-  engine:Netsim.Engine.t ->
-  rng:Netsim.Rng.t ->
-  params:'msg params ->
-  deliver:('msg -> unit) ->
-  'msg t
-(** One direction of one link on a single engine: [deliver] fires
-    exactly once per sent message, in order, at the receiver.
-    Equivalent to {!create_over} over a wire whose two ends share
-    [engine] and draw both loss coins from [rng]. *)
-
 val create_over :
   wire:wire ->
   retransmit_after:Netsim.Time.t ->
   window:int ->
   deliver:('msg -> unit) ->
   'msg t
-(** Same protocol over an explicit transport. [deliver] runs at the
-    receiving end (inside a [post_fwd] thunk). *)
+(** One direction of one link over [wire]: [deliver] fires exactly
+    once per sent message, in order, at the receiving end (inside a
+    [post_fwd] thunk). [window] is the go-back-N window and
+    [retransmit_after] the timeout before resending. Raises
+    [Invalid_argument] if [window < 1]. *)
 
 val send : 'msg t -> 'msg -> unit
 (** Queue a message; it is retransmitted until acknowledged. *)

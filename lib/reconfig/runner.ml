@@ -74,9 +74,9 @@ let true_topology g ~root =
    labels components once per graph version and derives each
    component's edge list once, so N completions between topology
    changes cost one O(V + E) pass total. Each instance is single-owner:
-   the classic path makes one, the cluster path one per partition
-   (completions run on partition domains) plus one for the final
-   evaluation. *)
+   [run] makes one per partition (completions run on partition
+   domains); partition 0's also serves the final evaluation, once
+   every engine is quiescent. *)
 let make_truth g =
   let n = Topo.Graph.switch_count g in
   let stamp = ref (-1) in
@@ -183,10 +183,10 @@ let handling_delay params msg =
       params.proc_delay + (params.edge_cost * List.length es)
     | Proto.Invite _ | Proto.Ack _ | Proto.Reject _ -> params.proc_delay
 
-(* Post-run judgment, shared by the single-engine and cluster paths:
-   everything it reads is quiescent by the time it runs on the calling
-   domain. [find_join] abstracts where the per-(switch, tag) first-join
-   times live (one table classically, one per partition clustered). *)
+(* Post-run judgment: everything it reads is quiescent by the time it
+   runs on the calling domain. [find_join] abstracts where the
+   per-(switch, tag) first-join times live (one table per
+   partition). *)
 let evaluate ~obs ~g ~truth ~nodes ~first_trigger ~completion ~find_join
     ~messages ~wire_transmissions ~completions =
   let n = Topo.Graph.switch_count g in
@@ -310,219 +310,48 @@ let evaluate ~obs ~g ~truth ~nodes ~first_trigger ~completion ~find_join
     completions;
   }
 
-(* The classic path: the whole network on one pooled engine. *)
-let run_single ~params ~obs ~heartbeat ~events g ~triggers =
+(* Switches are partitioned across the engines of one cluster — a
+   single engine at [partitions = 1] — with one conservative window per
+   cross-partition latency. State ownership is strict: everything a
+   switch's protocol events touch (its node, its partition's rng,
+   message counter, joins table, channel table and completion log)
+   belongs to its partition and is only ever mutated from that
+   partition's engine; the shared [completion] array is written at
+   distinct indices; the graph is only mutated by at-barrier actions
+   while every engine is quiescent. That ownership is what makes the
+   run race-free and its outcome independent of the domain count. *)
+let run ?(params = default_params) ?(obs = Obs.Sink.null) ?heartbeat
+    ?(events = []) ?(partitions = 1) ?(domains = 1) g ~triggers =
+  if triggers = [] then invalid_arg "Runner.run: no triggers";
+  if partitions < 1 then invalid_arg "Runner.run: partitions must be >= 1";
+  if domains < 1 then invalid_arg "Runner.run: domains must be >= 1";
   let n = Topo.Graph.switch_count g in
-  let engine = Netsim.Engine.create ~obs () in
-  (match heartbeat with
-   | None -> ()
-   | Some (every, flight) ->
-     Netsim.Heartbeat.attach_engine engine ~every ~horizon:params.horizon
-       ~flight ~label:"reconfig"
-       ~snapshot:(fun () ->
-         let m = Obs.Metrics.create () in
-         Obs.Metrics.merge_into ~into:m (Obs.Sink.metrics obs);
-         m));
-  let nodes = Array.init n (fun id -> Proto.create_node ~id) in
-  let messages = ref 0 in
-  let completions_log = ref [] in
+  let pc =
+    Topo.Partition.cluster ?heartbeat ~label:"reconfig" ~obs
+      ~horizon:params.horizon g ~parts:partitions
+  in
+  let { Topo.Partition.part; parts; sinks; engines; cl; _ } = pc in
   let obs_on = obs.Obs.Sink.enabled in
-  let c_messages = Obs.Sink.counter obs "reconfig.messages" in
-  let c_invite = Obs.Sink.counter obs "reconfig.msg.invite" in
-  let c_ack = Obs.Sink.counter obs "reconfig.msg.ack" in
-  let c_report = Obs.Sink.counter obs "reconfig.msg.report" in
-  let c_distribute = Obs.Sink.counter obs "reconfig.msg.distribute" in
-  let c_reject = Obs.Sink.counter obs "reconfig.msg.reject" in
-  let c_completed = Obs.Sink.counter obs "reconfig.switches.completed" in
-  let completion = Array.make n None in
-  (* First time each switch joined each configuration (for the phase
-     breakdown of the winning one). Sized for a few configurations per
-     switch. *)
-  let joins : (int * Tag.t, Netsim.Time.t) Hashtbl.t =
-    Hashtbl.create (max 64 (4 * n))
-  in
-  let truth = make_truth g in
-  let env_of = make_envs g in
-  let link_latency src dst =
-    match Topo.Graph.switch_link g src dst with
-    | Some lid -> Some (Topo.Graph.link g lid).Topo.Graph.latency
-    | None -> None
-  in
-  (* All control traffic crosses the wire through a reliable go-back-N
-     channel per directed link (the substrate the paper's protocol
-     assumes); with [control_loss = 0] it degenerates to a plain
-     latency. *)
-  let loss_rng = Netsim.Rng.create params.seed in
-  (* one channel per directed link in steady state: ~4 per switch *)
-  let channels : (int * int, Proto.message Reliable.t) Hashtbl.t =
-    Hashtbl.create (max 64 (4 * n))
-  in
-  let rec channel ~src ~dst latency =
-    match Hashtbl.find_opt channels (src, dst) with
-    | Some ch -> ch
-    | None ->
-      let ch =
-        Reliable.create ~engine ~rng:loss_rng
-          ~params:
-            {
-              Reliable.latency;
-              loss = params.control_loss;
-              retransmit_after = params.retransmit_after;
-              window = 32;
-            }
-          ~deliver:(fun msg ->
-            (* Line-card software handles the message after its
-               processing delay. *)
-            Netsim.Engine.post engine ~delay:(handling_delay params msg)
-              (fun () ->
-                incr messages;
-                deliver ~src ~dst msg))
-      in
-      Hashtbl.add channels (src, dst) ch;
-      ch
-  and perform src actions =
-    List.iter
-      (function
-        | Proto.Completed tag ->
-          let at = Netsim.Engine.now engine in
-          completion.(src) <- Some (tag, at);
-          (* Judge the learned topology against the truth of this
-             switch's component as the graph stands right now — with
-             mid-run [events] the graph at completion time is the one
-             this configuration was discovering. *)
-          let ok =
-            match Proto.completed nodes.(src) with
-            | Some (t, topo) when Tag.equal t tag -> topo = truth ~root:src
-            | _ -> false
-          in
-          completions_log := (src, tag, at, ok) :: !completions_log;
-          if obs_on then begin
-            Obs.Metrics.Counter.incr c_completed;
-            Obs.Sink.instant obs ~name:"completed" ~cat:"reconfig"
-              ~ts:(Netsim.Engine.now engine) ~tid:src ~v:src
-          end
-        | Proto.Send { dst; msg } ->
-          (* A message only travels if the link works at send time; a
-             cell handed to a link that [events] killed is lost on the
-             floor (cells already in flight when a link dies still
-             arrive — they are on the wire). *)
-          (match link_latency src dst with
-           | None -> ()
-           | Some latency -> Reliable.send (channel ~src ~dst latency) msg))
-      actions
-  and deliver ~src ~dst msg =
-    if obs_on then begin
-      Obs.Metrics.Counter.incr c_messages;
-      Obs.Metrics.Counter.incr
-        (match msg with
-         | Proto.Invite _ -> c_invite
-         | Proto.Ack _ -> c_ack
-         | Proto.Report _ -> c_report
-         | Proto.Distribute _ -> c_distribute
-         | Proto.Reject _ -> c_reject)
-    end;
-    let before = Proto.current_tag nodes.(dst) in
-    perform dst (Proto.handle nodes.(dst) (env_of dst) ~from:src msg);
-    let after = Proto.current_tag nodes.(dst) in
-    if (not (Tag.equal before after)) && not (Hashtbl.mem joins (dst, after))
-    then begin
-      Hashtbl.add joins (dst, after) (Netsim.Engine.now engine);
-      if obs_on then
-        Obs.Sink.instant obs ~name:"join" ~cat:"reconfig"
-          ~ts:(Netsim.Engine.now engine) ~tid:dst ~v:dst
-    end
-  in
-  (* Mid-run topology changes, posted before the triggers so an event
-     and a trigger at the same instant see the event first (detection
-     follows the change). *)
-  List.iter
-    (fun (at, ev) ->
-      Netsim.Engine.post_at engine ~at (fun () ->
-          match ev with
-          | `Fail_link lid -> Topo.Graph.fail_link g lid
-          | `Restore_link lid -> Topo.Graph.restore_link g lid
-          | `Fail_switch s -> Topo.Graph.fail_switch g s
-          | `Restore_switch s -> Topo.Graph.restore_switch g s))
-    events;
-  let first_trigger = List.fold_left (fun acc (t, _) -> min acc t) max_int triggers in
-  List.iter
-    (fun (at, s) ->
-      Netsim.Engine.post_at engine ~at (fun () ->
-          if obs_on then
-            Obs.Sink.instant obs ~name:"trigger" ~cat:"reconfig" ~ts:at
-              ~tid:s ~v:s;
-          perform s (Proto.initiate nodes.(s) (env_of s));
-          let tag = Proto.current_tag nodes.(s) in
-          if not (Hashtbl.mem joins (s, tag)) then
-            Hashtbl.add joins (s, tag) (Netsim.Engine.now engine)))
-    triggers;
-  Netsim.Engine.run_until engine params.horizon;
-  let wire_transmissions =
-    Hashtbl.fold (fun _ ch acc -> acc + Reliable.transmissions ch) channels 0
-  in
-  evaluate ~obs ~g ~truth ~nodes ~first_trigger ~completion
-    ~find_join:(fun s tag -> Hashtbl.find_opt joins (s, tag))
-    ~messages:!messages ~wire_transmissions
-    ~completions:(List.rev !completions_log)
-
-(* The cluster path: switches partitioned across engines, one
-   conservative window per cross-partition latency. State ownership is
-   strict — everything a switch's protocol events touch (its node,
-   its partition's rng, message counter, joins table, channel table
-   and completion log) belongs to its partition and is only ever
-   mutated from that partition's engine; the shared [completion] array
-   is written at distinct indices; the graph is only mutated by
-   at-barrier actions while every engine is quiescent. That ownership
-   is what makes the run race-free and its outcome independent of the
-   domain count. *)
-let run_cluster ~params ~obs ~heartbeat ~events ~partitions ~domains g
-    ~triggers =
-  let n = Topo.Graph.switch_count g in
-  let part = Topo.Partition.assign g ~parts:partitions in
-  let parts = 1 + Array.fold_left max 0 part in
-  let lookahead =
-    match Topo.Partition.lookahead g part with
-    | Some l when l >= 1 -> l
-    | _ ->
-      invalid_arg
-        "Runner.run: partitioning has no positive cross-partition lookahead"
-  in
-  let obs_on = obs.Obs.Sink.enabled in
-  let sinks =
-    Array.init parts (fun _ ->
-        if obs_on then Obs.Sink.create () else Obs.Sink.null)
-  in
-  let cl = Netsim.Cluster.create ~sinks ~parts ~lookahead () in
-  (match heartbeat with
-   | None -> ()
-   | Some (every, flight) ->
-     (* Snapshots run as barrier actions on the leader, every engine
-        quiescent: folding the caller's sink and each partition sink
-        into a fresh registry is a complete point-in-time view. *)
-     Netsim.Heartbeat.attach_cluster cl ~every ~horizon:params.horizon
-       ~flight ~label:"reconfig"
-       ~snapshot:(fun () ->
-         let m = Obs.Metrics.create () in
-         Obs.Metrics.merge_into ~into:m (Obs.Sink.metrics obs);
-         Array.iter
-           (fun s -> Obs.Metrics.merge_into ~into:m (Obs.Sink.metrics s))
-           sinks;
-         m));
-  let engines = Array.init parts (Netsim.Cluster.engine cl) in
   let nodes = Array.init n (fun id -> Proto.create_node ~id) in
   let messages = Array.make parts 0 in
   let completions_log = Array.make parts [] in
   let completion = Array.make n None in
+  (* First time each switch joined each configuration (for the phase
+     breakdown of the winning one). Sized for a few configurations per
+     switch. *)
   let joins : (int * Tag.t, Netsim.Time.t) Hashtbl.t array =
     Array.init parts (fun _ -> Hashtbl.create (max 64 (4 * n / parts)))
   in
   (* Independent loss stream per partition: a partition's draws happen
      in its own deterministic event order, so the streams stay stable
-     at any domain count. *)
+     at any domain count. One partition keeps the historical stream. *)
   let rngs =
     Array.init parts (fun p ->
-        Netsim.Rng.create (params.seed + ((p + 1) * 0x2545f4914f6cdd1)))
+        Netsim.Rng.create
+          (if parts = 1 then params.seed
+           else params.seed + ((p + 1) * 0x2545f4914f6cdd1)))
   in
+  (* one channel per directed link in steady state: ~4 per switch *)
   let channels : (int * int, Proto.message Reliable.t) Hashtbl.t array =
     Array.init parts (fun _ -> Hashtbl.create (max 64 (4 * n / parts)))
   in
@@ -548,7 +377,10 @@ let run_cluster ~params ~obs ~heartbeat ~events ~partitions ~domains g
     | Some lid -> Some (Topo.Graph.link g lid).Topo.Graph.latency
     | None -> None
   in
-  (* Control messages cross partitions through the cluster's send
+  (* All control traffic crosses the wire through a reliable go-back-N
+     channel per directed link (the substrate the paper's protocol
+     assumes); with [control_loss = 0] it degenerates to a plain
+     latency. Messages cross partitions through the cluster's send
      hook; an inter-switch link's latency is >= the lookahead by
      construction, so every hop of the reliable channel is admissible.
      Sender-side channel state lives with the sending switch,
@@ -579,6 +411,8 @@ let run_cluster ~params ~obs ~heartbeat ~events ~partitions ~domains g
         Reliable.create_over ~wire ~retransmit_after:params.retransmit_after
           ~window:32
           ~deliver:(fun msg ->
+            (* Line-card software handles the message after its
+               processing delay. *)
             Netsim.Engine.post engines.(dp) ~delay:(handling_delay params msg)
               (fun () ->
                 messages.(dp) <- messages.(dp) + 1;
@@ -593,6 +427,10 @@ let run_cluster ~params ~obs ~heartbeat ~events ~partitions ~domains g
         | Proto.Completed tag ->
           let at = Netsim.Engine.now engines.(sp) in
           completion.(src) <- Some (tag, at);
+          (* Judge the learned topology against the truth of this
+             switch's component as the graph stands right now — with
+             mid-run [events] the graph at completion time is the one
+             this configuration was discovering. *)
           let ok =
             match Proto.completed nodes.(src) with
             | Some (t, topo) when Tag.equal t tag ->
@@ -606,6 +444,10 @@ let run_cluster ~params ~obs ~heartbeat ~events ~partitions ~domains g
               ~ts:at ~tid:src ~v:src
           end
         | Proto.Send { dst; msg } ->
+          (* A message only travels if the link works at send time; a
+             cell handed to a link that [events] killed is lost on the
+             floor (cells already in flight when a link dies still
+             arrive — they are on the wire). *)
           (match link_latency src dst with
            | None -> ()
            | Some latency -> Reliable.send (channel ~src ~dst latency) msg))
@@ -634,8 +476,9 @@ let run_cluster ~params ~obs ~heartbeat ~events ~partitions ~domains g
     end
   in
   (* Topology mutations are global state: they run between windows,
-     alone, exactly like the classic path runs them ahead of same-time
-     protocol events. *)
+     alone, before any same-time protocol event — so an event and a
+     trigger at the same instant see the event first (detection
+     follows the change). *)
   List.iter
     (fun (at, ev) ->
       Netsim.Cluster.at_barrier cl ~at (fun () ->
@@ -660,12 +503,7 @@ let run_cluster ~params ~obs ~heartbeat ~events ~partitions ~domains g
           if not (Hashtbl.mem joins.(sp) (s, tag)) then
             Hashtbl.add joins.(sp) (s, tag) (Netsim.Engine.now engines.(sp))))
     triggers;
-  Netsim.Cluster.run ~domains cl ~horizon:params.horizon;
-  (* Join: merge per-partition observations — metrics and trace rings
-     both — back into the caller's sink and logs, in fixed partition
-     order. *)
-  if obs_on then
-    Array.iter (fun s -> Obs.Sink.merge_into ~into:obs s) sinks;
+  Topo.Partition.run ~domains pc;
   let messages_total = Array.fold_left ( + ) 0 messages in
   let wire_transmissions =
     Array.fold_left
@@ -673,29 +511,22 @@ let run_cluster ~params ~obs ~heartbeat ~events ~partitions ~domains g
         Hashtbl.fold (fun _ ch a -> a + Reliable.transmissions ch) tbl acc)
       0 channels
   in
+  (* One partition keeps its historical dispatch order; several logs
+     merge by (time, switch, tag), an order no domain count affects. *)
   let completions =
-    List.sort
-      (fun (s1, t1, a1, _) (s2, t2, a2, _) ->
-        match compare (a1 : int) a2 with
-        | 0 -> (
-          match compare (s1 : int) s2 with 0 -> Tag.compare t1 t2 | c -> c)
-        | c -> c)
-      (List.concat_map List.rev (Array.to_list completions_log))
+    if parts = 1 then List.rev completions_log.(0)
+    else
+      List.sort
+        (fun (s1, t1, a1, _) (s2, t2, a2, _) ->
+          match compare (a1 : int) a2 with
+          | 0 -> (
+            match compare (s1 : int) s2 with 0 -> Tag.compare t1 t2 | c -> c)
+          | c -> c)
+        (List.concat_map List.rev (Array.to_list completions_log))
   in
-  evaluate ~obs ~g ~truth:(make_truth g) ~nodes ~first_trigger ~completion
+  evaluate ~obs ~g ~truth:truths.(0) ~nodes ~first_trigger ~completion
     ~find_join:(fun s tag -> Hashtbl.find_opt joins.(part.(s)) (s, tag))
     ~messages:messages_total ~wire_transmissions ~completions
-
-let run ?(params = default_params) ?(obs = Obs.Sink.null) ?heartbeat
-    ?(events = []) ?(partitions = 1) ?(domains = 1) g ~triggers =
-  if triggers = [] then invalid_arg "Runner.run: no triggers";
-  if partitions < 1 then invalid_arg "Runner.run: partitions must be >= 1";
-  if domains < 1 then invalid_arg "Runner.run: domains must be >= 1";
-  let partitions = min partitions (max 1 (Topo.Graph.switch_count g)) in
-  if partitions = 1 then run_single ~params ~obs ~heartbeat ~events g ~triggers
-  else
-    run_cluster ~params ~obs ~heartbeat ~events ~partitions ~domains g
-      ~triggers
 
 let run_after_failure ?(params = default_params)
     ?(detection_delay = Netsim.Time.ms 100) ?obs ?heartbeat ?partitions

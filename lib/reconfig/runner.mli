@@ -100,19 +100,23 @@ val run :
     reflect the failure (use {!Topo.Graph.fail_link} first); triggers
     model the moment the adjacent switches detect the change.
 
-    [partitions] (default 1) > 1 runs the control plane on a
-    {!Netsim.Cluster}: switches are split by {!Topo.Partition.assign}
-    (clamped to the switch count), each group simulates on its own
-    engine, and inter-switch control messages cross partitions through
-    the cluster's send hook at their link latency. [domains] (default
-    1) bounds the worker domains of that cluster. {b For a fixed
+    The control plane always runs on a {!Netsim.Cluster} of
+    [partitions] (default 1) engines: switches are split by
+    {!Topo.Partition.assign} (clamped to the switch count), each group
+    simulates on its own engine, and inter-switch control messages
+    cross partitions through the cluster's send hook at their link
+    latency. One partition is the single-engine case of the same code.
+    [domains] (default 1) bounds the worker domains of that cluster. {b For a fixed
     [partitions], the outcome is identical for every [domains]} — the
     per-partition loss streams, message logs and observation sinks all
     belong to exactly one partition, so nothing about the result
     depends on the parallelism; the tests and the CI determinism smoke
     assert byte-equality. Outcomes at [partitions = 1] and
     [partitions = N] differ (legitimately) in loss-draw streams and
-    completion tie order, not in protocol correctness. Raises
+    completion tie order, not in protocol correctness: one partition
+    draws from the stream seeded by [params.seed] and logs completions
+    in dispatch order, several draw per-partition streams and order
+    same-instant completions by switch and tag. Raises
     [Invalid_argument] if [partitions < 1] or [domains < 1], or when a
     multi-partition split has no positive cross-partition lookahead
     (zero-latency cut links).
@@ -122,26 +126,26 @@ val run :
     separator, let both components reconfigure to divergent epochs,
     restore the cut, and drive the heal-time tag reconciliation (the
     {!Proto.message.Reject} path), with the [completions] log recording
-    what each side agreed on in between. Control cells handed to a
-    dead link are lost; an event and a trigger at the same instant see
-    the event applied first.
+    what each side agreed on in between. Events run as cluster barrier
+    actions at every partition count. Control cells handed to a dead
+    link are lost; an event and a trigger at the same instant see the
+    event applied first.
 
     With an enabled [obs] sink (default {!Obs.Sink.null}) the run
     counts delivered protocol messages total and per type
     (invite/ack/report/distribute), wire transmissions and completed
     switches, gauges convergence, traces trigger/join/completed
     instants per switch, and emits the three phase spans of the
-    winning configuration. The sink is also passed to the underlying
-    {!Netsim.Engine}. Timestamps are simulated nanoseconds.
-
-    On the cluster path each partition gets its own sink (merged back
-    into [obs] — metrics and trace ring both — in partition order
-    after the run), the cluster's [Obs.Parprof] window profiler and
-    causal flow tracing are active, and [heartbeat = (every, flight)]
-    appends a snapshot of the merged registries to [flight] every
-    [every] simulated nanoseconds (classically, snapshots ride as
-    plain engine events). Neither observability nor heartbeats change
-    the simulation's output. *)
+    winning configuration. Timestamps are simulated nanoseconds. With
+    one partition the sink is passed straight to the engine. With
+    several, each partition gets its own sink (merged back into [obs]
+    — metrics and trace ring both — in partition order after the run),
+    and the cluster's [Obs.Parprof] window profiler and causal flow
+    tracing are active. [heartbeat = (every, flight)] appends a
+    snapshot of the merged registries to [flight] every [every]
+    simulated nanoseconds, as cluster barrier actions at every
+    partition count. Neither observability nor heartbeats change the
+    simulation's output. *)
 
 val run_after_failure :
   ?params:params ->

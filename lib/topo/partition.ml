@@ -129,3 +129,67 @@ let lookahead g part =
          | _ -> Some l.Graph.latency)
       | _ -> acc)
     None (Graph.links g)
+
+type cluster = {
+  part : int array;
+  parts : int;
+  sinks : Obs.Sink.t array;
+  engines : Netsim.Engine.t array;
+  cl : Netsim.Cluster.t;
+  obs : Obs.Sink.t;
+  horizon : Netsim.Time.t;
+}
+
+let cluster ?heartbeat ~label ~obs ~horizon g ~parts =
+  let n = Graph.switch_count g in
+  let part = if min parts n <= 1 then Array.make n 0 else assign g ~parts in
+  let parts = 1 + Array.fold_left max 0 part in
+  let lookahead =
+    match lookahead g part with
+    | Some l when l >= 1 -> l
+    | _ when parts = 1 -> 0
+    | _ ->
+      invalid_arg
+        "Partition.cluster: partitioning has no positive cross-partition \
+         lookahead"
+  in
+  (* One part feeds the caller's sink directly; more parts get one sink
+     each, merged back by [run]. *)
+  let sinks =
+    if parts = 1 then [| obs |]
+    else
+      Array.init parts (fun _ ->
+          if obs.Obs.Sink.enabled then Obs.Sink.create () else Obs.Sink.null)
+  in
+  let cl = Netsim.Cluster.create ~sinks ~parts ~lookahead () in
+  (match heartbeat with
+   | None -> ()
+   | Some (every, flight) ->
+     (* Snapshots run as barrier actions, every engine quiescent:
+        folding the caller's sink and each partition sink into a fresh
+        registry is a complete point-in-time view. *)
+     Netsim.Heartbeat.attach_cluster cl ~every ~horizon ~flight ~label
+       ~snapshot:(fun () ->
+         let m = Obs.Metrics.create () in
+         Obs.Metrics.merge_into ~into:m (Obs.Sink.metrics obs);
+         if parts > 1 then
+           Array.iter
+             (fun s -> Obs.Metrics.merge_into ~into:m (Obs.Sink.metrics s))
+             sinks;
+         m));
+  {
+    part;
+    parts;
+    sinks;
+    engines = Array.init parts (Netsim.Cluster.engine cl);
+    cl;
+    obs;
+    horizon;
+  }
+
+let run ?domains c =
+  Netsim.Cluster.run ?domains c.cl ~horizon:c.horizon;
+  (* Join: per-partition metrics and trace rings fold back into the
+     caller's sink in fixed partition order. *)
+  if c.parts > 1 && c.obs.Obs.Sink.enabled then
+    Array.iter (fun s -> Obs.Sink.merge_into ~into:c.obs s) c.sinks

@@ -148,6 +148,69 @@ let test_cluster_differential_partitions =
       let base = run_program ~parts ~lookahead ~domains:1 ~horizon inits in
       run_program ~parts ~lookahead ~domains:parts ~horizon inits = base)
 
+(* A one-part cluster is the single-engine simulator: the same random
+   programs, plus barrier actions at the same instants as events, must
+   dispatch exactly as on a plain engine with the actions posted first
+   (ahead of every setup event), and end on the same clock. Actions log
+   their own instant (a barrier action sees the engine caught up to
+   just before it) and post a follow-up event, so their effects are
+   ordered too. *)
+let run_one_part ~on_cluster ~horizon (inits, actions) =
+  let log = ref [] in
+  let engine, at_action, run =
+    if on_cluster then begin
+      let cl = Netsim.Cluster.create ~parts:1 ~lookahead:0 () in
+      ( Netsim.Cluster.engine cl 0,
+        (fun ~at f -> Netsim.Cluster.at_barrier cl ~at f),
+        fun () -> Netsim.Cluster.run cl ~horizon )
+    end
+    else begin
+      let e = Netsim.Engine.create () in
+      ( e,
+        (fun ~at f -> Netsim.Engine.post_at e ~at f),
+        fun () -> Netsim.Engine.run_until e horizon )
+    end
+  in
+  let rec event fuel tag () =
+    log := (tag, Netsim.Engine.now engine) :: !log;
+    if fuel > 0 then begin
+      if tag mod 4 < 3 then
+        Netsim.Engine.post engine ~delay:(tag mod 7)
+          (event (fuel - 1) ((tag * 31) + 1));
+      if tag mod 3 = 0 then
+        Netsim.Engine.post engine ~delay:(tag mod 11)
+          (event (fuel - 1) ((tag * 17) + 3))
+    end
+  in
+  List.iteri
+    (fun i at ->
+      at_action ~at (fun () ->
+          log := (-1 - i, at) :: !log;
+          Netsim.Engine.post_at engine ~at:(at + (i mod 3)) (event 1 (i * 13))))
+    actions;
+  List.iter
+    (fun (at, fuel, tag) -> Netsim.Engine.post_at engine ~at (event fuel tag))
+    inits;
+  run ();
+  (List.rev !log, Netsim.Engine.now engine)
+
+let test_one_part_is_plain_engine =
+  qtest ~count:200 "one-part cluster dispatches like a plain engine"
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 25)
+           (triple (int_range 0 60) (int_range 0 4) small_nat))
+        (list_of_size (Gen.int_range 0 8) (int_range 0 80)))
+    (fun (inits, extra) ->
+      (* Half the actions share an instant with an initial event. *)
+      let actions =
+        List.filteri (fun i _ -> i mod 2 = 0) (List.map (fun (at, _, _) -> at) inits)
+        @ extra
+      in
+      let horizon = 200 in
+      run_one_part ~on_cluster:true ~horizon (inits, actions)
+      = run_one_part ~on_cluster:false ~horizon (inits, actions))
+
 let test_cluster_exception_propagates () =
   let cl = Netsim.Cluster.create ~parts:2 ~lookahead:5 () in
   Netsim.Engine.post_at (Netsim.Cluster.engine cl 1) ~at:10 (fun () ->
@@ -211,6 +274,29 @@ let test_runner_cluster_obs_merged () =
   Alcotest.(check int)
     "merged per-partition message counters match the outcome"
     outcome.Reconfig.Runner.messages delivered
+
+(* The one-partition twin: the run feeds the caller's sink directly,
+   so the counter matches with nothing merged, and the window profiler
+   stays off. *)
+let test_runner_one_part_obs () =
+  let g = Topo.Build.src_lan () in
+  let obs = Obs.Sink.create () in
+  let outcome = Reconfig.Runner.run ~obs g ~triggers:[ (Netsim.Time.ms 1, 0) ] in
+  Alcotest.(check bool) "converged" true outcome.Reconfig.Runner.converged;
+  Alcotest.(check int) "message counter matches the outcome"
+    outcome.Reconfig.Runner.messages
+    (Obs.Metrics.Counter.value (Obs.Sink.counter obs "reconfig.messages"));
+  let json = Obs.Metrics.to_json_string (Obs.Sink.metrics obs) in
+  let has sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length json && (String.sub json i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "registry names the messages" true
+    (has "\"reconfig.messages\"");
+  Alcotest.(check bool) "no parprof series" false (has "\"parprof.")
 
 let test_runner_validates_parallelism () =
   let g = Topo.Build.linear 4 in
@@ -339,7 +425,7 @@ let test_netrun_validates_parallelism () =
       ignore
         (An2.Netrun.run ~domains:0 net An2.Netrun.default_params ~sources
            ~duration:1000 ()));
-  Alcotest.check_raises "events need the classic engine"
+  Alcotest.check_raises "events need one partition"
     (Invalid_argument "Netrun.run: events require partitions = 1") (fun () ->
       ignore
         (An2.Netrun.run ~partitions:2 net An2.Netrun.default_params ~sources
@@ -454,6 +540,7 @@ let () =
           Alcotest.test_case "exception propagates" `Quick
             test_cluster_exception_propagates;
         ] );
+      ("one part", [ test_one_part_is_plain_engine ]);
       ( "differential",
         [ test_cluster_differential; test_cluster_differential_partitions ] );
       ( "runner",
@@ -461,6 +548,7 @@ let () =
           Alcotest.test_case "outcome identical across domains" `Quick
             test_runner_cluster_deterministic;
           Alcotest.test_case "obs merged" `Quick test_runner_cluster_obs_merged;
+          Alcotest.test_case "one-part obs" `Quick test_runner_one_part_obs;
           Alcotest.test_case "validates parallelism" `Quick
             test_runner_validates_parallelism;
         ] );

@@ -368,16 +368,30 @@ let test_runner_dead_link_failure_noop () =
 (* ------------------------------------------------------------------ *)
 (* Reliable control channels *)
 
+(* One channel on a single engine: 1 us wire latency, 50 us
+   retransmission timer, both loss coins drawn from [rng]. *)
+let reliable_channel ~engine ~rng ~loss ~window ~deliver =
+  let latency = Netsim.Time.us 1 in
+  Reconfig.Reliable.create_over
+    ~wire:
+      {
+        Reconfig.Reliable.sched_local =
+          (fun ~delay f -> Netsim.Engine.schedule engine ~delay f);
+        cancel_local = Netsim.Engine.cancel engine;
+        post_fwd = (fun f -> Netsim.Engine.post engine ~delay:latency f);
+        post_back = (fun f -> Netsim.Engine.post engine ~delay:latency f);
+        lost_fwd = (fun () -> Netsim.Rng.bernoulli rng loss);
+        lost_back = (fun () -> Netsim.Rng.bernoulli rng loss);
+      }
+    ~retransmit_after:(Netsim.Time.us 50) ~window ~deliver
+
 let reliable_pair ~loss ~seed =
   let engine = Netsim.Engine.create () in
   let rng = Netsim.Rng.create seed in
   let received = ref [] in
   let ch =
-    Reconfig.Reliable.create ~engine ~rng
-      ~params:
-        { Reconfig.Reliable.latency = Netsim.Time.us 1; loss;
-          retransmit_after = Netsim.Time.us 50; window = 4 }
-      ~deliver:(fun msg -> received := msg :: !received)
+    reliable_channel ~engine ~rng ~loss ~window:4 ~deliver:(fun msg ->
+        received := msg :: !received)
   in
   (engine, ch, received)
 
@@ -423,11 +437,8 @@ let test_reliable_exactly_once_random_windows =
       let rng = Netsim.Rng.create seed in
       let received = ref [] in
       let ch =
-        Reconfig.Reliable.create ~engine ~rng
-          ~params:
-            { Reconfig.Reliable.latency = Netsim.Time.us 1; loss;
-              retransmit_after = Netsim.Time.us 50; window }
-          ~deliver:(fun msg -> received := msg :: !received)
+        reliable_channel ~engine ~rng ~loss ~window ~deliver:(fun msg ->
+            received := msg :: !received)
       in
       for i = 1 to k do
         Reconfig.Reliable.send ch i
