@@ -11,9 +11,26 @@ type t = {
 
 let next_id = ref 1
 
+(* A group names each destination once and never the source; either
+   slip would count a delivery twice in the tree and unicast costs. *)
+let check_group ~source_host dest_hosts =
+  let rec repeated = function
+    | a :: (b :: _ as rest) -> if a = b then Some a else repeated rest
+    | _ -> None
+  in
+  if List.mem source_host dest_hosts then
+    Error (Printf.sprintf "source host %d cannot be a destination" source_host)
+  else
+    match repeated (List.sort compare dest_hosts) with
+    | Some h -> Error (Printf.sprintf "destination host %d is listed twice" h)
+    | None -> Ok ()
+
 let build net ~source_host ~dest_hosts =
   if dest_hosts = [] then Error "empty destination group"
-  else begin
+  else
+    match check_group ~source_host dest_hosts with
+    | Error e -> Error e
+    | Ok () -> begin
     let g = Network.graph net in
     match Network.host_attachment net source_host with
     | Error e -> Error e
@@ -103,7 +120,10 @@ let link_transmissions mc =
   List.length mc.tree_links + List.length mc.host_links
 
 let unicast_transmissions net ~source_host ~dest_hosts =
-  match Network.host_attachment net source_host with
+  match
+    Result.bind (check_group ~source_host dest_hosts) (fun () ->
+        Network.host_attachment net source_host)
+  with
   | Error e -> Error e
   | Ok (root, _) ->
     let g = Network.graph net in

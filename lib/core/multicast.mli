@@ -27,7 +27,8 @@ val build :
     to every destination's attachment (a standard approximation of the
     Steiner minimum; exact Steiner is NP-hard and the paper's switches
     compute routes from shortest-path information anyway). Fails if
-    any destination is unreachable or the group is empty. *)
+    the group is empty, names the source or names a host twice, or if
+    any destination is unreachable. *)
 
 val link_transmissions : t -> int
 (** Links (host links included) one source cell crosses: the tree
@@ -36,7 +37,9 @@ val link_transmissions : t -> int
 val unicast_transmissions :
   Network.t -> source_host:int -> dest_hosts:int list -> (int, string) result
 (** Total links crossed if each destination had its own unicast
-    circuit over its shortest path — the baseline the tree beats. *)
+    circuit over its shortest path — the baseline the tree beats.
+    Fails, as {!build} does, on a group that names the source or names
+    a host twice. *)
 
 val out_links : t -> switch:int -> int list
 (** Replication set at a switch (empty if the circuit does not pass

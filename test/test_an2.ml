@@ -798,9 +798,20 @@ let test_multicast_validation () =
   let h1, h2 = Topo.Build.with_host_pair g2 in
   let net2 = An2.Network.create g2 in
   Topo.Graph.fail_link g2 0;
-  match An2.Multicast.build net2 ~source_host:h1 ~dest_hosts:[ h2 ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "partitioned group must fail"
+  (match An2.Multicast.build net2 ~source_host:h1 ~dest_hosts:[ h2 ] with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "partitioned group must fail");
+  (* Naming the source, or a host twice, would count a delivery twice
+     and inflate the tree's saving over unicast. *)
+  List.iter
+    (fun (what, dests) ->
+      (match An2.Multicast.build net ~source_host:0 ~dest_hosts:dests with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.failf "build accepted %s" what);
+      match An2.Multicast.unicast_transmissions net ~source_host:0 ~dest_hosts:dests with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "unicast_transmissions accepted %s" what)
+    [ ("the source as a destination", [ 3; 0; 6 ]); ("a repeated destination", [ 3; 6; 3 ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end runs *)
