@@ -1,6 +1,7 @@
 (* E34: the scale axis. Builds k-ary fat-trees across ~2 decades of
-   switch count (k = 8/16/32 -> 80/320/1280 switches, 128/1024/8192
-   dual-homed hosts), then measures on each size:
+   switch count (k = 8/16/32/48/64 -> 80/320/1,280/2,880/5,120
+   switches, 128/1,024/8,192/27,648/65,536 dual-homed hosts), then
+   measures on each size:
 
    - topology construction time and resident memory (Gc + VmRSS);
    - a full global reconfiguration after an intra-pod cut, with
@@ -254,7 +255,7 @@ let () =
       exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let ks = if !smoke then [ 8 ] else [ 8; 16; 32 ] in
+  let ks = if !smoke then [ 8 ] else [ 8; 16; 32; 48; 64 ] in
   let rows = List.map measure_size ks in
   let domains_checked = [ 1; 2; 4 ] in
   let deterministic, det_wall =

@@ -228,22 +228,6 @@ let run_after_failure ?(proc_delay = Netsim.Time.us 100) ?(radius = 2)
       (fun s -> Hashtbl.fold (fun _ p ok -> ok && p.done_) state.(s) true)
       all_participants
   in
-  if (not converged) && Sys.getenv_opt "AN2_DEBUG_LOCAL" <> None then
-    List.iter
-      (fun s ->
-        Hashtbl.iter
-          (fun cfg p ->
-            if not p.done_ then
-              Printf.eprintf
-                "stuck: switch %d cfg %d parent=%s children=[%s] pending=%d acks_done=%b reported=[%s] sent_report=%b\n"
-                s cfg
-                (match p.parent with Some x -> string_of_int x | None -> "root")
-                (String.concat ";" (List.map string_of_int p.children))
-                p.pending_acks p.acks_done
-                (String.concat ";" (List.map string_of_int p.reported))
-                p.sent_report)
-          state.(s))
-      all_participants;
   let region_correct =
     converged
     && List.for_all (fun s -> view.(s) = truth) all_participants

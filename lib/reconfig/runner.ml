@@ -47,36 +47,26 @@ type event =
   | `Fail_switch of int
   | `Restore_switch of int ]
 
-(* The true working topology as the protocol should discover it:
-   switch links and host attachments of the component containing
-   [root]. *)
-let true_topology g ~root =
-  let n = Topo.Graph.switch_count g in
-  let in_component =
-    Array.map (fun d -> d >= 0) (Topo.Spanning.bfs g ~root).Topo.Spanning.depth
-  in
-  let edges = ref [] in
-  for s = 0 to n - 1 do
-    if in_component.(s) then begin
-      Topo.Graph.iter_switch_neighbors g s (fun s' _ ->
-          edges := Proto.Sw_edge (s, s') :: !edges);
-      Topo.Graph.iter_hosts_of_switch g s (fun h _ ->
-          edges := Proto.Host_edge (s, h) :: !edges)
-    end
-  done;
-  ( in_component,
-    List.sort_uniq Proto.compare_edge (List.map Proto.normalize_edge !edges) )
+(* The truth oracle. [judge ~root learned] tells whether [learned] is
+   the true working topology — switch links and host attachments — of
+   [root]'s component as the graph stands now. Components are labelled
+   and each component's sorted edge list derived once per graph
+   version, not once per completing switch. The verdict is cached too:
+   every switch completing one configuration keeps the root's
+   Distribute payload (one physical list), and a component's truth is
+   one physical list until the graph changes, so [judge] reuses its
+   last verdict when both lists are [==] to the last pair and compares
+   structurally otherwise. That is one comparison per distinct learned
+   value, not one per completion, and no verdict is weakened: immutable
+   lists that are [==] are [=]. Each instance is single-owner: [run]
+   makes one per partition (completions run on partition domains);
+   partition 0's also serves the final evaluation, once every engine is
+   quiescent. *)
+type truth = {
+  component : int -> int;  (* component label of a switch, this version *)
+  judge : root:int -> Proto.edge list -> bool;
+}
 
-(* Truth oracle with a per-graph-version cache. [completed] actions
-   judge each switch's learned topology against its component's truth;
-   recomputing that per completion is O(V + E) each time — the scaling
-   killer on a fat-tree where every switch completes. One instance
-   labels components once per graph version and derives each
-   component's edge list once, so N completions between topology
-   changes cost one O(V + E) pass total. Each instance is single-owner:
-   [run] makes one per partition (completions run on partition
-   domains); partition 0's also serves the final evaluation, once
-   every engine is quiescent. *)
 let make_truth g =
   let n = Topo.Graph.switch_count g in
   let stamp = ref (-1) in
@@ -104,13 +94,16 @@ let make_truth g =
       end
     done
   in
-  fun ~root ->
+  let component s =
     let v = Topo.Graph.version g in
     if v <> !stamp then begin
       stamp := v;
       relabel ()
     end;
-    let c = comp.(root) in
+    comp.(s)
+  in
+  let truth_of root =
+    let c = component root in
     match Hashtbl.find_opt edges c with
     | Some es -> es
     | None ->
@@ -128,6 +121,20 @@ let make_truth g =
       in
       Hashtbl.add edges c es;
       es
+  in
+  let last_learned = ref [] and last_truth = ref [] and last_ok = ref true in
+  let judge ~root learned =
+    let truth = truth_of root in
+    if not (learned == !last_learned && truth == !last_truth) then begin
+      last_learned := learned;
+      last_truth := truth;
+      last_ok := learned = truth
+    end;
+    !last_ok
+  in
+  { component; judge }
+
+let make_judge g = (make_truth g).judge
 
 (* Per-switch protocol environments over cached neighbor arrays: the
    protocol reads its working neighbors on every invite, and
@@ -202,7 +209,8 @@ let evaluate ~obs ~g ~truth ~nodes ~first_trigger ~completion ~find_join
       Tag.zero nodes
   in
   let root = final_tag.Tag.initiator in
-  let in_component, winner_truth = true_topology g ~root in
+  let root_comp = truth.component root in
+  let in_component = Array.init n (fun s -> truth.component s = root_comp) in
   let all_done = ref true
   and last_done = ref first_trigger
   and agreement = ref true
@@ -214,7 +222,7 @@ let evaluate ~obs ~g ~truth ~nodes ~first_trigger ~completion ~find_join
         if at > !last_done then last_done := at;
         (match Proto.completed nodes.(s) with
          | Some (_, topo) ->
-           if topo <> winner_truth then begin
+           if not (truth.judge ~root topo) then begin
              agreement := false;
              topology_correct := false
            end
@@ -278,12 +286,11 @@ let evaluate ~obs ~g ~truth ~nodes ~first_trigger ~completion ~find_join
         let view_tag = Proto.current_tag nodes.(s) in
         match (Proto.completed nodes.(s), completion.(s)) with
         | Some (t, topo), Some (t', at) when Tag.equal t t' ->
-          let truth_s = truth ~root:s in
           {
             view_tag;
             view_completed = Some t;
             view_completed_at = at;
-            view_topology_ok = topo = truth_s;
+            view_topology_ok = truth.judge ~root:s topo;
           }
         | _ ->
           {
@@ -434,7 +441,7 @@ let run ?(params = default_params) ?(obs = Obs.Sink.null) ?heartbeat
           let ok =
             match Proto.completed nodes.(src) with
             | Some (t, topo) when Tag.equal t tag ->
-              topo = truths.(sp) ~root:src
+              truths.(sp).judge ~root:src topo
             | _ -> false
           in
           completions_log.(sp) <- (src, tag, at, ok) :: completions_log.(sp);

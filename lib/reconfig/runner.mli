@@ -80,10 +80,16 @@ type event =
   | `Fail_switch of int
   | `Restore_switch of int ]
 
-val true_topology : Topo.Graph.t -> root:int -> bool array * Proto.edge list
-(** [(in_component, edges)]: membership and the sorted working
-    switch-link and host-attachment edges of the component containing
-    [root] — what the protocol should discover from that side. *)
+val make_judge : Topo.Graph.t -> root:int -> Proto.edge list -> bool
+(** [make_judge g] is the oracle {!run} judges completions with:
+    [judge ~root learned] tells whether [learned] equals the sorted
+    working switch-link and host-attachment edges of the component
+    containing [root], as [g] stands at the call — what the protocol
+    should discover from that side. The truth is recomputed only when
+    the graph version moves, and a verdict is reused only for the very
+    same physical pair of lists as the previous call, so every distinct
+    pair is compared in full. One judge must not be shared across
+    domains. *)
 
 val run :
   ?params:params ->

@@ -365,6 +365,69 @@ let test_runner_dead_link_failure_noop () =
     (try ignore (Reconfig.Runner.run_after_failure g ~fail:(`Link 0)); false
      with Invalid_argument _ -> true)
 
+(* The working topology of a connected graph, built here independently
+   of the runner: each switch link once, normalized, plus every host
+   attachment, in [compare_edge] order. *)
+let working_edges g =
+  let acc = ref [] in
+  for s = 0 to Topo.Graph.switch_count g - 1 do
+    Topo.Graph.iter_switch_neighbors g s (fun s' _ ->
+        if s < s' then acc := Reconfig.Proto.Sw_edge (s, s') :: !acc);
+    Topo.Graph.iter_hosts_of_switch g s (fun h _ ->
+        acc := Reconfig.Proto.Host_edge (s, h) :: !acc)
+  done;
+  List.sort_uniq Reconfig.Proto.compare_edge !acc
+
+let test_judge_equal_copies () =
+  let g = Topo.Build.src_lan () in
+  let judge = Reconfig.Runner.make_judge g in
+  let truth = working_edges g in
+  let copy = List.map Fun.id truth in
+  Alcotest.(check bool) "copy is a distinct value" false (copy == truth);
+  Alcotest.(check bool) "list judged correct" true (judge ~root:0 truth);
+  Alcotest.(check bool) "equal copy judged correct" true (judge ~root:0 copy);
+  Alcotest.(check bool) "same list, other switch" true (judge ~root:5 copy)
+
+let test_judge_missing_edge () =
+  let g = Topo.Build.src_lan () in
+  let judge = Reconfig.Runner.make_judge g in
+  let truth = working_edges g in
+  let dropped = List.nth truth 3 in
+  let missing = List.filter (fun e -> e != dropped) truth in
+  Alcotest.(check bool) "correct list first" true (judge ~root:0 truth);
+  Alcotest.(check bool) "missing edge judged wrong" false
+    (judge ~root:0 missing);
+  (* a suffix shares its cells with the correct list *)
+  Alcotest.(check bool) "shared tail judged wrong" false
+    (judge ~root:0 (List.tl truth));
+  Alcotest.(check bool) "correct list again" true (judge ~root:0 truth);
+  (* The same physical learned list is judged again once the graph
+     moves: after a link failure the old topology is wrong. *)
+  Topo.Graph.fail_link g 0;
+  Alcotest.(check bool) "stale list judged wrong" false (judge ~root:0 truth);
+  Alcotest.(check bool) "new truth judged correct" true
+    (judge ~root:0 (working_edges g))
+
+let test_judge_event_between_completions () =
+  (* A ring of 6 configures from switch 0; link 2 dies while the
+     Distribute is on its way down, so the switches that complete
+     after the cut hold a topology with a dead link in it. Switch 2
+     then reconfigures around the cut. *)
+  let g = Topo.Build.ring 6 in
+  let o =
+    Reconfig.Runner.run g
+      ~events:[ (Netsim.Time.ms 1, `Fail_link 2) ]
+      ~triggers:[ (0, 0); (Netsim.Time.ms 5, 2) ]
+  in
+  check_outcome "ring after cut" o;
+  Alcotest.(check (list (triple int int bool)))
+    "completion verdicts"
+    [ (0, 1, true); (5, 1, true); (1, 1, true); (4, 1, false); (2, 1, false);
+      (2, 2, true); (1, 2, true); (0, 2, true); (5, 2, true); (4, 2, true);
+      (3, 2, true) ]
+    (List.map (fun (s, tag, _, ok) -> (s, tag.Reconfig.Tag.epoch, ok))
+       o.completions)
+
 (* ------------------------------------------------------------------ *)
 (* Reliable control channels *)
 
@@ -841,6 +904,10 @@ let () =
           Alcotest.test_case "pull the plug (paper)" `Slow test_runner_pull_the_plug;
           Alcotest.test_case "partition" `Quick test_runner_partition;
           Alcotest.test_case "dead link no-op" `Quick test_runner_dead_link_failure_noop;
+          Alcotest.test_case "judge equal copies" `Quick test_judge_equal_copies;
+          Alcotest.test_case "judge missing edge" `Quick test_judge_missing_edge;
+          Alcotest.test_case "judge after mid-run event" `Quick
+            test_judge_event_between_completions;
         ] );
       ( "reliable",
         [
