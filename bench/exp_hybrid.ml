@@ -18,7 +18,7 @@ let run_hybrid ~schedule ~offer_guaranteed ~slots ~seed =
   let model = Fabric.Hybrid_switch.model hybrid in
   let traffic = Fabric.Traffic.uniform ~rng ~n ~load:1.0 in
   let be_carried = ref 0 in
-  let be_delay = Netsim.Stats.Distribution.create () in
+  let be_delay = Netsim.Stats.Int_distribution.create () in
   for slot = 0 to slots - 1 do
     if offer_guaranteed then begin
       (* Each reserved connection is offered exactly its rate. *)
@@ -38,12 +38,12 @@ let run_hybrid ~schedule ~offer_guaranteed ~slots ~seed =
     List.iter
       (fun cell ->
         incr be_carried;
-        Netsim.Stats.Distribution.add be_delay
-          (float_of_int (Fabric.Cell.delay cell ~departure:slot)))
+        Netsim.Stats.Int_distribution.add be_delay
+          (Fabric.Cell.delay cell ~departure:slot))
       (model.Fabric.Model.step ~slot)
   done;
   let thpt = float_of_int !be_carried /. float_of_int (n * slots) in
-  (thpt, Netsim.Stats.Distribution.mean be_delay,
+  (thpt, Netsim.Stats.Int_distribution.mean be_delay,
    Fabric.Hybrid_switch.guaranteed_delivered hybrid,
    Fabric.Hybrid_switch.be_transmissions_in_reserved_slots hybrid)
 

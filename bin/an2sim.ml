@@ -26,6 +26,16 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* The same for counts where 0 means "none". *)
+let nonneg_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= 0 -> Ok v
+    | Some v -> Error (`Msg (Printf.sprintf "must be >= 0 (got %d)" v))
+    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* The two shapes of nearly every flag: --NAME VALUE with a default, and
    a bare switch. *)
 let opt_arg parse default name ~docv ~doc =
@@ -539,8 +549,10 @@ let e2e_cmd =
          hosts route between the first and last host (on a fat-tree these \
          sit in different pods), others get a host pair at the ends."
   in
+  let frame = 128 in
   let cbr_arg =
-    opt_arg Arg.int 8 "cbr" ~docv:"CELLS" ~doc:"Guaranteed cells/frame (0 = none)."
+    opt_arg nonneg_int 8 "cbr" ~docv:"CELLS"
+      ~doc:"Guaranteed cells/frame (0 = none, at most the 128-slot frame)."
   in
   let be_arg = flag_arg "be" ~doc:"Add a greedy BE circuit." in
   let packets_arg =
@@ -552,7 +564,6 @@ let e2e_cmd =
     (* Everything is rebuilt from the seed inside [once] so sweep jobs
        share no state. *)
     let once ~obs seed =
-      let frame = 128 in
       let g = graph topo hops in
       let h1, h2 =
         if Topo.Graph.host_count g >= 2 then (0, Topo.Graph.host_count g - 1)
@@ -605,6 +616,11 @@ let e2e_cmd =
     in
     if cbr <= 0 && (not be) && packets <= 0 then
       Error "nothing to run: pass --cbr, --be and/or --packets"
+    else if cbr > frame then
+      Error
+        (Printf.sprintf
+           "--cbr %d exceeds link capacity: a link carries at most %d cells per %d-slot frame"
+           cbr frame frame)
     else
       Ok
         (run_seeds ctx ~once
@@ -1242,11 +1258,11 @@ let soak_cmd =
       ~doc:"Offered circuit-setup rate per simulated second."
   in
   let churn_arg =
-    opt_arg Arg.int 2 "churn" ~docv:"N"
+    opt_arg nonneg_int 2 "churn" ~docv:"N"
       ~doc:"Link-failure injections per window (0 disables churn)."
   in
   let partition_every_arg =
-    opt_arg Arg.int 8 "partition-every" ~docv:"N"
+    opt_arg nonneg_int 8 "partition-every" ~docv:"N"
       ~doc:"Separator cut-and-heal every Nth window (0 = never)."
   in
   let inject_at_arg =
@@ -1309,8 +1325,8 @@ let soak_cmd =
              Netsim.Time.s (max 1 (int_of_float (hours *. 3600.0)))
            else Faults.Soak.default_config.total);
         rate;
-        churn_per_window = max 0 churn;
-        partition_every = max 0 partition_every;
+        churn_per_window = churn;
+        partition_every;
         audit_every;
         inject =
           (match inject_at with

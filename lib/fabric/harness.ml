@@ -18,20 +18,27 @@ let pp_metrics fmt m =
 let run ?warmup ?(obs = Obs.Sink.null) ~traffic ~model ~slots () =
   let warmup = match warmup with Some w -> w | None -> slots / 10 in
   let n = model.Model.n in
+  if traffic.Traffic.n < n then
+    invalid_arg "Harness.run: traffic has fewer inputs than the model";
   let offered = ref 0 and carried = ref 0 in
-  let delays = Netsim.Stats.Distribution.create () in
+  let delays = Netsim.Stats.Int_distribution.create () in
   let obs_on = obs.Obs.Sink.enabled in
   let c_offered = Obs.Sink.counter obs "fabric.cells.offered" in
   let c_carried = Obs.Sink.counter obs "fabric.cells.carried" in
   let h_delay = Obs.Sink.histogram obs "fabric.cell.delay_slots" in
+  let arrive ~slot ~input output =
+    if slot >= warmup then incr offered;
+    model.Model.inject (Cell.make ~input ~output ~arrival:slot)
+  in
   for slot = 0 to warmup + slots - 1 do
     let measuring = slot >= warmup in
+    (* Single patterns inject without allocating an arrival list. *)
     for input = 0 to n - 1 do
-      List.iter
-        (fun output ->
-          if measuring then incr offered;
-          model.Model.inject (Cell.make ~input ~output ~arrival:slot))
-        (Traffic.arrivals traffic ~slot ~input)
+      match traffic.Traffic.gen with
+      | Traffic.Single dest ->
+        let output = dest ~slot ~input in
+        if output >= 0 then arrive ~slot ~input output
+      | Traffic.Fixed per_input -> List.iter (arrive ~slot ~input) per_input.(input)
     done;
     let departures = model.Model.step ~slot in
     if measuring then begin
@@ -41,7 +48,7 @@ let run ?warmup ?(obs = Obs.Sink.null) ~traffic ~model ~slots () =
           incr carried;
           incr departed;
           let d = Cell.delay cell ~departure:slot in
-          Netsim.Stats.Distribution.add delays (float_of_int d);
+          Netsim.Stats.Int_distribution.add delays d;
           if obs_on then Obs.Histogram.add h_delay (float_of_int d))
         departures;
       if obs_on then begin
@@ -58,9 +65,9 @@ let run ?warmup ?(obs = Obs.Sink.null) ~traffic ~model ~slots () =
     offered = !offered;
     carried = !carried;
     throughput = float_of_int !carried /. float_of_int (n * measured);
-    mean_delay = Netsim.Stats.Distribution.mean delays;
-    p99_delay = Netsim.Stats.Distribution.percentile delays 99.0;
-    max_delay = Netsim.Stats.Distribution.max delays;
+    mean_delay = Netsim.Stats.Int_distribution.mean delays;
+    p99_delay = Netsim.Stats.Int_distribution.percentile delays 99.0;
+    max_delay = Netsim.Stats.Int_distribution.max delays;
     final_occupancy = model.Model.occupancy ();
   }
 

@@ -24,7 +24,12 @@ val run :
 (** Simulate [warmup] slots (default 10% of [slots]) unmeasured, then
     [slots] measured slots. Each slot: arrivals are injected, then the
     model steps once. Delay counts whole slots between arrival and
-    departure.
+    departure. Delays are counted in a {!Netsim.Stats.Int_distribution},
+    so the mean and percentiles are exact and memory grows with the
+    largest delay (at most [warmup + slots]), not with the number of
+    cells.
+    Raises [Invalid_argument] if [traffic] has fewer inputs than
+    [model].
 
     With an enabled [obs] sink, measured slots additionally feed
     offered/carried counters, a cell-delay histogram

@@ -1,13 +1,23 @@
 (** Cell arrival processes for the switch simulators.
 
-    A pattern is queried once per (slot, input) and returns the
+    A pattern is queried once per (slot, input) and yields the
     destinations of the cells arriving at that input in that slot
     (usually zero or one; the deterministic {!fixed} pattern may
     deliver several to keep queues backlogged). All stochastic
     patterns are parameterized by [load], the per-input arrival
     probability per slot, so a load of 1.0 saturates an input link. *)
 
-type t
+type gen =
+  | Single of (slot:int -> input:int -> int)
+      (** At most one cell per (slot, input): its destination, or -1
+          when none arrives. Querying draws from the pattern's rng, so
+          each (slot, input) is queried once, in slot-major order. *)
+  | Fixed of int list array
+      (** The same destinations, per input, every slot. *)
+
+type t = private { n : int;  (** inputs *) gen : gen }
+(** Exposed so a slot loop can inject without allocating; build one
+    with the constructors below. *)
 
 val arrivals : t -> slot:int -> input:int -> int list
 (** Destinations of the cells arriving at [input] in [slot]. *)

@@ -120,6 +120,68 @@ module Distribution = struct
     end
 end
 
+module Int_distribution = struct
+  type t = {
+    mutable counts : int array;  (* counts.(v): samples equal to v *)
+    mutable size : int;
+    mutable sum : int;
+    mutable max : int;
+  }
+
+  let create () = { counts = [||]; size = 0; sum = 0; max = 0 }
+
+  let grow t v =
+    let cap = ref (max 256 (Array.length t.counts)) in
+    while !cap <= v do
+      cap := !cap * 2
+    done;
+    let a = Array.make !cap 0 in
+    Array.blit t.counts 0 a 0 (Array.length t.counts);
+    t.counts <- a
+
+  let add t v =
+    if v < 0 then invalid_arg "Stats.Int_distribution.add: negative sample";
+    if v >= Array.length t.counts then grow t v;
+    t.counts.(v) <- t.counts.(v) + 1;
+    t.size <- t.size + 1;
+    t.sum <- t.sum + v;
+    if v > t.max then t.max <- v
+
+  let count t = t.size
+
+  (* Distribution sums the same values as floats; every partial sum is
+     an integer below 2^53, so both reach the same float. *)
+  let mean t = if t.size = 0 then 0.0 else float_of_int t.sum /. float_of_int t.size
+
+  (* Distribution's rank and interpolation, with the lo-th and hi-th
+     smallest samples found by one cumulative scan instead of a sort. *)
+  let percentile t p =
+    if t.size = 0 then nan
+    else begin
+      let rank = p /. 100.0 *. float_of_int (t.size - 1) in
+      let lo = int_of_float (Float.floor rank) in
+      let hi = int_of_float (Float.ceil rank) in
+      if lo < 0 || hi >= t.size then
+        invalid_arg "Stats.Int_distribution.percentile: p outside [0, 100]";
+      let frac = rank -. float_of_int lo in
+      (* [seen] counts the samples <= [v]. *)
+      let v = ref 0 and seen = ref t.counts.(0) in
+      while !seen <= lo do
+        incr v;
+        seen := !seen + t.counts.(!v)
+      done;
+      let v_lo = !v in
+      while !seen <= hi do
+        incr v;
+        seen := !seen + t.counts.(!v)
+      done;
+      (float_of_int v_lo *. (1.0 -. frac)) +. (float_of_int !v *. frac)
+    end
+
+  let median t = percentile t 50.0
+  let max t = if t.size = 0 then nan else float_of_int t.max
+end
+
 module Counter = struct
   type t = (string, int ref) Hashtbl.t
 

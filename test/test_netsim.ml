@@ -486,6 +486,49 @@ let test_distribution_interleaved_adds () =
   Alcotest.(check (float 1e-9)) "min updated" 1.0
     (Netsim.Stats.Distribution.percentile d 0.0)
 
+(* Int_distribution counts what Distribution sorts: on the same
+   samples every query must agree bit for bit. Samples up to 3000 run
+   past the histogram's initial 256 buckets. *)
+let int_distribution_matches =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  qtest ~count:300 "Int_distribution equals Distribution bit for bit"
+    QCheck.(
+      list_of_size (Gen.int_range 0 300)
+        (make Gen.(oneof [ int_range 0 20; int_range 0 3000 ])))
+    (fun samples ->
+      let d = Netsim.Stats.Distribution.create () in
+      let h = Netsim.Stats.Int_distribution.create () in
+      List.iter
+        (fun v ->
+          Netsim.Stats.Distribution.add d (float_of_int v);
+          Netsim.Stats.Int_distribution.add h v)
+        samples;
+      Netsim.Stats.Distribution.count d = Netsim.Stats.Int_distribution.count h
+      && same (Netsim.Stats.Distribution.mean d) (Netsim.Stats.Int_distribution.mean h)
+      && same (Netsim.Stats.Distribution.max d) (Netsim.Stats.Int_distribution.max h)
+      && List.for_all
+           (fun p ->
+             same
+               (Netsim.Stats.Distribution.percentile d p)
+               (Netsim.Stats.Int_distribution.percentile h p))
+           [ 0.0; 1.0; 50.0; 99.0; 99.9; 100.0 ])
+
+let test_int_distribution_empty () =
+  let h = Netsim.Stats.Int_distribution.create () in
+  Alcotest.(check int) "count" 0 (Netsim.Stats.Int_distribution.count h);
+  Alcotest.(check (float 0.0)) "mean 0" 0.0 (Netsim.Stats.Int_distribution.mean h);
+  Alcotest.(check bool) "p99 nan" true
+    (Float.is_nan (Netsim.Stats.Int_distribution.percentile h 99.0));
+  Alcotest.(check bool) "max nan" true
+    (Float.is_nan (Netsim.Stats.Int_distribution.max h))
+
+let test_int_distribution_negative () =
+  let h = Netsim.Stats.Int_distribution.create () in
+  Alcotest.check_raises "negative sample"
+    (Invalid_argument "Stats.Int_distribution.add: negative sample") (fun () ->
+      Netsim.Stats.Int_distribution.add h (-1));
+  Alcotest.(check int) "nothing added" 0 (Netsim.Stats.Int_distribution.count h)
+
 let test_counter () =
   let c = Netsim.Stats.Counter.create () in
   Netsim.Stats.Counter.incr c "a";
@@ -567,6 +610,11 @@ let () =
             test_distribution_percentiles;
           Alcotest.test_case "distribution re-sorts" `Quick
             test_distribution_interleaved_adds;
+          int_distribution_matches;
+          Alcotest.test_case "int distribution empty" `Quick
+            test_int_distribution_empty;
+          Alcotest.test_case "int distribution rejects negatives" `Quick
+            test_int_distribution_negative;
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "time" `Quick test_time;
         ] );
