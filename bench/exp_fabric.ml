@@ -169,7 +169,8 @@ let e4 () =
         (1 + Option.value ~default:0 (Hashtbl.find_opt served key))
     in
     let model =
-      Fabric.Voq_switch.create_instrumented ~rng ~n:4 ~scheduler ~on_transfer
+      Fabric.Voq_switch.create_observed ~obs:Obs.Sink.null ~rng ~n:4 ~scheduler
+        ~on_transfer
     in
     let traffic = Fabric.Traffic.fixed [ (0, 1); (0, 2); (3, 2) ] ~n:4 in
     ignore (Fabric.Harness.run ~warmup:0 ~traffic ~model ~slots:10_000 ());

@@ -69,7 +69,8 @@ let run_an2 ~load ~slots ~seed =
       end
   in
   let model =
-    Fabric.Voq_switch.create_instrumented ~rng ~n ~scheduler:(Pim 3) ~on_transfer
+    Fabric.Voq_switch.create_observed ~obs:Obs.Sink.null ~rng ~n ~scheduler:(Pim 3)
+      ~on_transfer
   in
   (* Cells of an arriving packet enter the VOQ one per slot as the
      packet streams in from the link. *)

@@ -36,6 +36,16 @@ let nonneg_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Probabilities and fractions of link rate: a number in [0, 1]. *)
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+    | Some _ -> Error (`Msg (Printf.sprintf "must be in [0, 1] (got %s)" s))
+    | None -> Error (`Msg (Printf.sprintf "expected a number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 (* The two shapes of nearly every flag: --NAME VALUE with a default, and
    a bare switch. *)
 let opt_arg parse default name ~docv ~doc =
@@ -104,7 +114,43 @@ let topology_arg ~names ~default ~doc =
   let default = Result.get_ok (parse_topology default) in
   Arg.(value & opt topology default & info names ~docv:"KIND" ~doc)
 
-let graph kind switches = fst (kind.build switches)
+(* A topology at its size, checked by building it once before anything
+   runs: a size its builder rejects (a ring of one switch) is a usage
+   error, not a crash. [sample] is that build, with its pod metadata,
+   for checking ids given on other flags; each run builds its own
+   graph with [graph]. *)
+type net = {
+  kind : topology;
+  switches : int;
+  sample : Topo.Graph.t * Topo.Pods.t option;
+}
+
+let net_term kind_arg switches_arg =
+  let check kind switches =
+    match kind.build switches with
+    | sample -> Ok { kind; switches; sample }
+    | exception Invalid_argument m ->
+      Error (Printf.sprintf "%s at size %d: %s" kind.name switches m)
+  in
+  Term.(term_result' ~usage:true (const check $ kind_arg $ switches_arg))
+
+let graph net = fst (net.kind.build net.switches)
+
+(* An id given on [flag] must name a link or a switch of the topology. *)
+let check_id ~what ~count flag = function
+  | Some id when id < 0 || id >= count ->
+    Error
+      (Printf.sprintf "%s %d: no such %s (the topology's %s ids are 0..%d)" flag
+         id what what (count - 1))
+  | _ -> Ok ()
+
+let check_link net =
+  check_id ~what:"link" ~count:(Topo.Graph.link_count (fst net.sample))
+
+let check_switch net =
+  check_id ~what:"switch" ~count:(Topo.Graph.switch_count (fst net.sample))
+
+let ( let* ) = Result.bind
 
 let kind_arg =
   topology_arg ~names:[ "kind"; "topo" ] ~default:"src-lan"
@@ -115,6 +161,7 @@ let kind_arg =
        ignore $(b,--switches)."
 
 let switches_arg = opt_arg Arg.int 10 "switches" ~docv:"N" ~doc:"Switch count."
+let net_arg = net_term kind_arg switches_arg
 
 (* ------------------------------------------------------------------ *)
 (* Run context *)
@@ -277,9 +324,9 @@ let mean_over outs f =
 
 let topo_cmd =
   let dot_arg = flag_arg "dot" ~doc:"Emit Graphviz instead." in
-  let run kind switches dot ctx =
+  let run net dot ctx =
     observe ctx (fun obs ->
-        let g, pods = kind.build switches in
+        let g, pods = net.sample in
         if dot then print_string (Topo.Graph.to_dot g)
         else begin
           Format.printf "%a@." Topo.Graph.pp g;
@@ -321,7 +368,7 @@ let topo_cmd =
   in
   let doc = "Build a topology and report its routing properties." in
   Cmd.v (Cmd.info "topo" ~doc)
-    Term.(const run $ kind_arg $ switches_arg $ dot_arg $ context ())
+    Term.(const run $ net_arg $ dot_arg $ context ())
 
 (* ------------------------------------------------------------------ *)
 (* fabric *)
@@ -340,7 +387,7 @@ let fabric_cmd =
     opt_arg (Arg.enum schedulers) (`Voq (Fabric.Voq_switch.Pim 3)) "scheduler" ~docv:"S"
       ~doc
   in
-  let load_arg = opt_arg Arg.float 0.9 "load" ~docv:"L" ~doc:"Offered load." in
+  let load_arg = opt_arg probability 0.9 "load" ~docv:"L" ~doc:"Offered load." in
   let slots_arg = opt_arg positive_int 20_000 "slots" ~docv:"SLOTS" ~doc:"Slots." in
   let pattern_arg =
     let doc = "Arrival pattern: uniform, bursty, hotspot, permutation." in
@@ -392,13 +439,15 @@ let reconfig_cmd =
     opt_arg (Arg.some Arg.int) None "fail-link" ~docv:"L" ~doc:"Link to kill."
   in
   let loss_arg =
-    opt_arg Arg.float 0.0 "control-loss" ~docv:"P"
+    opt_arg probability 0.0 "control-loss" ~docv:"P"
       ~doc:"Control-cell drop probability (the reliable layer retransmits, so the \
             protocol still converges)."
   in
-  let run kind switches fail_switch fail_link loss ctx =
+  let run net fail_switch fail_link loss ctx =
+    let* () = check_switch net "--fail-switch" fail_switch in
+    let* () = check_link net "--fail-link" fail_link in
     let once ~obs seed =
-      let g = graph kind switches in
+      let g = graph net in
       let params =
         { Reconfig.Runner.default_params with control_loss = loss; seed }
       in
@@ -415,46 +464,47 @@ let reconfig_cmd =
         Reconfig.Runner.run ~params ~obs ?heartbeat ~partitions ~domains g
           ~triggers:[ (0, 0) ]
     in
-    run_seeds ctx ~once
-      ~single:(fun (o : Reconfig.Runner.outcome) ->
-        Format.printf
-          "converged=%b elapsed=%a messages=%d agreement=%b topology-correct=%b@."
-          o.converged Netsim.Time.pp o.elapsed o.messages o.agreement
-          o.topology_correct;
-        Format.printf "winning tag=%a propagation-tree depth=%d (BFS %d)@."
-          Reconfig.Tag.pp o.final_tag o.tree_depth o.bfs_depth)
-      ~per_seed:(fun s (o : Reconfig.Runner.outcome) ->
-        Format.printf "seed %d: converged=%b elapsed=%a messages=%d wire=%d@." s
-          o.converged Netsim.Time.pp o.elapsed o.messages o.wire_transmissions)
-      ~summary:(fun outs ->
-        let converged =
-          List.length (List.filter (fun o -> o.Reconfig.Runner.converged) outs)
-        in
-        Format.printf
-          "sweep of %d seeds: converged %d/%d, mean elapsed %.2f ms, mean \
-           messages %.0f, mean wire %.0f@."
-          ctx.sweep converged (List.length outs)
-          (mean_over outs (fun o ->
-               float_of_int o.Reconfig.Runner.elapsed /. 1e6))
-          (mean_over outs (fun o -> float_of_int o.Reconfig.Runner.messages))
-          (mean_over outs (fun o ->
-               float_of_int o.Reconfig.Runner.wire_transmissions)))
+    Ok
+      (run_seeds ctx ~once
+        ~single:(fun (o : Reconfig.Runner.outcome) ->
+          Format.printf
+            "converged=%b elapsed=%a messages=%d agreement=%b topology-correct=%b@."
+            o.converged Netsim.Time.pp o.elapsed o.messages o.agreement
+            o.topology_correct;
+          Format.printf "winning tag=%a propagation-tree depth=%d (BFS %d)@."
+            Reconfig.Tag.pp o.final_tag o.tree_depth o.bfs_depth)
+        ~per_seed:(fun s (o : Reconfig.Runner.outcome) ->
+          Format.printf "seed %d: converged=%b elapsed=%a messages=%d wire=%d@." s
+            o.converged Netsim.Time.pp o.elapsed o.messages o.wire_transmissions)
+        ~summary:(fun outs ->
+          let converged =
+            List.length (List.filter (fun o -> o.Reconfig.Runner.converged) outs)
+          in
+          Format.printf
+            "sweep of %d seeds: converged %d/%d, mean elapsed %.2f ms, mean \
+             messages %.0f, mean wire %.0f@."
+            ctx.sweep converged (List.length outs)
+            (mean_over outs (fun o ->
+                 float_of_int o.Reconfig.Runner.elapsed /. 1e6))
+            (mean_over outs (fun o -> float_of_int o.Reconfig.Runner.messages))
+            (mean_over outs (fun o ->
+                 float_of_int o.Reconfig.Runner.wire_transmissions))))
   in
   let doc = "Run the distributed reconfiguration protocol." in
   Cmd.v (Cmd.info "reconfig" ~doc)
     Term.(
-      const run $ kind_arg $ switches_arg $ fail_switch_arg $ fail_link_arg
-      $ loss_arg
-      $ context ~seeding:Sweep ~partitions:true ~heartbeat:true ())
+      term_result' ~usage:true
+        (const run $ net_arg $ fail_switch_arg $ fail_link_arg $ loss_arg
+        $ context ~seeding:Sweep ~partitions:true ~heartbeat:true ()))
 
 (* ------------------------------------------------------------------ *)
 (* flow *)
 
 let flow_cmd =
-  let credits_arg = opt_arg Arg.int 34 "credits" ~docv:"C" ~doc:"Credits per VC." in
+  let credits_arg = opt_arg nonneg_int 34 "credits" ~docv:"C" ~doc:"Credits per VC." in
   let hops_arg = opt_arg positive_int 3 "hops" ~docv:"H" ~doc:"Links on the path." in
   let loss_arg =
-    opt_arg Arg.float 0.0 "credit-loss" ~docv:"P" ~doc:"Credit-message drop prob."
+    opt_arg probability 0.0 "credit-loss" ~docv:"P" ~doc:"Credit-message drop prob."
   in
   let resync_arg = flag_arg "resync" ~doc:"Enable periodic resync." in
   let run credits hops loss resync ctx =
@@ -515,26 +565,31 @@ let deadlock_cmd =
     in
     opt_arg (Arg.enum routings) Flow.Deadlock.Shortest "routing" ~docv:"R" ~doc
   in
-  let run kind switches buffering routing ctx =
-    observe ~ts_scale:1.0 ctx (fun obs ->
-        let g = graph kind switches in
-        let r =
-          Flow.Deadlock.run ~obs g
-            { Flow.Deadlock.default_params with
-              buffering; routing; seed = ctx.seed;
-              circuits = Topo.Graph.switch_count g }
-        in
-        Format.printf "deadlocked=%b%s delivered=%d stranded=%d@." r.deadlocked
-          (match r.deadlock_slot with
-           | Some s -> Printf.sprintf " (at slot %d)" s
-           | None -> "")
-          r.delivered r.stranded)
+  let run net buffering routing ctx =
+    if Topo.Graph.switch_count (fst net.sample) < 2 then
+      Error "deadlock needs a topology of at least two switches"
+    else
+      Ok
+        (observe ~ts_scale:1.0 ctx (fun obs ->
+            let g = graph net in
+            let r =
+              Flow.Deadlock.run ~obs g
+                { Flow.Deadlock.default_params with
+                  buffering; routing; seed = ctx.seed;
+                  circuits = Topo.Graph.switch_count g }
+            in
+            Format.printf "deadlocked=%b%s delivered=%d stranded=%d@." r.deadlocked
+              (match r.deadlock_slot with
+               | Some s -> Printf.sprintf " (at slot %d)" s
+               | None -> "")
+              r.delivered r.stranded))
   in
   let doc = "Probe buffer-wait deadlock under a buffering/routing discipline." in
   Cmd.v (Cmd.info "deadlock" ~doc)
     Term.(
-      const run $ kind_arg $ switches_arg $ buffering_arg $ routing_arg
-      $ context ~seeding:Seed ())
+      term_result' ~usage:true
+        (const run $ net_arg $ buffering_arg $ routing_arg
+        $ context ~seeding:Seed ()))
 
 (* ------------------------------------------------------------------ *)
 (* e2e *)
@@ -556,15 +611,15 @@ let e2e_cmd =
   in
   let be_arg = flag_arg "be" ~doc:"Add a greedy BE circuit." in
   let packets_arg =
-    opt_arg Arg.int 0 "packets" ~docv:"BYTES"
+    opt_arg nonneg_int 0 "packets" ~docv:"BYTES"
       ~doc:"Add a packet source of this byte size (0 = none)."
   in
-  let ms_arg = opt_arg Arg.int 10 "duration-ms" ~docv:"MS" ~doc:"Run length." in
-  let run topo hops cbr be packets ms ctx =
+  let ms_arg = opt_arg nonneg_int 10 "duration-ms" ~docv:"MS" ~doc:"Run length." in
+  let run net cbr be packets ms ctx =
     (* Everything is rebuilt from the seed inside [once] so sweep jobs
        share no state. *)
     let once ~obs seed =
-      let g = graph topo hops in
+      let g = graph net in
       let h1, h2 =
         if Topo.Graph.host_count g >= 2 then (0, Topo.Graph.host_count g - 1)
         else Topo.Build.with_host_pair g
@@ -664,29 +719,33 @@ let e2e_cmd =
   Cmd.v (Cmd.info "e2e" ~doc)
     Term.(
       term_result' ~usage:true
-        (const run $ e2e_topo_arg $ hops_arg $ cbr_arg $ be_arg $ packets_arg
-       $ ms_arg
+        (const run $ net_term e2e_topo_arg hops_arg $ cbr_arg $ be_arg
+       $ packets_arg $ ms_arg
         $ context ~seeding:Sweep ~partitions:true ~heartbeat:true ()))
 
 (* ------------------------------------------------------------------ *)
 (* local-reconfig *)
 
 let local_reconfig_cmd =
-  let radius_arg = opt_arg Arg.int 2 "radius" ~docv:"R" ~doc:"Hop radius." in
+  let radius_arg = opt_arg nonneg_int 2 "radius" ~docv:"R" ~doc:"Hop radius." in
   let fail_link_arg = opt_arg Arg.int 3 "fail-link" ~docv:"L" ~doc:"Link to kill." in
-  let run kind switches radius fail_link ctx =
-    observe ctx (fun obs ->
-        let g = graph kind switches in
-        let o = Reconfig.Local.run_after_failure ~radius ~obs g ~fail:fail_link in
-        Format.printf
-          "converged=%b participants=%d/%d messages=%d elapsed=%a \
-           region-correct=%b@."
-          o.converged o.participants o.total_switches o.messages Netsim.Time.pp
-          o.elapsed o.region_correct)
+  let run net radius fail_link ctx =
+    let* () = check_link net "--fail-link" (Some fail_link) in
+    Ok
+      (observe ctx (fun obs ->
+          let g = graph net in
+          let o = Reconfig.Local.run_after_failure ~radius ~obs g ~fail:fail_link in
+          Format.printf
+            "converged=%b participants=%d/%d messages=%d elapsed=%a \
+             region-correct=%b@."
+            o.converged o.participants o.total_switches o.messages Netsim.Time.pp
+            o.elapsed o.region_correct))
   in
   let doc = "Scoped (localized) reconfiguration around one failed link." in
   Cmd.v (Cmd.info "local-reconfig" ~doc)
-    Term.(const run $ kind_arg $ switches_arg $ radius_arg $ fail_link_arg $ context ())
+    Term.(
+      term_result' ~usage:true
+        (const run $ net_arg $ radius_arg $ fail_link_arg $ context ()))
 
 (* ------------------------------------------------------------------ *)
 (* multicast *)
@@ -737,38 +796,46 @@ let multicast_cmd =
 (* adaptive *)
 
 let adaptive_cmd =
-  let circuits_arg = opt_arg Arg.int 32 "circuits" ~docv:"V" ~doc:"Circuits." in
-  let active_arg = opt_arg Arg.int 2 "active" ~docv:"A" ~doc:"Busy circuits." in
+  let circuits_arg = opt_arg positive_int 32 "circuits" ~docv:"V" ~doc:"Circuits." in
+  let active_arg = opt_arg nonneg_int 2 "active" ~docv:"A" ~doc:"Busy circuits." in
   let run circuits active ctx =
-    observe ctx (fun obs ->
-        let base = { Flow.Adaptive.default_params with circuits; active } in
-        List.iter
-          (fun (name, policy) ->
-            let r = Flow.Adaptive.run { base with policy } in
-            Format.printf "%-10s aggregate=%.3f overflow=%b reallocations=%d@."
-              name r.aggregate_throughput r.overflowed r.reallocations;
-            let key k = "adaptive." ^ name ^ "." ^ k in
-            headline obs
-              ~gauges:[ (key "aggregate_throughput", r.aggregate_throughput) ]
-              ~counters:[ (key "reallocations", r.reallocations) ];
-            Obs.Sink.instant obs ~name ~cat:"adaptive" ~ts:0 ~tid:0
-              ~v:r.reallocations)
-          [
-            ("static", Flow.Adaptive.Static);
-            ( "adaptive",
-              Flow.Adaptive.Adaptive { window = Netsim.Time.us 500; floor = 2 } );
-          ])
+    if active > circuits then
+      Error
+        (Printf.sprintf "--active %d exceeds --circuits %d" active circuits)
+    else
+      Ok
+        (observe ctx (fun obs ->
+            let base = { Flow.Adaptive.default_params with circuits; active } in
+            List.iter
+              (fun (name, policy) ->
+                let r = Flow.Adaptive.run { base with policy } in
+                Format.printf "%-10s aggregate=%.3f overflow=%b reallocations=%d@."
+                  name r.aggregate_throughput r.overflowed r.reallocations;
+                let key k = "adaptive." ^ name ^ "." ^ k in
+                headline obs
+                  ~gauges:[ (key "aggregate_throughput", r.aggregate_throughput) ]
+                  ~counters:[ (key "reallocations", r.reallocations) ];
+                Obs.Sink.instant obs ~name ~cat:"adaptive" ~ts:0 ~tid:0
+                  ~v:r.reallocations)
+              [
+                ("static", Flow.Adaptive.Static);
+                ( "adaptive",
+                  Flow.Adaptive.Adaptive { window = Netsim.Time.us 500; floor = 2 } );
+              ]))
   in
   let doc = "Static vs adaptive per-circuit buffer allocation on one link." in
   Cmd.v (Cmd.info "adaptive" ~doc)
-    Term.(const run $ circuits_arg $ active_arg $ context ())
+    Term.(
+      term_result' ~usage:true (const run $ circuits_arg $ active_arg $ context ()))
 
 (* ------------------------------------------------------------------ *)
 (* rebalance *)
 
 let rebalance_cmd =
-  let circuits_arg = opt_arg Arg.int 6 "circuits" ~docv:"K" ~doc:"Circuits." in
-  let stretch_arg = opt_arg Arg.int 1 "max-stretch" ~docv:"S" ~doc:"Detour bound." in
+  let circuits_arg = opt_arg nonneg_int 6 "circuits" ~docv:"K" ~doc:"Circuits." in
+  let stretch_arg =
+    opt_arg nonneg_int 1 "max-stretch" ~docv:"S" ~doc:"Detour bound."
+  in
   let run circuits max_stretch ctx =
     observe ctx (fun obs ->
         let g = Topo.Build.torus 4 4 in
@@ -848,7 +915,7 @@ let churn_cmd =
             random churn."
   in
   let mttr_arg =
-    opt_arg Arg.int 200 "mttr-ms" ~docv:"MS"
+    opt_arg nonneg_int 200 "mttr-ms" ~docv:"MS"
       ~doc:"Mean time to repair a randomly failed link, in ms."
   in
   let flap_link_arg =
@@ -856,7 +923,7 @@ let churn_cmd =
       ~doc:"Flap link $(docv) for the whole run."
   in
   let flap_period_arg =
-    opt_arg Arg.int 300 "flap-period-ms" ~docv:"MS"
+    opt_arg nonneg_int 300 "flap-period-ms" ~docv:"MS"
       ~doc:"Full flap cycle length in ms (half down, half up) for $(b,--flap-link)."
   in
   let crash_switch_arg =
@@ -865,15 +932,15 @@ let churn_cmd =
             x 2 later."
   in
   let loss_arg =
-    opt_arg Arg.float 0.0 "control-loss" ~docv:"P"
+    opt_arg probability 0.0 "control-loss" ~docv:"P"
       ~doc:"Control-cell drop probability during the middle half of the run (a timed \
             control-loss window)."
   in
   let duration_arg =
-    opt_arg Arg.int 5000 "duration-ms" ~docv:"MS" ~doc:"Observation window in ms."
+    opt_arg nonneg_int 5000 "duration-ms" ~docv:"MS" ~doc:"Observation window in ms."
   in
   let circuits_arg =
-    opt_arg Arg.int 8 "circuits" ~docv:"K"
+    opt_arg nonneg_int 8 "circuits" ~docv:"K"
       ~doc:"Random switch-to-switch circuits whose lost cells we count."
   in
   let switch_links g =
@@ -884,11 +951,13 @@ let churn_cmd =
         | _ -> None)
       (Topo.Graph.links g)
   in
-  let run kind switches fault_rate mttr flap_link flap_period crash_switch loss
+  let run net fault_rate mttr flap_link flap_period crash_switch loss
       duration_ms circuits ctx =
+    let* () = check_link net "--flap-link" flap_link in
+    let* () = check_switch net "--crash-switch" crash_switch in
     let duration = Netsim.Time.ms duration_ms in
     let once ~obs seed =
-      let g = graph kind switches in
+      let g = graph net in
       let schedule =
         List.concat
           [
@@ -961,16 +1030,17 @@ let churn_cmd =
         pre r.cells_lost r.cells_lost_per_event r.max_skeptic_level
         r.flow_checks r.flow_throughput_mean r.flow_lossless r.drained
     in
-    run_seeds ctx ~once ~single:(print_result "")
-      ~per_seed:(seed_block print_result)
-      ~summary:(fun outs ->
-        Format.printf
-          "sweep of %d seeds: mean convergence %.2f ms, mean cells lost %.0f, \
-           all drained %b@."
-          ctx.sweep
-          (mean_over outs (fun r -> r.Faults.Churn.convergence_mean_ms))
-          (mean_over outs (fun r -> r.Faults.Churn.cells_lost))
-          (List.for_all (fun r -> r.Faults.Churn.drained) outs))
+    Ok
+      (run_seeds ctx ~once ~single:(print_result "")
+        ~per_seed:(seed_block print_result)
+        ~summary:(fun outs ->
+          Format.printf
+            "sweep of %d seeds: mean convergence %.2f ms, mean cells lost %.0f, \
+             all drained %b@."
+            ctx.sweep
+            (mean_over outs (fun r -> r.Faults.Churn.convergence_mean_ms))
+            (mean_over outs (fun r -> r.Faults.Churn.cells_lost))
+            (List.for_all (fun r -> r.Faults.Churn.drained) outs)))
   in
   let doc =
     "Sustained fault injection and churn: flaps, crashes, control-loss \
@@ -979,27 +1049,28 @@ let churn_cmd =
   in
   Cmd.v (Cmd.info "churn" ~doc)
     Term.(
-      const run $ kind_arg $ switches_arg $ fault_rate_arg $ mttr_arg
-      $ flap_link_arg $ flap_period_arg $ crash_switch_arg $ loss_arg
-      $ duration_arg $ circuits_arg
-      $ context ~seeding:Sweep ~partitions:true ())
+      term_result' ~usage:true
+        (const run $ net_arg $ fault_rate_arg $ mttr_arg $ flap_link_arg
+        $ flap_period_arg $ crash_switch_arg $ loss_arg $ duration_arg
+        $ circuits_arg
+        $ context ~seeding:Sweep ~partitions:true ()))
 
 (* ------------------------------------------------------------------ *)
 (* partition *)
 
 let partition_cmd =
   let circuits_arg =
-    opt_arg Arg.int 12 "circuits" ~docv:"K"
+    opt_arg nonneg_int 12 "circuits" ~docv:"K"
       ~doc:"Best-effort circuits over random host pairs."
   in
   let split_arg =
-    opt_arg Arg.int 100 "split-ms" ~docv:"MS" ~doc:"When the separator is cut."
+    opt_arg nonneg_int 100 "split-ms" ~docv:"MS" ~doc:"When the separator is cut."
   in
   let heal_arg =
-    opt_arg Arg.int 400 "heal-ms" ~docv:"MS" ~doc:"When the cut links are restored."
+    opt_arg nonneg_int 400 "heal-ms" ~docv:"MS" ~doc:"When the cut links are restored."
   in
   let detect_arg =
-    opt_arg Arg.int 1 "detect-ms" ~docv:"MS"
+    opt_arg nonneg_int 1 "detect-ms" ~docv:"MS"
       ~doc:"Failure/repair detection delay at the adjacent switches."
   in
   let extra_arg =
@@ -1016,10 +1087,9 @@ let partition_cmd =
     opt_arg Arg.int 500 "pace-us" ~docv:"US"
       ~doc:"Gap between re-admissions after the heal (0 = naive storm)."
   in
-  let run kind switches circuits split_ms heal_ms detect_ms extra one_sided
-      pace_us ctx =
+  let run net circuits split_ms heal_ms detect_ms extra one_sided pace_us ctx =
     let once ~obs seed =
-      Faults.Partition.run ~obs ~graph:(graph kind switches)
+      Faults.Partition.run ~obs ~graph:(graph net)
         {
           Faults.Partition.default_params with
           circuits;
@@ -1093,7 +1163,7 @@ let partition_cmd =
   in
   Cmd.v (Cmd.info "partition" ~doc)
     Term.(
-      const run $ kind_arg $ switches_arg $ circuits_arg $ split_arg
+      const run $ net_arg $ circuits_arg $ split_arg
       $ heal_arg $ detect_arg $ extra_arg $ one_sided_arg $ pace_arg
       $ context ~seeding:Sweep ~partitions:true ())
 
@@ -1127,7 +1197,7 @@ let tps_cmd =
             path cache, unbatched table writes (overrides $(b,--shards), \
             $(b,--no-cache) and $(b,--no-batch))."
   in
-  let run kind switches rate duration_ms shards no_cache no_batch baseline ctx =
+  let run net rate duration_ms shards no_cache no_batch baseline ctx =
     let config =
       if baseline then Faults.Tps.baseline_config
       else begin
@@ -1169,11 +1239,12 @@ let tps_cmd =
         pre p.cache_hits p.cache_misses p.cross_shard p.escrow_conflicts
         p.batch_flushes p.sim_events
     in
-    if rate > 0.0 then
+    if rate < 0.0 then Error (Printf.sprintf "--rate must be >= 0 (got %g)" rate)
+    else if rate > 0.0 then
       Ok
         (run_seeds ctx
            ~once:(fun ~obs s ->
-             Faults.Tps.run_point ~obs ~graph:(graph kind switches) config
+             Faults.Tps.run_point ~obs ~graph:(graph net) config
                (An2.Workload.scale (profile s) ~rate))
            ~single:(print_point "")
            ~per_seed:(seed_block print_point)
@@ -1195,7 +1266,7 @@ let tps_cmd =
         (observe ctx (fun obs ->
              let knee, points =
                Faults.Tps.find_knee ~obs
-                 ~mk_graph:(fun () -> graph kind switches)
+                 ~mk_graph:(fun () -> graph net)
                  config (profile ctx.seed)
              in
              List.iter (print_point "") points;
@@ -1210,7 +1281,7 @@ let tps_cmd =
   Cmd.v (Cmd.info "tps" ~doc)
     Term.(
       term_result' ~usage:true
-        (const run $ kind_arg $ switches_arg $ rate_arg $ duration_arg
+        (const run $ net_arg $ rate_arg $ duration_arg
         $ shards_arg $ no_cache_arg $ no_batch_arg $ baseline_arg
         $ context ~seeding:Sweep ()))
 
@@ -1313,7 +1384,7 @@ let soak_cmd =
       Format.printf "%s  VIOLATION at window %d:@." pre w;
       List.iter (fun v -> Format.printf "%s    %s@." pre v) viols
   in
-  let run kind switches hours every_ms dir resume stop_after bisect
+  let run net hours every_ms dir resume stop_after bisect
       audit_every rate churn partition_every inject_at inject_link
       inject_cells ctx =
     let cfg =
@@ -1340,7 +1411,7 @@ let soak_cmd =
       }
     in
     let mk_graph () =
-      let g = graph kind switches in
+      let g = graph net in
       (* every switch gets at least one host so circuits can land
          anywhere, as the partition scenario does *)
       for s = 0 to Topo.Graph.switch_count g - 1 do
@@ -1359,7 +1430,8 @@ let soak_cmd =
           ("--stop-after", stop_after <> None); ("--bisect", bisect);
         ]
     in
-    if ctx.sweep > 0 && one_run_only <> [] then
+    if rate <= 0.0 then Error (Printf.sprintf "--rate must be > 0 (got %g)" rate)
+    else if ctx.sweep > 0 && one_run_only <> [] then
       Error
         (Printf.sprintf "%s cannot be combined with --sweep (independent soaks)"
            (String.concat ", " one_run_only))
@@ -1411,7 +1483,7 @@ let soak_cmd =
   Cmd.v (Cmd.info "soak" ~doc)
     Term.(
       term_result' ~usage:true
-        (const run $ kind_arg $ switches_arg $ hours_arg $ every_arg $ dir_arg
+        (const run $ net_arg $ hours_arg $ every_arg $ dir_arg
         $ resume_arg $ stop_after_arg $ bisect_arg $ audit_every_arg $ rate_arg
         $ churn_arg $ partition_every_arg $ inject_at_arg $ inject_link_arg
         $ inject_cells_arg $ context ~seeding:Sweep ()))

@@ -6,8 +6,6 @@ type params = {
   proc_delay : Netsim.Time.t;
   setup_timeout : Netsim.Time.t;
   max_attempts : int;
-  backoff_base : Netsim.Time.t;
-  backoff_max : Netsim.Time.t;
   jitter : float;
   pace : Netsim.Time.t;
   routing : routing;
@@ -22,8 +20,6 @@ let default_params =
     proc_delay = Netsim.Time.us 100;
     setup_timeout = Netsim.Time.ms 20;
     max_attempts = 8;
-    backoff_base = Netsim.Time.ms 1;
-    backoff_max = Netsim.Time.ms 100;
     jitter = 0.2;
     pace = Netsim.Time.us 500;
     routing = Shortest;
@@ -32,6 +28,11 @@ let default_params =
     route_cost_cached = 0;
     path_cache = true;
   }
+
+(* Retry backoff: the first retry waits 1 ms, each further one doubles
+   the wait, up to 100 ms. *)
+let backoff_base = Netsim.Time.ms 1
+let backoff_max = Netsim.Time.ms 100
 
 type stats = {
   setups : int;
@@ -355,7 +356,7 @@ and retry t p =
     (* Exponential backoff with seeded jitter: base * 2^(attempt-1),
        capped, scaled by a uniform factor in [1-j, 1+j]. *)
     let shift = min (p.attempt - 1) 20 in
-    let raw = min t.params.backoff_max (t.params.backoff_base * (1 lsl shift)) in
+    let raw = min backoff_max (backoff_base * (1 lsl shift)) in
     let factor =
       1.0 +. (t.params.jitter *. ((2.0 *. Netsim.Rng.float t.rng 1.0) -. 1.0))
     in

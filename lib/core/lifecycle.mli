@@ -18,7 +18,9 @@
       failure (optionally up*/down*-restricted);
     - retries use exponential backoff with seeded jitter and are
       bounded by [max_attempts], so a setup always ends in [Ok] or a
-      terminal [Error] — no live-lock;
+      terminal [Error] — no live-lock. The backoff is fixed, not a
+      parameter: the first retry waits 1 ms and each further one
+      doubles the wait, up to a 100 ms cap;
     - attempts abandoned by timeout leave their installed entries
       behind as {e orphans}; {!gc} sweeps them (and the entries of
       circuits whose path a reconfiguration broke), and {!audit}
@@ -42,8 +44,6 @@ type params = {
       (** line-card signaling processing per setup/release/ack hop *)
   setup_timeout : Netsim.Time.t;  (** per attempt, armed at the source *)
   max_attempts : int;  (** total attempts before a terminal error *)
-  backoff_base : Netsim.Time.t;  (** first retry delay *)
-  backoff_max : Netsim.Time.t;  (** exponential backoff cap *)
   jitter : float;
       (** retry delay is scaled by a uniform factor in [1 - jitter,
           1 + jitter] so colliding retries decorrelate *)
@@ -67,9 +67,9 @@ type params = {
 }
 
 val default_params : params
-(** 100 us/hop, 20 ms timeout, 8 attempts, 1 ms backoff doubling to a
-    100 ms cap, 20% jitter, 500 us pacing, shortest-path routing, free
-    cached routing ([route_cost = 0], cache on). *)
+(** 100 us/hop, 20 ms timeout, 8 attempts, 20% jitter, 500 us
+    pacing, shortest-path routing, free cached routing
+    ([route_cost = 0], cache on). *)
 
 type stats = {
   setups : int;  (** circuits handed to the layer (fresh + readmitted) *)

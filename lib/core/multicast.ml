@@ -141,11 +141,6 @@ let unicast_transmissions net ~source_host ~dest_hosts =
     in
     total 0 dest_hosts
 
-let out_links mc ~switch =
-  match Hashtbl.find_opt mc.table switch with
-  | Some (_, outs) -> outs
-  | None -> []
-
 let rebuild_after_failure net mc =
   build net ~source_host:mc.source_host ~dest_hosts:mc.dest_hosts
 

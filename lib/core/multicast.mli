@@ -41,10 +41,6 @@ val unicast_transmissions :
     Fails, as {!build} does, on a group that names the source or names
     a host twice. *)
 
-val out_links : t -> switch:int -> int list
-(** Replication set at a switch (empty if the circuit does not pass
-    through it). *)
-
 val rebuild_after_failure : Network.t -> t -> (t, string) result
 (** Recompute the tree on the current topology, as circuit re-routing
     (§2) would after a reconfiguration. *)

@@ -1,7 +1,6 @@
 type params = {
   cell_time : Netsim.Time.t;
   crossbar_delay : Netsim.Time.t;
-  be_credits : int;
   synchronized : bool;
   skew_ppm : int;
   seed : int;
@@ -11,11 +10,12 @@ let default_params =
   {
     cell_time = Netsim.Time.ns 681;
     crossbar_delay = Netsim.Time.us 2;
-    be_credits = 64;
     synchronized = false;
     skew_ppm = 100;
     seed = 1;
   }
+
+let be_credits = 64
 
 type source =
   | Cbr of Network.vc
@@ -177,7 +177,7 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
            sources)
   in
   let fresh_credits k =
-    Array.init (k + 1) (fun _ -> Flow.Credit.Upstream.create ~total:p.be_credits)
+    Array.init (k + 1) (fun _ -> Flow.Credit.Upstream.create ~total:be_credits)
   in
   (* Point a circuit at its vc's current path: per-position ports, empty
      queues and fresh credit windows. *)

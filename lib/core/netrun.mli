@@ -19,7 +19,6 @@
 type params = {
   cell_time : Netsim.Time.t;  (** slot length, 681 ns at 622 Mb/s *)
   crossbar_delay : Netsim.Time.t;  (** 2 us cut-through *)
-  be_credits : int;  (** per-VC buffers per link for best-effort *)
   synchronized : bool;
       (** true: all switch clocks run at exactly the same rate
           (telephone-network style); false: each switch's clock is
@@ -29,6 +28,10 @@ type params = {
 }
 
 val default_params : params
+
+val be_credits : int
+(** Per-VC buffers (credits) per link for best-effort circuits:
+    64. *)
 
 (** Traffic sources attached to circuits. *)
 type source =

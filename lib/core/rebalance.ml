@@ -57,11 +57,10 @@ let load_stats net =
     stddev = Netsim.Stats.Summary.stddev summary;
   }
 
-let rebalance ?(max_stretch = 1) ?max_moves net =
+let rebalance ?(max_stretch = 1) net =
   let g = Network.graph net in
-  let max_moves =
-    match max_moves with Some m -> m | None -> 10 * Network.vc_count net
-  in
+  (* a safety valve: at most ten moves per circuit *)
+  let max_moves = 10 * Network.vc_count net in
   let moves = ref 0 in
   let continue = ref true in
   while !continue && !moves < max_moves do

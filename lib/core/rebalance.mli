@@ -28,9 +28,9 @@ val load_stats : Network.t -> stats
 (** Over working switch-to-switch links only (host links cannot be
     rebalanced away). *)
 
-val rebalance : ?max_stretch:int -> ?max_moves:int -> Network.t -> int
+val rebalance : ?max_stretch:int -> Network.t -> int
 (** Run the hill-climb; returns the number of circuits moved.
     [max_stretch] (default 1) bounds the detour versus the circuit's
-    current shortest path; [max_moves] (default 10 * circuits) is a
-    safety valve. Every move keeps the circuit's routing tables
+    current shortest path; at most 10 moves per circuit, a safety
+    valve. Every move keeps the circuit's routing tables
     consistent (uninstall/reinstall, as §2's re-routing does). *)

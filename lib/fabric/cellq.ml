@@ -42,8 +42,6 @@ let pop t =
   t.len <- t.len - 1;
   x
 
-let pop_opt t = if t.len = 0 then None else Some (pop t)
-
 let peek t =
   if t.len = 0 then invalid_arg "Cellq.peek: empty";
   t.buf.(t.head)

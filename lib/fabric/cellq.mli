@@ -21,6 +21,5 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 (** Dequeue the front element. Raises [Invalid_argument] if empty. *)
 
-val pop_opt : 'a t -> 'a option
 val peek : 'a t -> 'a
 val peek_opt : 'a t -> 'a option

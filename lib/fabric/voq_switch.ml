@@ -108,9 +108,6 @@ let create_observed ~obs ~rng ~n ~scheduler ~on_transfer =
   let occupancy () = !buffered in
   { Model.n; inject; step; step_count; occupancy }
 
-let create_instrumented ~rng ~n ~scheduler ~on_transfer =
-  create_observed ~obs:Obs.Sink.null ~rng ~n ~scheduler ~on_transfer
-
 let create ~rng ~n ~scheduler =
   create_observed ~obs:Obs.Sink.null ~rng ~n ~scheduler
     ~on_transfer:(fun _ ~slot:_ -> ())

@@ -13,16 +13,6 @@ type scheduler =
 
 val create : rng:Netsim.Rng.t -> n:int -> scheduler:scheduler -> Model.t
 
-val create_instrumented :
-  rng:Netsim.Rng.t ->
-  n:int ->
-  scheduler:scheduler ->
-  on_transfer:(Cell.t -> slot:int -> unit) ->
-  Model.t
-(** Like {!create} but invokes [on_transfer] for every cell crossing
-    the crossbar — used by the starvation experiment to track
-    per-virtual-circuit service. *)
-
 val create_observed :
   obs:Obs.Sink.t ->
   rng:Netsim.Rng.t ->
@@ -30,10 +20,12 @@ val create_observed :
   scheduler:scheduler ->
   on_transfer:(Cell.t -> slot:int -> unit) ->
   Model.t
-(** The full constructor. With an enabled [obs] sink the switch counts
+(** The full constructor: [on_transfer] sees every cell crossing the
+    crossbar (the starvation experiment tracks per-virtual-circuit
+    service with it). With an enabled [obs] sink the switch counts
     injected/transferred cells, histograms the matching iterations
     used and match size per slot, tracks per-input-port VOQ occupancy
     gauges, and emits a buffered-cells counter track (one trace event
     per slot, timestamped by slot number). With [Obs.Sink.null] every
     probe is one predictable branch and allocates nothing — {!create}
-    and {!create_instrumented} are this with the null sink. *)
+    is this with the null sink and no transfer callback. *)

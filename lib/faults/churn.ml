@@ -3,9 +3,7 @@ type params = {
   duration : Netsim.Time.t;
   circuits : int;
   circuit_rate : float;
-  monitor : Reconfig.Monitor.params;
   protocol : Reconfig.Runner.params;
-  flow_check : bool;
   partitions : int;
   domains : int;
   seed : int;
@@ -17,9 +15,7 @@ let default_params =
     duration = Netsim.Time.s 10;
     circuits = 8;
     circuit_rate = 10_000.0;
-    monitor = Reconfig.Monitor.default_params;
     protocol = Reconfig.Runner.default_params;
-    flow_check = true;
     partitions = 1;
     domains = 1;
     seed = 1;
@@ -201,7 +197,7 @@ let run ?(obs = Obs.Sink.null) ~graph p =
             c.blackholed_since <- None;
             c.route <- links;
             if obs_on then Obs.Metrics.Counter.incr c_reroutes;
-            if p.flow_check then flow_validate c now
+            flow_validate c now
           | None -> ()))
       circuits
   in
@@ -277,7 +273,7 @@ let run ?(obs = Obs.Sink.null) ~graph p =
       | Topo.Graph.Switch _, Topo.Graph.Switch _ ->
         let id = l.Topo.Graph.link_id in
         let m =
-          Reconfig.Monitor.create ~engine ~params:p.monitor
+          Reconfig.Monitor.create ~engine ~params:Reconfig.Monitor.default_params
             ~link_up:(fun () -> Topo.Graph.link_working graph id)
             ~on_transition:(on_transition id)
         in

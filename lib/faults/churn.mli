@@ -17,6 +17,11 @@
     its convergence instant); rerouting at that instant decides how
     many cells each broken circuit lost.
 
+    Fixed, not configurable: every monitor runs with
+    {!Reconfig.Monitor.default_params}, and every successful reroute
+    is validated by a short credit flow-control run ({!Flow.Chain})
+    over the new path length.
+
     Determinism: all randomness derives from [params.seed] and the
     schedule's own seeds, so a churn run is a pure function of its
     parameters — sequential and parallel sweeps are byte-identical. *)
@@ -26,14 +31,10 @@ type params = {
   duration : Netsim.Time.t;  (** observation window *)
   circuits : int;  (** random switch-to-switch virtual circuits *)
   circuit_rate : float;  (** cells per second offered by each circuit *)
-  monitor : Reconfig.Monitor.params;
   protocol : Reconfig.Runner.params;
       (** [control_loss] and [seed] are overridden per reconfiguration:
           loss comes from the schedule's current control-loss window,
           the seed from [seed] and the round index. *)
-  flow_check : bool;
-      (** validate each successful reroute with a short credit
-          flow-control run over the new path length *)
   partitions : int;
       (** engine partitions for each nested reconfiguration run (see
           {!Reconfig.Runner.run}; 1 runs it on one engine, through the
@@ -44,8 +45,7 @@ type params = {
 
 val default_params : params
 (** Empty schedule, 10 s window, 8 circuits at 10k cells/s, default
-    monitor and protocol parameters, flow checks on, one partition and
-    one domain, seed 1. *)
+    protocol parameters, one partition and one domain, seed 1. *)
 
 type result = {
   faults_injected : int;  (** schedule actions applied *)

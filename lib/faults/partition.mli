@@ -37,7 +37,7 @@ type params = {
           heal then {e requires} the {!Reconfig.Proto.message.Reject}
           path, because B completed long ago and initiates nothing *)
   protocol : Reconfig.Runner.params;
-  lifecycle : An2.Lifecycle.params;  (** pacing, timeout, backoff, gc *)
+  lifecycle : An2.Lifecycle.params;  (** pacing, timeout, attempts, gc *)
   partitions : int;
       (** engine partitions for the spanning control-plane run (see
           {!Reconfig.Runner.run}); 1 = one engine *)

@@ -26,9 +26,6 @@ module Skeptic = Reconfig.Skeptic
 type config = {
   every : Netsim.Time.t;  (** simulated time per checkpoint window *)
   total : Netsim.Time.t;  (** target simulated lifetime *)
-  load_fraction : float;
-      (** leading fraction of each window carrying arrivals; the rest
-          is drain headroom so boundaries stay cheap *)
   rate : float;  (** offered circuit setups per simulated second *)
   profile : Workload.profile;
       (** workload shape; [duration] and [seed] are overridden per
@@ -39,13 +36,7 @@ type config = {
       (** per-audit-period divergence verdict; only the
           terminal-failure leg applies (boundaries always drain, so
           the backlog legs cannot fire) *)
-  hold_every : int;
-      (** every Nth guaranteed grant is held across the boundary and
-          released at the next window's start — keeps reservations
-          alive inside checkpoints so the conservation audit has
-          something to conserve; 0 = no cross-window holds *)
   churn_per_window : int;  (** link-failure injections per window *)
-  outage_mean : Netsim.Time.t;  (** exponential link outage length *)
   skeptic : Skeptic.params;  (** per-link recovery skepticism *)
   protocol : Reconfig.Runner.params;
       (** nested reconfiguration rounds; [seed] is overridden per
@@ -53,10 +44,8 @@ type config = {
   partition_every : int;
       (** a separator cut-and-heal episode every Nth window; 0 =
           never *)
-  partition_span : Netsim.Time.t;  (** cut-to-heal time *)
   audit_every : int;  (** run the invariant audit at every Nth
                           checkpoint (checkpoints happen every window) *)
-  readmit_cap : int;  (** dark circuits re-admitted per repair *)
   inject : (Netsim.Time.t * int * int) option;
       (** [(at, link, cells)]: seed a reservation leak
           ({!An2.Bandwidth_central.inject_leak}) at simulated time
@@ -69,14 +58,11 @@ let default_config =
   {
     every = Netsim.Time.s 5;
     total = Netsim.Time.s 60;
-    load_fraction = 0.6;
     rate = 200.0;
     profile = Workload.default_profile;
     tps = Tps.improved_config;
     thresholds = { Tps.default_thresholds with terminal_failure_pct = 10.0 };
-    hold_every = 5;
     churn_per_window = 2;
-    outage_mean = Netsim.Time.ms 200;
     skeptic =
       {
         Skeptic.base_wait = Netsim.Time.ms 5;
@@ -85,12 +71,28 @@ let default_config =
       };
     protocol = Reconfig.Runner.default_params;
     partition_every = 8;
-    partition_span = Netsim.Time.ms 400;
     audit_every = 4;
-    readmit_cap = 64;
     inject = None;
     seed = 1;
   }
+
+(* Leading fraction of each window carrying arrivals; the rest is drain
+   headroom so boundaries stay cheap. *)
+let load_fraction = 0.6
+
+(* Every 5th guaranteed grant is held across the boundary and released
+   at the next window's start: checkpoints then carry live
+   reservations, so the conservation audit has something to conserve. *)
+let hold_every = 5
+
+(* Mean of the exponential link outage. *)
+let outage_mean = Netsim.Time.ms 200
+
+(* Cut-to-heal time of a partition episode. *)
+let partition_span = Netsim.Time.ms 400
+
+(* Dark circuits re-admitted per repair. *)
+let readmit_cap = 64
 
 type t = {
   cfg : config;
@@ -133,13 +135,9 @@ type t = {
 let validate cfg =
   if cfg.every < 1 then invalid_arg "Soak: every < 1";
   if cfg.total < 1 then invalid_arg "Soak: total < 1";
-  if not (cfg.load_fraction > 0.0 && cfg.load_fraction <= 1.0) then
-    invalid_arg "Soak: load_fraction outside (0, 1]";
   if cfg.rate <= 0.0 then invalid_arg "Soak: rate <= 0";
   if cfg.audit_every < 1 then invalid_arg "Soak: audit_every < 1";
-  if cfg.churn_per_window < 0 then invalid_arg "Soak: churn_per_window < 0";
-  if cfg.readmit_cap < 0 then invalid_arg "Soak: readmit_cap < 0";
-  if cfg.hold_every < 0 then invalid_arg "Soak: hold_every < 0"
+  if cfg.churn_per_window < 0 then invalid_arg "Soak: churn_per_window < 0"
 
 let fresh ?obs ~mk_graph cfg =
   let graph = mk_graph () in
@@ -417,13 +415,13 @@ let do_repair t ~readmit =
       | None -> ())
     (List.sort compare !broken);
   ignore (Lifecycle.gc t.lc);
-  if readmit && t.cfg.readmit_cap > 0 then begin
+  if readmit then begin
     let dark =
       List.filter
         (fun vc -> vc.Network.cls = Network.Best_effort)
         (Lifecycle.dark t.lc)
     in
-    let batch = List.filteri (fun i _ -> i < t.cfg.readmit_cap) dark in
+    let batch = List.filteri (fun i _ -> i < readmit_cap) dark in
     if batch <> [] then begin
       t.readmitted <- t.readmitted + List.length batch;
       let hold = t.cfg.profile.Workload.hold_mean in
@@ -526,7 +524,7 @@ let cut_event t =
       round t ~trigger:sa;
       round t ~trigger:sb
     | _ -> ());
-    Netsim.Engine.post t.engine ~delay:(max 1 t.cfg.partition_span) (fun () ->
+    Netsim.Engine.post t.engine ~delay:partition_span (fun () ->
         List.iter
           (fun lid ->
             Graph.restore_link t.graph lid;
@@ -544,7 +542,7 @@ let run_window t =
   let start = Netsim.Engine.now eng in
   let w = t.window in
   let load_span =
-    max 1 (int_of_float (cfg.load_fraction *. float_of_int cfg.every))
+    max 1 (int_of_float (load_fraction *. float_of_int cfg.every))
   in
   (* release the circuits held across the boundary, by id: the records
      behind the ids are whatever the (possibly restored) table holds *)
@@ -574,7 +572,7 @@ let run_window t =
     (fun i a ->
       let open Workload in
       let hold_across =
-        a.cells > 0 && cfg.hold_every > 0 && i mod cfg.hold_every = 0
+        a.cells > 0 && i mod hold_every = 0
       in
       Netsim.Engine.post_at eng ~at:(start + a.at) (fun () ->
           if a.cells = 0 then
@@ -606,7 +604,7 @@ let run_window t =
       1
       + int_of_float
           (Netsim.Rng.exponential t.churn_rng
-             ~mean:(float_of_int cfg.outage_mean))
+             ~mean:(float_of_int outage_mean))
     in
     Netsim.Engine.post_at eng ~at:(start + rel) (fun () ->
         fail_event t lid outage)

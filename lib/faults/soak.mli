@@ -37,6 +37,13 @@
     cheaper than replaying — and replays just that window with the
     caller's tracing sink.
 
+    Fixed constants of the harness, not configuration: arrivals fill
+    the leading 60% of each window (the rest is drain headroom); every
+    5th guaranteed grant is held across the boundary, so checkpoints
+    carry live reservations; link outages are exponential with a
+    200 ms mean; a partition episode heals after 400 ms; and a repair
+    re-admits at most 64 dark circuits.
+
     Deliberately {e not} snapshotted: observation sinks (metrics,
     traces, flight recorders belong to a process, not to the simulated
     state) and every derived cache. *)
@@ -44,8 +51,6 @@
 type config = {
   every : Netsim.Time.t;  (** simulated time per checkpoint window *)
   total : Netsim.Time.t;  (** target simulated lifetime *)
-  load_fraction : float;
-      (** leading fraction of each window carrying arrivals *)
   rate : float;  (** offered circuit setups per simulated second *)
   profile : An2.Workload.profile;
       (** workload shape; [duration] and [seed] are overridden per
@@ -54,18 +59,12 @@ type config = {
   thresholds : Tps.thresholds;
       (** divergence verdict per audit period; only the
           terminal-failure leg applies (boundaries always drain) *)
-  hold_every : int;
-      (** every Nth guaranteed grant held across the boundary, so
-          checkpoints carry live reservations; 0 = none *)
   churn_per_window : int;
-  outage_mean : Netsim.Time.t;
   skeptic : Reconfig.Skeptic.params;
   protocol : Reconfig.Runner.params;
       (** nested rounds; [seed] overridden per round *)
   partition_every : int;  (** cut-and-heal every Nth window; 0 = never *)
-  partition_span : Netsim.Time.t;
   audit_every : int;  (** audit every Nth checkpoint *)
-  readmit_cap : int;  (** dark circuits re-admitted per repair *)
   inject : (Netsim.Time.t * int * int) option;
       (** [(at, link, cells)]: plant a reservation leak at simulated
           time [at] — the seeded fault the audit must catch *)
@@ -73,12 +72,10 @@ type config = {
 }
 
 val default_config : config
-(** 5 s windows over a 60 s lifetime, 60% load fraction at 200
-    setups/s, {!Tps.improved_config} control plane, 2 churn events per
-    window (200 ms mean outage, 5 ms/level-5 skeptic), a partition
-    every 8th window for 400 ms, audits every 4th checkpoint, hold
-    every 5th guaranteed grant, readmit cap 64, no planted fault,
-    seed 1. *)
+(** 5 s windows over a 60 s lifetime at 200 setups/s,
+    {!Tps.improved_config} control plane, 2 churn events per window
+    (5 ms/level-5 skeptic), a partition every 8th window, audits every
+    4th checkpoint, no planted fault, seed 1. *)
 
 type checkpoint = {
   ck_window : int;

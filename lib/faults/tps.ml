@@ -103,7 +103,7 @@ let percentile sorted q =
     sorted.(max 0 (min (n - 1) (rank - 1)))
   end
 
-let run_point ?obs ?(thresholds = default_thresholds) ~graph config profile =
+let run_point ?obs ~graph config profile =
   let engine = Netsim.Engine.create ?obs () in
   let net = Network.create ~frame:config.frame graph in
   let lc = Lifecycle.create ?obs ~engine net config.lifecycle in
@@ -183,6 +183,7 @@ let run_point ?obs ?(thresholds = default_thresholds) ~graph config profile =
      deep saturation the backlog *plateaus* because attempts are
      bounded, so failures, not queue depth, are the signal there. *)
   let failed = ls.Lifecycle.failed in
+  let thresholds = default_thresholds in
   let diverged =
     (final > thresholds.final_backlog_min
     && float_of_int final > thresholds.final_over_mid *. float_of_int mid)
@@ -215,17 +216,21 @@ let run_point ?obs ?(thresholds = default_thresholds) ~graph config profile =
     sim_events = Netsim.Engine.dispatched engine;
   }
 
-(* Knee search, tezos bin_tps_evaluation style: geometric probing to
-   bracket the divergence point, then a fixed number of bisections.
-   Every probe runs on a fresh graph from [mk_graph], so points are
-   independent and the whole search is a pure function of its
-   arguments. *)
-let find_knee ?obs ?thresholds ?(rate_start = 2000.0) ?(bisect_steps = 3)
-    ?(max_doublings = 10) ~mk_graph config profile =
+(* Knee search, tezos bin_tps_evaluation style: geometric probing from
+   [rate_start] to bracket the divergence point (at most
+   [max_doublings] doublings or halvings), then [bisect_steps]
+   bisections. Every probe runs on a fresh graph from [mk_graph], so
+   points are independent and the whole search is a pure function of
+   its arguments. *)
+let rate_start = 2000.0
+let max_doublings = 10
+let bisect_steps = 3
+
+let find_knee ?obs ~mk_graph config profile =
   let points = ref [] in
   let probe rate =
     let pt =
-      run_point ?obs ?thresholds ~graph:(mk_graph ()) config
+      run_point ?obs ~graph:(mk_graph ()) config
         (Workload.scale profile ~rate)
     in
     points := pt :: !points;

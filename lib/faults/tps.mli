@@ -90,28 +90,24 @@ type point = {
 
 val run_point :
   ?obs:Obs.Sink.t ->
-  ?thresholds:thresholds ->
   graph:Topo.Graph.t ->
   config ->
   An2.Workload.profile ->
   point
 (** Run the profile's full arrival timeline on a fresh network over
     [graph] and let it drain. The graph is mutated by [schedule]
-    faults (if any); pass a fresh graph per point. [thresholds]
-    (default {!default_thresholds}) governs the [diverged] verdict. *)
+    faults (if any); pass a fresh graph per point.
+    {!default_thresholds} governs the [diverged] verdict. *)
 
 val find_knee :
   ?obs:Obs.Sink.t ->
-  ?thresholds:thresholds ->
-  ?rate_start:float ->
-  ?bisect_steps:int ->
-  ?max_doublings:int ->
   mk_graph:(unit -> Topo.Graph.t) ->
   config ->
   An2.Workload.profile ->
   float * point list
-(** [(knee, points)]: geometric climb (or descent) from [rate_start]
-    (default 2000/s) brackets the divergence rate, then [bisect_steps]
-    (default 3) bisections tighten it; [knee] is the highest probed
-    rate that sustained. [points] holds every probe, ascending by
-    rate. [mk_graph] must build a fresh identical graph per call. *)
+(** [(knee, points)]: a geometric climb (or descent) from 2000/s, at
+    most 10 doublings (or halvings), brackets the divergence rate,
+    then 3 bisections tighten it; [knee] is the highest probed rate
+    that sustained. These three constants are fixed. [points] holds
+    every probe, ascending by rate. [mk_graph] must build a fresh
+    identical graph per call. *)

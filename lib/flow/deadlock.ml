@@ -10,7 +10,6 @@ type params = {
   buffering : buffering;
   routing : routing;
   circuits : int;
-  inject_every : int;
   slots : int;
   seed : int;
 }
@@ -20,7 +19,6 @@ let default_params =
     buffering = Shared_fifo 2;
     routing = Shortest;
     circuits = 8;
-    inject_every = 1;
     slots = 2000;
     seed = 1;
   }
@@ -167,17 +165,16 @@ let run ?(obs = Obs.Sink.null) g p =
   let deadlock_slot = ref None in
   let slot = ref 0 in
   while !deadlock_slot = None && !slot < p.slots do
-    (* Injection. *)
-    if !slot mod p.inject_every = 0 then
-      for c = 0 to p.circuits - 1 do
-        if Array.length hops.(c) > 0 then begin
-          let first = hops.(c).(0) in
-          if has_space first c then begin
-            push first { circuit = c; hop = 0 };
-            if obs_on then Obs.Metrics.Counter.incr c_injected
-          end
+    (* Injection: every circuit offers a cell every slot. *)
+    for c = 0 to p.circuits - 1 do
+      if Array.length hops.(c) > 0 then begin
+        let first = hops.(c).(0) in
+        if has_space first c then begin
+          push first { circuit = c; hop = 0 };
+          if obs_on then Obs.Metrics.Counter.incr c_injected
         end
-      done;
+      end
+    done;
     (* One forwarding opportunity per directed link, rotating the scan
        origin for fairness. *)
     let progress = ref false in

@@ -11,7 +11,10 @@
       dependency cycles, so the same load cannot deadlock;
     - [Per_vc] buffers (the AN2 design): each circuit's buffers are
       private, a circuit's links form a simple path, no deadlock even
-      with unrestricted routes. *)
+      with unrestricted routes.
+
+    Every circuit offers one cell per slot, so the buffers fill as
+    fast as the links allow. *)
 
 type buffering =
   | Shared_fifo of int  (** buffer pool capacity per directed link *)
@@ -25,7 +28,6 @@ type params = {
   buffering : buffering;
   routing : routing;
   circuits : int;  (** concurrent circuits with random endpoints *)
-  inject_every : int;  (** slots between injections per circuit *)
   slots : int;
   seed : int;
 }

@@ -176,7 +176,3 @@ let measure schedule ~subframes =
     mean_gap = (if !pairs = 0 then 0.0 else !gap_sum /. float_of_int !pairs);
     worst_subframe_imbalance = !worst_imbalance;
   }
-
-let pp_smoothness fmt s =
-  Format.fprintf fmt "max-gap=%d mean-gap=%.1f imbalance=%d" s.max_gap s.mean_gap
-    s.worst_subframe_imbalance

@@ -43,5 +43,3 @@ type smoothness = {
 
 val measure : Schedule.t -> subframes:int -> smoothness
 (** Smoothness of any schedule with respect to a subframe division. *)
-
-val pp_smoothness : Format.formatter -> smoothness -> unit

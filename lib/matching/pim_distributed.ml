@@ -20,7 +20,8 @@ let fits_slot t ~iterations ~slot = iterations * iteration_time t <= slot
    signal before deciding. Iterations are synchronized by the slot
    clock (hardware would use the cell clock), so a round starts when
    the previous one's accepts have landed. *)
-let run ~rng ?(timing = default_timing) req ~iterations =
+let run ~rng req ~iterations =
+  let timing = default_timing in
   if iterations < 1 then invalid_arg "Pim_distributed.run: iterations >= 1";
   let n = req.Request.n in
   let engine = Netsim.Engine.create () in

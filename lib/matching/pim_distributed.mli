@@ -19,15 +19,17 @@ type timing = {
 }
 
 val default_timing : timing
-(** 5 ns wires, 40 ns arbitration — early-90s board-level numbers. *)
+(** 5 ns wires, 40 ns arbitration — early-90s board-level numbers.
+    {!run} always uses these. *)
 
 type outcome = {
   matching : Outcome.t;
   elapsed : Netsim.Time.t;  (** protocol start to last accept landing *)
 }
 
-val run :
-  rng:Netsim.Rng.t -> ?timing:timing -> Request.t -> iterations:int -> outcome
+val run : rng:Netsim.Rng.t -> Request.t -> iterations:int -> outcome
+(** Run [iterations] rounds (fewer if a round adds no pair) with the
+    fixed {!default_timing}. *)
 
 val iteration_time : timing -> Netsim.Time.t
 (** 3 wires + 2 logic steps: the per-iteration budget. *)

@@ -17,9 +17,6 @@ let set t i o v =
 
 let get t i o = (t.rows.(i) lsr o) land 1 = 1
 
-let row t i = t.rows.(i)
-let col t o = t.cols.(o)
-
 let clear t =
   Array.fill t.rows 0 t.n 0;
   Array.fill t.cols 0 t.n 0

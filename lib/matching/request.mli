@@ -28,12 +28,6 @@ val of_matrix : bool array array -> t
 val set : t -> int -> int -> bool -> unit
 val get : t -> int -> int -> bool
 
-val row : t -> int -> int
-(** [row t i] is the request mask of input [i] (bit per output). *)
-
-val col : t -> int -> int
-(** [col t o] is the requester mask of output [o] (bit per input). *)
-
 val clear : t -> unit
 (** Drop every request, keeping the allocation. *)
 

@@ -67,13 +67,6 @@ let select k m =
     invalid_arg "Bits.select: fewer set bits than k";
   select_at ps m k
 
-let iter f m =
-  let m = ref m in
-  while !m <> 0 do
-    f (ctz !m);
-    m := !m land (!m - 1)
-  done
-
 (* First set bit at index >= [ptr], wrapping to 0 past the top: the
    round-robin pointer scan of iSLIP, in two ctz's instead of a loop. *)
 let rotate_first ~ptr m =

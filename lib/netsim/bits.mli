@@ -44,9 +44,6 @@ val select8_tab : string
     the byte [b] — the last step of a rank query, exposed so
     {!Rng.select_bit} can inline the whole select chain. *)
 
-val iter : (int -> unit) -> int -> unit
-(** [iter f m] applies [f] to each set bit index in ascending order. *)
-
 val rotate_first : ptr:int -> int -> int
 (** [rotate_first ~ptr m] is the index of the first set bit at or
     after [ptr], wrapping around to bit 0 — the iSLIP round-robin

@@ -138,7 +138,6 @@ let pop_if_at_most t ~limit =
 
 let next_seq t = t.next_seq
 let set_next_seq t v = t.next_seq <- v
-let set_popped_time t v = t.popped_time <- v
 
 let clear t =
   t.times <- [||];

@@ -42,10 +42,9 @@ val clear : t -> unit
 
 (** {1 Snapshot access}
 
-    The tie-breaking counter and last-popped key are part of the
-    engine's deterministic state, so checkpoints must carry them. Only
-    [Engine.save]/[Engine.restore] should call the setters. *)
+    The tie-breaking counter is part of the engine's deterministic
+    state, so checkpoints must carry it. Only
+    [Engine.save]/[Engine.restore] should call the setter. *)
 
 val next_seq : t -> int
 val set_next_seq : t -> int -> unit
-val set_popped_time : t -> int -> unit

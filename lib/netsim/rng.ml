@@ -139,10 +139,6 @@ let float t x =
   let bits = float_of_int ((t.zhi lsl 21) lor (t.zlo lsr 11)) in
   bits *. inv_2_53 *. x
 
-let bool t =
-  step t;
-  t.zlo land 1 = 1
-
 let bernoulli t p =
   (* float t 1.0 < p, inlined so the draw stays unboxed. *)
   step t;

@@ -31,9 +31,6 @@ val below : t -> int -> int
 val float : t -> float -> float
 (** [float t x] draws uniformly from [[0, x)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is true with probability [p]. *)
 

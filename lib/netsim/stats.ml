@@ -181,23 +181,3 @@ module Int_distribution = struct
   let median t = percentile t 50.0
   let max t = if t.size = 0 then nan else float_of_int t.max
 end
-
-module Counter = struct
-  type t = (string, int ref) Hashtbl.t
-
-  let create () = Hashtbl.create 16
-
-  let add t name k =
-    match Hashtbl.find_opt t name with
-    | Some r -> r := !r + k
-    | None -> Hashtbl.add t name (ref k)
-
-  let incr t name = add t name 1
-
-  let get t name =
-    match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-
-  let to_list t =
-    Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-end

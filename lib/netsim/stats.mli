@@ -74,15 +74,3 @@ module Int_distribution : sig
   val max : t -> float
   (** [nan] if empty. *)
 end
-
-(** Named monotone counters. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
-  val get : t -> string -> int
-  val to_list : t -> (string * int) list
-  (** Sorted by name. *)
-end

@@ -38,14 +38,6 @@ let create () =
     buckets = Array.make n_buckets 0;
   }
 
-let reset t =
-  t.count <- 0;
-  t.sum <- 0.0;
-  t.vmin <- nan;
-  t.vmax <- nan;
-  t.zero <- 0;
-  Array.fill t.buckets 0 n_buckets 0
-
 let bucket_of x = offset + int_of_float (Float.round (log x *. inv_ln_gamma))
 
 let value_of i = exp (float_of_int (i - offset) *. ln_gamma)

@@ -10,7 +10,6 @@
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 val add : t -> float -> unit
 (** O(1), allocation-free. *)

@@ -55,6 +55,8 @@ let fresh_part parent =
 
 let run_after_failure ?(proc_delay = Netsim.Time.us 100) ?(radius = 2)
     ?(scope = fun (_ : int) -> true) ?(obs = Obs.Sink.null) g ~fail =
+  (* A negative TTL never reaches 0: the repair would flood everything. *)
+  if radius < 0 then invalid_arg "Local.run_after_failure: negative radius";
   let link = Topo.Graph.link g fail in
   (* A host attachment has one switch endpoint, so one initiator. *)
   let initiators =

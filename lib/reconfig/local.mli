@@ -55,5 +55,5 @@ val run_after_failure :
     every link to them were a region boundary. Pod-local repair is
     [~scope:(Pods.in_pod pods ~pod) ~radius:max_int] — the flood
     covers the pod and stops at its edge, whatever the pod's diameter.
-    Raises [Invalid_argument] if an initiator itself is out of
-    scope. *)
+    Raises [Invalid_argument] if [radius] is negative or an initiator
+    itself is out of scope. *)

@@ -111,5 +111,4 @@ let stop t =
 let declared_up t = t.declared_up
 let transitions t = t.transitions
 let skeptic_level t = Skeptic.level t.skeptic ~now:(Netsim.Engine.now t.engine)
-let in_probation t = t.probation_start <> None
 let probation_wait t = t.probation_wait

@@ -46,9 +46,6 @@ val skeptic_level : t -> int
 (** The skeptic's current suspicion level for this link (after decay,
     at the engine's current time). *)
 
-val in_probation : t -> bool
-(** A recovering link is currently serving probation. *)
-
 val probation_wait : t -> Netsim.Time.t
 (** The wait demanded at the most recent probation opening — recomputed
     each time probation (re)opens, so after a relapse it reflects the

@@ -15,15 +15,6 @@ type message =
   | Distribute of Tag.t * edge list
   | Reject of Tag.t * Tag.t
 
-let pp_message fmt = function
-  | Invite t -> Format.fprintf fmt "Invite%a" Tag.pp t
-  | Ack (t, ok) -> Format.fprintf fmt "Ack%a(%b)" Tag.pp t ok
-  | Report (t, es) -> Format.fprintf fmt "Report%a[%d]" Tag.pp t (List.length es)
-  | Distribute (t, es) ->
-    Format.fprintf fmt "Distribute%a[%d]" Tag.pp t (List.length es)
-  | Reject (stale, newer) ->
-    Format.fprintf fmt "Reject%a>%a" Tag.pp stale Tag.pp newer
-
 type node = {
   id : int;
   mutable tag : Tag.t;

@@ -40,8 +40,6 @@ type message =
           it, an initiator on the low-epoch side of a healed partition
           waits forever for Acks that will never come. *)
 
-val pp_message : Format.formatter -> message -> unit
-
 type node
 
 val create_node : id:int -> node

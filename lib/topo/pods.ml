@@ -17,7 +17,6 @@ let make ~pod_of ~n_pods =
   { pod_of = Array.copy pod_of; n_pods }
 
 let n_pods t = t.n_pods
-let switch_total t = Array.length t.pod_of
 
 let check t s =
   if s < 0 || s >= Array.length t.pod_of then
@@ -28,10 +27,6 @@ let pod_of_switch t s =
   match t.pod_of.(s) with
   | -1 -> None
   | p -> Some p
-
-let is_core t s =
-  check t s;
-  t.pod_of.(s) = -1
 
 let members t p =
   if p < 0 || p >= t.n_pods then invalid_arg "Pods.members: bad pod";

@@ -19,12 +19,9 @@ val make : pod_of:int array -> n_pods:int -> t
     or [n_pods < 0]. The array is copied. *)
 
 val n_pods : t -> int
-val switch_total : t -> int
 
 val pod_of_switch : t -> int -> int option
 (** [None] for a core switch. *)
-
-val is_core : t -> int -> bool
 
 val members : t -> int -> int list
 (** Switch ids of one pod, ascending. *)

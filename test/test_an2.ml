@@ -371,7 +371,7 @@ let test_e2e_conservation =
            or still in flight (bounded by the credit windows). *)
         s.dropped = 0
         && s.delivered <= s.sent
-        && s.sent - s.delivered <= (hops + 1) * p.be_credits
+        && s.sent - s.delivered <= (hops + 1) * An2.Netrun.be_credits
         && Array.fold_left ( + ) 0 s.window_delivered = s.delivered)
 
 (* ------------------------------------------------------------------ *)

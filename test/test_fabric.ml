@@ -262,7 +262,9 @@ let starvation_counts scheduler =
     let key = (c.input, c.output) in
     Hashtbl.replace served key (1 + Option.value ~default:0 (Hashtbl.find_opt served key))
   in
-  let model = Fabric.Voq_switch.create_instrumented ~rng ~n ~scheduler ~on_transfer in
+  let model =
+    Fabric.Voq_switch.create_observed ~obs:Obs.Sink.null ~rng ~n ~scheduler ~on_transfer
+  in
   let traffic = Fabric.Traffic.fixed [ (0, 1); (0, 2); (3, 2) ] ~n in
   ignore (Fabric.Harness.run ~warmup:0 ~traffic ~model ~slots:1000 ());
   let get k = Option.value ~default:0 (Hashtbl.find_opt served k) in

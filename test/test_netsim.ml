@@ -529,17 +529,6 @@ let test_int_distribution_negative () =
       Netsim.Stats.Int_distribution.add h (-1));
   Alcotest.(check int) "nothing added" 0 (Netsim.Stats.Int_distribution.count h)
 
-let test_counter () =
-  let c = Netsim.Stats.Counter.create () in
-  Netsim.Stats.Counter.incr c "a";
-  Netsim.Stats.Counter.add c "a" 4;
-  Netsim.Stats.Counter.incr c "b";
-  Alcotest.(check int) "a" 5 (Netsim.Stats.Counter.get c "a");
-  Alcotest.(check int) "b" 1 (Netsim.Stats.Counter.get c "b");
-  Alcotest.(check int) "missing" 0 (Netsim.Stats.Counter.get c "zzz");
-  Alcotest.(check (list (pair string int))) "sorted" [ ("a", 5); ("b", 1) ]
-    (Netsim.Stats.Counter.to_list c)
-
 let test_time () =
   Alcotest.(check int) "us" 3_000 (Netsim.Time.us 3);
   Alcotest.(check int) "ms" 3_000_000 (Netsim.Time.ms 3);
@@ -615,7 +604,6 @@ let () =
             test_int_distribution_empty;
           Alcotest.test_case "int distribution rejects negatives" `Quick
             test_int_distribution_negative;
-          Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "time" `Quick test_time;
         ] );
     ]
