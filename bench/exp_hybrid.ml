@@ -14,7 +14,7 @@ let shifted_schedule builder ~cells =
 
 let run_hybrid ~schedule ~offer_guaranteed ~slots ~seed =
   let rng = Netsim.Rng.create seed in
-  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule ~pim_iterations:3 () in
+  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule () in
   let model = Fabric.Hybrid_switch.model hybrid in
   let traffic = Fabric.Traffic.uniform ~rng ~n ~load:1.0 in
   let be_carried = ref 0 in

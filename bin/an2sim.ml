@@ -150,6 +150,15 @@ let check_link net =
 let check_switch net =
   check_id ~what:"switch" ~count:(Topo.Graph.switch_count (fst net.sample))
 
+(* A scenario that pairs hosts or splits the switches refuses a
+   topology with too few of them. *)
+let check_at_least cmd ~what n count =
+  if count >= n then Ok ()
+  else
+    Error
+      (Printf.sprintf "%s needs a topology with >= %d %s (this one has %d)" cmd n
+         what count)
+
 let ( let* ) = Result.bind
 
 let kind_arg =
@@ -955,6 +964,12 @@ let churn_cmd =
       duration_ms circuits ctx =
     let* () = check_link net "--flap-link" flap_link in
     let* () = check_switch net "--crash-switch" crash_switch in
+    let* () =
+      if fault_rate > 0.0 then
+        check_at_least "churn --fault-rate" ~what:"switch-to-switch links" 1
+          (List.length (switch_links (fst net.sample)))
+      else Ok ()
+    in
     let duration = Netsim.Time.ms duration_ms in
     let once ~obs seed =
       let g = graph net in
@@ -1088,6 +1103,10 @@ let partition_cmd =
       ~doc:"Gap between re-admissions after the heal (0 = naive storm)."
   in
   let run net circuits split_ms heal_ms detect_ms extra one_sided pace_us ctx =
+    let* () =
+      check_at_least "partition" ~what:"switches" 2
+        (Topo.Graph.switch_count (fst net.sample))
+    in
     let once ~obs seed =
       Faults.Partition.run ~obs ~graph:(graph net)
         {
@@ -1134,26 +1153,27 @@ let partition_cmd =
         r.retries r.gc_reclaimed_total r.leaks_final r.all_served_at_end
         r.drained
     in
-    run_seeds ctx ~once ~single:(print_result "")
-      ~per_seed:(seed_block print_result)
-      ~summary:(fun outs ->
-        let all f = List.for_all f outs in
-        Format.printf
-          "sweep of %d seeds: healed %b, reconciled %b, mean heal %.2fms, \
-           mean intra preserved %.3f, zero leaks %b, all drained %b@."
-          ctx.sweep
-          (all (fun r ->
-               r.Faults.Partition.heal_converged
-               && r.Faults.Partition.heal_agreement
-               && r.Faults.Partition.heal_topology_correct))
-          (all (fun r -> r.Faults.Partition.heal_reconciled))
-          (mean_over outs (fun r ->
-               Netsim.Time.to_ms r.Faults.Partition.heal_elapsed))
-          (mean_over outs (fun r -> r.Faults.Partition.intra_preserved))
-          (all (fun r ->
-               r.Faults.Partition.leaks_after_split_gc = 0
-               && r.Faults.Partition.leaks_final = 0))
-          (all (fun r -> r.Faults.Partition.drained)))
+    Ok
+      (run_seeds ctx ~once ~single:(print_result "")
+        ~per_seed:(seed_block print_result)
+        ~summary:(fun outs ->
+          let all f = List.for_all f outs in
+          Format.printf
+            "sweep of %d seeds: healed %b, reconciled %b, mean heal %.2fms, \
+             mean intra preserved %.3f, zero leaks %b, all drained %b@."
+            ctx.sweep
+            (all (fun r ->
+                 r.Faults.Partition.heal_converged
+                 && r.Faults.Partition.heal_agreement
+                 && r.Faults.Partition.heal_topology_correct))
+            (all (fun r -> r.Faults.Partition.heal_reconciled))
+            (mean_over outs (fun r ->
+                 Netsim.Time.to_ms r.Faults.Partition.heal_elapsed))
+            (mean_over outs (fun r -> r.Faults.Partition.intra_preserved))
+            (all (fun r ->
+                 r.Faults.Partition.leaks_after_split_gc = 0
+                 && r.Faults.Partition.leaks_final = 0))
+            (all (fun r -> r.Faults.Partition.drained))))
   in
   let doc =
     "Partition-and-heal survivability: cut a separator, let both sides \
@@ -1163,9 +1183,10 @@ let partition_cmd =
   in
   Cmd.v (Cmd.info "partition" ~doc)
     Term.(
-      const run $ net_arg $ circuits_arg $ split_arg
-      $ heal_arg $ detect_arg $ extra_arg $ one_sided_arg $ pace_arg
-      $ context ~seeding:Sweep ~partitions:true ())
+      term_result' ~usage:true
+        (const run $ net_arg $ circuits_arg $ split_arg
+        $ heal_arg $ detect_arg $ extra_arg $ one_sided_arg $ pace_arg
+        $ context ~seeding:Sweep ~partitions:true ()))
 
 (* ------------------------------------------------------------------ *)
 (* tps: control-plane saturation — offered circuit-setup rate vs the
@@ -1238,6 +1259,9 @@ let tps_cmd =
          conflicts %d, flushes %d; %d events@."
         pre p.cache_hits p.cache_misses p.cross_shard p.escrow_conflicts
         p.batch_flushes p.sim_events
+    in
+    let* () =
+      check_at_least "tps" ~what:"hosts" 2 (Topo.Graph.host_count (fst net.sample))
     in
     if rate < 0.0 then Error (Printf.sprintf "--rate must be >= 0 (got %g)" rate)
     else if rate > 0.0 then
@@ -1429,6 +1453,9 @@ let soak_cmd =
           ("--dir", dir <> None); ("--resume", resume <> None);
           ("--stop-after", stop_after <> None); ("--bisect", bisect);
         ]
+    in
+    let* () =
+      check_at_least "soak" ~what:"hosts" 2 (Topo.Graph.host_count (mk_graph ()))
     in
     if rate <= 0.0 then Error (Printf.sprintf "--rate must be > 0 (got %g)" rate)
     else if ctx.sweep > 0 && one_run_only <> [] then

@@ -96,18 +96,6 @@ type circuit = {
   window_delivered : int array;
 }
 
-(* Per-partition slot scratch, reused by every slot of the partition's
-   switches. *)
-type scratch = {
-  used_in : bool array;
-  used_out : bool array;
-  req : Matching.Request.t;
-  pim : Matching.Pim.state;
-  outcome : Matching.Outcome.t;
-  elig : int array;  (* eligible best-effort codes, in [be_at] order *)
-  elig_pair : int array;  (* their port pair, in_port * ports + out_port *)
-}
-
 (* A (circuit index, path position) pair packed into one int. *)
 let pos_bits = 16
 let pos_mask = (1 lsl pos_bits) - 1
@@ -307,21 +295,8 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
     let pt = part.(s) in
     if v > max_gbacklog.(pt) then max_gbacklog.(pt) <- v
   in
-  (* The matching scratch is only touched when best-effort circuits
-     exist; without them, switches wider than a request bitset still
-     run. *)
   let scratch =
-    let n = if n_be > 0 then ports else 0 in
-    Array.init parts (fun _ ->
-        {
-          used_in = Array.make ports false;
-          used_out = Array.make ports false;
-          req = Matching.Request.create n;
-          pim = Matching.Pim.create n;
-          outcome = Matching.Outcome.empty n;
-          elig = Array.make n_be 0;
-          elig_pair = Array.make n_be 0;
-        })
+    Array.init parts (fun _ -> Fabric.Hybrid_switch.scratch ~ports ~max_be:n_be)
   in
   let link_ok lid = (Topo.Graph.link g lid).Topo.Graph.state = Topo.Graph.Working in
   let latency lid = (Topo.Graph.link g lid).Topo.Graph.latency in
@@ -395,101 +370,34 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
             gbacklog_adj c.switches.(j) c.in_port.(j + 1) 1
         end)
   in
-  let transmit_code code =
-    let c = circuits.(code lsr pos_bits) and j = code land pos_mask in
-    transmit c (Queue.pop c.queues.(j)) j
+  (* The fabric's slot kernel runs every switch: circuit codes are the
+     flow codes, and a best-effort circuit is eligible only with a
+     queued cell and a credit for its next link. *)
+  let flows =
+    {
+      Fabric.Hybrid_switch.ready =
+        (fun cd ->
+          not (Queue.is_empty circuits.(cd lsr pos_bits).queues.(cd land pos_mask)));
+      be_pair =
+        (fun cd ->
+          let c = circuits.(cd lsr pos_bits) and j = cd land pos_mask in
+          if
+            Queue.is_empty c.queues.(j)
+            || not (Flow.Credit.Upstream.can_send c.credits.(j))
+          then -1
+          else (c.in_port.(j) * ports) + c.out_port.(j));
+      transmit =
+        (fun cd ->
+          let c = circuits.(cd lsr pos_bits) and j = cd land pos_mask in
+          transmit c (Queue.pop c.queues.(j)) j);
+    }
   in
   (* One slot of switch [s]. *)
   let switch_slot = Array.make n_switches 0 in
   let do_slot s =
-    let sc = scratch.(part.(s)) in
-    let used_in = sc.used_in and used_out = sc.used_out in
-    Array.fill used_in 0 ports false;
-    Array.fill used_out 0 ports false;
-    (* Guaranteed connections scheduled in this slot, round-robin among
-       the circuits sharing an (input, output) pair. *)
-    let gm = gmap.(s) in
-    if Array.length gm > 0 then begin
-      let slot_idx = switch_slot.(s) mod frame in
-      let sched = Network.switch_schedule net s in
-      let rr = grr.(s) in
-      for in_port = 0 to ports - 1 do
-        let out_port = Frame.Schedule.output_at sched ~slot:slot_idx ~input:in_port in
-        if out_port >= 0 then begin
-          let pair = (in_port * ports) + out_port in
-          let codes = gm.(pair) in
-          let nvc = Array.length codes in
-          let k = ref 0 in
-          while
-            !k < nvc
-            &&
-            (let cd = codes.((rr.(pair) + !k) mod nvc) in
-             Queue.is_empty circuits.(cd lsr pos_bits).queues.(cd land pos_mask))
-          do
-            incr k
-          done;
-          (* k = nvc: an unused allocated slot, free for best-effort. *)
-          if !k < nvc then begin
-            let cd = codes.((rr.(pair) + !k) mod nvc) in
-            rr.(pair) <- (rr.(pair) + !k + 1) mod nvc;
-            used_in.(in_port) <- true;
-            used_out.(out_port) <- true;
-            transmit_code cd
-          end
-        end
-      done
-    end;
-    (* Best-effort fills the leftover ports by parallel iterative
-       matching, exactly as the real line cards do (§3): eligible
-       circuits (queued cell, credit available, ports not taken by
-       guaranteed traffic) raise port-level requests; PIM picks the
-       transfers; round-robin chooses among circuits sharing a matched
-       port pair. *)
-    let bes = be_at.(s) in
-    let n_el = ref 0 in
-    for b = 0 to Array.length bes - 1 do
-      let cd = bes.(b) in
-      let c = circuits.(cd lsr pos_bits) and j = cd land pos_mask in
-      if not (Queue.is_empty c.queues.(j)) then begin
-        let in_port = c.in_port.(j) and out_port = c.out_port.(j) in
-        if
-          (not used_in.(in_port))
-          && (not used_out.(out_port))
-          && Flow.Credit.Upstream.can_send c.credits.(j)
-        then begin
-          Matching.Request.set sc.req in_port out_port true;
-          sc.elig.(!n_el) <- cd;
-          sc.elig_pair.(!n_el) <- (in_port * ports) + out_port;
-          incr n_el
-        end
-      end
-    done;
-    (* An empty request draws nothing from the stream: skipping the
-       matching then leaves the draws unchanged. *)
-    if !n_el > 0 then begin
-      let n_el = !n_el in
-      Matching.Pim.run_into sc.pim ~rng:pim_rngs.(s) sc.req ~iterations:3
-        sc.outcome;
-      let m = sc.outcome.Matching.Outcome.match_of_input in
-      for in_port = 0 to ports - 1 do
-        let out_port = m.(in_port) in
-        if out_port >= 0 then begin
-          (* The (slot mod count)-th eligible circuit of the pair. *)
-          let pair = (in_port * ports) + out_port in
-          let count = ref 0 in
-          for e = 0 to n_el - 1 do
-            if sc.elig_pair.(e) = pair then incr count
-          done;
-          let nth = ref (switch_slot.(s) mod !count) and e = ref 0 in
-          while sc.elig_pair.(!e) <> pair || !nth > 0 do
-            if sc.elig_pair.(!e) = pair then decr nth;
-            incr e
-          done;
-          transmit_code sc.elig.(!e)
-        end
-      done;
-      Matching.Request.clear sc.req
-    end;
+    Fabric.Hybrid_switch.run_slot scratch.(part.(s)) flows
+      ~schedule:(Network.switch_schedule net s) ~slot:switch_slot.(s)
+      ~gflows:gmap.(s) ~grr:grr.(s) ~be_flows:be_at.(s) ~rng:pim_rngs.(s);
     switch_slot.(s) <- switch_slot.(s) + 1
   in
   (* Per-switch clocks: random phase; optional ppm-level skew realized

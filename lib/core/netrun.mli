@@ -7,10 +7,10 @@
     per-link per-VC credits (§5). Best-effort cells contend for the
     leftover crossbar ports by 3-iteration parallel iterative matching
     ({!Matching.Pim}) over port-level requests, with round-robin among
-    the circuits that share a matched port pair; the matching's
-    fidelity is studied slot-accurately in the {!Fabric} library (§3),
-    as the paper itself separates the two levels. The idle slot loop
-    allocates nothing.
+    the circuits that share a matched port pair. That slot is the
+    fabric kernel {!Fabric.Hybrid_switch.run_slot}, the one E22's
+    hybrid switch runs, with circuits as its flows and credits gating
+    best-effort eligibility. The idle slot loop allocates nothing.
 
     Used for the guaranteed latency/jitter bound (E6), guaranteed
     buffer occupancy under clock skew (E7), and the failover and

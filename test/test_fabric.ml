@@ -428,7 +428,7 @@ let test_hybrid_guaranteed_served_exactly () =
   let n = 8 and frame = 16 and cells = 4 in
   let rng = Netsim.Rng.create 3 in
   let schedule = shifted_schedule ~n ~frame ~cells in
-  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule ~pim_iterations:3 () in
+  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule () in
   let model = Fabric.Hybrid_switch.model hybrid in
   let frames = 50 in
   (* Offer each guaranteed connection exactly its reservation. *)
@@ -454,7 +454,7 @@ let test_hybrid_guaranteed_immune_to_be_load () =
   let n = 8 and frame = 16 and cells = 4 in
   let rng = Netsim.Rng.create 4 in
   let schedule = shifted_schedule ~n ~frame ~cells in
-  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule ~pim_iterations:3 () in
+  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule () in
   let model = Fabric.Hybrid_switch.model hybrid in
   let traffic = Fabric.Traffic.uniform ~rng ~n ~load:1.0 in
   let frames = 50 in
@@ -484,7 +484,7 @@ let test_hybrid_be_gets_leftover () =
   let n = 8 and frame = 16 and cells = 4 in
   let rng = Netsim.Rng.create 5 in
   let schedule = shifted_schedule ~n ~frame ~cells in
-  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule ~pim_iterations:3 () in
+  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule () in
   let model = Fabric.Hybrid_switch.model hybrid in
   let traffic = Fabric.Traffic.uniform ~rng ~n ~load:1.0 in
   let slots = 20 * frame in
@@ -516,7 +516,7 @@ let test_hybrid_be_uses_idle_reservations () =
   let n = 8 and frame = 16 and cells = 8 in
   let rng = Netsim.Rng.create 6 in
   let schedule = shifted_schedule ~n ~frame ~cells in
-  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule ~pim_iterations:3 () in
+  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule () in
   let model = Fabric.Hybrid_switch.model hybrid in
   let traffic = Fabric.Traffic.uniform ~rng ~n ~load:1.0 in
   let slots = 20 * frame in
@@ -537,6 +537,170 @@ let test_hybrid_be_uses_idle_reservations () =
     true (be_frac > 0.85);
   Alcotest.(check bool) "borrowed reserved slots" true
     (Fabric.Hybrid_switch.be_transmissions_in_reserved_slots hybrid > 0)
+
+(* Exact output of the E22 setup at 25% reservation, recorded before
+   the switch model moved onto the shared slot kernel: any change to
+   the kernel's slot rule or RNG draw order shows here. *)
+let hybrid_pin ~offer_guaranteed =
+  let n = 16 and frame = 64 in
+  let r = Frame.Reservation.create n in
+  for i = 0 to n - 1 do
+    Frame.Reservation.set r i ((i + 1) mod n) 8;
+    Frame.Reservation.set r i ((i + 5) mod n) 8
+  done;
+  let schedule = Frame.Packing.build_spread r ~frame in
+  let rng = Netsim.Rng.create 1 in
+  let hybrid = Fabric.Hybrid_switch.create ~rng ~schedule () in
+  let model = Fabric.Hybrid_switch.model hybrid in
+  let traffic = Fabric.Traffic.uniform ~rng ~n ~load:1.0 in
+  let carried = ref 0 and delay_sum = ref 0 in
+  for slot = 0 to 3999 do
+    if offer_guaranteed then
+      for i = 0 to n - 1 do
+        match Frame.Schedule.output_of schedule ~slot:(slot mod frame) ~input:i with
+        | Some o -> Fabric.Hybrid_switch.inject_guaranteed hybrid ~input:i ~output:o ~slot
+        | None -> ()
+      done;
+    for input = 0 to n - 1 do
+      List.iter
+        (fun output ->
+          model.Fabric.Model.inject (Fabric.Cell.make ~input ~output ~arrival:slot))
+        (Fabric.Traffic.arrivals traffic ~slot ~input)
+    done;
+    List.iter
+      (fun cell ->
+        incr carried;
+        delay_sum := !delay_sum + Fabric.Cell.delay cell ~departure:slot)
+      (model.Fabric.Model.step ~slot)
+  done;
+  ( Fabric.Hybrid_switch.guaranteed_delivered hybrid,
+    Fabric.Hybrid_switch.be_transmissions_in_reserved_slots hybrid,
+    !carried,
+    !delay_sum )
+
+let test_hybrid_pinned () =
+  let check name (g, r, c, d) (g', r', c', d') =
+    Alcotest.(check (list int)) name [ g; r; c; d ] [ g'; r'; c'; d' ]
+  in
+  check "offered: guaranteed, borrowed, BE carried, BE delay sum"
+    (16000, 0, 46659, 24869070)
+    (hybrid_pin ~offer_guaranteed:true);
+  check "idle: guaranteed, borrowed, BE carried, BE delay sum"
+    (0, 15431, 61618, 5020514)
+    (hybrid_pin ~offer_guaranteed:false)
+
+(* One random slot of the shared kernel: a random partial-permutation
+   schedule, 0-2 guaranteed flows per port pair with random readiness,
+   and best-effort flows that are eligible on a random pair or not at
+   all. Codes below [ng] are guaranteed, the rest best effort. *)
+let kernel_slot_ok seed =
+  let r = Netsim.Rng.create seed in
+  let n = 2 + Netsim.Rng.int r 7 in
+  let pairs = n * n in
+  let schedule = Frame.Schedule.create ~n ~frame:1 in
+  let perm = Array.init n Fun.id in
+  Netsim.Rng.shuffle_in_place r perm;
+  Array.iteri
+    (fun i o ->
+      if Netsim.Rng.bernoulli r 0.6 then
+        Frame.Schedule.place schedule ~slot:0 ~input:i ~output:o)
+    perm;
+  let ng = ref 0 in
+  let gflows =
+    Array.init pairs (fun _ ->
+        Array.init (Netsim.Rng.int r 3) (fun _ ->
+            incr ng;
+            !ng - 1))
+  in
+  let ng = !ng in
+  let grr =
+    Array.map
+      (fun codes ->
+        let nf = Array.length codes in
+        if nf = 0 then 0 else Netsim.Rng.int r nf)
+      gflows
+  in
+  let gpair = Array.make ng 0 in
+  Array.iteri (fun p codes -> Array.iter (fun cd -> gpair.(cd) <- p) codes) gflows;
+  let ready = Array.init ng (fun _ -> Netsim.Rng.bernoulli r 0.5) in
+  let nb = Netsim.Rng.int r (2 * n) in
+  let bpair =
+    Array.init nb (fun _ ->
+        if Netsim.Rng.bernoulli r 0.3 then -1 else Netsim.Rng.int r pairs)
+  in
+  let slot = Netsim.Rng.int r 100 in
+  let sent = ref [] in
+  let flows =
+    {
+      Fabric.Hybrid_switch.ready = (fun cd -> ready.(cd));
+      be_pair = (fun cd -> bpair.(cd - ng));
+      transmit = (fun cd -> sent := cd :: !sent);
+    }
+  in
+  let rng = Netsim.Rng.create (seed + 1) in
+  let before = Netsim.Rng.copy rng in
+  let sc = Fabric.Hybrid_switch.scratch ~ports:n ~max_be:nb in
+  Fabric.Hybrid_switch.run_slot sc flows ~schedule ~slot ~gflows ~grr
+    ~be_flows:(Array.init nb (fun b -> ng + b))
+    ~rng;
+  let sent = List.rev !sent in
+  let pair_of cd = if cd < ng then gpair.(cd) else bpair.(cd - ng) in
+  let g_sent = List.filter (fun cd -> cd < ng) sent in
+  let be_sent = List.filter (fun cd -> cd >= ng) sent in
+  let once xs = List.length (List.sort_uniq compare xs) = List.length xs in
+  let ins = List.map (fun cd -> pair_of cd / n) sent in
+  let outs = List.map (fun cd -> pair_of cd mod n) sent in
+  let g_ins = List.map (fun cd -> gpair.(cd) / n) g_sent in
+  let g_outs = List.map (fun cd -> gpair.(cd) mod n) g_sent in
+  let scheduled p =
+    Frame.Schedule.output_at schedule ~slot:0 ~input:(p / n) = p mod n
+  in
+  (* Each input and output carries at most one cell; no flow sends
+     twice. *)
+  let ports_once = once ins && once outs && once sent in
+  (* A scheduled pair with a ready flow sends exactly one of its flows,
+     and no other pair sends guaranteed cells. *)
+  let guaranteed_exact =
+    List.for_all (fun cd -> scheduled gpair.(cd)) g_sent
+    && Array.for_all Fun.id
+         (Array.mapi
+            (fun p codes ->
+              let sends =
+                List.length (List.filter (fun cd -> gpair.(cd) = p) g_sent)
+              in
+              if scheduled p && Array.exists (fun cd -> ready.(cd)) codes then
+                sends = 1
+              else sends = 0)
+            gflows)
+  in
+  (* Best effort never uses a port a guaranteed cell took. *)
+  let be_masked =
+    List.for_all
+      (fun cd ->
+        let p = bpair.(cd - ng) in
+        (not (List.mem (p / n) g_ins)) && not (List.mem (p mod n) g_outs))
+      be_sent
+  in
+  (* Only eligible flows transmit. *)
+  let eligible_only =
+    List.for_all (fun cd -> ready.(cd)) g_sent
+    && List.for_all (fun cd -> bpair.(cd - ng) >= 0) be_sent
+  in
+  (* With no eligible best-effort flow, the stream is untouched. *)
+  let none_eligible =
+    Array.for_all
+      (fun p -> p < 0 || List.mem (p / n) g_ins || List.mem (p mod n) g_outs)
+      bpair
+  in
+  let rng_kept =
+    (not none_eligible) || Netsim.Rng.bits64 rng = Netsim.Rng.bits64 before
+  in
+  ports_once && guaranteed_exact && be_masked && eligible_only && rng_kept
+
+let test_kernel_properties =
+  qtest ~count:500 "slot kernel: one cell per port, guaranteed first"
+    (QCheck.make ~print:(Printf.sprintf "seed=%d") QCheck.Gen.(int_range 0 1_000_000))
+    kernel_slot_ok
 
 let () =
   Alcotest.run "fabric"
@@ -600,6 +764,8 @@ let () =
             test_hybrid_be_gets_leftover;
           Alcotest.test_case "BE borrows idle reservations (paper)" `Quick
             test_hybrid_be_uses_idle_reservations;
+          Alcotest.test_case "E22 25% output pinned" `Quick test_hybrid_pinned;
+          test_kernel_properties;
         ] );
       ( "starvation",
         [
