@@ -4,23 +4,26 @@
     near the failing component, and to drop cells only when the path of
     their virtual circuit goes through a failed link."
 
-    A scoped reconfiguration floods invitations only up to [radius]
-    hops from the initiator; switches at the boundary join as leaves
-    (they report their adjacency but invite no one). When the
-    distribution phase ends, every participant *merges*: it takes its
-    previous topology, deletes every edge incident to a participant of
-    this configuration, and adds the freshly collected region edges.
-    Edges wholly outside the region survive from the prior view; edges
-    out of the boundary are re-reported by the boundary switch that
-    owns them — so the merge is exact whenever all physical changes lie
-    within the region, which a radius of 1 already guarantees for a
-    single link event.
+    A scoped reconfiguration runs {!Proto}'s state machine unchanged;
+    only its driver is scoped. Each initiator's configuration gets its
+    own {!Proto.node} per switch, so the two endpoints of a failed link
+    run independent configurations that never see each other's tags,
+    and a switch may take part in both. The driver holds each switch's
+    hop budget (a TTL): the initiator holds [radius], a switch that
+    accepts an invitation holds its inviter's budget minus one, and a
+    switch at budget 0 is shown no neighbours, so {!Proto} makes it a
+    boundary leaf that reports its adjacency but invites no one.
 
-    Unlike global reconfigurations, scoped ones do not cancel each
-    other: both endpoints of a failed link start their own
-    configuration under their own tag and switches participate in all
-    of them concurrently. Merges commute because each one rewrites
-    exactly the adjacency of its own participants. *)
+    When the root's distribution reaches a participant ({!Proto}'s
+    [Completed]), the participant {e merges}: it takes its previous
+    topology, deletes every edge incident to a switch that joined this
+    configuration, and adds the root's collected region edges. Edges
+    wholly outside the region survive from the prior view; edges out of
+    the boundary are re-reported by the boundary switch that owns them
+    — so the merge is exact whenever all physical changes lie within
+    the region, which a radius of 1 already guarantees for a single
+    link event. Merges commute because each one rewrites exactly the
+    adjacency of its own configuration's members. *)
 
 type outcome = {
   converged : bool;  (** every started configuration completed *)

@@ -47,6 +47,14 @@ type event =
   | `Fail_switch of int
   | `Restore_switch of int ]
 
+let add_switch_edges g s acc =
+  let acc = ref acc in
+  Topo.Graph.iter_switch_neighbors g s (fun s' _ ->
+      acc := Proto.Sw_edge (s, s') :: !acc);
+  Topo.Graph.iter_hosts_of_switch g s (fun h _ ->
+      acc := Proto.Host_edge (s, h) :: !acc);
+  !acc
+
 (* The truth oracle. [judge ~root learned] tells whether [learned] is
    the true working topology — switch links and host attachments — of
    [root]'s component as the graph stands now. Components are labelled
@@ -109,12 +117,7 @@ let make_truth g =
     | None ->
       let acc = ref [] in
       for s = 0 to n - 1 do
-        if comp.(s) = c then begin
-          Topo.Graph.iter_switch_neighbors g s (fun s' _ ->
-              acc := Proto.Sw_edge (s, s') :: !acc);
-          Topo.Graph.iter_hosts_of_switch g s (fun h _ ->
-              acc := Proto.Host_edge (s, h) :: !acc)
-        end
+        if comp.(s) = c then acc := add_switch_edges g s !acc
       done;
       let es =
         List.sort_uniq Proto.compare_edge (List.map Proto.normalize_edge !acc)
@@ -165,16 +168,7 @@ let make_envs g =
   fun id ->
     {
       Proto.neighbors = (fun () -> neighbors_of id);
-      local_edges =
-        (fun () ->
-          (* switch links then host attachments, each ascending — the
-             order the list-based env always produced *)
-          let sw = ref [] and ho = ref [] in
-          Topo.Graph.iter_switch_neighbors g id (fun s' _ ->
-              sw := Proto.Sw_edge (id, s') :: !sw);
-          Topo.Graph.iter_hosts_of_switch g id (fun h _ ->
-              ho := Proto.Host_edge (id, h) :: !ho);
-          List.rev_append !sw (List.rev !ho));
+      local_edges = (fun () -> List.rev (add_switch_edges g id []));
     }
 
 (* Line-card handling time of one message: the flat per-message cost

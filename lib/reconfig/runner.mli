@@ -80,6 +80,14 @@ type event =
   | `Fail_switch of int
   | `Restore_switch of int ]
 
+val add_switch_edges :
+  Topo.Graph.t -> int -> Proto.edge list -> Proto.edge list
+(** [add_switch_edges g s acc] conses switch [s]'s working adjacency
+    onto [acc], last edge first: [List.rev (add_switch_edges g s [])]
+    is what [s] reports, its switch links then its host attachments,
+    each in ascending order (edges not normalized). Every environment
+    and oracle in this library derives a switch's edges through it. *)
+
 val make_judge : Topo.Graph.t -> root:int -> Proto.edge list -> bool
 (** [make_judge g] is the oracle {!run} judges completions with:
     [judge ~root learned] tells whether [learned] equals the sorted

@@ -566,6 +566,32 @@ let test_local_basic () =
   Alcotest.(check bool) "scoped" true (o.participants < o.total_switches);
   Alcotest.(check int) "6 participants on a ring at radius 2" 6 o.participants
 
+(* Closed form on a ring: each endpoint of the cut runs a chain of r
+   invites, r acks, r reports and r distributes, and the two regions
+   are disjoint while 2r + 2 <= n. The distribution reaches the chain's
+   far end after three traversals of r hops. *)
+let test_local_ring_closed_form =
+  qtest ~count:40 "ring repair: 2r+2 participants, 8r messages, 3r hops"
+    (QCheck.make
+       ~print:(fun (n, r, fail) -> Printf.sprintf "n=%d r=%d fail=%d" n r fail)
+       QCheck.Gen.(
+         int_range 4 24 >>= fun n ->
+         int_range 1 ((n - 2) / 2) >>= fun r ->
+         int_range 0 (n - 1) >|= fun fail -> (n, r, fail)))
+    (fun (n, r, fail) ->
+      let g = Topo.Build.ring n in
+      let hop =
+        (Topo.Graph.link g fail).Topo.Graph.latency + Netsim.Time.us 100
+      in
+      let o =
+        Reconfig.Local.run_after_failure ~proc_delay:(Netsim.Time.us 100)
+          ~radius:r g ~fail
+      in
+      o.converged && o.region_correct
+      && o.participants = (2 * r) + 2
+      && o.messages = 8 * r
+      && o.elapsed = 3 * r * hop)
+
 let test_local_scales_with_radius () =
   let parts r =
     let g = Topo.Build.torus 6 6 in
@@ -661,7 +687,33 @@ let test_hier_pod_local () =
   Alcotest.(check bool) "converged" true o.converged;
   Alcotest.(check bool) "correct" true o.correct;
   Alcotest.(check int) "only the pod participates" k o.participants;
-  Alcotest.(check int) "fabric untouched" (5 * k * k / 4) o.total_switches
+  Alcotest.(check int) "fabric untouched" (5 * k * k / 4) o.total_switches;
+  (* Random intra-pod cuts (switch links and host attachments): the
+     whole pod of k switches repairs, and nobody else. *)
+  let rng = Netsim.Rng.create 7 in
+  List.iter
+    (fun k ->
+      for _ = 1 to 5 do
+        let g, pods = Topo.Build.fat_tree ~k in
+        let intra =
+          List.filter_map
+            (fun (l : Topo.Graph.link) ->
+              match Topo.Pods.scope_of_link pods g l.link_id with
+              | Topo.Pods.Pod p -> Some (l.link_id, p)
+              | Topo.Pods.Global -> None)
+            (Topo.Graph.links g)
+          |> Array.of_list
+        in
+        let fail, pod = intra.(Netsim.Rng.int rng (Array.length intra)) in
+        let o = Reconfig.Hier.repair g pods ~fail in
+        let what = Printf.sprintf "k=%d link %d" k fail in
+        Alcotest.(check bool) (what ^ " pod strategy") true
+          (o.strategy = Reconfig.Hier.Pod_local pod);
+        Alcotest.(check bool) (what ^ " converged") true o.converged;
+        Alcotest.(check bool) (what ^ " correct") true o.correct;
+        Alcotest.(check int) (what ^ " participants") k o.participants
+      done)
+    [ 4; 6; 8 ]
 
 let test_hier_escalates () =
   let k = 4 in
@@ -922,6 +974,7 @@ let () =
       ( "local",
         [
           Alcotest.test_case "basic ring" `Quick test_local_basic;
+          test_local_ring_closed_form;
           Alcotest.test_case "scales with radius" `Quick
             test_local_scales_with_radius;
           test_local_correct_on_random;
