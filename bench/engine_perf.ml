@@ -178,9 +178,9 @@ module Macro (E : ENGINE) = struct
 end
 
 module Micro_pooled = Micro (Netsim.Engine)
-module Micro_reference = Micro (Netsim.Engine_reference)
+module Micro_reference = Micro (Oracle.Engine_reference)
 module Macro_pooled = Macro (Netsim.Engine)
-module Macro_reference = Macro (Netsim.Engine_reference)
+module Macro_reference = Macro (Oracle.Engine_reference)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep: the real reconfiguration runner fanned over seeds, run

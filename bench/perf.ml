@@ -48,7 +48,7 @@ let kernels ~ops =
   let pim_reference =
     let rng, req = make_req 1 in
     measure ~name:"pim3-16x16-reference" ~ops (fun () ->
-        ignore (Matching.Reference.Pim.run ~rng req ~iterations:3))
+        ignore (Oracle.Matching_reference.Pim.run ~rng req ~iterations:3))
   in
   let islip =
     let _, req = make_req 2 in

@@ -1539,129 +1539,137 @@ let report_cmd =
     List.map (fun (k, v) -> (k, Obs.Json.num v)) (Obs.Json.obj (Obs.Json.member "counters" json))
   in
   let counter counters name = List.assoc_opt name counters in
-  let report_metrics json =
+  (* Each [report_*] reads everything it prints from its file's text
+     up front, so a malformed file raises [Obs.Json.Bad] before any
+     output, and returns the printer. *)
+  let report_metrics text =
+    let json = Obs.Json.parse text in
     let counters = counters_of json in
-    (* Per-domain utilization, when the run carried the Parprof window
-       profiler (partitioned runs). Partition p is driven by worker
-       domain (p mod workers) every window. *)
-    (match counter counters "parprof.workers" with
-     | None ->
-       print_endline
-         "per-domain profile: none (no parprof.* counters; run with \
-          --partitions/--par-domains > 1)"
-     | Some w ->
-       let workers = int_of_float w in
-       let parts =
-         match counter counters "parprof.parts" with
-         | Some p -> int_of_float p
-         | None -> workers
-       in
-       Printf.printf "per-domain profile: %d partitions on %d worker domains" parts workers;
-       (match counter counters "parprof.lookahead_ns" with
-        | Some l -> Printf.printf ", lookahead %.0f ns\n" l
-        | None -> print_newline ());
-       for d = 0 to workers - 1 do
-         let owned =
-           List.filter (fun p -> p mod workers = d) (List.init parts Fun.id)
-         in
-         let sum fmt =
-           List.fold_left
-             (fun acc p ->
-               match counter counters (Printf.sprintf fmt p) with
-               | Some v -> acc +. v
-               | None -> acc)
-             0.0 owned
-         in
-         let busy = sum (format_of_string "parprof.p%d.busy_ns") in
-         let dispatched = sum (format_of_string "parprof.p%d.dispatched") in
-         let windows =
-           match counter counters (Printf.sprintf "parprof.p%d.windows" (List.hd owned)) with
-           | Some v -> v
-           | None -> 0.0
-         in
-         let wait =
-           match counter counters (Printf.sprintf "parprof.d%d.wait_ns" d) with
-           | Some v -> v
-           | None -> 0.0
-         in
-         let util =
-           if busy +. wait > 0.0 then 100.0 *. busy /. (busy +. wait) else 0.0
-         in
-         Printf.printf
-           "domain %d: partitions [%s]; busy %.2f ms, barrier wait %.2f ms, \
-            utilization %.1f%%, %.0f events over %.0f windows\n"
-           d
-           (String.concat "," (List.map string_of_int owned))
-           (busy /. 1e6) (wait /. 1e6) util dispatched windows
-       done);
-    (* Headline counters and the busiest histograms. *)
-    let top n cmp l =
-      let sorted = List.sort cmp l in
-      List.filteri (fun i _ -> i < n) sorted
-    in
-    let nonzero = List.filter (fun (_, v) -> v <> 0.0) counters in
-    if nonzero <> [] then begin
-      print_endline "top counters:";
-      List.iter
-        (fun (k, v) -> Printf.printf "  %-44s %.0f\n" k v)
-        (top 12 (fun (_, a) (_, b) -> compare b a) nonzero)
-    end;
     let hists = Obs.Json.obj (Obs.Json.member "histograms" json) in
-    let hcount h =
-      match Obs.Json.member_opt "count" h with
-      | Some (Obs.Json.Num v) -> v
-      | _ -> 0.0
-    in
-    let busy = List.filter (fun (_, h) -> hcount h > 0.0) hists in
-    if busy <> [] then begin
-      print_endline "top histograms (by samples):";
-      List.iter
-        (fun (k, h) ->
-          let f name =
-            match Obs.Json.member_opt name h with
-            | Some (Obs.Json.Num v) -> Printf.sprintf "%.4g" v
-            | _ -> "-"
-          in
-          Printf.printf "  %-44s count=%.0f mean=%s p50=%s p90=%s p99=%s\n" k
-            (hcount h) (f "mean") (f "p50") (f "p90") (f "p99"))
-        (top 8 (fun (_, a) (_, b) -> compare (hcount b) (hcount a)) busy)
-    end
+    fun () ->
+      (* Per-domain utilization, when the run carried the Parprof window
+         profiler (partitioned runs). Partition p is driven by worker
+         domain (p mod workers) every window. *)
+      (match counter counters "parprof.workers" with
+       | None ->
+         print_endline
+           "per-domain profile: none (no parprof.* counters; run with \
+            --partitions/--par-domains > 1)"
+       | Some w ->
+         let workers = int_of_float w in
+         let parts =
+           match counter counters "parprof.parts" with
+           | Some p -> int_of_float p
+           | None -> workers
+         in
+         Printf.printf "per-domain profile: %d partitions on %d worker domains" parts workers;
+         (match counter counters "parprof.lookahead_ns" with
+          | Some l -> Printf.printf ", lookahead %.0f ns\n" l
+          | None -> print_newline ());
+         for d = 0 to workers - 1 do
+           let owned =
+             List.filter (fun p -> p mod workers = d) (List.init parts Fun.id)
+           in
+           let sum fmt =
+             List.fold_left
+               (fun acc p ->
+                 match counter counters (Printf.sprintf fmt p) with
+                 | Some v -> acc +. v
+                 | None -> acc)
+               0.0 owned
+           in
+           let busy = sum (format_of_string "parprof.p%d.busy_ns") in
+           let dispatched = sum (format_of_string "parprof.p%d.dispatched") in
+           let windows =
+             match counter counters (Printf.sprintf "parprof.p%d.windows" (List.hd owned)) with
+             | Some v -> v
+             | None -> 0.0
+           in
+           let wait =
+             match counter counters (Printf.sprintf "parprof.d%d.wait_ns" d) with
+             | Some v -> v
+             | None -> 0.0
+           in
+           let util =
+             if busy +. wait > 0.0 then 100.0 *. busy /. (busy +. wait) else 0.0
+           in
+           Printf.printf
+             "domain %d: partitions [%s]; busy %.2f ms, barrier wait %.2f ms, \
+              utilization %.1f%%, %.0f events over %.0f windows\n"
+             d
+             (String.concat "," (List.map string_of_int owned))
+             (busy /. 1e6) (wait /. 1e6) util dispatched windows
+         done);
+      (* Headline counters and the busiest histograms. *)
+      let top n cmp l =
+        let sorted = List.sort cmp l in
+        List.filteri (fun i _ -> i < n) sorted
+      in
+      let nonzero = List.filter (fun (_, v) -> v <> 0.0) counters in
+      if nonzero <> [] then begin
+        print_endline "top counters:";
+        List.iter
+          (fun (k, v) -> Printf.printf "  %-44s %.0f\n" k v)
+          (top 12 (fun (_, a) (_, b) -> compare b a) nonzero)
+      end;
+      let hcount h =
+        match Obs.Json.member_opt "count" h with
+        | Some (Obs.Json.Num v) -> v
+        | _ -> 0.0
+      in
+      let busy = List.filter (fun (_, h) -> hcount h > 0.0) hists in
+      if busy <> [] then begin
+        print_endline "top histograms (by samples):";
+        List.iter
+          (fun (k, h) ->
+            let f name =
+              match Obs.Json.member_opt name h with
+              | Some (Obs.Json.Num v) -> Printf.sprintf "%.4g" v
+              | _ -> "-"
+            in
+            Printf.printf "  %-44s count=%.0f mean=%s p50=%s p90=%s p99=%s\n" k
+              (hcount h) (f "mean") (f "p50") (f "p90") (f "p99"))
+          (top 8 (fun (_, a) (_, b) -> compare (hcount b) (hcount a)) busy)
+      end
   in
   let report_heartbeat text =
-    let lines =
+    let snapshots =
       List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text)
+      |> List.map Obs.Json.parse
     in
-    match lines with
-    | [] -> print_endline "heartbeat: empty recording"
-    | first :: _ ->
-      let last = List.nth lines (List.length lines - 1) in
-      let jf = Obs.Json.parse first and jl = Obs.Json.parse last in
-      let t j = Obs.Json.num (Obs.Json.member "t" j) in
-      Printf.printf "heartbeat: %d snapshots (label %S) from t=%.3f ms to t=%.3f ms\n"
-        (List.length lines)
-        (Obs.Json.str (Obs.Json.member "label" jf))
-        (t jf /. 1e6) (t jl /. 1e6);
+    let t j = Obs.Json.num (Obs.Json.member "t" j) in
+    (* Every snapshot must carry its time, not only the two printed. *)
+    List.iter (fun j -> ignore (t j : float)) snapshots;
+    match snapshots with
+    | [] -> fun () -> print_endline "heartbeat: empty recording"
+    | jf :: _ ->
+      let jl = List.nth snapshots (List.length snapshots - 1) in
+      let label = Obs.Json.str (Obs.Json.member "label" jf) in
       let cf = counters_of (Obs.Json.member "metrics" jf)
       and cl = counters_of (Obs.Json.member "metrics" jl) in
-      let deltas =
-        List.filter_map
-          (fun (k, v) ->
-            let v0 = match counter cf k with Some x -> x | None -> 0.0 in
-            if v -. v0 <> 0.0 then Some (k, v0, v -. v0) else None)
-          cl
-        |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
-      in
-      (match deltas with
-       | [] -> print_endline "  no counter movement between first and last snapshot"
-       | _ ->
-         print_endline "  counter movement, first -> last snapshot:";
-         List.iteri
-           (fun i (k, v0, d) ->
-             if i < 12 then
-               Printf.printf "    %-42s %+.0f (from %.0f)\n" k d v0)
-           deltas)
+      fun () ->
+        Printf.printf "heartbeat: %d snapshots (label %S) from t=%.3f ms to t=%.3f ms\n"
+          (List.length snapshots) label (t jf /. 1e6) (t jl /. 1e6);
+        let deltas =
+          List.filter_map
+            (fun (k, v) ->
+              let v0 = match counter cf k with Some x -> x | None -> 0.0 in
+              if v -. v0 <> 0.0 then Some (k, v0, v -. v0) else None)
+            cl
+          |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
+        in
+        (match deltas with
+         | [] -> print_endline "  no counter movement between first and last snapshot"
+         | _ ->
+           print_endline "  counter movement, first -> last snapshot:";
+           List.iteri
+             (fun i (k, v0, d) ->
+               if i < 12 then
+                 Printf.printf "    %-42s %+.0f (from %.0f)\n" k d v0)
+             deltas)
   in
-  let report_trace json =
+  let report_trace text =
+    let json = Obs.Json.parse text in
     let events = Obs.Json.arr (Obs.Json.member "traceEvents" json) in
     let count ph =
       List.length
@@ -1674,28 +1682,38 @@ let report_cmd =
     in
     let spans = count "X" and instants = count "i" and counters = count "C" in
     let fs = count "s" and ft = count "t" and ff = count "f" in
-    Printf.printf
-      "trace: %d events (%d spans, %d instants, %d counter samples)\n"
-      (List.length events) spans instants counters;
-    if fs + ft + ff > 0 then
+    fun () ->
       Printf.printf
-        "  causal flows: %d started, %d relay steps, %d delivered\n" fs ft ff;
-    match
-      Obs.Json.member_opt "otherData" json
-      |> Fun.flip Option.bind (Obs.Json.member_opt "dropped")
-    with
-    | Some (Obs.Json.Num d) when d > 0.0 ->
-      Printf.printf "  (ring dropped %.0f older events)\n" d
-    | _ -> ()
+        "trace: %d events (%d spans, %d instants, %d counter samples)\n"
+        (List.length events) spans instants counters;
+      if fs + ft + ff > 0 then
+        Printf.printf
+          "  causal flows: %d started, %d relay steps, %d delivered\n" fs ft ff;
+      match
+        Obs.Json.member_opt "otherData" json
+        |> Fun.flip Option.bind (Obs.Json.member_opt "dropped")
+      with
+      | Some (Obs.Json.Num d) when d > 0.0 ->
+        Printf.printf "  (ring dropped %.0f older events)\n" d
+      | _ -> ()
   in
   let run metrics heartbeat trace =
     if metrics = None && heartbeat = None && trace = None then
       Error "pass at least one of --metrics, --heartbeat, --trace"
-    else begin
-      Option.iter (fun file -> report_metrics (Obs.Json.parse (read_file file))) metrics;
-      Option.iter (fun file -> report_heartbeat (read_file file)) heartbeat;
-      Ok (Option.iter (fun file -> report_trace (Obs.Json.parse (read_file file))) trace)
-    end
+    else
+      (* Load every file before printing anything. *)
+      let load flag report = function
+        | None -> Ok ignore
+        | Some file -> (
+          try Ok (report (read_file file)) with
+          | Obs.Json.Bad msg ->
+            Error (Printf.sprintf "--%s %s: malformed file (%s)" flag file msg)
+          | Sys_error msg -> Error (Printf.sprintf "--%s %s: %s" flag file msg))
+      in
+      let* metrics = load "metrics" report_metrics metrics in
+      let* heartbeat = load "heartbeat" report_heartbeat heartbeat in
+      let* trace = load "trace" report_trace trace in
+      Ok (metrics (); heartbeat (); trace ())
   in
   let doc =
     "Render a run's --metrics / --heartbeat / --trace files into a \

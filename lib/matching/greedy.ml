@@ -1,4 +1,5 @@
-(* Bitset implementation; outcome-identical to Reference.Greedy and
+(* Bitset implementation; outcome-identical to Greedy in the test-only
+   test/oracle/matching_reference.ml and
    stream-compatible with it (the only draw is the order shuffle).
    "First requested free output" is one AND and a count-trailing-zeros
    per input. *)

@@ -1,6 +1,7 @@
-(* Bitset implementation; outcome-identical to Reference.Islip (the
-   list/closure form) for any request matrix and pointer history. The
-   round-robin scan becomes Bits.rotate_first over a requester mask. *)
+(* Bitset implementation; outcome-identical to Islip in the test-only
+   test/oracle/matching_reference.ml (the list/closure form) for any
+   request matrix and pointer history. The round-robin scan becomes
+   Bits.rotate_first over a requester mask. *)
 
 type t = {
   n : int;

@@ -1,5 +1,6 @@
 (* Word-level bitset implementation. The round below is the same
-   three-step protocol as Reference.Pim.round and consumes the RNG
+   three-step protocol as Pim.round in the test-only
+   test/oracle/matching_reference.ml and consumes the RNG
    stream identically: one draw per granting output (in descending
    output order), one draw per accepting input (in ascending input
    order), each over the candidate set in ascending index order. The

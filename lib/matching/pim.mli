@@ -10,8 +10,9 @@
 
     The implementation works on word-level bitsets (one AND per
     output arbitration) and is stream-compatible with the list-based
-    {!Reference.Pim}: same request matrix, same RNG seed, same
-    matching, bit for bit. *)
+    [Pim] of the test-only oracle library
+    ([test/oracle/matching_reference.ml]): same request matrix, same
+    RNG seed, same matching, bit for bit. *)
 
 type state
 (** Preallocated per-switch scratch. One [state] serves any number of

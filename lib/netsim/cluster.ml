@@ -57,7 +57,9 @@ type t = {
       (* per-src causal-trace sequence; written only by the domain
          running src's window (or setup code), like the mailboxes *)
   mailboxes : Mailbox.t array array;  (* .(src).(dst) *)
-  actions : (unit -> unit) Mheap.t;
+  actions : Eheap.t;  (* barrier times; payloads are [thunks] slots *)
+  mutable thunks : (unit -> unit) array;
+  mutable free : int list;  (* [thunks] slots not queued *)
   mutable command : command;  (* leader-written between barriers *)
   mutable parties : int;
   m : Mutex.t;
@@ -90,7 +92,9 @@ let create ?sinks ~parts ~lookahead () =
     flow_seq = Array.make parts 0;
     mailboxes =
       Array.init parts (fun _ -> Array.init parts (fun _ -> Mailbox.create ()));
-    actions = Mheap.create ();
+    actions = Eheap.create ();
+    thunks = [||];
+    free = [];
     command = Stop;
     parties = 1;
     m = Mutex.create ();
@@ -134,7 +138,29 @@ let send t ~src ~dst ~delay thunk =
 
 let at_barrier t ~at thunk =
   if at < 0 then invalid_arg "Cluster.at_barrier: negative time";
-  Mheap.add t.actions ~prio:at thunk
+  (* Slots are handed out in order, so with none free exactly slots
+     0..length-1 are queued. *)
+  let slot =
+    match t.free with
+    | s :: rest -> t.free <- rest; s
+    | [] -> Eheap.length t.actions
+  in
+  if slot = Array.length t.thunks then
+    t.thunks <- Array.append t.thunks (Array.make (slot + 1) ignore);
+  t.thunks.(slot) <- thunk;
+  Eheap.add t.actions ~time:at ~slot
+
+(* [min_time] is [max_int] on an empty heap, which a [max_int] bound
+   must not mistake for a due action. *)
+let action_due t ~by =
+  (not (Eheap.is_empty t.actions)) && Eheap.min_time t.actions <= by
+
+let pop_action t =
+  let slot = Eheap.pop t.actions in
+  let act = t.thunks.(slot) in
+  t.thunks.(slot) <- ignore;
+  t.free <- slot :: t.free;
+  act
 
 let await t =
   Mutex.lock t.m;
@@ -208,43 +234,35 @@ let decide t ~horizon =
           (fun acc e -> min acc (Engine.next_time e))
           max_int t.engines
       in
-      let due = match Mheap.min_prio t.actions with
-        | Some g when g <= horizon && g <= t_min -> Some g
-        | _ -> None
-      in
-      match due with
-      | Some g ->
+      if action_due t ~by:(min horizon t_min) then begin
+        let g = Eheap.min_time t.actions in
         (* Actions at [g] precede engine events at [g]; catch clocks
            up so actions observe every engine at (just before) [g]. *)
         Array.iter (fun e -> Engine.run_until e (g - 1)) t.engines;
         let rec pop_due () =
-          if Atomic.get t.failure = None then
-            match Mheap.min_prio t.actions with
-            | Some g' when g' = g ->
-              (match Mheap.pop t.actions with
-               | Some (_, act) -> ( try act () with ex -> poison t ex)
-               | None -> ());
-              pop_due ()
-            | _ -> ()
+          if Atomic.get t.failure = None && action_due t ~by:g then begin
+            (try pop_action t () with ex -> poison t ex);
+            pop_due ()
+          end
         in
         pop_due ();
         if Atomic.get t.failure <> None then t.command <- Stop else go ()
-      | None ->
-        if t_min > horizon then begin
-          Array.iter (fun e -> Engine.run_until e horizon) t.engines;
-          t.command <- Stop
-        end
-        else begin
-          let end_ =
-            if t.parts = 1 then horizon else min (t_min + t.lookahead - 1) horizon
-          in
-          let end_ =
-            match Mheap.min_prio t.actions with
-            | Some g when g <= horizon -> min end_ (g - 1)
-            | _ -> end_
-          in
-          t.command <- Window end_
-        end
+      end
+      else if t_min > horizon || t_min = max_int (* all drained *) then begin
+        Array.iter (fun e -> Engine.run_until e horizon) t.engines;
+        t.command <- Stop
+      end
+      else begin
+        let end_ =
+          if t.parts = 1 then horizon else min (t_min + t.lookahead - 1) horizon
+        in
+        let end_ =
+          if action_due t ~by:horizon then
+            min end_ (Eheap.min_time t.actions - 1)
+          else end_
+        in
+        t.command <- Window end_
+      end
     in
     go ()
   end

@@ -1,8 +1,11 @@
-(* The engine's event queue: a monomorphic 4-ary min-heap over
-   (time, seq) keys carrying one integer payload (the engine's pool
-   slot), stored as parallel int arrays.
+(* The simulator's one priority queue: a monomorphic 4-ary min-heap
+   over (time, seq) keys carrying one integer payload (the engine's
+   pool slot), stored as parallel int arrays. Cluster's barrier
+   actions and Topo.Partition's searches reuse it with their own
+   non-negative payloads.
 
-   Compared to the generic {!Mheap} this trades polymorphism for the
+   Compared to a generic heap of entry records (the seed engine's
+   queue, kept with the tests) this trades polymorphism for the
    hot-path properties the engine needs: keys and payloads live in
    unboxed int arrays (no entry records), [pop] returns a bare int (no
    option, no tuple), and [pop_if_at_most] folds the horizon test of

@@ -1,13 +1,15 @@
 (** Monomorphic 4-ary min-heap over [(time, seq)] keys with one int
-    payload per entry, used as the {!Engine} event queue.
+    payload per entry: the {!Engine} event queue, and the only
+    priority queue in the simulator ({!Cluster}'s barrier actions and
+    [Topo.Partition]'s searches use it too).
 
     All storage is parallel unboxed int arrays and every operation is
     allocation-free once the arrays have grown to the working-set
     size. Ties on [time] pop in insertion order (FIFO among
     simultaneous events), which is what makes the engine
-    deterministic. Payloads are engine pool slots: non-negative ints;
-    the [-1] returned by a failed pop can therefore never collide with
-    a real payload. *)
+    deterministic. Payloads are non-negative ints (for the engine, pool
+    slots); the [-1] returned by a failed pop can therefore never
+    collide with a real payload. *)
 
 type t
 

@@ -20,8 +20,9 @@
    dispatch, so the disabled-sink path never boxes a float.
 
    Observable behaviour (dispatch order and times, [pending], [step]'s
-   clock advance even over cancelled corpses) is pinned to
-   {!Engine_reference} by qcheck differential tests. *)
+   clock advance even over cancelled corpses) is pinned to the seed's
+   engine, kept with the tests as test/oracle/engine_reference.ml, by
+   qcheck differential tests. *)
 
 type event_id = int
 

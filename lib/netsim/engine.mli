@@ -11,7 +11,8 @@
     integer ids, and the ready queue is a monomorphic 4-ary heap — a
     schedule/dispatch cycle with the obs sink off allocates zero minor
     words (measured by [bench/engine_perf.ml]). Behaviour is pinned to
-    the retained {!Engine_reference} by differential tests. *)
+    the seed's engine, kept with the tests as
+    [test/oracle/engine_reference.ml], by differential tests. *)
 
 type t
 

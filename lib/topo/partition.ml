@@ -8,7 +8,7 @@
 
    2. Growth: one multi-source Dijkstra over all seeds at once, each
       pop assigning a switch to the seed's region unless the region
-      already holds ceil(n/parts) switches. The {!Netsim.Mheap} pops
+      already holds ceil(n/parts) switches. The {!Netsim.Eheap} pops
       FIFO among equal distances, so the whole growth is
       deterministic.
 
@@ -33,25 +33,23 @@ let switch_adjacency g =
 (* Single-source Dijkstra refining [dist] (min over all sources so
    far). *)
 let relax_from adj dist src =
-  let heap = Netsim.Mheap.create () in
+  let heap = Netsim.Eheap.create () in
   if dist.(src) > 0 then begin
     dist.(src) <- 0;
-    Netsim.Mheap.add heap ~prio:0 src
+    Netsim.Eheap.add heap ~time:0 ~slot:src
   end;
-  let continue = ref true in
-  while !continue do
-    match Netsim.Mheap.pop heap with
-    | None -> continue := false
-    | Some (d, s) ->
-      if d = dist.(s) then
-        List.iter
-          (fun (s', w) ->
-            let d' = d + w in
-            if d' < dist.(s') then begin
-              dist.(s') <- d';
-              Netsim.Mheap.add heap ~prio:d' s'
-            end)
-          adj.(s)
+  while not (Netsim.Eheap.is_empty heap) do
+    let s = Netsim.Eheap.pop heap in
+    let d = Netsim.Eheap.popped_time heap in
+    if d = dist.(s) then
+      List.iter
+        (fun (s', w) ->
+          let d' = d + w in
+          if d' < dist.(s') then begin
+            dist.(s') <- d';
+            Netsim.Eheap.add heap ~time:d' ~slot:s'
+          end)
+        adj.(s)
   done
 
 let assign g ~parts =
@@ -86,24 +84,24 @@ let assign g ~parts =
     let cap = (n + parts - 1) / parts in
     let part = Array.make n (-1) in
     let size = Array.make parts 0 in
-    let heap = Netsim.Mheap.create () in
+    (* Queue payloads encode (switch s, region k) as s * parts + k. *)
+    let heap = Netsim.Eheap.create () in
     Array.iteri
-      (fun k seed -> Netsim.Mheap.add heap ~prio:0 (seed, k))
+      (fun k seed -> Netsim.Eheap.add heap ~time:0 ~slot:((seed * parts) + k))
       seeds;
-    let continue = ref true in
-    while !continue do
-      match Netsim.Mheap.pop heap with
-      | None -> continue := false
-      | Some (d, (s, k)) ->
-        if part.(s) < 0 && size.(k) < cap then begin
-          part.(s) <- k;
-          size.(k) <- size.(k) + 1;
-          List.iter
-            (fun (s', w) ->
-              if part.(s') < 0 then
-                Netsim.Mheap.add heap ~prio:(d + w) (s', k))
-            adj.(s)
-        end
+    while not (Netsim.Eheap.is_empty heap) do
+      let code = Netsim.Eheap.pop heap in
+      let d = Netsim.Eheap.popped_time heap in
+      let s = code / parts and k = code mod parts in
+      if part.(s) < 0 && size.(k) < cap then begin
+        part.(s) <- k;
+        size.(k) <- size.(k) + 1;
+        List.iter
+          (fun (s', w) ->
+            if part.(s') < 0 then
+              Netsim.Eheap.add heap ~time:(d + w) ~slot:((s' * parts) + k))
+          adj.(s)
+      end
     done;
     (* Fixup: anything unreached joins the smallest region. *)
     for s = 0 to n - 1 do

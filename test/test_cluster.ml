@@ -84,6 +84,74 @@ let test_barrier_action_order () =
   Alcotest.(check int) "clock at horizon" 100
     (Netsim.Engine.now (Netsim.Cluster.engine cl 1))
 
+let test_barrier_action_nested () =
+  let cl = Netsim.Cluster.create ~parts:2 ~lookahead:10 () in
+  let log = ref [] in
+  let push x = log := x :: !log in
+  Netsim.Engine.post_at (Netsim.Cluster.engine cl 0) ~at:50 (fun () ->
+      push `Event_at_50);
+  Netsim.Cluster.at_barrier cl ~at:50 (fun () ->
+      push `Action;
+      Netsim.Cluster.at_barrier cl ~at:50 (fun () -> push `Nested));
+  Netsim.Cluster.run cl ~horizon:100;
+  Alcotest.(check bool)
+    "a same-instant action registered by an action runs in the same \
+     barrier, before same-time events"
+    true
+    (List.rev !log = [ `Action; `Nested; `Event_at_50 ])
+
+let test_barrier_action_late () =
+  let cl = Netsim.Cluster.create ~parts:2 ~lookahead:10 () in
+  let e0 = Netsim.Cluster.engine cl 0 in
+  let log = ref [] in
+  let push x = log := x :: !log in
+  let log_at tag () = push (tag, Netsim.Engine.now e0) in
+  Netsim.Engine.post_at e0 ~at:50 (log_at `Event);
+  Netsim.Engine.post_at e0 ~at:150 (log_at `Event);
+  (* Time 30 has passed when the action at 50 registers it. *)
+  Netsim.Cluster.at_barrier cl ~at:50 (fun () ->
+      log_at `Action ();
+      Netsim.Cluster.at_barrier cl ~at:30 (log_at `Late));
+  Netsim.Cluster.run cl ~horizon:100;
+  (* Time 40 has passed when a second run starts at 100. *)
+  Netsim.Cluster.at_barrier cl ~at:40 (log_at `Late);
+  Netsim.Cluster.run cl ~horizon:200;
+  Alcotest.(check bool)
+    "a late action runs at the next barrier, before later events" true
+    (List.rev !log
+    = [ (`Action, 49); (`Late, 49); (`Event, 50); (`Late, 100); (`Event, 150) ])
+
+let test_barrier_drained_max_horizon () =
+  List.iter
+    (fun parts ->
+      let cl = Netsim.Cluster.create ~parts ~lookahead:10 () in
+      let ran = ref false in
+      Netsim.Engine.post_at (Netsim.Cluster.engine cl 0) ~at:5 (fun () ->
+          ran := true);
+      Netsim.Cluster.run cl ~horizon:max_int;
+      Alcotest.(check bool) "event ran" true !ran;
+      Alcotest.(check int)
+        (Printf.sprintf "%d parts: clock at max_int" parts)
+        max_int
+        (Netsim.Engine.now (Netsim.Cluster.engine cl 0)))
+    [ 1; 2 ]
+
+let test_barrier_action_raises () =
+  let cl = Netsim.Cluster.create ~parts:2 ~lookahead:10 () in
+  let log = ref [] in
+  let push x = log := x :: !log in
+  Netsim.Engine.post_at (Netsim.Cluster.engine cl 1) ~at:10 (fun () ->
+      push `Event_at_10);
+  Netsim.Cluster.at_barrier cl ~at:20 (fun () -> failwith "action blew up");
+  Netsim.Cluster.at_barrier cl ~at:20 (fun () -> push `Same_time_action);
+  Netsim.Engine.post_at (Netsim.Cluster.engine cl 0) ~at:25 (fun () ->
+      push `Event_at_25);
+  Alcotest.check_raises "re-raised after the join"
+    (Failure "action blew up") (fun () ->
+      Netsim.Cluster.run ~domains:2 cl ~horizon:100);
+  Alcotest.(check bool) "nothing runs after the failing action" true
+    (List.rev !log = [ `Event_at_10 ])
+
 (* ------------------------------------------------------------------ *)
 (* Differential: 1 domain vs N domains, byte-identical dispatch *)
 
@@ -537,6 +605,13 @@ let () =
       ( "barrier",
         [
           Alcotest.test_case "action order" `Quick test_barrier_action_order;
+          Alcotest.test_case "nested same-instant action" `Quick
+            test_barrier_action_nested;
+          Alcotest.test_case "late action" `Quick test_barrier_action_late;
+          Alcotest.test_case "drained engines, max_int horizon" `Quick
+            test_barrier_drained_max_horizon;
+          Alcotest.test_case "raising action poisons the run" `Quick
+            test_barrier_action_raises;
           Alcotest.test_case "exception propagates" `Quick
             test_cluster_exception_propagates;
         ] );

@@ -32,7 +32,7 @@ let test_eheap_against_mheap =
     (fun (seed, script) ->
       let rng = Netsim.Rng.create seed in
       let h = Netsim.Eheap.create () in
-      let m = Netsim.Mheap.create () in
+      let m = Oracle.Mheap.create () in
       let next = ref 0 in
       let ok = ref true in
       List.iter
@@ -40,17 +40,17 @@ let test_eheap_against_mheap =
           if op < 2 then begin
             let time = Netsim.Rng.int rng 50 in
             Netsim.Eheap.add h ~time ~slot:!next;
-            Netsim.Mheap.add m ~prio:time !next;
+            Oracle.Mheap.add m ~prio:time !next;
             incr next
           end
           else
-            match (Netsim.Eheap.pop h, Netsim.Mheap.pop m) with
+            match (Netsim.Eheap.pop h, Oracle.Mheap.pop m) with
             | -1, None -> ()
             | slot, Some (prio, v) ->
               if slot <> v || Netsim.Eheap.popped_time h <> prio then ok := false
             | _, None -> ok := false)
         script;
-      !ok && Netsim.Eheap.length h = Netsim.Mheap.length m)
+      !ok && Netsim.Eheap.length h = Oracle.Mheap.length m)
 
 let test_eheap_empty_and_clear () =
   let h = Netsim.Eheap.create () in
@@ -183,7 +183,7 @@ module Interp (E : ENGINE) = struct
 end
 
 module I_pooled = Interp (Netsim.Engine)
-module I_reference = Interp (Netsim.Engine_reference)
+module I_reference = Interp (Oracle.Engine_reference)
 
 let test_differential =
   qtest ~count:500 "pooled engine == reference on random programs" program_gen

@@ -358,7 +358,7 @@ let test_pim_matches_reference =
       let ra = Netsim.Rng.create seed and rb = Netsim.Rng.create seed in
       same_outcome
         (Matching.Pim.run ~rng:ra req ~iterations:3)
-        (Matching.Reference.Pim.run ~rng:rb req ~iterations:3)
+        (Oracle.Matching_reference.Pim.run ~rng:rb req ~iterations:3)
       && same_stream ra rb)
 
 let test_pim_iterations_match_reference =
@@ -367,7 +367,7 @@ let test_pim_iterations_match_reference =
       let req = diff_req params in
       let ra = Netsim.Rng.create seed and rb = Netsim.Rng.create seed in
       Matching.Pim.iterations_to_maximal ~rng:ra req
-      = Matching.Reference.Pim.iterations_to_maximal ~rng:rb req
+      = Oracle.Matching_reference.Pim.iterations_to_maximal ~rng:rb req
       && same_stream ra rb)
 
 let test_islip_matches_reference =
@@ -379,12 +379,12 @@ let test_islip_matches_reference =
          step. *)
       let rng = Netsim.Rng.create seed in
       let st = Matching.Islip.create n in
-      let st_ref = Matching.Reference.Islip.create n in
+      let st_ref = Oracle.Matching_reference.Islip.create n in
       let ok = ref true in
       for _ = 1 to 5 do
         let req = Matching.Request.random ~rng ~n ~density in
         let a = Matching.Islip.run st req ~iterations:2 in
-        let b = Matching.Reference.Islip.run st_ref req ~iterations:2 in
+        let b = Oracle.Matching_reference.Islip.run st_ref req ~iterations:2 in
         if not (same_outcome a b) then ok := false
       done;
       !ok)
@@ -397,16 +397,16 @@ let test_greedy_matches_reference =
       let ra = Netsim.Rng.create seed and rb = Netsim.Rng.create seed in
       same_outcome
         (Matching.Greedy.run ~rng:ra req)
-        (Matching.Reference.Greedy.run ~rng:rb req)
+        (Oracle.Matching_reference.Greedy.run ~rng:rb req)
       && same_stream ra rb
-      && same_outcome (Matching.Greedy.run req) (Matching.Reference.Greedy.run req))
+      && same_outcome (Matching.Greedy.run req) (Oracle.Matching_reference.Greedy.run req))
 
 let test_hk_matches_reference =
   qtest ~count:300 "hopcroft-karp = reference" diff_gen (fun params ->
       let req = diff_req params in
       same_outcome
         (Matching.Hopcroft_karp.run req)
-        (Matching.Reference.Hopcroft_karp.run req))
+        (Oracle.Matching_reference.Hopcroft_karp.run req))
 
 let () =
   Alcotest.run "matching"

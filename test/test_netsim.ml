@@ -265,20 +265,20 @@ let test_heap_sorted =
   qtest "pops ascending"
     QCheck.(list_of_size (Gen.int_range 0 200) small_int)
     (fun xs ->
-      let h = Netsim.Mheap.create () in
-      List.iter (fun x -> Netsim.Mheap.add h ~prio:x x) xs;
+      let h = Oracle.Mheap.create () in
+      List.iter (fun x -> Oracle.Mheap.add h ~prio:x x) xs;
       let rec drain acc =
-        match Netsim.Mheap.pop h with
+        match Oracle.Mheap.pop h with
         | None -> List.rev acc
         | Some (p, _) -> drain (p :: acc)
       in
       drain [] = List.sort compare xs)
 
 let test_heap_fifo_ties () =
-  let h = Netsim.Mheap.create () in
-  List.iter (fun v -> Netsim.Mheap.add h ~prio:5 v) [ "a"; "b"; "c" ];
-  Netsim.Mheap.add h ~prio:1 "first";
-  let order = List.init 4 (fun _ -> snd (Option.get (Netsim.Mheap.pop h))) in
+  let h = Oracle.Mheap.create () in
+  List.iter (fun v -> Oracle.Mheap.add h ~prio:5 v) [ "a"; "b"; "c" ];
+  Oracle.Mheap.add h ~prio:1 "first";
+  let order = List.init 4 (fun _ -> snd (Option.get (Oracle.Mheap.pop h))) in
   Alcotest.(check (list string)) "fifo among ties" [ "first"; "a"; "b"; "c" ] order
 
 let test_heap_against_model =
@@ -286,7 +286,7 @@ let test_heap_against_model =
     QCheck.(pair small_int (list_of_size (Gen.int_range 1 120) (int_range 0 2)))
     (fun (seed, script) ->
       let rng = Netsim.Rng.create seed in
-      let h = Netsim.Mheap.create () in
+      let h = Oracle.Mheap.create () in
       let model = ref [] in
       let ok = ref true in
       List.iter
@@ -294,18 +294,18 @@ let test_heap_against_model =
           if op < 2 then begin
             (* add with a random priority *)
             let prio = Netsim.Rng.int rng 50 in
-            Netsim.Mheap.add h ~prio prio;
+            Oracle.Mheap.add h ~prio prio;
             model := List.merge compare !model [ prio ]
           end
           else
-            match (Netsim.Mheap.pop h, !model) with
+            match (Oracle.Mheap.pop h, !model) with
             | None, [] -> ()
             | Some (p, _), m :: rest ->
               if p <> m then ok := false;
               model := rest
             | None, _ :: _ | Some _, [] -> ok := false)
         script;
-      !ok && Netsim.Mheap.length h = List.length !model)
+      !ok && Oracle.Mheap.length h = List.length !model)
 
 let test_heap_priority_then_fifo =
   qtest ~count:300 "pop order is a stable sort by priority"
@@ -314,10 +314,10 @@ let test_heap_priority_then_fifo =
       (* Tag each insertion with its sequence number: the heap must pop
          in exactly the order of a stable sort on priority, i.e. ties
          leave in insertion order. *)
-      let h = Netsim.Mheap.create () in
-      List.iteri (fun i p -> Netsim.Mheap.add h ~prio:p (p, i)) prios;
+      let h = Oracle.Mheap.create () in
+      List.iteri (fun i p -> Oracle.Mheap.add h ~prio:p (p, i)) prios;
       let rec drain acc =
-        match Netsim.Mheap.pop h with
+        match Oracle.Mheap.pop h with
         | None -> List.rev acc
         | Some (_, v) -> drain (v :: acc)
       in
@@ -327,16 +327,16 @@ let test_heap_priority_then_fifo =
           (List.mapi (fun i p -> (p, i)) prios))
 
 let test_heap_length_and_clear () =
-  let h = Netsim.Mheap.create () in
-  Alcotest.(check bool) "empty" true (Netsim.Mheap.is_empty h);
+  let h = Oracle.Mheap.create () in
+  Alcotest.(check bool) "empty" true (Oracle.Mheap.is_empty h);
   for i = 1 to 10 do
-    Netsim.Mheap.add h ~prio:i i
+    Oracle.Mheap.add h ~prio:i i
   done;
-  Alcotest.(check int) "length" 10 (Netsim.Mheap.length h);
-  Alcotest.(check (option int)) "min prio" (Some 1) (Netsim.Mheap.min_prio h);
-  Netsim.Mheap.clear h;
-  Alcotest.(check int) "cleared" 0 (Netsim.Mheap.length h);
-  Alcotest.(check (option int)) "no min" None (Netsim.Mheap.min_prio h)
+  Alcotest.(check int) "length" 10 (Oracle.Mheap.length h);
+  Alcotest.(check (option int)) "min prio" (Some 1) (Oracle.Mheap.min_prio h);
+  Oracle.Mheap.clear h;
+  Alcotest.(check int) "cleared" 0 (Oracle.Mheap.length h);
+  Alcotest.(check (option int)) "no min" None (Oracle.Mheap.min_prio h)
 
 (* ------------------------------------------------------------------ *)
 (* Engine *)

@@ -564,6 +564,49 @@ let test_partition_balance_on_pods () =
         (mx - mn <= 1))
     [ 4; 8 ]
 
+(* Exact assignments, one digit per switch. The growth pops its queue
+   in (distance, insertion) order, so any change of tie-breaking moves
+   a switch; the ring and the zero-latency graph make most pops ties. *)
+let test_partition_assignments_pinned () =
+  let digits part =
+    String.concat "" (Array.to_list (Array.map string_of_int part))
+  in
+  let check name g parts expected =
+    Alcotest.(check string)
+      (Printf.sprintf "%s parts=%d" name parts)
+      expected
+      (digits (Topo.Partition.assign g ~parts))
+  in
+  let fat4, _ = Topo.Build.fat_tree ~k:4 and fat8, _ = Topo.Build.fat_tree ~k:8 in
+  check "fat_tree k=4" fat4 2 "00001111110111010000";
+  check "fat_tree k=4" fat4 4 "00001111222233330123";
+  check "fat_tree k=4" fat4 8 "04001511262237334567";
+  check "fat_tree k=8" fat8 2
+    "00000000111111111111000111110001111100011111000111110011111100110000000000000000";
+  check "fat_tree k=8" fat8 4
+    "00000000111111112222222233333333111123213232323123232321323232310000000000001111";
+  check "fat_tree k=8" fat8 8
+    "00000000111111112222222233333333444444445555555566666666777777770011223344556677";
+  let lan = Topo.Build.src_lan () in
+  check "src_lan" lan 3 "0120001112";
+  check "src_lan" lan 4 "0123001122";
+  let ring = Topo.Build.ring 12 in
+  check "ring 12" ring 3 "002221111200";
+  check "ring 12" ring 5 "042221113330";
+  let zero = Topo.Graph.create () in
+  Topo.Graph.add_switches zero 6;
+  List.iter
+    (fun (a, b, latency) ->
+      ignore (Topo.Graph.connect ~latency zero (Switch a) (Switch b)))
+    [ (0, 1, 0); (1, 2, 0); (2, 3, 5); (3, 4, 0); (4, 5, 2); (5, 0, 0) ];
+  check "zero-latency links" zero 2 "001110";
+  check "zero-latency links" zero 3 "022110";
+  let isolated = Topo.Build.linear 4 in
+  ignore (Topo.Graph.add_switch isolated);
+  check "isolated switch" isolated 2 "00011";
+  check "isolated switch" isolated 3 "00221";
+  check "parts > switches" (Topo.Build.linear 3) 8 "021"
+
 let test_pods_scope () =
   let k = 4 in
   let g, pods = Topo.Build.fat_tree ~k in
@@ -595,18 +638,18 @@ let test_graph_differential =
       let rng = Netsim.Rng.create seed in
       let g = Topo.Graph.create ~ports_per_switch:5 ~ports_per_host:2 () in
       let r =
-        Topo.Graph_reference.create ~ports_per_switch:5 ~ports_per_host:2 ()
+        Oracle.Graph_reference.create ~ports_per_switch:5 ~ports_per_host:2 ()
       in
       Topo.Graph.add_switches g 2;
-      Topo.Graph_reference.add_switches r 2;
+      Oracle.Graph_reference.add_switches r 2;
       let ok = ref true in
       let check b = if not b then ok := false in
       for _ = 1 to k do
         (match Netsim.Rng.int rng 8 with
          | 0 ->
            Topo.Graph.add_switches g 1;
-           Topo.Graph_reference.add_switches r 1
-         | 1 -> check (Topo.Graph.add_host g = Topo.Graph_reference.add_host r)
+           Oracle.Graph_reference.add_switches r 1
+         | 1 -> check (Topo.Graph.add_host g = Oracle.Graph_reference.add_host r)
          | 2 | 3 ->
            let n = Topo.Graph.switch_count g in
            let a = Netsim.Rng.int rng n in
@@ -619,7 +662,7 @@ let test_graph_differential =
              in
              let c2 =
                try
-                 Some (Topo.Graph_reference.connect r (Switch a) (Switch b))
+                 Some (Oracle.Graph_reference.connect r (Switch a) (Switch b))
                with Failure _ -> None
              in
              check (c1 = c2)
@@ -633,7 +676,7 @@ let test_graph_differential =
                with Failure _ -> None
              in
              let c2 =
-               try Some (Topo.Graph_reference.connect r (Host h) (Switch s))
+               try Some (Oracle.Graph_reference.connect r (Host h) (Switch s))
                with Failure _ -> None
              in
              check (c1 = c2)
@@ -642,62 +685,62 @@ let test_graph_differential =
            if Topo.Graph.link_count g > 0 then begin
              let l = Netsim.Rng.int rng (Topo.Graph.link_count g) in
              Topo.Graph.fail_link g l;
-             Topo.Graph_reference.fail_link r l
+             Oracle.Graph_reference.fail_link r l
            end
          | 6 ->
            if Topo.Graph.link_count g > 0 then begin
              let l = Netsim.Rng.int rng (Topo.Graph.link_count g) in
              Topo.Graph.restore_link g l;
-             Topo.Graph_reference.restore_link r l
+             Oracle.Graph_reference.restore_link r l
            end
          | _ ->
            let s = Netsim.Rng.int rng (Topo.Graph.switch_count g) in
            if Netsim.Rng.int rng 2 = 0 then begin
              Topo.Graph.fail_switch g s;
-             Topo.Graph_reference.fail_switch r s
+             Oracle.Graph_reference.fail_switch r s
            end
            else begin
              Topo.Graph.restore_switch g s;
-             Topo.Graph_reference.restore_switch r s
+             Oracle.Graph_reference.restore_switch r s
            end);
         (* Observers must agree after every op. *)
-        check (Topo.Graph.switch_count g = Topo.Graph_reference.switch_count r);
-        check (Topo.Graph.host_count g = Topo.Graph_reference.host_count r);
-        check (Topo.Graph.link_count g = Topo.Graph_reference.link_count r);
+        check (Topo.Graph.switch_count g = Oracle.Graph_reference.switch_count r);
+        check (Topo.Graph.host_count g = Oracle.Graph_reference.host_count r);
+        check (Topo.Graph.link_count g = Oracle.Graph_reference.link_count r);
         check
           (Topo.Graph.switch_connected g
-          = Topo.Graph_reference.switch_connected r);
+          = Oracle.Graph_reference.switch_connected r);
         for s = 0 to Topo.Graph.switch_count g - 1 do
           check
             (Topo.Graph.switch_neighbors g s
-            = Topo.Graph_reference.switch_neighbors r s);
+            = Oracle.Graph_reference.switch_neighbors r s);
           check
             (Topo.Graph.hosts_of_switch g s
-            = Topo.Graph_reference.hosts_of_switch r s);
+            = Oracle.Graph_reference.hosts_of_switch r s);
           check
             (Topo.Graph.reachable_switches g s
-            = Topo.Graph_reference.reachable_switches r s)
+            = Oracle.Graph_reference.reachable_switches r s)
         done;
         for h = 0 to Topo.Graph.host_count g - 1 do
-          check (Topo.Graph.host_links g h = Topo.Graph_reference.host_links r h)
+          check (Topo.Graph.host_links g h = Oracle.Graph_reference.host_links r h)
         done;
         for l = 0 to Topo.Graph.link_count g - 1 do
           check
-            (Topo.Graph.link_working g l = Topo.Graph_reference.link_working r l);
-          let a = Topo.Graph.link g l and b = Topo.Graph_reference.link r l in
+            (Topo.Graph.link_working g l = Oracle.Graph_reference.link_working r l);
+          let a = Topo.Graph.link g l and b = Oracle.Graph_reference.link r l in
           let end_eq (x : Topo.Graph.endpoint)
-              (y : Topo.Graph_reference.endpoint) =
+              (y : Oracle.Graph_reference.endpoint) =
             x.port = y.port
             && (match (x.node, y.node) with
-                | Topo.Graph.Switch i, Topo.Graph_reference.Switch j
-                | Topo.Graph.Host i, Topo.Graph_reference.Host j -> i = j
+                | Topo.Graph.Switch i, Oracle.Graph_reference.Switch j
+                | Topo.Graph.Host i, Oracle.Graph_reference.Host j -> i = j
                 | _ -> false)
           in
           check
             (a.link_id = b.link_id && a.latency = b.latency
             && end_eq a.a b.a && end_eq a.b b.b
             && (a.state = Topo.Graph.Working)
-               = (b.state = Topo.Graph_reference.Working))
+               = (b.state = Oracle.Graph_reference.Working))
         done
       done;
       !ok)
@@ -992,6 +1035,8 @@ let () =
             test_clos_updown_deadlock_free;
           Alcotest.test_case "partition balance on pods" `Quick
             test_partition_balance_on_pods;
+          Alcotest.test_case "partition assignments pinned" `Quick
+            test_partition_assignments_pinned;
           Alcotest.test_case "pod link scopes" `Quick test_pods_scope;
           test_graph_differential;
         ] );
