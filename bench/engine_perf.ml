@@ -83,6 +83,21 @@ module Micro (E : ENGINE) = struct
           E.post e ~delay:1 noop;
           ignore (E.step e : bool))
     in
+    let near_backlog =
+      (* A standing backlog of 1024 events inside the engine's wheel
+         span, every 4 ns over the next 4096 ns: each dispatch re-posts
+         its event 4096 ns on, so the backlog never drains. This is
+         the data plane's shape (slot clocks and cell hops due a few
+         microseconds ahead); the backlog above sits a second ahead,
+         in the overflow heap. *)
+      let e = E.create () in
+      let rec tick () = E.post e ~delay:4096 tick in
+      for i = 0 to 1023 do
+        E.post e ~delay:(4 * i) tick
+      done;
+      measure ~engine:engine_name ~name:"schedule+dispatch-1k-near" ~ops
+        (fun () -> ignore (E.step e : bool))
+    in
     let sched_cancel =
       (* Cancel then step: the step reaps the corpse, so neither heap
          nor pool grows across iterations. *)
@@ -92,7 +107,7 @@ module Micro (E : ENGINE) = struct
           E.cancel e id;
           ignore (E.step e : bool))
     in
-    [ sched_dispatch; backlogged; sched_cancel ]
+    [ sched_dispatch; backlogged; near_backlog; sched_cancel ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -438,6 +453,16 @@ let intra_bench ~parts ~horizon =
 
 (* ------------------------------------------------------------------ *)
 
+(* The measured tree: the checked-out commit, "-dirty" when the working
+   tree differs from it. *)
+let commit () =
+  try
+    let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
+    let c = try input_line ic with End_of_file -> "unknown" in
+    ignore (Unix.close_process_in ic : Unix.process_status);
+    c
+  with Unix.Unix_error _ -> "unknown"
+
 let write_json ~file ~smoke ~samples ~(mac_ref : macro) ~(mac_pool : macro)
     ~(sw : sweep_result) ~(intra : intra_result) ~(pp : parprof_result) =
   let oc = open_out file in
@@ -445,6 +470,8 @@ let write_json ~file ~smoke ~samples ~(mac_ref : macro) ~(mac_pool : macro)
   p "{\n";
   p "  \"schema\": \"an2-engine-perf-v1\",\n";
   p "  \"smoke\": %b,\n" smoke;
+  p "  \"commit\": \"%s\",\n" (commit ());
+  p "  \"nproc\": %d,\n" (Domain.recommended_domain_count ());
   p "  \"micro\": [\n";
   List.iteri
     (fun k s ->

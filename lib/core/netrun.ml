@@ -497,13 +497,17 @@ let run ?(obs = Obs.Sink.null) ?heartbeat ?(partitions = 1) ?(domains = 1) net
      partition 0 owns every cell they touch). They stay plain engine
      events posted after the slot clocks and sources: as barrier
      actions they would run ahead of same-instant slot ticks. A reroute
-     flushes the circuit: queued cells count as drops, every credit
-     window starts fresh, and the epoch bump makes cells and credits
-     still in flight on the old path drop on arrival. *)
+     flushes the circuit: queued cells count as drops (and guaranteed
+     ones leave their line card's backlog), every credit window starts
+     fresh, and the epoch bump makes cells and credits still in flight
+     on the old path drop on arrival. *)
   let flush c =
-    Array.iter
-      (fun q ->
-        c.dropped.(0) <- c.dropped.(0) + Queue.length q;
+    Array.iteri
+      (fun j q ->
+        let n = Queue.length q in
+        c.dropped.(0) <- c.dropped.(0) + n;
+        if c.is_guaranteed && j >= 1 then
+          gbacklog_adj c.switches.(j - 1) c.in_port.(j) (-n);
         Queue.clear q)
       c.queues;
     c.credits <- fresh_credits (Array.length c.switches);

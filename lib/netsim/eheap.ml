@@ -1,8 +1,10 @@
 (* The simulator's one priority queue: a monomorphic 4-ary min-heap
-   over (time, seq) keys carrying one integer payload (the engine's
-   pool slot), stored as parallel int arrays. Cluster's barrier
-   actions and Topo.Partition's searches reuse it with their own
-   non-negative payloads.
+   over (time, seq) keys carrying one integer payload, stored as
+   parallel int arrays. The engine keeps in it the events due a wheel
+   span or more ahead of its clock (the near future sits in the
+   engine's bucket wheel); Cluster's barrier actions and
+   Topo.Partition's searches use it with their own non-negative
+   payloads.
 
    Compared to a generic heap of entry records (the seed engine's
    queue, kept with the tests) this trades polymorphism for the
@@ -12,6 +14,8 @@
    [Engine.run_until] into the pop itself so the root is examined only
    once. A 4-ary layout halves the tree depth of a binary heap and
    keeps each sift-down's child scan inside one cache line of keys.
+   Both sifts move a hole rather than swapping, so an entry is written
+   once per operation, not once per level.
 
    Ties on [time] break by an internal insertion sequence number, so
    pops are FIFO among simultaneous events — the determinism contract
@@ -57,68 +61,68 @@ let grow t =
   t.seqs <- nseqs;
   t.slots <- nslots
 
-(* [lt] on (time, seq) keys by index. *)
-let[@inline] lt t i j =
-  t.times.(i) < t.times.(j)
-  || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
-
-let[@inline] swap t i j =
-  let tm = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tm;
-  let sq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- sq;
-  let sl = t.slots.(i) in
-  t.slots.(i) <- t.slots.(j);
-  t.slots.(j) <- sl
-
 let add t ~time ~slot =
   if t.size = Array.length t.times then grow t;
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (* Sift up with a hole. The new entry carries the largest seq, so it
+     rises only past strictly later times. *)
   let i = ref t.size in
-  t.times.(!i) <- time;
-  t.seqs.(!i) <- t.next_seq;
-  t.slots.(!i) <- slot;
-  t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
-  (* Sift up. *)
   let continue = ref true in
   while !continue && !i > 0 do
-    let parent = (!i - 1) / 4 in
-    if lt t !i parent then begin
-      swap t !i parent;
+    let parent = (!i - 1) lsr 2 in
+    let pt = times.(parent) in
+    if time < pt then begin
+      times.(!i) <- pt;
+      seqs.(!i) <- seqs.(parent);
+      slots.(!i) <- slots.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot
 
-(* Remove the root; the caller has already read its key/payload. *)
+(* Remove the root; the caller has already read its key/payload. The
+   last entry sifts down from the root with a hole: each level moves
+   the least child up one slot and writes the entry once at the end. *)
 let remove_root t =
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    let last = t.size in
-    t.times.(0) <- t.times.(last);
-    t.seqs.(0) <- t.seqs.(last);
-    t.slots.(0) <- t.slots.(last);
-    (* Sift down. *)
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let times = t.times and seqs = t.seqs and slots = t.slots in
+    let time = times.(n) and seq = seqs.(n) and slot = slots.(n) in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
       let first = (4 * !i) + 1 in
-      if first >= t.size then continue := false
+      if first >= n then continue := false
       else begin
         let best = ref first in
-        let stop = min (first + 4) t.size in
-        for c = first + 1 to stop - 1 do
-          if lt t c !best then best := c
+        let bt = ref times.(first) and bs = ref seqs.(first) in
+        for c = first + 1 to min (first + 3) (n - 1) do
+          let ct = times.(c) in
+          if ct < !bt || (ct = !bt && seqs.(c) < !bs) then begin
+            best := c;
+            bt := ct;
+            bs := seqs.(c)
+          end
         done;
-        if lt t !best !i then begin
-          swap t !i !best;
+        if !bt < time || (!bt = time && !bs < seq) then begin
+          times.(!i) <- !bt;
+          seqs.(!i) <- !bs;
+          slots.(!i) <- slots.(!best);
           i := !best
         end
         else continue := false
       end
-    done
+    done;
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
+    slots.(!i) <- slot
   end
 
 let pop t =
@@ -138,9 +142,6 @@ let pop_if_at_most t ~limit =
     remove_root t;
     slot
   end
-
-let next_seq t = t.next_seq
-let set_next_seq t v = t.next_seq <- v
 
 let clear t =
   t.times <- [||];

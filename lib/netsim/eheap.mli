@@ -1,7 +1,8 @@
 (** Monomorphic 4-ary min-heap over [(time, seq)] keys with one int
-    payload per entry: the {!Engine} event queue, and the only
-    priority queue in the simulator ({!Cluster}'s barrier actions and
-    [Topo.Partition]'s searches use it too).
+    payload per entry, and the only priority queue in the simulator:
+    the {!Engine}'s overflow queue for events due a wheel span or more
+    ahead of its clock, {!Cluster}'s barrier actions and
+    [Topo.Partition]'s searches.
 
     All storage is parallel unboxed int arrays and every operation is
     allocation-free once the arrays have grown to the working-set
@@ -41,12 +42,3 @@ val popped_time : t -> int
     first successful pop. *)
 
 val clear : t -> unit
-
-(** {1 Snapshot access}
-
-    The tie-breaking counter is part of the engine's deterministic
-    state, so checkpoints must carry it. Only
-    [Engine.save]/[Engine.restore] should call the setter. *)
-
-val next_seq : t -> int
-val set_next_seq : t -> int -> unit

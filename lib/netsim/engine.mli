@@ -8,13 +8,25 @@
 
     The core is allocation-free in steady state: events live in a
     pooled structure-of-arrays store reached through generation-tagged
-    integer ids, and the ready queue is a monomorphic 4-ary heap — a
+    integer ids, and the ready queue has two parts. A wheel of
+    one-nanosecond buckets holds every event due less than
+    {!wheel_span} after the clock, at O(1) per schedule and dispatch;
+    a monomorphic 4-ary heap ({!Eheap}) holds the events due later. A
     schedule/dispatch cycle with the obs sink off allocates zero minor
-    words (measured by [bench/engine_perf.ml]). Behaviour is pinned to
-    the seed's engine, kept with the tests as
-    [test/oracle/engine_reference.ml], by differential tests. *)
+    words (measured by [bench/engine_perf.ml]). Dispatch order is the
+    same (time, FIFO) order as one queue's, pinned to the seed's
+    engine, kept with the tests as [test/oracle/engine_reference.ml],
+    by differential tests. *)
 
 type t
+
+val wheel_span : Time.t
+(** Events due less than this far (8192 ns) after the clock go to the
+    wheel, the rest to the overflow heap. The wheel is set up once 128
+    events are pending at the same time; until then every event goes
+    to the heap. Callers cannot tell the parts apart:
+    dispatch order is the same on both sides. Tests use the value to
+    schedule across the boundary. *)
 
 type event_id
 (** Handle for cancelling a scheduled event. Handles are generation-
@@ -88,12 +100,13 @@ val run_until : t -> Time.t -> unit
 
     Event thunks are closures and cannot be serialized, so checkpoints
     are only legal at {e quiescent} points: no live events and an empty
-    heap (a cancelled corpse still advances the clock when popped, so
-    the heap must be truly empty). What a snapshot carries is the
-    deterministic skeleton — clock, dispatch count, the heap's FIFO
-    tie-break counter, and the pool's free-list threading and slot
-    generations — so a restored engine assigns future slots, ids and
-    tie-breaks exactly as the original would have. *)
+    queue (a cancelled corpse still advances the clock when popped, so
+    the queue must be truly empty). What a snapshot carries is the
+    deterministic skeleton — clock, dispatch count, the FIFO tie-break
+    counter (the number of schedules so far), and the pool's free-list
+    threading and slot generations — so a restored engine assigns
+    future slots, ids and tie-breaks exactly as the original would
+    have. *)
 
 val quiescent : t -> bool
 (** True when the engine holds no events at all — the only state in

@@ -940,6 +940,51 @@ let test_e2e_failover () =
       (s.delivered > (s.sent * 6) / 10);
     Alcotest.(check bool) "route moved" false (List.mem victim vc.switches)
 
+let test_e2e_reroute_clears_guaranteed_backlog () =
+  (* Diamond 0-{1,2}-3 with a guaranteed circuit over 0-1-3. Link 1-3
+     fails and re-admission moves the circuit to 0-2-3, so switch 0's
+     line card from the host carries it on both paths. The cells the
+     reroute flushes must leave that line card's backlog: otherwise
+     they count forever, and the new path's cells pile on top of
+     them. *)
+  let run ~failover =
+    let g = Topo.Graph.create () in
+    Topo.Graph.add_switches g 4;
+    let connect a b = Topo.Graph.connect g (Switch a) (Switch b) in
+    ignore (connect 0 1);
+    ignore (connect 0 2);
+    let l13 = connect 1 3 in
+    ignore (connect 2 3);
+    let h1 = Topo.Graph.add_host g and h2 = Topo.Graph.add_host g in
+    ignore (Topo.Graph.connect g (Host h1) (Switch 0));
+    ignore (Topo.Graph.connect g (Host h2) (Switch 3));
+    let net = An2.Network.create ~frame:16 g in
+    let bwc = An2.Bandwidth_central.create net in
+    match An2.Bandwidth_central.request bwc ~src_host:h1 ~dst_host:h2 ~cells:4 with
+    | Error _ -> Alcotest.fail "admit"
+    | Ok vc ->
+      Alcotest.(check (list int)) "path" [ 0; 1; 3 ] vc.switches;
+      let t_fail = Netsim.Time.ms 4 in
+      let events =
+        if failover then
+          [ (t_fail, An2.Netrun.Fail_link l13);
+            (t_fail + Netsim.Time.us 100, An2.Netrun.Reroute_guaranteed bwc) ]
+        else []
+      in
+      let r =
+        An2.Netrun.run net An2.Netrun.default_params ~sources:[ An2.Netrun.Cbr vc ]
+          ~events ~duration:(Netsim.Time.ms 6) ()
+      in
+      if failover then begin
+        Alcotest.(check (list int)) "rerouted" [ 0; 2; 3 ] vc.switches;
+        let s = List.assoc vc.An2.Network.vc_id r.per_vc in
+        Alcotest.(check bool) "cells flushed" true (s.dropped > 0)
+      end;
+      r.max_guaranteed_backlog
+  in
+  Alcotest.(check int) "failover backlog = no-failure backlog"
+    (run ~failover:false) (run ~failover:true)
+
 let raises_invalid f =
   try
     ignore (f ());
@@ -1115,5 +1160,7 @@ let () =
           Alcotest.test_case "slot loop allocation-free" `Slow
             test_e2e_slot_loop_allocation;
           test_e2e_conservation;
+          Alcotest.test_case "reroute clears guaranteed backlog" `Slow
+            test_e2e_reroute_clears_guaranteed_backlog;
         ] );
     ]

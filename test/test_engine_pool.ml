@@ -105,11 +105,12 @@ module type ENGINE = sig
 end
 
 type op =
-  | Sched of int (* delay 0..4: small range to force FIFO ties *)
+  | Sched of int (* delay: a small range forces FIFO ties *)
   | Sched_nested of int * int (* on dispatch, schedule a child *)
   | Cancel of int (* cancel the k-th handle ever returned, any state *)
   | Step
   | Run_until of int (* horizon = now + dt *)
+  | Burst of int (* n events at delays 0..4, enough to turn the wheel on *)
 
 let op_gen =
   QCheck.Gen.(
@@ -122,17 +123,52 @@ let op_gen =
         (1, map (fun dt -> Run_until dt) (int_range 0 6));
       ])
 
+(* The same ops around the wheel's span W: delays of W - 1, W, W + 1
+   and k W plus a small offset, horizons that jump past W, and small
+   delays and steps that bring the clock close enough for later
+   schedules to land in the wheel at times already queued in the
+   overflow heap. A burst of 200 pending events turns the wheel on,
+   at whatever point of the program it comes. Cancels then reach
+   corpses in both parts. *)
+let far_op_gen =
+  let w = Netsim.Engine.wheel_span in
+  QCheck.Gen.(
+    let delay =
+      frequency
+        [
+          (3, int_range 0 4);
+          (3, map (fun off -> w + off) (int_range (-4) 4));
+          ( 2,
+            map2
+              (fun k off -> (k * w) + off)
+              (int_range 2 3) (int_range (-4) 4) );
+        ]
+    in
+    frequency
+      [
+        (4, map (fun d -> Sched d) delay);
+        (2, map2 (fun d d' -> Sched_nested (d, d')) delay delay);
+        (3, map (fun k -> Cancel k) (int_range 0 40));
+        (2, return Step);
+        (1, map (fun dt -> Run_until dt) (int_range 0 6));
+        (1, map (fun dt -> Run_until dt) (int_range (w - 4) ((2 * w) + 4)));
+        (1, return (Burst 200));
+      ])
+
 let print_op = function
   | Sched d -> Printf.sprintf "Sched %d" d
   | Sched_nested (d, d') -> Printf.sprintf "Sched_nested (%d, %d)" d d'
   | Cancel k -> Printf.sprintf "Cancel %d" k
   | Step -> "Step"
   | Run_until dt -> Printf.sprintf "Run_until +%d" dt
+  | Burst n -> Printf.sprintf "Burst %d" n
 
-let program_gen =
+let program_of op_gen =
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map print_op ops))
     QCheck.Gen.(list_size (int_range 1 60) op_gen)
+
+let program_gen = program_of op_gen
 
 module Interp (E : ENGINE) = struct
   type t = {
@@ -177,6 +213,13 @@ module Interp (E : ENGINE) = struct
       if t.n_ids > 0 then E.cancel t.e (List.nth t.ids (k mod t.n_ids))
     | Step -> ignore (E.step t.e : bool)
     | Run_until dt -> E.run_until t.e (E.now t.e + dt)
+    | Burst n ->
+      for i = 0 to n - 1 do
+        let tag = fresh_tag t in
+        remember t
+          (E.schedule t.e ~delay:(i mod 5) (fun () ->
+               t.log := (tag, E.now t.e) :: !(t.log)))
+      done
 
   let state t = (E.now t.e, E.pending t.e, E.dispatched t.e, !(t.log))
   let finish t = E.run t.e
@@ -185,22 +228,28 @@ end
 module I_pooled = Interp (Netsim.Engine)
 module I_reference = Interp (Oracle.Engine_reference)
 
+let differential ops =
+  let a = I_pooled.create () in
+  let b = I_reference.create () in
+  let ok =
+    List.for_all
+      (fun op ->
+        I_pooled.apply a op;
+        I_reference.apply b op;
+        I_pooled.state a = I_reference.state b)
+      ops
+  in
+  I_pooled.finish a;
+  I_reference.finish b;
+  ok && I_pooled.state a = I_reference.state b
+
 let test_differential =
   qtest ~count:500 "pooled engine == reference on random programs" program_gen
-    (fun ops ->
-      let a = I_pooled.create () in
-      let b = I_reference.create () in
-      let ok =
-        List.for_all
-          (fun op ->
-            I_pooled.apply a op;
-            I_reference.apply b op;
-            I_pooled.state a = I_reference.state b)
-          ops
-      in
-      I_pooled.finish a;
-      I_reference.finish b;
-      ok && I_pooled.state a = I_reference.state b)
+    differential
+
+let test_differential_wheel =
+  qtest ~count:500 "wheel boundary: pooled == reference"
+    (program_of far_op_gen) differential
 
 let test_differential_obs_identical =
   (* An enabled sink must not change behaviour: same clock, same
@@ -399,6 +448,7 @@ let () =
         [
           test_differential;
           test_differential_obs_identical;
+          test_differential_wheel;
         ] );
       ( "generations",
         [

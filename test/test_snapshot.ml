@@ -186,6 +186,38 @@ let test_engine_section_roundtrip () =
   and i2 = Netsim.Engine.schedule_at e2 ~at (fun () -> ()) in
   Alcotest.(check bool) "same next event id" true (i1 = i2)
 
+let test_engine_tie_break_counter () =
+  (* The FIFO tie-break counter a snapshot carries counts every
+     schedule, whether it went to the near-future wheel or to the
+     overflow heap. 300 events pending at once turn the wheel on. *)
+  let e = Netsim.Engine.create () in
+  let w = Netsim.Engine.wheel_span in
+  let schedules = ref 0 in
+  let sched delay f =
+    incr schedules;
+    Netsim.Engine.schedule e ~delay f
+  in
+  for i = 0 to 299 do
+    let delay = if i mod 3 = 0 then (i mod 4 * w) + (i mod 7) else i mod 50 in
+    let id =
+      sched delay (fun () ->
+          if i mod 5 = 0 then ignore (sched (w + 1) ignore : Netsim.Engine.event_id))
+    in
+    if i mod 7 = 0 then Netsim.Engine.cancel e id
+  done;
+  Netsim.Engine.run e;
+  let counter =
+    Snap.read (Netsim.Engine.save e) ~name:"netsim-engine" ~version:1 (fun r ->
+        let _clock = Snap.R.int r in
+        let _dispatched = Snap.R.int r in
+        let counter = Snap.R.int r in
+        let _free_head = Snap.R.int r in
+        let _free_next = Snap.R.int_array r in
+        let _gen = Snap.R.int_array r in
+        counter)
+  in
+  Alcotest.(check int) "counter = schedules" !schedules counter
+
 let test_graph_section_roundtrip () =
   let g = Topo.Build.src_lan () in
   Topo.Graph.fail_link g 2;
@@ -226,5 +258,7 @@ let () =
             test_engine_section_roundtrip;
           Alcotest.test_case "graph round-trip" `Quick
             test_graph_section_roundtrip;
+          Alcotest.test_case "engine tie-break counter" `Quick
+            test_engine_tie_break_counter;
         ] );
     ]
