@@ -253,7 +253,9 @@ let sweep_bench ~seeds =
 (* Intra-run: the same SRC-LAN control-plane pattern, but the switches
    are split across a [Netsim.Cluster] — one pooled engine per
    partition advancing in conservative windows of the partitioning's
-   lookahead — and driven by 1, 2 and 4 worker domains. Every
+   lookahead — and driven by 1, 2 and 4 worker domains, skipping any
+   count above the cores available (as an2sim caps --par-domains:
+   surplus domains time-slice at every window barrier). Every
    message rides its link's real latency, which is >= the lookahead by
    construction, so cross-partition hops are legal cluster sends; the
    retransmit-timer churn stays partition-local, as it does in the
@@ -273,6 +275,7 @@ type intra_result = {
   lookahead_ns : int;
   cores_available : int;
   runs : intra_run list;
+  skipped_domains : int list;  (* domain counts above [cores_available] *)
   intra_deterministic : bool;
       (* per-engine dispatch counts agree across all domain counts *)
   reconfig_macro_deterministic : bool;
@@ -420,6 +423,10 @@ let parprof_bench ~repeats =
   }
 
 let intra_bench ~parts ~horizon =
+  let cores_available = Netsim.Sweep.domains_available () in
+  let run_domains, skipped_domains =
+    List.partition (fun d -> d <= cores_available) [ 1; 2; 4 ]
+  in
   let counts = ref [] in
   let runs =
     List.map
@@ -427,7 +434,7 @@ let intra_bench ~parts ~horizon =
         let r, per_engine = intra_macro ~parts ~domains ~horizon in
         counts := per_engine :: !counts;
         r)
-      [ 1; 2; 4 ]
+      run_domains
   in
   let intra_deterministic =
     match !counts with
@@ -445,8 +452,9 @@ let intra_bench ~parts ~horizon =
   {
     intra_partitions = parts;
     lookahead_ns;
-    cores_available = Netsim.Sweep.domains_available ();
+    cores_available;
     runs;
+    skipped_domains;
     intra_deterministic;
     reconfig_macro_deterministic;
   }
@@ -521,17 +529,15 @@ let write_json ~file ~smoke ~samples ~(mac_ref : macro) ~(mac_pool : macro)
       p
         "      { \"domains\": %d, \"events\": %d, \"seconds\": %.3f, \
          \"events_per_sec\": %.0f, \"mev_per_sec\": %.3f, \
-         \"speedup_vs_1_domain\": %.2f, \"speedup_meaningful\": %b }%s\n"
+         \"speedup_vs_1_domain\": %.2f }%s\n"
         r.domains_used r.intra_events r.seconds r.intra_events_per_sec
         (r.intra_events_per_sec /. 1e6)
         (r.intra_events_per_sec /. base)
-        (* With fewer cores than domains the extra domains just time-slice:
-           determinism still holds, the speedup number is noise and must
-           not be asserted on (CI checks this flag before comparing). *)
-        (intra.cores_available >= r.domains_used)
         (if k = List.length intra.runs - 1 then "" else ","))
     intra.runs;
   p "    ],\n";
+  p "    \"skipped_domains\": [%s],\n"
+    (String.concat ", " (List.map string_of_int intra.skipped_domains));
   p "    \"deterministic\": %b,\n" intra.intra_deterministic;
   p "    \"reconfig_macro_deterministic\": %b\n"
     intra.reconfig_macro_deterministic;
@@ -632,6 +638,9 @@ let () =
         r.domains_used r.intra_events r.seconds
         (r.intra_events_per_sec /. 1e6))
     intra.runs;
+  List.iter
+    (Printf.printf "  %d domains: skipped (more than the cores available)\n")
+    intra.skipped_domains;
   Printf.printf "intra deterministic %b, reconfig macro deterministic %b\n"
     intra.intra_deterministic intra.reconfig_macro_deterministic;
   let pp = parprof_bench ~repeats:(if !smoke then 2 else 5) in

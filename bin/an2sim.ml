@@ -230,7 +230,7 @@ let partitions_arg =
 let par_domains_arg =
   opt_arg positive_int 1 "par-domains" ~docv:"D"
     ~doc:"Worker domains driving the engine partitions of one run (>= 1; capped at \
-          $(b,--partitions)). Does not affect output."
+          $(b,--partitions) and at the cores available). Does not affect output."
 
 let heartbeat_arg =
   file_arg "heartbeat"
@@ -255,6 +255,17 @@ let context ?(seeding = No_seed) ?(partitions = false) ?(heartbeat = false) () =
     group partitions Term.(product partitions_arg par_domains_arg) (1, 1)
   and+ heartbeat, every_ms =
     group heartbeat Term.(product heartbeat_arg heartbeat_ms_arg) (None, 10)
+  in
+  (* Domains beyond the cores time-slice at every window barrier: a
+     4-domain e2e run on 2 cores took about 10x its 1-domain time. *)
+  let par_domains =
+    let cores = Domain.recommended_domain_count () in
+    if par_domains <= cores then par_domains
+    else begin
+      Printf.eprintf "an2sim: --par-domains %d capped at %d (the cores available)\n"
+        par_domains cores;
+      cores
+    end
   in
   let recorder =
     match heartbeat with
@@ -510,7 +521,7 @@ let reconfig_cmd =
 (* flow *)
 
 let flow_cmd =
-  let credits_arg = opt_arg nonneg_int 34 "credits" ~docv:"C" ~doc:"Credits per VC." in
+  let credits_arg = opt_arg positive_int 34 "credits" ~docv:"C" ~doc:"Credits per VC." in
   let hops_arg = opt_arg positive_int 3 "hops" ~docv:"H" ~doc:"Links on the path." in
   let loss_arg =
     opt_arg probability 0.0 "credit-loss" ~docv:"P" ~doc:"Credit-message drop prob."
@@ -808,9 +819,15 @@ let adaptive_cmd =
   let circuits_arg = opt_arg positive_int 32 "circuits" ~docv:"V" ~doc:"Circuits." in
   let active_arg = opt_arg nonneg_int 2 "active" ~docv:"A" ~doc:"Busy circuits." in
   let run circuits active ctx =
+    let buffers = Flow.Adaptive.default_params.total_buffers in
     if active > circuits then
       Error
         (Printf.sprintf "--active %d exceeds --circuits %d" active circuits)
+    else if circuits > buffers then
+      Error
+        (Printf.sprintf
+           "--circuits %d exceeds the link's %d-buffer pool (one buffer per circuit)"
+           circuits buffers)
     else
       Ok
         (observe ctx (fun obs ->

@@ -186,6 +186,50 @@ let test_fifo_58_percent () =
   Alcotest.(check bool) (Printf.sprintf "%.3f in [0.55, 0.65]" thpt) true
     (thpt > 0.55 && thpt < 0.65)
 
+(* Karol, Hluchyj and Morgan's exact saturation throughput of FIFO
+   input queueing at small N. Their model keeps a cell at every head of
+   line and gives a departed head's successor a fresh uniform
+   destination, so the driver refills an input only when it sends. The
+   tolerance is the run's own standard error, from the means of
+   [batches] consecutive batches. *)
+let fifo_saturation ~n ~batches ~batch_slots =
+  let rng = Netsim.Rng.create (30 + n) in
+  let model = Fabric.Fifo_switch.create ~rng ~n in
+  let refill ~slot input =
+    model.inject (Fabric.Cell.make ~input ~output:(Netsim.Rng.int rng n) ~arrival:slot)
+  in
+  for input = 0 to n - 1 do refill ~slot:0 input done;
+  let slot = ref 0 in
+  let batch () =
+    let sent = ref 0 in
+    for _ = 1 to batch_slots do
+      incr slot;
+      List.iter
+        (fun (c : Fabric.Cell.t) -> incr sent; refill ~slot:!slot c.input)
+        (model.step ~slot:!slot)
+    done;
+    float_of_int !sent /. float_of_int (n * batch_slots)
+  in
+  ignore (batch () : float);
+  let means = Array.init batches (fun _ -> batch ()) in
+  let b = float_of_int batches in
+  let mean = Array.fold_left ( +. ) 0.0 means /. b in
+  let var =
+    Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 means /. (b -. 1.0)
+  in
+  (mean, sqrt (var /. b))
+
+let test_fifo_karol_exact () =
+  List.iter
+    (fun (n, exact) ->
+      let mean, se = fifo_saturation ~n ~batches:20 ~batch_slots:10_000 in
+      let z = (mean -. exact) /. se in
+      Alcotest.(check bool)
+        (Printf.sprintf "N=%d: %.4f vs %.4f (se %.5f, z %.2f)" n mean exact se z)
+        true
+        (Float.abs z <= 4.0))
+    [ (2, 0.7500); (3, 0.6825); (4, 0.6553); (8, 0.6184) ]
+
 let test_voq_pim_full_throughput () =
   let rng = Netsim.Rng.create 22 in
   let thpt =
@@ -726,6 +770,8 @@ let () =
       ( "saturation",
         [
           Alcotest.test_case "fifo ~58-60% (paper)" `Slow test_fifo_58_percent;
+          Alcotest.test_case "fifo exact at N=2,3,4,8 (Karol)" `Slow
+            test_fifo_karol_exact;
           Alcotest.test_case "voq+pim ~100% (paper)" `Slow
             test_voq_pim_full_throughput;
           Alcotest.test_case "output-queued ideal" `Slow test_oq_ideal_throughput;

@@ -249,14 +249,16 @@ let test_merge_order_equivalence =
           Obs.Histogram.add (Obs.Sink.histogram sink "h") (float_of_int v);
           Obs.Sink.instant sink ~name:"i" ~cat:"t" ~ts:v ~tid:0 ~v
       in
-      let single = Obs.Sink.create () in
-      let parts = Array.init 3 (fun _ -> Obs.Sink.create ()) in
+      (* QCheck lists stay under 10,000 ops, so no trace ring wraps. *)
+      let create () = Obs.Sink.create ~trace_capacity:16_384 () in
+      let single = create () in
+      let parts = Array.init 3 (fun _ -> create ()) in
       List.iter
         (fun (part, kind, v) ->
           apply single (kind, v);
           apply parts.(part) (kind, v))
         ops;
-      let merged = Obs.Sink.create () in
+      let merged = create () in
       Array.iter (fun p -> Obs.Sink.merge_into ~into:merged p) parts;
       let ms = Obs.Sink.metrics single and mm = Obs.Sink.metrics merged in
       let counters_eq =
