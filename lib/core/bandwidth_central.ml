@@ -159,20 +159,6 @@ let release t vc =
     List.iter (fun lid -> sub_reserved t lid cells) vc.Network.links;
     Network.teardown t.net vc
 
-(* Undo a circuit's schedule slots (the reverse of install_schedules),
-   using only its current table entries. *)
-let remove_schedules t vc cells =
-  List.iter
-    (fun (s, (in_link, out_link)) ->
-      let input = Network.port_at t.net s in_link
-      and output = Network.port_at t.net s out_link in
-      for _ = 1 to cells do
-        ignore
-          (Frame.Schedule.remove_cell (Network.switch_schedule t.net s) ~input
-             ~output)
-      done)
-    (Network.table_entries vc)
-
 let reroute_after_failure t vc =
   match vc.Network.cls with
   | Network.Best_effort -> invalid_arg "Bandwidth_central.reroute: not guaranteed"
@@ -182,7 +168,7 @@ let reroute_after_failure t vc =
        re-admission must rewire this record, or line cards holding it
        (and the hosts) would keep talking into the old path. *)
     List.iter (fun lid -> sub_reserved t lid cells) vc.Network.links;
-    remove_schedules t vc cells;
+    Network.remove_schedule_entries t.net vc cells;
     Network.uninstall t.net vc;
     let dissolve d =
       (* No admissible replacement path: the circuit is gone (its

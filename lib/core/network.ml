@@ -304,24 +304,19 @@ let save t =
       done;
       for s = 0 to n - 1 do
         let sched = t.schedules.(s) in
-        let triples = ref [] in
-        let count = ref 0 in
-        for slot = Frame.Schedule.frame sched - 1 downto 0 do
-          for input = Frame.Schedule.n sched - 1 downto 0 do
-            match Frame.Schedule.output_of sched ~slot ~input with
-            | Some output ->
-              triples := (slot, input, output) :: !triples;
-              incr count
-            | None -> ()
+        let cells = Frame.Schedule.cell_count sched in
+        Snap.W.int w cells;
+        if cells > 0 then
+          for slot = 0 to Frame.Schedule.frame sched - 1 do
+            for input = 0 to Frame.Schedule.n sched - 1 do
+              let output = Frame.Schedule.output_at sched ~slot ~input in
+              if output >= 0 then begin
+                Snap.W.int w slot;
+                Snap.W.int w input;
+                Snap.W.int w output
+              end
+            done
           done
-        done;
-        Snap.W.int w !count;
-        List.iter
-          (fun (slot, input, output) ->
-            Snap.W.int w slot;
-            Snap.W.int w input;
-            Snap.W.int w output)
-          !triples
       done)
 
 let restore ~graph section =

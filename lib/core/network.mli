@@ -142,6 +142,13 @@ val install : t -> vc -> unit
 
 val uninstall : t -> vc -> unit
 
+val remove_schedule_entries : t -> vc -> int -> unit
+(** [remove_schedule_entries t vc cells]: take [cells] cells per frame
+    out of the schedule of every switch on the circuit's current path
+    (the reverse of {!Bandwidth_central}'s placement). {!teardown} does
+    this for guaranteed circuits; a reroute does it before choosing a
+    new path. *)
+
 val port_at : t -> int -> int -> int
 (** [port_at t s lid]: crossbar port of switch [s] where link [lid]
     terminates. *)

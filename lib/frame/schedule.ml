@@ -1,65 +1,121 @@
+(* Storage: two flat tables of 16-bit entries, row-major by slot. In
+   [out_of], entry (s * size + i) is 1 + the output fed by input i in
+   slot s, or 0 when the input is idle; [in_of] is the same index by
+   output. Bytes are opaque to the GC, so a frame of any length costs
+   no scanning. Both tables, and [top], stay empty until the first
+   [place]: a schedule that never holds a cell costs a few words.
+   [top.(i)] is the latest slot in which input i is busy (-1 if none),
+   so [remove_cell] scans down from there, not across the frame. *)
 type t = {
   size : int;
   slots : int;
-  (* out_of.(s).(i) = output fed by input i in slot s, or -1. *)
-  out_of : int array array;
-  (* in_of.(s).(o) = input feeding output o in slot s, or -1. *)
-  in_of : int array array;
+  mutable out_of : Bytes.t;
+  mutable in_of : Bytes.t;
+  mutable top : int array;
+  mutable cells : int;
 }
 
 let create ~n ~frame =
-  if n < 1 || frame < 1 then invalid_arg "Schedule.create";
-  {
-    size = n;
-    slots = frame;
-    out_of = Array.make_matrix frame n (-1);
-    in_of = Array.make_matrix frame n (-1);
-  }
+  if n < 1 || n > 0xffff || frame < 1 then invalid_arg "Schedule.create";
+  { size = n; slots = frame; out_of = Bytes.empty; in_of = Bytes.empty; top = [||];
+    cells = 0 }
 
 let n t = t.size
 let frame t = t.slots
+let cell_count t = t.cells
 
-let output_at t ~slot ~input = t.out_of.(slot).(input)
+let allocate t =
+  if Bytes.length t.out_of = 0 then begin
+    t.out_of <- Bytes.make (2 * t.slots * t.size) '\000';
+    t.in_of <- Bytes.make (2 * t.slots * t.size) '\000';
+    t.top <- Array.make t.size (-1)
+  end
+
+(* Raised on a slot or port out of range: with flat rows such a port
+   would alias a neighbouring slot. A constant exception keeps the
+   reads below free of calls. *)
+let out_of_range = Invalid_argument "Schedule: slot or port out of range"
+
+(* The unchecked 16-bit read behind [Bytes.get_uint16_ne]. Every caller
+   has checked the slot and port first; the safe read would also load
+   the block's length from its last word. *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+
+(* Entry (slot, port) of [table]. With no cell scheduled every entry is
+   0, which also covers the tables before their allocation. *)
+let[@inline] read t table ~slot ~port =
+  (* Negative iff slot or port is out of range: one branch, not four. *)
+  if port lor (t.size - 1 - port) lor slot lor (t.slots - 1 - slot) < 0 then
+    raise out_of_range;
+  if t.cells = 0 then 0 else get16u table (2 * ((slot * t.size) + port))
+
+(* Reads for the internal loops, whose slots and ports are in range by
+   construction: the tables must be allocated. *)
+let[@inline] out_entry t s i = get16u t.out_of (2 * ((s * t.size) + i))
+let[@inline] in_entry t s o = get16u t.in_of (2 * ((s * t.size) + o))
+
+let output_at t ~slot ~input = read t t.out_of ~slot ~port:input - 1
 
 let output_of t ~slot ~input =
   let o = output_at t ~slot ~input in
   if o < 0 then None else Some o
 
 let input_of t ~slot ~output =
-  let i = t.in_of.(slot).(output) in
+  let i = read t t.in_of ~slot ~port:output - 1 in
   if i < 0 then None else Some i
 
-let input_free t ~slot ~input = t.out_of.(slot).(input) < 0
-let output_free t ~slot ~output = t.in_of.(slot).(output) < 0
+let input_free t ~slot ~input = read t t.out_of ~slot ~port:input = 0
+let output_free t ~slot ~output = read t t.in_of ~slot ~port:output = 0
 
+(* [input_free] and [output_free] range-check both ports and the slot. *)
 let place t ~slot ~input ~output =
   if not (input_free t ~slot ~input) then
     invalid_arg (Printf.sprintf "Schedule.place: input %d busy in slot %d" input slot);
   if not (output_free t ~slot ~output) then
     invalid_arg (Printf.sprintf "Schedule.place: output %d busy in slot %d" output slot);
-  t.out_of.(slot).(input) <- output;
-  t.in_of.(slot).(output) <- input
+  allocate t;
+  Bytes.set_uint16_ne t.out_of (2 * ((slot * t.size) + input)) (output + 1);
+  Bytes.set_uint16_ne t.in_of (2 * ((slot * t.size) + output)) (input + 1);
+  if slot > t.top.(input) then t.top.(input) <- slot;
+  t.cells <- t.cells + 1
+
+(* The latest slot at or below [s] whose [input] entry is [want], or -1.
+   Top-level rather than a local closure: teardown calls it per cell. *)
+let rec latest t ~input ~want s =
+  if s < 0 || out_entry t s input = want then s else latest t ~input ~want (s - 1)
+
+(* The latest slot at or below [s] in which [input] is busy, or -1. *)
+let rec busy_at_or_below t ~input s =
+  if s < 0 || out_entry t s input <> 0 then s else busy_at_or_below t ~input (s - 1)
 
 let unplace t ~slot ~input ~output =
-  assert (t.out_of.(slot).(input) = output);
-  t.out_of.(slot).(input) <- -1;
-  t.in_of.(slot).(output) <- -1
+  assert (out_entry t slot input = output + 1);
+  Bytes.set_uint16_ne t.out_of (2 * ((slot * t.size) + input)) 0;
+  Bytes.set_uint16_ne t.in_of (2 * ((slot * t.size) + output)) 0;
+  if slot = t.top.(input) then t.top.(input) <- busy_at_or_below t ~input (slot - 1);
+  t.cells <- t.cells - 1
+
+let check_ports t ~input ~output =
+  if input < 0 || input >= t.size || output < 0 || output >= t.size then raise out_of_range
 
 let reserved_count t ~input ~output =
+  check_ports t ~input ~output;
   let count = ref 0 in
-  for s = 0 to t.slots - 1 do
-    if t.out_of.(s).(input) = output then incr count
-  done;
+  if t.cells > 0 then
+    for s = 0 to t.top.(input) do
+      if out_entry t s input = output + 1 then incr count
+    done;
   !count
 
 let to_reservation t =
   let r = Reservation.create t.size in
-  for s = 0 to t.slots - 1 do
-    for i = 0 to t.size - 1 do
-      let o = t.out_of.(s).(i) in
-      if o >= 0 then Reservation.add r i o 1
-    done
-  done;
+  if t.cells > 0 then
+    for s = 0 to t.slots - 1 do
+      for i = 0 to t.size - 1 do
+        let o = out_entry t s i - 1 in
+        if o >= 0 then Reservation.add r i o 1
+      done
+    done;
   r
 
 type add_outcome = {
@@ -67,9 +123,17 @@ type add_outcome = {
   moves : (int * int * int * int) list;
 }
 
-let find_slot t pred =
-  let rec scan s = if s = t.slots then None else if pred s then Some s else scan (s + 1) in
-  scan 0
+(* First-fit scans from slot [s] up: the first slot in which the input
+   (or the output, or both) is free, or [t.slots] if there is none. *)
+let rec first_both t ~input ~output s =
+  if s = t.slots || (out_entry t s input = 0 && in_entry t s output = 0) then s
+  else first_both t ~input ~output (s + 1)
+
+let rec first_input t ~input s =
+  if s = t.slots || out_entry t s input = 0 then s else first_input t ~input (s + 1)
+
+let rec first_output t ~output s =
+  if s = t.slots || in_entry t s output = 0 then s else first_output t ~output (s + 1)
 
 (* The Slepian-Duguid swap chain between slots [p] and [q] (paper
    Figure 3). Inserting a connection into a slot may displace at most
@@ -77,52 +141,52 @@ let find_slot t pred =
    both, given how p and q are chosen); the displaced connection is
    re-inserted into the other slot. Terminates within [n] moves. *)
 let add_cell t ~input ~output =
-  match
-    find_slot t (fun s -> input_free t ~slot:s ~input && output_free t ~slot:s ~output)
-  with
-  | Some s ->
+  check_ports t ~input ~output;
+  allocate t;
+  let s = first_both t ~input ~output 0 in
+  if s < t.slots then begin
     place t ~slot:s ~input ~output;
     Ok { steps = 1; moves = [] }
-  | None ->
-    let p = find_slot t (fun s -> input_free t ~slot:s ~input) in
-    let q = find_slot t (fun s -> output_free t ~slot:s ~output) in
-    (match (p, q) with
-     | None, _ ->
-       Error (Printf.sprintf "input %d fully committed (inadmissible)" input)
-     | _, None ->
-       Error (Printf.sprintf "output %d fully committed (inadmissible)" output)
-     | Some p, Some q ->
-       let moves = ref [] in
-       let steps = ref 0 in
-       let limit = (4 * t.size) + 4 in
-       (* Insert (i -> o) into [slot]; displace any conflicting
-          connection into [other]. *)
-       let rec insert ~slot ~other i o =
-         if !steps > limit then
-           failwith "Schedule.add_cell: swap chain exceeded bound (bug)";
-         incr steps;
-         let in_conflict =
-           let o' = t.out_of.(slot).(i) in
-           if o' >= 0 then Some (i, o') else None
-         in
-         let out_conflict =
-           let i' = t.in_of.(slot).(o) in
-           if i' >= 0 then Some (i', o) else None
-         in
-         (match (in_conflict, out_conflict) with
-          | Some _, Some _ ->
-            (* Cannot happen: each insertion slot has the relevant side
-               free by construction. *)
-            assert false
-          | Some (ci, co), None | None, Some (ci, co) ->
-            unplace t ~slot ~input:ci ~output:co;
-            place t ~slot ~input:i ~output:o;
-            moves := (slot, other, ci, co) :: !moves;
-            insert ~slot:other ~other:slot ci co
-          | None, None -> place t ~slot ~input:i ~output:o)
-       in
-       insert ~slot:p ~other:q input output;
-       Ok { steps = !steps; moves = List.rev !moves })
+  end
+  else
+    let p = first_input t ~input 0 and q = first_output t ~output 0 in
+    if p = t.slots then
+      Error (Printf.sprintf "input %d fully committed (inadmissible)" input)
+    else if q = t.slots then
+      Error (Printf.sprintf "output %d fully committed (inadmissible)" output)
+    else begin
+      let moves = ref [] in
+      let steps = ref 0 in
+      let limit = (4 * t.size) + 4 in
+      (* Insert (i -> o) into [slot]; displace any conflicting
+         connection into [other]. *)
+      let rec insert ~slot ~other i o =
+        if !steps > limit then
+          failwith "Schedule.add_cell: swap chain exceeded bound (bug)";
+        incr steps;
+        let in_conflict =
+          let o' = out_entry t slot i - 1 in
+          if o' >= 0 then Some (i, o') else None
+        in
+        let out_conflict =
+          let i' = in_entry t slot o - 1 in
+          if i' >= 0 then Some (i', o) else None
+        in
+        (match (in_conflict, out_conflict) with
+         | Some _, Some _ ->
+           (* Cannot happen: each insertion slot has the relevant side
+              free by construction. *)
+           assert false
+         | Some (ci, co), None | None, Some (ci, co) ->
+           unplace t ~slot ~input:ci ~output:co;
+           place t ~slot ~input:i ~output:o;
+           moves := (slot, other, ci, co) :: !moves;
+           insert ~slot:other ~other:slot ci co
+         | None, None -> place t ~slot ~input:i ~output:o)
+      in
+      insert ~slot:p ~other:q input output;
+      Ok { steps = !steps; moves = List.rev !moves }
+    end
 
 let add_reservation t ~input ~output ~cells =
   let rec go k total =
@@ -135,45 +199,46 @@ let add_reservation t ~input ~output ~cells =
   if cells < 0 then invalid_arg "Schedule.add_reservation";
   go cells 0
 
+(* The latest slot holding the pair is the first match scanning down
+   from the input's top slot. *)
 let remove_cell t ~input ~output =
-  let found = ref None in
-  for s = 0 to t.slots - 1 do
-    if t.out_of.(s).(input) = output then found := Some s
-  done;
-  match !found with
-  | Some s ->
-    unplace t ~slot:s ~input ~output;
-    true
-  | None -> false
+  check_ports t ~input ~output;
+  let s = if t.cells = 0 then -1 else latest t ~input ~want:(output + 1) t.top.(input) in
+  if s >= 0 then unplace t ~slot:s ~input ~output;
+  s >= 0
 
 let valid t =
-  let ok = ref true in
-  for s = 0 to t.slots - 1 do
-    for i = 0 to t.size - 1 do
-      let o = t.out_of.(s).(i) in
-      if o >= 0 && t.in_of.(s).(o) <> i then ok := false
+  if Bytes.length t.out_of = 0 then t.cells = 0
+  else begin
+    let ok = ref true and busy = ref 0 in
+    for s = 0 to t.slots - 1 do
+      for i = 0 to t.size - 1 do
+        let o = out_entry t s i - 1 in
+        if o >= 0 then begin
+          incr busy;
+          if o >= t.size || in_entry t s o <> i + 1 || s > t.top.(i) then ok := false
+        end
+      done;
+      for o = 0 to t.size - 1 do
+        let i = in_entry t s o - 1 in
+        if i >= 0 && (i >= t.size || out_entry t s i <> o + 1) then ok := false
+      done
     done;
-    for o = 0 to t.size - 1 do
-      let i = t.in_of.(s).(o) in
-      if i >= 0 && t.out_of.(s).(i) <> o then ok := false
-    done
-  done;
-  !ok
+    Array.iteri
+      (fun i top -> if top >= 0 && out_entry t top i = 0 then ok := false)
+      t.top;
+    !ok && !busy = t.cells
+  end
 
 let copy t =
-  {
-    size = t.size;
-    slots = t.slots;
-    out_of = Array.map Array.copy t.out_of;
-    in_of = Array.map Array.copy t.in_of;
-  }
+  { t with out_of = Bytes.copy t.out_of; in_of = Bytes.copy t.in_of; top = Array.copy t.top }
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
   for s = 0 to t.slots - 1 do
     Format.fprintf fmt "  slot %d |" (s + 1);
     for i = 0 to t.size - 1 do
-      let o = t.out_of.(s).(i) in
+      let o = output_at t ~slot:s ~input:i in
       if o >= 0 then Format.fprintf fmt " %d->%d" (i + 1) (o + 1)
       else Format.fprintf fmt "     "
     done;

@@ -175,6 +175,146 @@ let test_copy_isolated () =
   Alcotest.(check bool) "copy untouched" true
     (Frame.Schedule.input_free c ~slot:0 ~input:0)
 
+(* Differential: the flat schedule against the nested-array model in
+   Oracle.Schedule_reference. [Remove_nth k] removes a cell of the
+   pair found at the k-th busy (slot, input) of the model, so removals
+   hit pairs that hold several cells, where the choice of slot shows. *)
+
+module Ref = Oracle.Schedule_reference
+
+type sched_op =
+  | Place of int * int * int
+  | Add of int * int
+  | Remove of int * int
+  | Remove_nth of int
+
+let pp_sched_op = function
+  | Place (s, i, o) -> Printf.sprintf "place %d %d->%d" s i o
+  | Add (i, o) -> Printf.sprintf "add %d->%d" i o
+  | Remove (i, o) -> Printf.sprintf "remove %d->%d" i o
+  | Remove_nth k -> Printf.sprintf "remove#%d" k
+
+let sched_case_gen =
+  QCheck.make
+    ~print:(fun (n, frame, prefill, ops) ->
+      Printf.sprintf "n=%d frame=%d prefill=%.2f ops=[%s]" n frame prefill
+        (String.concat "; " (List.map pp_sched_op ops)))
+    QCheck.Gen.(
+      int_range 1 20 >>= fun n ->
+      int_range 1 64 >>= fun frame ->
+      let port = int_range 0 (n - 1) in
+      let op =
+        frequency
+          [
+            (2, map3 (fun s i o -> Place (s, i, o)) (int_range 0 (frame - 1)) port port);
+            (4, map2 (fun i o -> Add (i, o)) port port);
+            (1, map2 (fun i o -> Remove (i, o)) port port);
+            (3, map (fun k -> Remove_nth k) (int_range 0 10_000));
+          ]
+      in
+      quad (return n) (return frame)
+        (oneof [ return 0.0; float_range 0.5 1.0 ])
+        (list_size (int_range 0 80) op))
+
+let schedules_agree s r =
+  let n = Frame.Schedule.n s and frame = Frame.Schedule.frame s in
+  let ok = ref (Frame.Schedule.valid s) in
+  for slot = 0 to frame - 1 do
+    for p = 0 to n - 1 do
+      if Frame.Schedule.output_at s ~slot ~input:p <> Ref.output_at r ~slot ~input:p
+         || Frame.Schedule.input_of s ~slot ~output:p <> Ref.input_of r ~slot ~output:p
+      then ok := false
+    done
+  done;
+  !ok
+
+let same_add a b =
+  match (a, b) with
+  | Ok { Frame.Schedule.steps; moves }, Ok { Ref.steps = steps'; moves = moves' } ->
+    steps = steps' && moves = moves'
+  | Error e, Error e' -> e = e'
+  | _ -> false
+
+let outcome f = match f () with () -> None | exception Invalid_argument m -> Some m
+
+let test_schedule_matches_reference =
+  qtest ~count:300 "flat schedule = nested-array reference" sched_case_gen
+    (fun (n, frame, prefill, ops) ->
+      let s = Frame.Schedule.create ~n ~frame and r = Ref.create ~n ~frame in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      (* Pre-fill from an admissible matrix, one add_cell at a time. *)
+      let rng = Netsim.Rng.create (n + (64 * frame)) in
+      let m = Frame.Reservation.random_admissible ~rng ~n ~frame ~fill:prefill in
+      for i = 0 to n - 1 do
+        for o = 0 to n - 1 do
+          for _ = 1 to Frame.Reservation.get m i o do
+            check
+              (same_add
+                 (Frame.Schedule.add_cell s ~input:i ~output:o)
+                 (Ref.add_cell r ~input:i ~output:o))
+          done
+        done
+      done;
+      check (schedules_agree s r);
+      let busy_pairs () =
+        let acc = ref [] in
+        for slot = frame - 1 downto 0 do
+          for i = n - 1 downto 0 do
+            match Ref.output_of r ~slot ~input:i with
+            | Some o -> acc := (i, o) :: !acc
+            | None -> ()
+          done
+        done;
+        Array.of_list !acc
+      in
+      List.iter
+        (fun op ->
+          (match op with
+           | Place (slot, input, output) ->
+             check
+               (outcome (fun () -> Frame.Schedule.place s ~slot ~input ~output)
+               = outcome (fun () -> Ref.place r ~slot ~input ~output))
+           | Add (input, output) ->
+             check
+               (same_add
+                  (Frame.Schedule.add_cell s ~input ~output)
+                  (Ref.add_cell r ~input ~output))
+           | Remove (input, output) ->
+             check
+               (Frame.Schedule.remove_cell s ~input ~output
+               = Ref.remove_cell r ~input ~output)
+           | Remove_nth k ->
+             let pairs = busy_pairs () in
+             if Array.length pairs > 0 then begin
+               let input, output = pairs.(k mod Array.length pairs) in
+               check
+                 (Frame.Schedule.remove_cell s ~input ~output
+                 = Ref.remove_cell r ~input ~output)
+             end);
+          check (schedules_agree s r))
+        ops;
+      !ok)
+
+let test_schedule_range_checked () =
+  let s = Frame.Schedule.create ~n:3 ~frame:4 in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  (* With flat rows, input 3 of slot 0 would be input 0 of slot 1. *)
+  raises "input = n" (fun () -> Frame.Schedule.place s ~slot:0 ~input:3 ~output:0);
+  raises "output = n" (fun () -> Frame.Schedule.place s ~slot:0 ~input:0 ~output:3);
+  raises "slot = frame" (fun () -> Frame.Schedule.place s ~slot:4 ~input:0 ~output:0);
+  raises "negative input" (fun () -> Frame.Schedule.place s ~slot:1 ~input:(-1) ~output:0);
+  Frame.Schedule.place s ~slot:0 ~input:0 ~output:0;
+  raises "read past n" (fun () -> ignore (Frame.Schedule.output_at s ~slot:0 ~input:3));
+  raises "remove past n" (fun () -> ignore (Frame.Schedule.remove_cell s ~input:0 ~output:3));
+  raises "n > 65535" (fun () -> ignore (Frame.Schedule.create ~n:65536 ~frame:1));
+  Alcotest.(check int) "one cell" 1 (Frame.Schedule.cell_count s);
+  Alcotest.(check bool) "slot 1 untouched" true (Frame.Schedule.input_free s ~slot:1 ~input:0)
+
 (* ------------------------------------------------------------------ *)
 (* Figures 2 and 3 *)
 
@@ -473,6 +613,9 @@ let () =
           Alcotest.test_case "remove cell" `Quick test_remove_cell;
           Alcotest.test_case "add after remove" `Quick test_add_after_remove;
           Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
+          test_schedule_matches_reference;
+          Alcotest.test_case "ports and slots range-checked" `Quick
+            test_schedule_range_checked;
         ] );
       ( "figures",
         [

@@ -236,6 +236,54 @@ let test_graph_section_roundtrip () =
     "switch count survives" (Topo.Graph.switch_count g)
     (Topo.Graph.switch_count g2)
 
+(* A Network section with no circuits and one schedule triple at
+   switch 0: the layout of An2.Network.save. *)
+let network_section g ~frame (slot, input, output) =
+  let n = Topo.Graph.switch_count g in
+  Snap.make ~name:"an2-network" ~version:1 (fun w ->
+      Snap.W.int w frame;
+      Snap.W.int w 1;
+      Snap.W.int w n;
+      Snap.W.int w 0;
+      for _ = 1 to n do
+        Snap.W.int w 0
+      done;
+      for s = 0 to n - 1 do
+        if s = 0 then begin
+          Snap.W.int w 1;
+          Snap.W.int w slot;
+          Snap.W.int w input;
+          Snap.W.int w output
+        end
+        else Snap.W.int w 0
+      done)
+
+let test_network_schedule_entry_range () =
+  let g = Topo.Build.src_lan () in
+  let frame = 8 and ports = Topo.Graph.ports_per_switch g in
+  let good = network_section g ~frame (frame - 1, ports - 1, 0) in
+  let net = An2.Network.restore ~graph:g good in
+  Alcotest.(check (option int))
+    "in-range entry restored" (Some 0)
+    (Frame.Schedule.output_of (An2.Network.switch_schedule net 0) ~slot:(frame - 1)
+       ~input:(ports - 1));
+  Alcotest.(check bool)
+    "save/restore/save bytes" true
+    (Snap.encode [ good ] = Snap.encode [ An2.Network.save net ]);
+  List.iter
+    (fun (what, triple) ->
+      Alcotest.(check bool)
+        what true
+        (rejects what (fun () ->
+             An2.Network.restore ~graph:g (network_section g ~frame triple))))
+    [
+      ("slot >= frame", (frame, 0, 1));
+      ("negative slot", (-1, 0, 1));
+      ("input >= ports", (0, ports, 1));
+      ("output >= ports", (0, 0, ports));
+      ("negative output", (0, 0, -1));
+    ]
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -258,6 +306,8 @@ let () =
             test_engine_section_roundtrip;
           Alcotest.test_case "graph round-trip" `Quick
             test_graph_section_roundtrip;
+          Alcotest.test_case "network schedule entries range-checked" `Quick
+            test_network_schedule_entry_range;
           Alcotest.test_case "engine tie-break counter" `Quick
             test_engine_tie_break_counter;
         ] );
