@@ -125,6 +125,26 @@ val switch_link : t -> int -> int -> int option
 (** [switch_link t s s'] is the lowest-id working link joining the two
     switches, if any — O(degree of [s]); allocates only the [Some]. *)
 
+val bfs_route :
+  ?usable:(int -> bool) ->
+  t ->
+  src:int ->
+  dst:int ->
+  seen:int array ->
+  stamp:int ->
+  prev:int array ->
+  queue:int array ->
+  bool
+(** The search loop of {!Paths.route}, which owns its scratch; call
+    that instead. Breadth-first from [src] over working switch-to-switch
+    links, in {!iter_switch_neighbors} order, until [dst] is
+    discovered: each discovered switch [s] gets [seen.(s) <- stamp] and
+    its predecessor in [prev.(s)], and [queue] (at least
+    {!switch_count} long) holds the frontier. [usable], when given,
+    filters the links crossed; it is called only for a working link to
+    an undiscovered switch. Returns whether [dst] was discovered.
+    Allocates nothing. *)
+
 val version : t -> int
 (** A counter bumped by every mutation (structural or fail/restore).
     Lets callers key caches of derived topology state: equal versions
@@ -159,6 +179,6 @@ val save : t -> Netsim.Snapshot.section
     a restore. Canonical: equal graphs yield equal bytes. *)
 
 val restore : Netsim.Snapshot.section -> t
-(** Rebuild a graph from {!save}'s section. Derived state (working
-    bitset, CSR adjacency) is reconstructed; raises
+(** Rebuild a graph from {!save}'s section. Derived state (the
+    per-link working bytes, CSR adjacency) is reconstructed; raises
     {!Netsim.Snapshot.Corrupt} on damage. *)

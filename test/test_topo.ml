@@ -625,10 +625,65 @@ let test_pods_scope () =
 (* ------------------------------------------------------------------ *)
 (* SoA Graph vs the retained reference implementation *)
 
+(* Every observer of the SoA graph against the reference. The reference
+   has no [switch_link], [switch_degree], [first_host_link] or iterator,
+   so those are derived from its sorted lists: the lowest-id link to a
+   neighbor is the first pair naming it. *)
+let graph_agrees g r =
+  let ok = ref true in
+  let check b = if not b then ok := false in
+  check (Topo.Graph.switch_count g = Oracle.Graph_reference.switch_count r);
+  check (Topo.Graph.host_count g = Oracle.Graph_reference.host_count r);
+  check (Topo.Graph.link_count g = Oracle.Graph_reference.link_count r);
+  check
+    (Topo.Graph.switch_connected g = Oracle.Graph_reference.switch_connected r);
+  for s = 0 to Topo.Graph.switch_count g - 1 do
+    let nbrs = Oracle.Graph_reference.switch_neighbors r s in
+    check (Topo.Graph.switch_neighbors g s = nbrs);
+    check
+      (Topo.Graph.hosts_of_switch g s = Oracle.Graph_reference.hosts_of_switch r s);
+    check
+      (Topo.Graph.reachable_switches g s
+      = Oracle.Graph_reference.reachable_switches r s);
+    check (Topo.Graph.switch_degree g s = List.length nbrs);
+    for s' = 0 to Topo.Graph.switch_count g - 1 do
+      check
+        (Topo.Graph.switch_link g s s'
+        = Option.map snd (List.find_opt (fun (o, _) -> o = s') nbrs))
+    done;
+    let hosts = ref [] in
+    Topo.Graph.iter_hosts_of_switch g s (fun h l -> hosts := (h, l) :: !hosts);
+    check (List.rev !hosts = Oracle.Graph_reference.hosts_of_switch r s)
+  done;
+  for h = 0 to Topo.Graph.host_count g - 1 do
+    let links = Oracle.Graph_reference.host_links r h in
+    check (Topo.Graph.host_links g h = links);
+    check
+      (Topo.Graph.first_host_link g h
+      = match links with (_, l) :: _ -> l | [] -> -1)
+  done;
+  for l = 0 to Topo.Graph.link_count g - 1 do
+    check (Topo.Graph.link_working g l = Oracle.Graph_reference.link_working r l);
+    let a = Topo.Graph.link g l and b = Oracle.Graph_reference.link r l in
+    let end_eq (x : Topo.Graph.endpoint) (y : Oracle.Graph_reference.endpoint) =
+      x.port = y.port
+      && (match (x.node, y.node) with
+          | Topo.Graph.Switch i, Oracle.Graph_reference.Switch j
+          | Topo.Graph.Host i, Oracle.Graph_reference.Host j -> i = j
+          | _ -> false)
+    in
+    check
+      (a.link_id = b.link_id && a.latency = b.latency && end_eq a.a b.a
+     && end_eq a.b b.b
+      && (a.state = Topo.Graph.Working) = (b.state = Oracle.Graph_reference.Working))
+  done;
+  !ok
+
 (* Drive both implementations through the same random op sequence and
-   demand every observer agrees. Connects avoid self-loops (the two
-   implementations allocate the two ports of a self-loop in a
-   different order; no builder creates one). *)
+   demand every observer agrees after every op, and once per case on a
+   snapshot round trip, which rebuilds the byte table and the CSR.
+   Connects avoid self-loops (the two implementations allocate the two
+   ports of a self-loop in a different order; no builder creates one). *)
 let test_graph_differential =
   qtest ~count:200 "SoA graph == reference graph"
     (QCheck.make
@@ -704,45 +759,9 @@ let test_graph_differential =
              Oracle.Graph_reference.restore_switch r s
            end);
         (* Observers must agree after every op. *)
-        check (Topo.Graph.switch_count g = Oracle.Graph_reference.switch_count r);
-        check (Topo.Graph.host_count g = Oracle.Graph_reference.host_count r);
-        check (Topo.Graph.link_count g = Oracle.Graph_reference.link_count r);
-        check
-          (Topo.Graph.switch_connected g
-          = Oracle.Graph_reference.switch_connected r);
-        for s = 0 to Topo.Graph.switch_count g - 1 do
-          check
-            (Topo.Graph.switch_neighbors g s
-            = Oracle.Graph_reference.switch_neighbors r s);
-          check
-            (Topo.Graph.hosts_of_switch g s
-            = Oracle.Graph_reference.hosts_of_switch r s);
-          check
-            (Topo.Graph.reachable_switches g s
-            = Oracle.Graph_reference.reachable_switches r s)
-        done;
-        for h = 0 to Topo.Graph.host_count g - 1 do
-          check (Topo.Graph.host_links g h = Oracle.Graph_reference.host_links r h)
-        done;
-        for l = 0 to Topo.Graph.link_count g - 1 do
-          check
-            (Topo.Graph.link_working g l = Oracle.Graph_reference.link_working r l);
-          let a = Topo.Graph.link g l and b = Oracle.Graph_reference.link r l in
-          let end_eq (x : Topo.Graph.endpoint)
-              (y : Oracle.Graph_reference.endpoint) =
-            x.port = y.port
-            && (match (x.node, y.node) with
-                | Topo.Graph.Switch i, Oracle.Graph_reference.Switch j
-                | Topo.Graph.Host i, Oracle.Graph_reference.Host j -> i = j
-                | _ -> false)
-          in
-          check
-            (a.link_id = b.link_id && a.latency = b.latency
-            && end_eq a.a b.a && end_eq a.b b.b
-            && (a.state = Topo.Graph.Working)
-               = (b.state = Oracle.Graph_reference.Working))
-        done
+        check (graph_agrees g r)
       done;
+      check (graph_agrees (Topo.Graph.restore (Topo.Graph.save g)) r);
       !ok)
 
 (* ------------------------------------------------------------------ *)
@@ -790,10 +809,16 @@ let test_route_kernel_allocation () =
   let only_result name f =
     Alcotest.(check (float 0.)) name 0. (words_beyond_result f)
   in
+  (* The predicate search: the closure and its [Some] are built here,
+     outside the measurement, as a caller holding one would. *)
+  let blocked = Array.init (Topo.Graph.link_count g) (fun l -> l mod 5 = 0) in
+  let usable = Some (fun lid -> not blocked.(lid)) in
   for s = 0 to n - 1 do
     for s' = 0 to n - 1 do
       only_result "switch_link" (fun () -> Topo.Graph.switch_link g s s');
-      only_result "Paths.route" (fun () -> Topo.Paths.route g ~src:s ~dst:s')
+      only_result "Paths.route" (fun () -> Topo.Paths.route g ~src:s ~dst:s');
+      only_result "Paths.route ~usable" (fun () ->
+          Topo.Paths.route ?usable g ~src:s ~dst:s')
     done
   done;
   for h = 0 to nh - 1 do
