@@ -1,16 +1,17 @@
-(* SplitMix64, computed on pairs of 32-bit native-int limbs.
+(* SplitMix64, with the state kept in 32-bit native-int limbs.
 
-   The obvious implementation (see [bits64] in git history) works on
-   boxed [Int64]s; without flambda every intermediate allocates, which
-   puts ~25 minor-heap words under *every* random draw — and the
-   matching kernels draw ~100 times per cell slot. The limb form below
-   produces bit-identical streams (test_netsim checks it against an
-   Int64 reference) using only unboxed int arithmetic, so a draw
-   allocates nothing.
+   [step] does the mix on local [Int64]s. ocamlopt keeps an [Int64]
+   that is let-bound and only fed to other [Int64] primitives unboxed
+   even without flambda, so a draw allocates nothing (test_netsim
+   counts the minor words of 10^5 draws), and the stream is
+   bit-identical to the textbook form (test_netsim checks it against
+   an Int64 reference). Only a boxed [Int64] that escapes, as a record
+   field, an argument or a return value, would allocate; so the state
+   and the latest output live in the record as int limbs.
 
    Representation: a 64-bit word w is (hi, lo) with w = hi * 2^32 + lo
    and 0 <= hi, lo < 2^32. [zhi]/[zlo] hold the latest mixed output so
-   that [step] needs no return value (returning a pair would box). *)
+   that [step] needs no return value (returning it would box). *)
 
 type t = {
   mutable hi : int;
@@ -21,52 +22,21 @@ type t = {
 
 let mask32 = 0xFFFFFFFF
 
-(* golden gamma 0x9E3779B97F4A7C15, mix constants 0xBF58476D1CE4E5B9
-   and 0x94D049BB133111EB, each split into 32-bit halves. *)
-let gamma_hi = 0x9E3779B9
-let gamma_lo = 0x7F4A7C15
-let c1_hi = 0xBF58476D
-let c1_lo = 0x1CE4E5B9
-let c2_hi = 0x94D049BB
-let c2_lo = 0x133111EB
-
 let create seed =
   (* Matches Int64.of_int's sign extension of the 63-bit seed. *)
   { hi = (seed asr 32) land mask32; lo = seed land mask32; zhi = 0; zlo = 0 }
 
-(* Advance the state by gamma and store the mixed output in zhi/zlo.
-
-   The 64-bit multiplies exploit that both mix constants have their
-   low limb below 2^31: [zlo * c_lo] then fits the 63-bit native int
-   exactly (giving low word and carry in one product), and the two
-   cross terms are only needed modulo 2^32, which wrap-around native
-   multiplication preserves (2^32 divides 2^63). Three multiplies per
-   64-bit product instead of a full 16-bit-limb schoolbook. *)
+(* Advance the state by gamma and store the mixed output in zhi/zlo. *)
 let step t =
-  let lo = t.lo + gamma_lo in
-  let hi = (t.hi + gamma_hi + (lo lsr 32)) land mask32 in
-  let lo = lo land mask32 in
-  t.hi <- hi;
-  t.lo <- lo;
-  (* z ^= z >>> 30 *)
-  let zlo = lo lxor (((hi lsl 2) lor (lo lsr 30)) land mask32) in
-  let zhi = hi lxor (hi lsr 30) in
-  (* z *= c1 *)
-  let p = zlo * c1_lo in
-  let cross = ((zlo * c1_hi) + (zhi * c1_lo)) land mask32 in
-  let zhi = ((p lsr 32) + cross) land mask32 in
-  let zlo = p land mask32 in
-  (* z ^= z >>> 27 *)
-  let zlo = zlo lxor (((zhi lsl 5) lor (zlo lsr 27)) land mask32) in
-  let zhi = zhi lxor (zhi lsr 27) in
-  (* z *= c2 *)
-  let p = zlo * c2_lo in
-  let cross = ((zlo * c2_hi) + (zhi * c2_lo)) land mask32 in
-  let zhi = ((p lsr 32) + cross) land mask32 in
-  let zlo = p land mask32 in
-  (* z ^= z >>> 31 *)
-  t.zlo <- zlo lxor (((zhi lsl 1) lor (zlo lsr 31)) land mask32);
-  t.zhi <- zhi lxor (zhi lsr 31)
+  let s = Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo) in
+  let s = Int64.add s 0x9E3779B97F4A7C15L in
+  t.hi <- Int64.to_int (Int64.shift_right_logical s 32);
+  t.lo <- Int64.to_int s land mask32;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+  t.zhi <- Int64.to_int (Int64.shift_right_logical z 32);
+  t.zlo <- Int64.to_int z land mask32
 
 let bits64 t =
   step t;

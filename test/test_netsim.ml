@@ -136,9 +136,9 @@ let test_shuffle_permutation =
 (* ------------------------------------------------------------------ *)
 (* Rng vs the textbook Int64 SplitMix64.
 
-   The production generator runs SplitMix64 on pairs of 32-bit limbs
-   so that draws never box; this reference is the obvious Int64 form
-   straight from the paper. The two must emit identical streams, and
+   The production generator keeps its state in 32-bit limbs and mixes
+   on unboxed Int64 locals so that draws never box; this reference is
+   the obvious Int64 form straight from the paper. The two must emit identical streams, and
    [Rng.int] must equal [(z >>> 1) mod n] for every bound — that
    exact equation is what keeps the division-free fast paths honest. *)
 
@@ -186,6 +186,32 @@ let test_rng_int_matches_int64_reference () =
           done)
         bounds)
     interesting_seeds
+
+(* 10^5 draws of each kind allocate nothing: the Int64 mix in [step]
+   must stay unboxed. The [int] bounds cover the n <= 62 kernel range,
+   powers of two, the split-divide path and the Int64 fallback. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Netsim.Rng.create 5 in
+  let sink = ref 0 in
+  let zero name f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Alcotest.(check (float 0.)) name 0. (Gc.minor_words () -. w0)
+  in
+  zero "int" (fun () ->
+      for i = 1 to 100_000 do
+        let n = if i land 1023 = 0 then (1 lsl 40) + 3 else 1 + (i land 127) in
+        sink := !sink + Netsim.Rng.int rng n
+      done);
+  zero "bernoulli" (fun () ->
+      for _ = 1 to 100_000 do
+        if Netsim.Rng.bernoulli rng 0.3 then incr sink
+      done);
+  zero "select_bit" (fun () ->
+      for i = 1 to 100_000 do
+        sink := !sink + Netsim.Rng.select_bit rng (((i * 0x9E3779B1) lsl 2) lor 1)
+      done);
+  ignore !sink
 
 (* ------------------------------------------------------------------ *)
 (* Bits *)
@@ -560,6 +586,8 @@ let () =
             test_rng_matches_int64_reference;
           Alcotest.test_case "int = (z >>> 1) mod n, all paths" `Quick
             test_rng_int_matches_int64_reference;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
           test_select_bit_stream_compat;
           Alcotest.test_case "select_bit edges" `Quick test_select_bit_edges;
         ] );
