@@ -164,15 +164,16 @@ let reroute_after_failure t vc =
   | Network.Best_effort -> invalid_arg "Bandwidth_central.reroute: not guaranteed"
   | Network.Guaranteed cells ->
     if obs_on t then Obs.Metrics.Counter.incr t.c_reroutes;
-    (* Free the dead path's resources but keep the circuit's identity:
+    (* Free the dead path's reservations before the search, so the new
+       path may reuse its links, but keep the circuit's identity:
        re-admission must rewire this record, or line cards holding it
-       (and the hosts) would keep talking into the old path. *)
+       (and the hosts) would keep talking into the old path. Its
+       schedule cells and table entries go exactly once: on success
+       just before the rewire, otherwise with the teardown. Removing
+       them twice would take cells of other circuits on the same port
+       pairs. *)
     List.iter (fun lid -> sub_reserved t lid cells) vc.Network.links;
-    Network.remove_schedule_entries t.net vc cells;
-    Network.uninstall t.net vc;
     let dissolve d =
-      (* No admissible replacement path: the circuit is gone (its
-         resources are already returned). *)
       if obs_on t then count_denial t d;
       Network.teardown t.net vc;
       Error d
@@ -189,6 +190,8 @@ let reroute_after_failure t vc =
         with
         | Error _ -> dissolve No_route
         | Ok links ->
+          Network.remove_schedule_entries t.net vc cells;
+          Network.uninstall t.net vc;
           vc.Network.switches <- switches;
           vc.Network.links <- links;
           Network.install t.net vc;

@@ -346,6 +346,46 @@ let test_guaranteed_reroute_dissolves_on_denial () =
           (An2.Bandwidth_central.reserved bwc l.link_id))
       (Topo.Graph.links g)
 
+(* A dissolving reroute releases the circuit's schedule cells once.
+   Two 3-cell circuits leave host 0 through the same port pair of
+   switch 0; the far one loses link 1-2 and has nowhere to go. Its
+   cells used to be removed twice, the second time taking the near
+   circuit's cells while the near circuit kept its reservations. *)
+let test_reroute_dissolve_spares_neighbors () =
+  let g = Topo.Build.linear 3 in
+  let host s =
+    let h = Topo.Graph.add_host g in
+    ignore (Topo.Graph.connect g (Host h) (Switch s));
+    h
+  in
+  let h0 = host 0 and h1 = host 1 and h2 = host 2 in
+  let net = An2.Network.create ~frame:16 g in
+  let bwc = An2.Bandwidth_central.create net in
+  let admit dst =
+    match An2.Bandwidth_central.request bwc ~src_host:h0 ~dst_host:dst ~cells:3 with
+    | Ok vc -> vc
+    | Error _ -> Alcotest.fail "admit"
+  in
+  let near = admit h1 and far = admit h2 in
+  let cells s = Frame.Schedule.cell_count (An2.Network.switch_schedule net s) in
+  Alcotest.(check int) "both circuits at switch 0" 6 (cells 0);
+  Topo.Graph.fail_link g (Option.get (Topo.Graph.switch_link g 1 2));
+  (match An2.Bandwidth_central.reroute_after_failure bwc far with
+   | Error _ -> ()
+   | Ok () -> Alcotest.fail "must dissolve across the partition");
+  Alcotest.(check int) "near circuit alone" 1 (An2.Network.vc_count net);
+  Alcotest.(check int) "near keeps its cells at switch 0" 3 (cells 0);
+  Alcotest.(check int) "near keeps its cells at switch 1" 3 (cells 1);
+  List.iter
+    (fun lid ->
+      Alcotest.(check int) "near keeps its reservation" 3
+        (An2.Bandwidth_central.reserved bwc lid))
+    near.An2.Network.links;
+  for s = 0 to 2 do
+    Alcotest.(check bool) "schedule valid" true
+      (Frame.Schedule.valid (An2.Network.switch_schedule net s))
+  done
+
 let test_e2e_conservation =
   qtest ~count:20 "netrun conserves best-effort cells"
     (QCheck.make
@@ -1092,6 +1132,8 @@ let () =
             test_guaranteed_reroute_after_failure;
           Alcotest.test_case "reroute dissolves on denial" `Quick
             test_guaranteed_reroute_dissolves_on_denial;
+          Alcotest.test_case "dissolving reroute spares neighbors' cells" `Quick
+            test_reroute_dissolve_spares_neighbors;
         ] );
       ( "pager",
         [
