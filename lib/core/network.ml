@@ -179,12 +179,15 @@ let port_at t s lid =
   else if l.Topo.Graph.b.node = Topo.Graph.Switch s then l.Topo.Graph.b.port
   else invalid_arg "Network.port_at: link not at switch"
 
+exception Missing_cell of { switch : int; input : int; output : int }
+
 let remove_schedule_entries t vc cells =
   List.iter
     (fun (s, (in_link, out_link)) ->
       let input = port_at t s in_link and output = port_at t s out_link in
       for _ = 1 to cells do
-        ignore (Frame.Schedule.remove_cell t.schedules.(s) ~input ~output)
+        if not (Frame.Schedule.remove_cell t.schedules.(s) ~input ~output) then
+          raise (Missing_cell { switch = s; input; output })
       done)
     (table_entries vc)
 

@@ -142,12 +142,19 @@ val install : t -> vc -> unit
 
 val uninstall : t -> vc -> unit
 
+exception Missing_cell of { switch : int; input : int; output : int }
+(** A release found fewer schedule cells of a port pair than it was
+    asked to remove: the cells were already released (a double
+    release) or never placed. Cells removed before the raise stay
+    removed. *)
+
 val remove_schedule_entries : t -> vc -> int -> unit
 (** [remove_schedule_entries t vc cells]: take [cells] cells per frame
     out of the schedule of every switch on the circuit's current path
     (the reverse of {!Bandwidth_central}'s placement). {!teardown} does
-    this for guaranteed circuits; a reroute does it before choosing a
-    new path. *)
+    this for guaranteed circuits; a reroute does it once it has a new
+    path. Raises {!Missing_cell} when a switch's schedule holds fewer
+    than [cells] cells of the circuit's port pair. *)
 
 val port_at : t -> int -> int -> int
 (** [port_at t s lid]: crossbar port of switch [s] where link [lid]

@@ -386,6 +386,25 @@ let test_reroute_dissolve_spares_neighbors () =
       (Frame.Schedule.valid (An2.Network.switch_schedule net s))
   done
 
+(* Releasing a circuit's schedule cells a second time is a double
+   release: it must raise, not take cells of whatever else holds the
+   port pair. *)
+let test_double_cell_release_raises () =
+  let g = Topo.Build.linear 2 in
+  let h1, h2 = Topo.Build.with_host_pair g in
+  let net = An2.Network.create ~frame:16 g in
+  let bwc = An2.Bandwidth_central.create net in
+  match An2.Bandwidth_central.request bwc ~src_host:h1 ~dst_host:h2 ~cells:4 with
+  | Error _ -> Alcotest.fail "admit"
+  | Ok vc ->
+    An2.Network.remove_schedule_entries net vc 4;
+    Alcotest.(check int) "cells released" 0
+      (Frame.Schedule.cell_count (An2.Network.switch_schedule net 0));
+    Alcotest.(check bool) "second release raises" true
+      (match An2.Network.remove_schedule_entries net vc 4 with
+       | () -> false
+       | exception An2.Network.Missing_cell { switch = 0; _ } -> true)
+
 let test_e2e_conservation =
   qtest ~count:20 "netrun conserves best-effort cells"
     (QCheck.make
@@ -1134,6 +1153,8 @@ let () =
             test_guaranteed_reroute_dissolves_on_denial;
           Alcotest.test_case "dissolving reroute spares neighbors' cells" `Quick
             test_reroute_dissolve_spares_neighbors;
+          Alcotest.test_case "double cell release raises" `Quick
+            test_double_cell_release_raises;
         ] );
       ( "pager",
         [
