@@ -150,18 +150,6 @@ let obs_bench ~slots =
 
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json ~file ~smoke ~samples ~speedup ~(m : macro) ~(o : obs_cost) =
   let oc = open_out file in
   let p fmt = Printf.fprintf oc fmt in
@@ -174,7 +162,7 @@ let write_json ~file ~smoke ~samples ~speedup ~(m : macro) ~(o : obs_cost) =
   List.iteri
     (fun k s ->
       p "    { \"name\": \"%s\", \"ops\": %d, \"ns_per_op\": %.1f, \"minor_words_per_op\": %.1f }%s\n"
-        (json_escape s.name) s.ops s.ns_per_op s.words_per_op
+        (Obs.Metrics.json_escape s.name) s.ops s.ns_per_op s.words_per_op
         (if k = List.length samples - 1 then "" else ","))
     samples;
   p "  ],\n";
