@@ -15,15 +15,15 @@
     boundary leaf that reports its adjacency but invites no one.
 
     When the root's distribution reaches a participant ({!Proto}'s
-    [Completed]), the participant {e merges}: it takes its previous
-    topology, deletes every edge incident to a switch that joined this
-    configuration, and adds the root's collected region edges. Edges
-    wholly outside the region survive from the prior view; edges out of
-    the boundary are re-reported by the boundary switch that owns them
-    — so the merge is exact whenever all physical changes lie within
-    the region, which a radius of 1 already guarantees for a single
-    link event. Merges commute because each one rewrites exactly the
-    adjacency of its own configuration's members. *)
+    [Completed]), the participant {e merges}: it keeps the links of its
+    previous topology that touch no switch of this configuration and
+    unions in the root's collected region. Links wholly outside the
+    region survive from the prior view; links out of the boundary are
+    re-reported by the boundary switch that owns them — so the merge is
+    exact whenever all physical changes lie within the region, which a
+    radius of 1 already guarantees for a single link event. Merges
+    commute because each one rewrites exactly the adjacency of its own
+    configuration's members. *)
 
 type outcome = {
   converged : bool;  (** every started configuration completed *)
