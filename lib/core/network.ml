@@ -172,12 +172,15 @@ let register_guaranteed ?install:(install_now = true) t ~src_host ~dst_host
   if install_now then install t vc;
   vc
 
-(* Port on switch [s] at which link [lid] terminates. *)
+(* Port on switch [s] at which link [lid] terminates. A match on the
+   constructor, not [node = Switch s], which would build the variant
+   and call the polymorphic compare. *)
 let port_at t s lid =
-  let l = Topo.Graph.link t.graph lid in
-  if l.Topo.Graph.a.node = Topo.Graph.Switch s then l.Topo.Graph.a.port
-  else if l.Topo.Graph.b.node = Topo.Graph.Switch s then l.Topo.Graph.b.port
-  else invalid_arg "Network.port_at: link not at switch"
+  let { Topo.Graph.a; b; _ } = Topo.Graph.link t.graph lid in
+  match (a.node, b.node) with
+  | Topo.Graph.Switch x, _ when x = s -> a.port
+  | _, Topo.Graph.Switch y when y = s -> b.port
+  | _ -> invalid_arg "Network.port_at: link not at switch"
 
 exception Missing_cell of { switch : int; input : int; output : int }
 

@@ -113,35 +113,53 @@ let run_point ?obs ~graph config profile =
   let hosts = Topo.Graph.host_count graph in
   let arrivals = Workload.expand profile ~hosts in
   let n_arrivals = List.length arrivals in
-  let latencies = ref [] in
+  (* Setup latencies in microseconds, unboxed: [lat.(0 .. n_lat - 1)]. *)
+  let lat = ref (Array.make 1024 0.0) and n_lat = ref 0 in
   let record_latency at =
     let now = Netsim.Engine.now engine in
-    latencies := Netsim.Time.to_us (now - at) :: !latencies
+    if !n_lat = Array.length !lat then begin
+      let grown = Array.make (2 * !n_lat) 0.0 in
+      Array.blit !lat 0 grown 0 !n_lat;
+      lat := grown
+    end;
+    !lat.(!n_lat) <- Netsim.Time.to_us (now - at);
+    incr n_lat
   in
-  List.iter
-    (fun a ->
-      let open Workload in
-      Netsim.Engine.post_at engine ~at:a.at (fun () ->
-          if a.cells = 0 then
-            Lifecycle.setup lc ~src_host:a.src_host ~dst_host:a.dst_host
-              ~on_done:(function
-                | Ok vc ->
-                  record_latency a.at;
-                  Netsim.Engine.post engine ~delay:a.hold (fun () ->
-                      match Network.find_vc net vc.Network.vc_id with
-                      | Some vc' when vc' == vc -> Network.teardown net vc
-                      | _ -> ())
-                | Error _ -> ())
-          else
-            Service.submit svc ~src_host:a.src_host ~dst_host:a.dst_host
-              ~cells:a.cells
-              ~on_done:(function
-                | Ok vc ->
-                  record_latency a.at;
-                  Netsim.Engine.post engine ~delay:a.hold (fun () ->
-                      Service.release svc vc)
-                | Error _ -> ())))
-    arrivals;
+  let arrive a =
+    let open Workload in
+    if a.cells = 0 then
+      Lifecycle.setup lc ~src_host:a.src_host ~dst_host:a.dst_host
+        ~on_done:(function
+          | Ok vc ->
+            record_latency a.at;
+            Netsim.Engine.post engine ~delay:a.hold (fun () ->
+                match Network.find_vc net vc.Network.vc_id with
+                | Some vc' when vc' == vc -> Network.teardown net vc
+                | _ -> ())
+          | Error _ -> ())
+    else
+      Service.submit svc ~src_host:a.src_host ~dst_host:a.dst_host
+        ~cells:a.cells
+        ~on_done:(function
+          | Ok vc ->
+            record_latency a.at;
+            Netsim.Engine.post engine ~delay:a.hold (fun () ->
+                Service.release svc vc)
+          | Error _ -> ())
+  in
+  (* Arrivals come from a cursor over the sorted timeline: each one
+     posts its successor, so one is pending at a time. Their ranks are
+     reserved here, where posting them all would have scheduled them,
+     so same-instant events keep that order. *)
+  let base = Netsim.Engine.reserve engine n_arrivals in
+  let rec post_from rank = function
+    | [] -> ()
+    | a :: rest ->
+      Netsim.Engine.post_ranked engine ~at:a.Workload.at ~rank (fun () ->
+          post_from (rank + 1) rest;
+          arrive a)
+  in
+  post_from base arrivals;
   (* Backlog sampler: [windows] equally spaced samples over the
      offered-load interval. *)
   let windows = max 2 config.windows in
@@ -168,8 +186,8 @@ let run_point ?obs ~graph config profile =
   Netsim.Engine.run engine;
   let ls = Lifecycle.stats lc in
   let ss = Service.stats svc in
-  let sorted = Array.of_list !latencies in
-  Array.sort compare sorted;
+  let sorted = Array.sub !lat 0 !n_lat in
+  Array.sort Float.compare sorted;
   let backlogs = Array.map snd curve in
   let peak = Array.fold_left max 0 backlogs in
   let final = backlogs.(windows - 1) in

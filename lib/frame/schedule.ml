@@ -2,23 +2,41 @@
    [out_of], entry (s * size + i) is 1 + the output fed by input i in
    slot s, or 0 when the input is idle; [in_of] is the same index by
    output. Bytes are opaque to the GC, so a frame of any length costs
-   no scanning. Both tables, and [top], stay empty until the first
-   [place]: a schedule that never holds a cell costs a few words.
+   no scanning.
+
+   Beside them, one busy bit per (port, slot) in each direction:
+   [in_busy] holds, for input i, [words] words from index [i * words],
+   and bit (s mod 63) of word (s / 63) is set iff input i is busy in
+   slot s; [out_busy] is the same by output. Bits past the frame stay
+   clear. First fit reads a word of 63 slots at a time.
+
    [top.(i)] is the latest slot in which input i is busy (-1 if none),
-   so [remove_cell] scans down from there, not across the frame. *)
+   so [remove_cell] scans the table down from there, not across the
+   frame. On the sparse ports of a large fabric that scan reads a few
+   entries, fewer than a walk down the input's busy words would.
+
+   Everything stays empty until the first [place]: a schedule that
+   never holds a cell costs a few words. *)
 type t = {
   size : int;
   slots : int;
+  words : int;  (* busy words per port *)
   mutable out_of : Bytes.t;
   mutable in_of : Bytes.t;
+  mutable in_busy : int array;
+  mutable out_busy : int array;
   mutable top : int array;
   mutable cells : int;
 }
 
+(* Slots per busy word: every bit of an OCaml int, so a word with all
+   its slots busy is -1. *)
+let word = 63
+
 let create ~n ~frame =
   if n < 1 || n > 0xffff || frame < 1 then invalid_arg "Schedule.create";
-  { size = n; slots = frame; out_of = Bytes.empty; in_of = Bytes.empty; top = [||];
-    cells = 0 }
+  { size = n; slots = frame; words = (frame + word - 1) / word; out_of = Bytes.empty;
+    in_of = Bytes.empty; in_busy = [||]; out_busy = [||]; top = [||]; cells = 0 }
 
 let n t = t.size
 let frame t = t.slots
@@ -28,6 +46,8 @@ let allocate t =
   if Bytes.length t.out_of = 0 then begin
     t.out_of <- Bytes.make (2 * t.slots * t.size) '\000';
     t.in_of <- Bytes.make (2 * t.slots * t.size) '\000';
+    t.in_busy <- Array.make (t.size * t.words) 0;
+    t.out_busy <- Array.make (t.size * t.words) 0;
     t.top <- Array.make t.size (-1)
   end
 
@@ -67,6 +87,11 @@ let input_of t ~slot ~output =
 let input_free t ~slot ~input = read t t.out_of ~slot ~port:input = 0
 let output_free t ~slot ~output = read t t.in_of ~slot ~port:output = 0
 
+(* Flip slot [s]'s bit in port [p]'s row of [busy]. *)
+let[@inline] flip t (busy : int array) p s =
+  let k = (p * t.words) + (s / word) in
+  busy.(k) <- busy.(k) lxor (1 lsl (s mod word))
+
 (* [input_free] and [output_free] range-check both ports and the slot. *)
 let place t ~slot ~input ~output =
   if not (input_free t ~slot ~input) then
@@ -76,6 +101,8 @@ let place t ~slot ~input ~output =
   allocate t;
   Bytes.set_uint16_ne t.out_of (2 * ((slot * t.size) + input)) (output + 1);
   Bytes.set_uint16_ne t.in_of (2 * ((slot * t.size) + output)) (input + 1);
+  flip t t.in_busy input slot;
+  flip t t.out_busy output slot;
   if slot > t.top.(input) then t.top.(input) <- slot;
   t.cells <- t.cells + 1
 
@@ -92,8 +119,21 @@ let unplace t ~slot ~input ~output =
   assert (out_entry t slot input = output + 1);
   Bytes.set_uint16_ne t.out_of (2 * ((slot * t.size) + input)) 0;
   Bytes.set_uint16_ne t.in_of (2 * ((slot * t.size) + output)) 0;
+  flip t t.in_busy input slot;
+  flip t t.out_busy output slot;
   if slot = t.top.(input) then t.top.(input) <- busy_at_or_below t ~input (slot - 1);
   t.cells <- t.cells - 1
+
+(* The lowest slot idle in both the port row of [a] that starts at
+   index [ia] and that of [b] at [ib], scanning from word [w]; [t.slots]
+   if there is none. A slot past the frame reads as idle, hence the
+   [min]. Top-level, so a scan allocates nothing. *)
+let rec first_idle t (a : int array) ia (b : int array) ib w =
+  if w = t.words then t.slots
+  else
+    let m = a.(ia + w) lor b.(ib + w) in
+    if m = -1 then first_idle t a ia b ib (w + 1)
+    else min t.slots ((w * word) + Netsim.Bits.ctz (lnot m))
 
 let check_ports t ~input ~output =
   if input < 0 || input >= t.size || output < 0 || output >= t.size then raise out_of_range
@@ -123,17 +163,22 @@ type add_outcome = {
   moves : (int * int * int * int) list;
 }
 
-(* First-fit scans from slot [s] up: the first slot in which the input
-   (or the output, or both) is free, or [t.slots] if there is none. *)
-let rec first_both t ~input ~output s =
-  if s = t.slots || (out_entry t s input = 0 && in_entry t s output = 0) then s
-  else first_both t ~input ~output (s + 1)
+(* First fit: the first slot in which the input (or the output, or
+   both) is idle, or [t.slots] if there is none. *)
+let first_both t ~input ~output =
+  first_idle t t.in_busy (input * t.words) t.out_busy (output * t.words) 0
 
-let rec first_input t ~input s =
-  if s = t.slots || out_entry t s input = 0 then s else first_input t ~input (s + 1)
+let first_input t ~input =
+  let i = input * t.words in
+  first_idle t t.in_busy i t.in_busy i 0
 
-let rec first_output t ~output s =
-  if s = t.slots || in_entry t s output = 0 then s else first_output t ~output (s + 1)
+let first_output t ~output =
+  let o = output * t.words in
+  first_idle t t.out_busy o t.out_busy o 0
+
+(* The outcome of every insertion that needs no swap chain; immutable,
+   so one shared value serves them all without allocating. *)
+let direct : (add_outcome, string) result = Ok { steps = 1; moves = [] }
 
 (* The Slepian-Duguid swap chain between slots [p] and [q] (paper
    Figure 3). Inserting a connection into a slot may displace at most
@@ -143,13 +188,13 @@ let rec first_output t ~output s =
 let add_cell t ~input ~output =
   check_ports t ~input ~output;
   allocate t;
-  let s = first_both t ~input ~output 0 in
+  let s = first_both t ~input ~output in
   if s < t.slots then begin
     place t ~slot:s ~input ~output;
-    Ok { steps = 1; moves = [] }
+    direct
   end
   else
-    let p = first_input t ~input 0 and q = first_output t ~output 0 in
+    let p = first_input t ~input and q = first_output t ~output in
     if p = t.slots then
       Error (Printf.sprintf "input %d fully committed (inadmissible)" input)
     else if q = t.slots then
@@ -207,6 +252,9 @@ let remove_cell t ~input ~output =
   if s >= 0 then unplace t ~slot:s ~input ~output;
   s >= 0
 
+(* Busy bit of slot [s] in port [p]'s row, for [valid]. *)
+let bit t (busy : int array) p s = (busy.((p * t.words) + (s / word)) lsr (s mod word)) land 1
+
 let valid t =
   if Bytes.length t.out_of = 0 then t.cells = 0
   else begin
@@ -217,11 +265,19 @@ let valid t =
         if o >= 0 then begin
           incr busy;
           if o >= t.size || in_entry t s o <> i + 1 || s > t.top.(i) then ok := false
-        end
+        end;
+        if bit t t.in_busy i s <> Bool.to_int (o >= 0) then ok := false
       done;
       for o = 0 to t.size - 1 do
         let i = in_entry t s o - 1 in
-        if i >= 0 && (i >= t.size || out_entry t s i <> o + 1) then ok := false
+        if i >= 0 && (i >= t.size || out_entry t s i <> o + 1) then ok := false;
+        if bit t t.out_busy o s <> Bool.to_int (i >= 0) then ok := false
+      done
+    done;
+    (* Bits past the frame stay clear. *)
+    for p = 0 to t.size - 1 do
+      for s = t.slots to (t.words * word) - 1 do
+        if bit t t.in_busy p s <> 0 || bit t t.out_busy p s <> 0 then ok := false
       done
     done;
     Array.iteri
@@ -231,7 +287,8 @@ let valid t =
   end
 
 let copy t =
-  { t with out_of = Bytes.copy t.out_of; in_of = Bytes.copy t.in_of; top = Array.copy t.top }
+  { t with out_of = Bytes.copy t.out_of; in_of = Bytes.copy t.in_of;
+    in_busy = Array.copy t.in_busy; out_busy = Array.copy t.out_busy; top = Array.copy t.top }
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";

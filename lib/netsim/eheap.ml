@@ -19,7 +19,9 @@
 
    Ties on [time] break by an internal insertion sequence number, so
    pops are FIFO among simultaneous events — the determinism contract
-   the engine exposes. *)
+   the engine exposes. [reserve] sets a block of sequence numbers
+   aside for entries added later with [add_ranked], which then pop as
+   if they had been added at the moment of the reservation. *)
 
 type t = {
   mutable times : int array;
@@ -61,20 +63,20 @@ let grow t =
   t.seqs <- nseqs;
   t.slots <- nslots
 
-let add t ~time ~slot =
+(* Insert with a hole that sifts up on the full (time, seq) key. A
+   reserved seq can be lower than those of entries already queued at
+   the same time; a fresh one is the largest, so it rises only past
+   strictly later times. *)
+let insert t ~time ~seq ~slot =
   if t.size = Array.length t.times then grow t;
   let times = t.times and seqs = t.seqs and slots = t.slots in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  (* Sift up with a hole. The new entry carries the largest seq, so it
-     rises only past strictly later times. *)
   let i = ref t.size in
   t.size <- t.size + 1;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) lsr 2 in
     let pt = times.(parent) in
-    if time < pt then begin
+    if time < pt || (time = pt && seq < seqs.(parent)) then begin
       times.(!i) <- pt;
       seqs.(!i) <- seqs.(parent);
       slots.(!i) <- slots.(parent);
@@ -85,6 +87,23 @@ let add t ~time ~slot =
   times.(!i) <- time;
   seqs.(!i) <- seq;
   slots.(!i) <- slot
+
+let add t ~time ~slot =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  insert t ~time ~seq ~slot
+
+(* Hand out [n] consecutive seqs for later [add_ranked] calls; every
+   [add] after this gets a higher one. *)
+let reserve t n =
+  if n < 0 then invalid_arg "Eheap.reserve: negative count";
+  let base = t.next_seq in
+  t.next_seq <- base + n;
+  base
+
+let add_ranked t ~time ~seq ~slot =
+  if seq < 0 || seq >= t.next_seq then invalid_arg "Eheap.add_ranked: seq not reserved";
+  insert t ~time ~seq ~slot
 
 (* Remove the root; the caller has already read its key/payload. The
    last entry sifts down from the root with a hole: each level moves

@@ -24,6 +24,20 @@ val add : t -> time:int -> slot:int -> unit
 (** Insert a payload keyed by [time]; the tie-breaking sequence number
     is assigned internally. [slot] must be [>= 0]. *)
 
+val reserve : t -> int -> int
+(** [reserve t n] sets aside [n] consecutive sequence numbers and
+    returns the first. Every later {!add} gets a higher one, so an
+    entry added with one of them through {!add_ranked} pops as if it
+    had been added at the moment of the reservation. Raises
+    [Invalid_argument] if [n < 0]. *)
+
+val add_ranked : t -> time:int -> seq:int -> slot:int -> unit
+(** Insert a payload keyed by [(time, seq)], with [seq] one that
+    {!reserve} handed out; it ties with other entries of the same
+    [time] by that number, not by when it was added. Each reserved
+    number must be used at most once. Raises [Invalid_argument] if
+    [seq] is negative or not handed out yet. *)
+
 val min_time : t -> int
 (** Key of the minimum entry, [max_int] if the heap is empty. *)
 

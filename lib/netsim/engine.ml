@@ -27,7 +27,10 @@
    entry wins a tie: it was queued while its time was still a full
    span away, so before any wheel entry of the same time. The
    tie-break counter a snapshot carries counts every schedule, in
-   either part.
+   either part. A ranked post ([reserve], [post_ranked]) goes to the
+   heap with a seq reserved earlier; it keeps the same order because
+   the wheel is empty at the reservation, so every wheel entry it can
+   tie with was scheduled after it and loses the tie anyway.
 
    Event ids pack (generation, slot) into one int. Cancellation marks
    the slot Cancelled and leaves its queue entry in place as a corpse;
@@ -265,26 +268,51 @@ let[@inline] release t slot =
   t.free_next.(slot) <- t.free_head;
   t.free_head <- slot
 
-let schedule_at t ~at thunk =
+let check_future t at =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %d is in the past (now %d)" at
-         t.clock);
+         t.clock)
+
+(* Take a pool slot for [thunk] and count it pending; the caller queues
+   the slot. *)
+let[@inline] take_slot t thunk =
   if t.free_head < 0 then grow t;
   let slot = t.free_head in
   t.free_head <- t.free_next.(slot);
   t.thunks.(slot) <- thunk;
   t.born.(slot) <- t.clock;
   t.state.(slot) <- st_active;
+  t.live <- t.live + 1;
+  if t.obs.Obs.Sink.enabled then Obs.Metrics.Counter.incr t.c_scheduled;
+  slot
+
+let schedule_at t ~at thunk =
+  check_future t at;
+  let slot = take_slot t thunk in
   if at - t.clock < t.near then wheel_add t at slot
   else begin
     Eheap.add t.queue ~time:at ~slot;
-    if t.near = 0 && t.live >= wheel_backlog then enable_wheel t
+    if t.near = 0 && t.live > wheel_backlog then enable_wheel t
   end;
   t.scheduled_total <- t.scheduled_total + 1;
-  t.live <- t.live + 1;
-  if t.obs.Obs.Sink.enabled then Obs.Metrics.Counter.incr t.c_scheduled;
   (t.gen.(slot) lsl slot_bits) lor slot
+
+(* Ranked events always go to the heap, keyed by their reserved rank.
+   A heap entry wins a tie with the wheel, which is seq order as long
+   as every wheel entry was scheduled after the reservation: hence the
+   empty wheel [reserve] insists on. *)
+let reserve t n =
+  if t.wheel_size > 0 then invalid_arg "Engine.reserve: the wheel holds events";
+  let base = Eheap.reserve t.queue n in
+  t.scheduled_total <- t.scheduled_total + n;
+  base
+
+let post_ranked t ~at ~rank thunk =
+  check_future t at;
+  let slot = take_slot t thunk in
+  Eheap.add_ranked t.queue ~time:at ~seq:rank ~slot;
+  if t.near = 0 && t.live > wheel_backlog then enable_wheel t
 
 let schedule t ~delay thunk =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";

@@ -72,6 +72,27 @@ val post : t -> delay:Time.t -> (unit -> unit) -> unit
 val post_at : t -> at:Time.t -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule_at}. *)
 
+val reserve : t -> int -> int
+(** [reserve t n] sets aside [n] consecutive tie-break ranks and
+    returns the first, [base]. An event posted later with
+    {!post_ranked} at rank [base + i] is ordered among same-instant
+    events as if it had been scheduled at the moment of the
+    reservation, [i]-th of [n]: after every event scheduled before,
+    before every event scheduled after. The ranks count as schedules
+    (the counter a snapshot carries grows by [n] here, not when they
+    are posted). This is how a caller feeds a long sorted timeline
+    from a cursor, one pending event at a time, in the order posting
+    all of it up front would give. Raises [Invalid_argument] if
+    [n < 0], or if the wheel (see {!wheel_span}) holds an event: a
+    wheel entry scheduled before the reservation would lose a tie it
+    should win. *)
+
+val post_ranked : t -> at:Time.t -> rank:int -> (unit -> unit) -> unit
+(** [post_ranked t ~at ~rank f] runs [f] at [at], which must be
+    [>= now t], ordered among events of the same time by [rank], which
+    {!reserve} must have handed out and which must be used only once.
+    Not cancellable. *)
+
 val cancel : t -> event_id -> unit
 (** Cancel a pending event. Cancelling an already-fired,
     already-cancelled or {!no_event} handle is a no-op. *)

@@ -271,6 +271,117 @@ let test_differential_obs_identical =
       ok && I_pooled.state plain = I_pooled.state instr)
 
 (* ------------------------------------------------------------------ *)
+(* Ranked posting: timelines fed from a cursor (reserve + post_ranked,
+   one pending event per timeline) against the same timelines posted
+   up front with post_at. Each timeline event logs itself and posts
+   children at delays around the wheel's span, so they tie with later
+   timeline events; a burst turns the wheel on mid-run, and some cases
+   never turn it on. Events posted after the reservations tie with
+   timeline events too. Dispatch log, dispatch count and the
+   snapshot's tie-break counter must all agree. *)
+
+type ranked_case = {
+  pre : int list;  (* delays of events scheduled before the timelines *)
+  streams : (int * int list * bool) list list;
+      (* per timeline, sorted: (time, child delays, burst) *)
+  after : int list;  (* absolute times posted after the timelines *)
+}
+
+let ranked_case_gen =
+  let w = Netsim.Engine.wheel_span in
+  let step = QCheck.Gen.oneofl [ 0; 1; 2; w - 1; w; w + 1; 2 * w ] in
+  QCheck.Gen.(
+    let event =
+      triple step (list_size (int_range 0 2) step) (frequency [ (30, return false); (1, return true) ])
+    in
+    let stream =
+      map
+        (fun evs ->
+          (* Cumulative steps make a sorted timeline with ties. *)
+          let at = ref 0 in
+          List.map (fun (step, kids, burst) -> at := !at + step; (!at, kids, burst)) evs)
+        (list_size (int_range 0 60) event)
+    in
+    map3
+      (fun pre streams after -> { pre; streams; after })
+      (list_size (int_range 0 20) step)
+      (list_size (int_range 1 3) stream)
+      (list_size (int_range 0 10) (map2 (fun k d -> (k * w) + d) (int_range 0 4) step)))
+
+let print_ranked_case c =
+  let ev (at, kids, burst) =
+    Printf.sprintf "%d[%s]%s" at (String.concat "," (List.map string_of_int kids))
+      (if burst then "!" else "")
+  in
+  Printf.sprintf "pre=[%s] streams=[%s] after=[%s]"
+    (String.concat ";" (List.map string_of_int c.pre))
+    (String.concat " | " (List.map (fun s -> String.concat ";" (List.map ev s)) c.streams))
+    (String.concat ";" (List.map string_of_int c.after))
+
+(* The tie-break counter is the third int of the engine's section;
+   the pool's free list and generations follow it. *)
+let scheduled_total e =
+  let module R = Netsim.Snapshot.R in
+  let sec = Netsim.Engine.save e in
+  Netsim.Snapshot.read sec ~name:(Netsim.Snapshot.section_name sec)
+    ~version:(Netsim.Snapshot.section_version sec) (fun r ->
+      ignore (R.int r);
+      ignore (R.int r);
+      let total = R.int r in
+      ignore (R.int r);
+      ignore (R.int_array r);
+      ignore (R.int_array r);
+      total)
+
+let run_ranked_case ~cursor c =
+  let module E = Netsim.Engine in
+  let e = E.create () in
+  let log = ref [] in
+  let note tag = log := (tag, E.now e) :: !log in
+  List.iteri (fun k d -> E.post e ~delay:d (fun () -> note (-1, k, 0))) c.pre;
+  let fire si i (_, kids, burst) =
+    note (si, i, 0);
+    List.iteri (fun j d -> E.post e ~delay:d (fun () -> note (si, i, j + 1))) kids;
+    if burst then
+      for j = 0 to 149 do
+        E.post e ~delay:(j mod 5) (fun () -> note (si, i, 100 + j))
+      done
+  in
+  List.iteri
+    (fun si stream ->
+      if cursor then begin
+        let base = E.reserve e (List.length stream) in
+        let rec post_from i = function
+          | [] -> ()
+          | ((at, _, _) as ev) :: rest ->
+            E.post_ranked e ~at ~rank:(base + i) (fun () ->
+                post_from (i + 1) rest;
+                fire si i ev)
+        in
+        post_from 0 stream
+      end
+      else List.iteri (fun i ((at, _, _) as ev) -> E.post_at e ~at (fun () -> fire si i ev)) stream)
+    c.streams;
+  List.iteri (fun k at -> E.post_at e ~at (fun () -> note (-2, k, 0))) c.after;
+  E.run e;
+  (List.rev !log, E.dispatched e, scheduled_total e)
+
+let test_ranked_cursor_matches_eager =
+  qtest ~count:500 "ranked cursor == eager posting"
+    (QCheck.make ~print:print_ranked_case ranked_case_gen)
+    (fun c -> run_ranked_case ~cursor:true c = run_ranked_case ~cursor:false c)
+
+let test_reserve_needs_empty_wheel () =
+  let e = Netsim.Engine.create () in
+  ignore (Netsim.Engine.reserve e 3 : int);
+  for i = 0 to 199 do
+    Netsim.Engine.post e ~delay:(i mod 5) ignore
+  done;
+  Alcotest.check_raises "wheel holds events"
+    (Invalid_argument "Engine.reserve: the wheel holds events") (fun () ->
+      ignore (Netsim.Engine.reserve e 1 : int))
+
+(* ------------------------------------------------------------------ *)
 (* Generation-tagged reuse *)
 
 let test_stale_id_after_fire () =
@@ -449,6 +560,12 @@ let () =
           test_differential;
           test_differential_obs_identical;
           test_differential_wheel;
+        ] );
+      ( "ranked",
+        [
+          test_ranked_cursor_matches_eager;
+          Alcotest.test_case "reserve needs an empty wheel" `Quick
+            test_reserve_needs_empty_wheel;
         ] );
       ( "generations",
         [

@@ -201,7 +201,10 @@ let sched_case_gen =
         (String.concat "; " (List.map pp_sched_op ops)))
     QCheck.Gen.(
       int_range 1 20 >>= fun n ->
-      int_range 1 64 >>= fun frame ->
+      (* Busy words hold 63 slots: frames on both sides of one and two
+         word boundaries. *)
+      frequency [ (3, int_range 1 64); (1, oneofl [ 62; 63; 64; 125; 126; 127; 189 ]) ]
+      >>= fun frame ->
       let port = int_range 0 (n - 1) in
       let op =
         frequency
@@ -295,6 +298,22 @@ let test_schedule_matches_reference =
           check (schedules_agree s r))
         ops;
       !ok)
+
+(* First fit allocates nothing: 1,000 insertions that each find a slot
+   idle at both ports, so none needs a swap chain. *)
+let test_first_fit_allocates_nothing () =
+  let n = 16 in
+  let s = Frame.Schedule.create ~n ~frame:1024 in
+  ignore (Frame.Schedule.add_cell s ~input:0 ~output:0);
+  let w0 = Gc.minor_words () in
+  for k = 1 to 1000 do
+    match Frame.Schedule.add_cell s ~input:(k mod n) ~output:(k * 7 mod n) with
+    | Ok { steps = 1; _ } -> ()
+    | Ok _ | Error _ -> Alcotest.fail "needed a swap chain"
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+  Alcotest.(check bool) "valid" true (Frame.Schedule.valid s)
 
 let test_schedule_range_checked () =
   let s = Frame.Schedule.create ~n:3 ~frame:4 in
@@ -614,6 +633,8 @@ let () =
           Alcotest.test_case "add after remove" `Quick test_add_after_remove;
           Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
           test_schedule_matches_reference;
+          Alcotest.test_case "first fit allocates nothing" `Quick
+            test_first_fit_allocates_nothing;
           Alcotest.test_case "ports and slots range-checked" `Quick
             test_schedule_range_checked;
         ] );

@@ -393,6 +393,142 @@ let test_tps_point_sane () =
   Alcotest.(check bool) "50k/s overwhelms the baseline" true
     q.Faults.Tps.diverged
 
+(* [Faults.Tps.run_point] as it was before arrivals came from a
+   cursor: every arrival posted at t = 0, latencies in a list. Fault
+   schedules and periodic gc are left out; the cases below use
+   neither. *)
+let eager_run_point ~graph (config : Faults.Tps.config) profile =
+  let module L = An2.Lifecycle in
+  let module S = An2.Bandwidth_central.Service in
+  let module N = An2.Network in
+  let engine = Netsim.Engine.create () in
+  let net = N.create ~frame:config.frame graph in
+  let lc = L.create ~engine net config.lifecycle in
+  let svc = S.create ~engine ~shards:config.shards net config.service in
+  let arrivals = An2.Workload.expand profile ~hosts:(Topo.Graph.host_count graph) in
+  let n = List.length arrivals in
+  let latencies = ref [] in
+  let record at =
+    latencies := Netsim.Time.to_us (Netsim.Engine.now engine - at) :: !latencies
+  in
+  List.iter
+    (fun (a : An2.Workload.arrival) ->
+      Netsim.Engine.post_at engine ~at:a.at (fun () ->
+          if a.cells = 0 then
+            L.setup lc ~src_host:a.src_host ~dst_host:a.dst_host ~on_done:(function
+              | Ok vc ->
+                record a.at;
+                Netsim.Engine.post engine ~delay:a.hold (fun () ->
+                    match N.find_vc net vc.N.vc_id with
+                    | Some vc' when vc' == vc -> N.teardown net vc
+                    | _ -> ())
+              | Error _ -> ())
+          else
+            S.submit svc ~src_host:a.src_host ~dst_host:a.dst_host ~cells:a.cells
+              ~on_done:(function
+              | Ok vc ->
+                record a.at;
+                Netsim.Engine.post engine ~delay:a.hold (fun () -> S.release svc vc)
+              | Error _ -> ())))
+    arrivals;
+  let windows = max 2 config.windows in
+  let curve = Array.make windows (0.0, 0) in
+  let duration = profile.An2.Workload.duration in
+  for i = 0 to windows - 1 do
+    let at = (i + 1) * duration / windows in
+    Netsim.Engine.post_at engine ~at (fun () ->
+        curve.(i) <- (Netsim.Time.to_s at, L.in_flight lc + S.in_flight svc))
+  done;
+  Netsim.Engine.run engine;
+  let ls = L.stats lc and ss = S.stats svc in
+  let sorted = Array.of_list !latencies in
+  Array.sort compare sorted;
+  let pct q =
+    let k = Array.length sorted in
+    if k = 0 then 0.0
+    else sorted.(max 0 (min (k - 1) (int_of_float (ceil (q *. float_of_int k)) - 1)))
+  in
+  let backlogs = Array.map snd curve in
+  let final = backlogs.(windows - 1) and mid = backlogs.((windows / 2) - 1) in
+  let th = Faults.Tps.default_thresholds in
+  {
+    Faults.Tps.rate = profile.An2.Workload.base_rate;
+    offered_rate = float_of_int n /. Netsim.Time.to_s duration;
+    arrivals = n;
+    established = ls.L.established;
+    failed = ls.L.failed;
+    granted = ss.S.granted;
+    denied = ss.S.denied_no_route + ss.S.denied_no_capacity;
+    cross_shard = ss.S.cross_shard;
+    escrow_conflicts = ss.S.escrow_conflicts;
+    batch_flushes = ss.S.batch_flushes;
+    cache_hits = ls.L.route_cache_hits;
+    cache_misses = ls.L.route_cache_misses;
+    p50_us = pct 0.50;
+    p99_us = pct 0.99;
+    max_us = pct 1.0;
+    worst_signaling_backlog = ls.L.worst_backlog;
+    worst_admission_backlog = ss.S.worst_backlog;
+    backlog_curve = curve;
+    peak_backlog = Array.fold_left max 0 backlogs;
+    final_backlog = final;
+    diverged =
+      (final > th.final_backlog_min
+      && float_of_int final > th.final_over_mid *. float_of_int mid)
+      || float_of_int ls.L.failed *. 100.0 > th.terminal_failure_pct *. float_of_int n;
+    drained = L.in_flight lc = 0 && S.in_flight svc = 0;
+    sim_events = Netsim.Engine.dispatched engine;
+  }
+
+(* Past the knee (about 26,000/s on src_lan) setups queue, time out and
+   retry, so same-instant events are common: the cursor must give the
+   point that posting every arrival up front gives. *)
+let test_cursor_matches_eager () =
+  let profile =
+    An2.Workload.scale { An2.Workload.default_profile with duration = ms 80 } ~rate:40_000.0
+  in
+  let config = Faults.Tps.improved_config in
+  let p = Faults.Tps.run_point ~graph:(Topo.Build.src_lan ()) config profile in
+  Alcotest.(check bool) "past the knee" true p.Faults.Tps.diverged;
+  Alcotest.(check bool) "cursor = eager" true
+    (p = eager_run_point ~graph:(Topo.Build.src_lan ()) config profile)
+
+(* Clock-free pins on the control-srclan benchmark workload at its
+   quick size (20,000/s for 200 ms, seed 1): the minor words of one
+   point, and the engine's queue-depth peak. Both are exact counts of
+   a deterministic run, recorded with the default dune profile. The
+   queue peaks at 2,906 while 5,190 arrivals are offered: what is
+   pending then is bursts' setups and hold timers. Posting every
+   arrival up front would hold all 5,190 at t = 0. *)
+let quick_srclan_profile =
+  An2.Workload.scale
+    (An2.Workload.with_seed { An2.Workload.default_profile with duration = ms 200 } 1)
+    ~rate:20_000.0
+
+let test_point_allocation_pinned () =
+  let graph = Topo.Build.src_lan () in
+  let w0 = Gc.minor_words () in
+  let p = Faults.Tps.run_point ~graph Faults.Tps.improved_config quick_srclan_profile in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "arrivals" 5190 p.Faults.Tps.arrivals;
+  let bound = 3_272_867. *. 1.05 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words <= %.0f" words bound)
+    true (words <= bound)
+
+let test_queue_depth_pinned () =
+  let obs = Obs.Sink.create () in
+  let p =
+    Faults.Tps.run_point ~obs ~graph:(Topo.Build.src_lan ()) Faults.Tps.improved_config
+      quick_srclan_profile
+  in
+  let peak = Obs.Metrics.Gauge.max (Obs.Sink.gauge obs "engine.queue.depth") in
+  let bound = 2_906. *. 1.05 in
+  Alcotest.(check int) "arrivals" 5190 p.Faults.Tps.arrivals;
+  Alcotest.(check bool)
+    (Printf.sprintf "queue depth peak %.0f <= %.0f" peak bound)
+    true (peak <= bound)
+
 let () =
   Alcotest.run "tps"
     [
@@ -428,5 +564,11 @@ let () =
             test_path_cache_hits_and_invalidation;
         ] );
       ( "tps",
-        [ Alcotest.test_case "point sanity" `Quick test_tps_point_sane ] );
+        [
+          Alcotest.test_case "point sanity" `Quick test_tps_point_sane;
+          Alcotest.test_case "cursor = eager posting" `Quick test_cursor_matches_eager;
+          Alcotest.test_case "allocation pinned (src_lan)" `Quick
+            test_point_allocation_pinned;
+          Alcotest.test_case "queue depth pinned (src_lan)" `Quick test_queue_depth_pinned;
+        ] );
     ]
