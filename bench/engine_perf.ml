@@ -254,8 +254,8 @@ let sweep_bench ~seeds =
    are split across a [Netsim.Cluster] — one pooled engine per
    partition advancing in conservative windows of the partitioning's
    lookahead — and driven by 1, 2 and 4 worker domains, skipping any
-   count above the cores available (as an2sim caps --par-domains:
-   surplus domains time-slice at every window barrier). Every
+   count above the cores available (the cluster caps it at the cores,
+   so such a row would only repeat a smaller count). Every
    message rides its link's real latency, which is >= the lookahead by
    construction, so cross-partition hops are legal cluster sends; the
    retransmit-timer churn stays partition-local, as it does in the
@@ -370,9 +370,8 @@ let reconfig_cluster_outcome ~domains =
    with a null sink vs a full sink (metrics + trace + Parprof window
    profiler + flow tracing), plus the per-domain busy/wait split the
    profiler reports. Timed over [repeats] runs, keeping the best. The
-   4 partitions run on [min 4 cores] worker domains, as the intra
-   section skips counts above the cores: surplus domains would only
-   time-slice at every window barrier. *)
+   4 partitions ask for 4 worker domains; the cluster caps that at the
+   cores, and the profiler records the count it ran. *)
 type parprof_result = {
   parprof_domains : int;
   obs_off_seconds : float;
@@ -384,7 +383,7 @@ type parprof_result = {
 }
 
 let parprof_bench ~repeats =
-  let domains = min 4 (Netsim.Sweep.domains_available ()) in
+  let domains = 4 in
   let best obs_of =
     let rec go k best_s last =
       if k = 0 then (best_s, Option.get last)
@@ -420,7 +419,7 @@ let parprof_bench ~repeats =
         else (d, 0.0, 0.0))
   in
   {
-    parprof_domains = domains;
+    parprof_domains = workers;
     obs_off_seconds = off_seconds;
     obs_on_seconds = on_seconds;
     obs_overhead_pct = 100.0 *. ((on_seconds /. off_seconds) -. 1.0);

@@ -256,17 +256,12 @@ let context ?(seeding = No_seed) ?(partitions = false) ?(heartbeat = false) () =
   and+ heartbeat, every_ms =
     group heartbeat Term.(product heartbeat_arg heartbeat_ms_arg) (None, 10)
   in
-  (* Domains beyond the cores time-slice at every window barrier: a
-     4-domain e2e run on 2 cores took about 10x its 1-domain time. *)
-  let par_domains =
-    let cores = Domain.recommended_domain_count () in
-    if par_domains <= cores then par_domains
-    else begin
-      Printf.eprintf "an2sim: --par-domains %d capped at %d (the cores available)\n"
-        par_domains cores;
-      cores
-    end
-  in
+  (* [Netsim.Cluster.run] caps the worker domains at the cores; say
+     so when it will. *)
+  let cores = Domain.recommended_domain_count () in
+  if par_domains > cores then
+    Printf.eprintf "an2sim: --par-domains %d capped at %d (the cores available)\n"
+      par_domains cores;
   let recorder =
     match heartbeat with
     | Some _ when sweep > 0 ->

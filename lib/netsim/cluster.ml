@@ -269,7 +269,11 @@ let decide t ~horizon =
 
 let run ?(domains = 1) t ~horizon =
   if domains < 1 then invalid_arg "Cluster.run: domains must be >= 1";
-  let workers = min domains t.parts in
+  (* Domains beyond the cores only time-slice at every window barrier:
+     a 4-domain e2e run on 2 cores took about 10x its 1-domain time. *)
+  let workers =
+    min (min domains t.parts) (Domain.recommended_domain_count ())
+  in
   t.parties <- workers;
   let profiling = Obs.Parprof.enabled t.prof in
   if profiling then

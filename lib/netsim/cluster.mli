@@ -99,8 +99,9 @@ val run : ?domains:int -> t -> horizon:Time.t -> unit
     all engine clocks at [horizon] (like {!Engine.run_until}). Windows
     jump over empty stretches, so sparse timelines don't pay per-tick
     barriers. [domains] (default 1) bounds the worker domains used;
-    it is capped at [parts] and {b does not affect output} — that is
-    the point. An exception raised by any event or action aborts the
+    it is capped at [parts] and at [Domain.recommended_domain_count ()]
+    (domains beyond the cores would only time-slice at every barrier),
+    and it {b does not affect output} — that is the point. An exception raised by any event or action aborts the
     run on every domain and is re-raised on the caller after the
     join. Not reentrant; returns with the cluster usable for a
     further [run] at a later horizon. *)

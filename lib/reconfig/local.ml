@@ -16,10 +16,13 @@ let touches g budget lid =
 (* One scoped configuration: a Proto node per switch of its own, so
    the endpoints' configurations never see each other's tags and a
    switch may take part in both. [budget] is the driver-held hop
-   budget of each switch that joined, its members (-1 for the rest). *)
+   budget of each switch that joined, its members (-1 for the rest).
+   [memo] is the configuration's last merge: (previous view, payload,
+   merged view). *)
 type config = {
   nodes : Proto.node array;
   budget : int array;
+  mutable memo : (int array * int array * int array) option;
 }
 
 let run_after_failure ?(proc_delay = Netsim.Time.us 100) ?(radius = 2)
@@ -56,17 +59,28 @@ let run_after_failure ?(proc_delay = Netsim.Time.us 100) ?(radius = 2)
   let last_done = ref 0 in
   (* The merge: keep the previous view's links that touch no member of
      [c], then add the collected set, which holds every member's
-     adjacency. Both steps are linear in the view. *)
+     adjacency. Both steps are linear in the view. The result depends
+     only on the two arrays and [c]'s budgets, which are final before
+     the first [Completed]: the root completes only once every
+     invitation has been answered. Members that held the same view get
+     the root's one payload array, so the one-entry memo, keyed by [==]
+     on both arrays (never mutated, so [==] ones are [=]), merges each
+     such pair once. *)
   let merge c prev edges =
-    let kept = Array.make (Array.length prev) 0 and k = ref 0 in
-    Array.iter
-      (fun lid ->
-        if not (touches g c.budget lid) then begin
-          kept.(!k) <- lid;
-          incr k
-        end)
-      prev;
-    Proto.union (Array.sub kept 0 !k) edges
+    match c.memo with
+    | Some (p, e, merged) when p == prev && e == edges -> merged
+    | _ ->
+      let kept = Array.make (Array.length prev) 0 and k = ref 0 in
+      Array.iter
+        (fun lid ->
+          if not (touches g c.budget lid) then begin
+            kept.(!k) <- lid;
+            incr k
+          end)
+        prev;
+      let merged = Proto.union (Array.sub kept 0 !k) edges in
+      c.memo <- Some (prev, edges, merged);
+      merged
   in
   (* A switch at budget 0 reports as a boundary leaf: with no
      neighbours to invite, Proto finishes its collection at once. *)
@@ -115,6 +129,7 @@ let run_after_failure ?(proc_delay = Netsim.Time.us 100) ?(radius = 2)
       {
         nodes = Array.init n (fun id -> Proto.create_node ~id);
         budget = Array.make n (-1);
+        memo = None;
       }
     in
     c.budget.(s) <- radius;

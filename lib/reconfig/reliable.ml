@@ -13,7 +13,7 @@ type wire = {
   lost_back : unit -> bool;
 }
 
-type 'msg t = {
+type 'msg full = {
   wire : wire;
   retransmit_after : Netsim.Time.t;
   window : int;
@@ -28,21 +28,43 @@ type 'msg t = {
   mutable transmissions : int;
 }
 
+(* The same window over a wire that loses nothing and keeps order:
+   every transmission arrives, so nothing is kept for resending and
+   every ack acknowledges exactly the oldest outstanding message.
+   [held] is the window's backlog — sequences [l_base + window] up to
+   [l_next - 1], oldest first; everything below went out when sent or
+   when an ack made room. [on_ack] is the one ack thunk of the
+   channel: it needs no value, since an ack only slides [l_base] by
+   one, and it touches sender state only. *)
+type 'msg lossless = {
+  post_fwd : (unit -> unit) -> unit;
+  post_back : (unit -> unit) -> unit;
+  l_window : int;
+  l_deliver : 'msg -> unit;
+  held : 'msg Queue.t;
+  mutable l_base : int;
+  mutable l_next : int;
+  on_ack : unit -> unit;
+}
+
+type 'msg t = Full of 'msg full | Lossless of 'msg lossless
+
 let create_over ~wire ~retransmit_after ~window ~deliver =
   if window < 1 then invalid_arg "Reliable.create_over: window >= 1";
-  {
-    wire;
-    retransmit_after;
-    window;
-    deliver;
-    buf = Hashtbl.create 16;
-    base = 0;
-    next = 0;
-    highest_sent = -1;
-    expected = 0;
-    timer = Netsim.Engine.no_event;
-    transmissions = 0;
-  }
+  Full
+    {
+      wire;
+      retransmit_after;
+      window;
+      deliver;
+      buf = Hashtbl.create 16;
+      base = 0;
+      next = 0;
+      highest_sent = -1;
+      expected = 0;
+      timer = Netsim.Engine.no_event;
+      transmissions = 0;
+    }
 
 let rec arm_timer t =
   if t.timer = Netsim.Engine.no_event && t.base < t.next then
@@ -92,15 +114,57 @@ and handle_ack t ack =
     arm_timer t
   end
 
+(* The receiving end delivers on arrival: the wire keeps order, so
+   each arrival is the next in sequence. *)
+let transmit_lossless l msg =
+  l.post_fwd (fun () ->
+      l.l_deliver msg;
+      l.post_back l.on_ack)
+
+let create_lossless ~post_fwd ~post_back ~window ~deliver =
+  if window < 1 then invalid_arg "Reliable.create_lossless: window >= 1";
+  (* The ack of the oldest outstanding message makes room for exactly
+     the oldest held one, as [handle_ack] sends it. *)
+  let rec l =
+    {
+      post_fwd;
+      post_back;
+      l_window = window;
+      l_deliver = deliver;
+      held = Queue.create ();
+      l_base = 0;
+      l_next = 0;
+      on_ack =
+        (fun () ->
+          l.l_base <- l.l_base + 1;
+          if not (Queue.is_empty l.held) then
+            transmit_lossless l (Queue.pop l.held));
+    }
+  in
+  Lossless l
+
 let send t msg =
-  let seq = t.next in
-  t.next <- seq + 1;
-  Hashtbl.add t.buf seq msg;
-  if seq < t.base + t.window then transmit t seq;
-  arm_timer t
+  match t with
+  | Full t ->
+    let seq = t.next in
+    t.next <- seq + 1;
+    Hashtbl.add t.buf seq msg;
+    if seq < t.base + t.window then transmit t seq;
+    arm_timer t
+  | Lossless l ->
+    let seq = l.l_next in
+    l.l_next <- seq + 1;
+    if seq < l.l_base + l.l_window then transmit_lossless l msg
+    else Queue.push msg l.held
 
-let transmissions t = t.transmissions
+let transmissions = function
+  | Full t -> t.transmissions
+  | Lossless l -> l.l_next - Queue.length l.held
 
-let idle t = t.base = t.next
+let idle = function
+  | Full t -> t.base = t.next
+  | Lossless l -> l.l_base = l.l_next
 
-let retransmit_armed t = t.timer <> Netsim.Engine.no_event
+let retransmit_armed = function
+  | Full t -> t.timer <> Netsim.Engine.no_event
+  | Lossless _ -> false

@@ -11,7 +11,14 @@
     {!Runner.run} carries every control message over these channels;
     with [control_loss > 0] it demonstrates that the protocol survives
     heavy control-plane loss at the cost of retransmission delay — and
-    that without this layer it deadlocks (E27). *)
+    that without this layer it deadlocks (E27).
+
+    At zero loss the channel is not a plain latency: its window still
+    binds. A sender with more than [window] messages outstanding holds
+    the rest back until acknowledgments make room, so a burst of
+    messages leaves one ack round trip apart per window. Over such a
+    wire {!create_lossless} gives the same deliveries at the same
+    times without the retransmission machinery. *)
 
 type 'msg t
 
@@ -45,6 +52,28 @@ val create_over :
     once per sent message, in order, at the receiving end (inside a
     [post_fwd] thunk). [window] is the go-back-N window and
     [retransmit_after] the timeout before resending. Raises
+    [Invalid_argument] if [window < 1]. *)
+
+val create_lossless :
+  post_fwd:((unit -> unit) -> unit) ->
+  post_back:((unit -> unit) -> unit) ->
+  window:int ->
+  deliver:('msg -> unit) ->
+  'msg t
+(** The same go-back-N window for a wire that never loses a cell and
+    keeps order, with [post_fwd]/[post_back] as in {!wire}. Sequence
+    numbers, acknowledgments and the window are kept; loss draws,
+    retransmission timers and the table of unacknowledged messages
+    are not — only the messages the window holds back wait, oldest
+    first. Each message costs one forward and one backward event, as
+    in {!create_over}.
+
+    It is observably the same channel as {!create_over} at zero loss
+    when twice the wire latency is below [retransmit_after]: every
+    acknowledgment then cancels the timer before it fires, so that
+    channel never retransmits either. Deliveries, their times and
+    their order among other events, {!transmissions} and {!idle}
+    agree; {!retransmit_armed} is always [false]. Raises
     [Invalid_argument] if [window < 1]. *)
 
 val send : 'msg t -> 'msg -> unit

@@ -390,11 +390,14 @@ let run ?(params = default_params) ?(obs = Obs.Sink.null) ?heartbeat
     | Some lid -> Some (Topo.Graph.link g lid).Topo.Graph.latency
     | None -> None
   in
+  let window = 32 in
   (* All control traffic crosses the wire through a reliable go-back-N
      channel per directed link (the substrate the paper's protocol
-     assumes); with [control_loss = 0] it degenerates to a plain
-     latency. Messages cross partitions through the cluster's send
-     hook; an inter-switch link's latency is >= the lookahead by
+     assumes). With [control_loss = 0] nothing is ever resent, but the
+     channel still shapes the traffic: a sender with more than a
+     window of messages outstanding holds the rest until acks make
+     room. Messages cross partitions through the cluster's send hook;
+     an inter-switch link's latency is >= the lookahead by
      construction, so every hop of the reliable channel is admissible.
      Sender-side channel state lives with the sending switch,
      receiver-side state with the receiving one. *)
@@ -403,33 +406,43 @@ let run ?(params = default_params) ?(obs = Obs.Sink.null) ?heartbeat
     match Hashtbl.find_opt channels.(sp) (src, dst) with
     | Some ch -> ch
     | None ->
-      let wire =
-        {
-          Reliable.sched_local =
-            (fun ~delay thunk -> Netsim.Engine.schedule engines.(sp) ~delay thunk);
-          cancel_local = (fun id -> Netsim.Engine.cancel engines.(sp) id);
-          post_fwd =
-            (fun thunk ->
-              Netsim.Cluster.send cl ~src:sp ~dst:dp ~delay:latency thunk);
-          post_back =
-            (fun thunk ->
-              Netsim.Cluster.send cl ~src:dp ~dst:sp ~delay:latency thunk);
-          lost_fwd =
-            (fun () -> Netsim.Rng.bernoulli rngs.(sp) params.control_loss);
-          lost_back =
-            (fun () -> Netsim.Rng.bernoulli rngs.(dp) params.control_loss);
-        }
+      let post_fwd thunk =
+        Netsim.Cluster.send cl ~src:sp ~dst:dp ~delay:latency thunk
+      and post_back thunk =
+        Netsim.Cluster.send cl ~src:dp ~dst:sp ~delay:latency thunk
+      and arrive msg =
+        (* Line-card software handles the message after its
+           processing delay. *)
+        Netsim.Engine.post engines.(dp) ~delay:(handling_delay params msg)
+          (fun () ->
+            messages.(dp) <- messages.(dp) + 1;
+            deliver ~src ~dst msg)
       in
       let ch =
-        Reliable.create_over ~wire ~retransmit_after:params.retransmit_after
-          ~window:32
-          ~deliver:(fun msg ->
-            (* Line-card software handles the message after its
-               processing delay. *)
-            Netsim.Engine.post engines.(dp) ~delay:(handling_delay params msg)
-              (fun () ->
-                messages.(dp) <- messages.(dp) + 1;
-                deliver ~src ~dst msg))
+        (* A wire that cannot lose, under a timer that cannot fire
+           before the oldest message's ack is back, needs no loss
+           draws, timers or resend buffer (DESIGN.md, "Lossless
+           control channels"). *)
+        if params.control_loss <= 0.0 && 2 * latency < params.retransmit_after
+        then
+          Reliable.create_lossless ~post_fwd ~post_back ~window ~deliver:arrive
+        else
+          let wire =
+            {
+              Reliable.sched_local =
+                (fun ~delay thunk ->
+                  Netsim.Engine.schedule engines.(sp) ~delay thunk);
+              cancel_local = (fun id -> Netsim.Engine.cancel engines.(sp) id);
+              post_fwd;
+              post_back;
+              lost_fwd =
+                (fun () -> Netsim.Rng.bernoulli rngs.(sp) params.control_loss);
+              lost_back =
+                (fun () -> Netsim.Rng.bernoulli rngs.(dp) params.control_loss);
+            }
+          in
+          Reliable.create_over ~wire ~retransmit_after:params.retransmit_after
+            ~window ~deliver:arrive
       in
       Hashtbl.add channels.(sp) (src, dst) ch;
       ch

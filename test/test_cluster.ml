@@ -161,8 +161,8 @@ let test_barrier_action_raises () =
    to the next partition. All state an event touches is owned by its
    partition, so the program is exactly the kind of simulation the
    cluster promises to run identically at any domain count. *)
-let run_program ~parts ~lookahead ~domains ~horizon inits =
-  let cl = Netsim.Cluster.create ~parts ~lookahead () in
+let run_program ?sinks ~parts ~lookahead ~domains ~horizon inits =
+  let cl = Netsim.Cluster.create ?sinks ~parts ~lookahead () in
   let logs = Array.make parts [] in
   let rec event p fuel tag () =
     logs.(p) <- (tag, Netsim.Engine.now (Netsim.Cluster.engine cl p)) :: logs.(p);
@@ -215,6 +215,27 @@ let test_cluster_differential_partitions =
       let lookahead = 7 and horizon = 300 in
       let base = run_program ~parts ~lookahead ~domains:1 ~horizon inits in
       run_program ~parts ~lookahead ~domains:parts ~horizon inits = base)
+
+(* More domains than cores: the cluster runs one worker per core, and
+   dispatch is still that of one domain. The window profiler records
+   the worker count the run used. *)
+let test_cluster_domains_capped () =
+  let cores = Domain.recommended_domain_count () in
+  let parts = cores + 1 and lookahead = 10 and horizon = 400 in
+  let inits =
+    List.init (2 * parts) (fun i -> (i, 3 * i, 4, (7 * i) + 3))
+  in
+  let base = run_program ~parts ~lookahead ~domains:1 ~horizon inits in
+  let sinks = Array.init parts (fun _ -> Obs.Sink.create ()) in
+  let capped =
+    run_program ~sinks ~parts ~lookahead ~domains:(cores + 1) ~horizon inits
+  in
+  Alcotest.(check bool) "same dispatch as one domain" true (capped = base);
+  let workers =
+    Obs.Metrics.Counter.value
+      (Obs.Metrics.counter (Obs.Sink.metrics sinks.(0)) "parprof.workers")
+  in
+  Alcotest.(check int) "one worker per core" cores workers
 
 (* A one-part cluster is the single-engine simulator: the same random
    programs, plus barrier actions at the same instants as events, must
@@ -617,7 +638,12 @@ let () =
         ] );
       ("one part", [ test_one_part_is_plain_engine ]);
       ( "differential",
-        [ test_cluster_differential; test_cluster_differential_partitions ] );
+        [
+          test_cluster_differential;
+          test_cluster_differential_partitions;
+          Alcotest.test_case "domains capped at the cores" `Quick
+            test_cluster_domains_capped;
+        ] );
       ( "runner",
         [
           Alcotest.test_case "outcome identical across domains" `Quick
