@@ -29,33 +29,9 @@ module type ENGINE = sig
   val run_until : t -> Netsim.Time.t -> unit
 end
 
-type sample = {
-  engine : string;
-  name : string;
-  ops : int;
-  ns_per_op : float;
-  words_per_op : float;
-}
+type sample = { engine : string; name : string; s : Util.sample }
 
-let measure ~engine ~name ~ops f =
-  for _ = 1 to min ops 1000 do
-    f ()
-  done;
-  (* warmup *)
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to ops do
-    f ()
-  done;
-  let t1 = Unix.gettimeofday () in
-  let w1 = Gc.minor_words () in
-  {
-    engine;
-    name;
-    ops;
-    ns_per_op = (t1 -. t0) *. 1e9 /. float_of_int ops;
-    words_per_op = (w1 -. w0) /. float_of_int ops;
-  }
+let measure ~engine ~name ~ops f = { engine; name; s = Util.measure ~ops f }
 
 let noop () = ()
 
@@ -177,18 +153,18 @@ module Macro (E : ENGINE) = struct
       done;
       E.post e ~delay:0 msg_thunk.(s)
     done;
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    E.run e;
-    let t1 = Unix.gettimeofday () in
-    let w1 = Gc.minor_words () in
+    let words, elapsed =
+      Util.time (fun () ->
+          let w0 = Gc.minor_words () in
+          E.run e;
+          Gc.minor_words () -. w0)
+    in
     let events = E.dispatched e in
-    let elapsed = t1 -. t0 in
     {
       events;
       ns_per_event = elapsed *. 1e9 /. float_of_int events;
       events_per_sec = float_of_int events /. elapsed;
-      minor_words_per_event = (w1 -. w0) /. float_of_int events;
+      minor_words_per_event = words /. float_of_int events;
     }
 end
 
@@ -225,20 +201,17 @@ let reconfig_job seed =
 
 let sweep_bench ~seeds =
   let seed_list = List.init seeds (fun i -> i) in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let seq, seq_seconds =
-    time (fun () -> Netsim.Sweep.map ~domains:1 ~seeds:seed_list reconfig_job)
+    Util.time (fun () ->
+        Netsim.Sweep.map ~domains:1 ~seeds:seed_list reconfig_job)
   in
   (* Genuinely parallel even on a single-core box: force at least two
      domains so the "parallel" row never silently degenerates into a
      second sequential run, and record the count actually used. *)
   let domains = max 2 (Netsim.Sweep.domains_available ()) in
   let par, par_seconds =
-    time (fun () -> Netsim.Sweep.map ~domains ~seeds:seed_list reconfig_job)
+    Util.time (fun () ->
+        Netsim.Sweep.map ~domains ~seeds:seed_list reconfig_job)
   in
   {
     seeds;
@@ -334,9 +307,9 @@ let intra_macro ~parts ~domains ~horizon =
     done;
     Netsim.Engine.post engines.(part.(s)) ~delay:0 msg_thunk.(s)
   done;
-  let t0 = Unix.gettimeofday () in
-  Netsim.Cluster.run ~domains cl ~horizon;
-  let seconds = Unix.gettimeofday () -. t0 in
+  let (), seconds =
+    Util.time (fun () -> Netsim.Cluster.run ~domains cl ~horizon)
+  in
   let per_engine = Array.map Netsim.Engine.dispatched engines in
   let intra_events = Array.fold_left ( + ) 0 per_engine in
   ( {
@@ -389,9 +362,7 @@ let parprof_bench ~repeats =
       if k = 0 then (best_s, Option.get last)
       else
         let obs = obs_of () in
-        let t0 = Unix.gettimeofday () in
-        let o = reconfig_cluster_run ~obs ~domains in
-        let s = Unix.gettimeofday () -. t0 in
+        let o, s = Util.time (fun () -> reconfig_cluster_run ~obs ~domains) in
         go (k - 1) (Float.min best_s s) (Some (o, obs))
     in
     go repeats infinity None
@@ -466,144 +437,11 @@ let intra_bench ~parts ~horizon =
 
 (* ------------------------------------------------------------------ *)
 
-(* The measured tree: the checked-out commit, "-dirty" when the working
-   tree differs from it. *)
-let commit () =
-  try
-    let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
-    let c = try input_line ic with End_of_file -> "unknown" in
-    ignore (Unix.close_process_in ic : Unix.process_status);
-    c
-  with Unix.Unix_error _ -> "unknown"
-
-let write_json ~file ~smoke ~samples ~(mac_ref : macro) ~(mac_pool : macro)
-    ~(sw : sweep_result) ~(intra : intra_result) ~(pp : parprof_result) =
-  let oc = open_out file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"an2-engine-perf-v1\",\n";
-  p "  \"smoke\": %b,\n" smoke;
-  p "  \"commit\": \"%s\",\n" (commit ());
-  p "  \"nproc\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"micro\": [\n";
-  List.iteri
-    (fun k s ->
-      p
-        "    { \"engine\": \"%s\", \"name\": \"%s\", \"ops\": %d, \
-         \"ns_per_op\": %.1f, \"minor_words_per_op\": %.2f }%s\n"
-        s.engine s.name s.ops s.ns_per_op s.words_per_op
-        (if k = List.length samples - 1 then "" else ","))
-    samples;
-  p "  ],\n";
-  let macro_obj name (m : macro) last =
-    p
-      "    \"%s\": { \"events\": %d, \"ns_per_event\": %.1f, \
-       \"events_per_sec\": %.0f, \"minor_words_per_event\": %.2f }%s\n"
-      name m.events m.ns_per_event m.events_per_sec m.minor_words_per_event
-      (if last then "" else ",")
-  in
-  p "  \"macro\": {\n";
-  p "    \"model\": \"srclan-control-plane\",\n";
-  macro_obj "reference" mac_ref false;
-  macro_obj "pooled" mac_pool true;
-  p "  },\n";
-  p "  \"sweep\": {\n";
-  p "    \"model\": \"reconfig-srclan-fail-switch-loss-0.05\",\n";
-  p "    \"seeds\": %d,\n" sw.seeds;
-  p "    \"domains\": %d,\n" sw.domains;
-  p "    \"seq_seconds\": %.3f,\n" sw.seq_seconds;
-  p "    \"par_seconds\": %.3f,\n" sw.par_seconds;
-  p "    \"speedup\": %.2f,\n" sw.sweep_speedup;
-  p "    \"deterministic\": %b\n" sw.deterministic;
-  p "  },\n";
-  p "  \"intra\": {\n";
-  p "    \"model\": \"srclan-control-plane-partitioned\",\n";
-  p "    \"partitions\": %d,\n" intra.intra_partitions;
-  p "    \"lookahead_ns\": %d,\n" intra.lookahead_ns;
-  p "    \"cores_available\": %d,\n" intra.cores_available;
-  let base =
-    match
-      List.find_opt (fun r -> r.domains_used = 1) intra.runs
-    with
-    | Some r -> r.intra_events_per_sec
-    | None -> nan
-  in
-  p "    \"runs\": [\n";
-  List.iteri
-    (fun k r ->
-      p
-        "      { \"domains\": %d, \"events\": %d, \"seconds\": %.3f, \
-         \"events_per_sec\": %.0f, \"mev_per_sec\": %.3f, \
-         \"speedup_vs_1_domain\": %.2f }%s\n"
-        r.domains_used r.intra_events r.seconds r.intra_events_per_sec
-        (r.intra_events_per_sec /. 1e6)
-        (r.intra_events_per_sec /. base)
-        (if k = List.length intra.runs - 1 then "" else ","))
-    intra.runs;
-  p "    ],\n";
-  p "    \"skipped_domains\": [%s],\n"
-    (String.concat ", " (List.map string_of_int intra.skipped_domains));
-  p "    \"deterministic\": %b,\n" intra.intra_deterministic;
-  p "    \"reconfig_macro_deterministic\": %b\n"
-    intra.reconfig_macro_deterministic;
-  p "  },\n";
-  p "  \"parprof\": {\n";
-  p "    \"model\": \"reconfig-srclan-fail-switch-4-partitions\",\n";
-  p "    \"worker_domains\": %d,\n" pp.parprof_domains;
-  p "    \"obs_off_seconds\": %.4f,\n" pp.obs_off_seconds;
-  p "    \"obs_on_seconds\": %.4f,\n" pp.obs_on_seconds;
-  p "    \"obs_overhead_pct\": %.1f,\n" pp.obs_overhead_pct;
-  p "    \"obs_outcome_identical\": %b,\n" pp.obs_outcome_identical;
-  p "    \"domains\": [\n";
-  Array.iteri
-    (fun k (d, busy, wait) ->
-      p "      { \"domain\": %d, \"busy_pct\": %.1f, \"barrier_wait_pct\": %.1f }%s\n"
-        d busy wait
-        (if k = Array.length pp.domain_split - 1 then "" else ","))
-    pp.domain_split;
-  p "    ]\n";
-  p "  },\n";
-  let find engine name =
-    List.find (fun s -> s.engine = engine && s.name = name) samples
-  in
-  p "  \"derived\": {\n";
-  p "    \"macro_events_per_sec_before\": %.0f,\n" mac_ref.events_per_sec;
-  p "    \"macro_events_per_sec_after\": %.0f,\n" mac_pool.events_per_sec;
-  p "    \"macro_speedup\": %.2f,\n"
-    (mac_pool.events_per_sec /. mac_ref.events_per_sec);
-  p "    \"schedule_dispatch_speedup\": %.2f,\n"
-    ((find "reference" "schedule+dispatch").ns_per_op
-    /. (find "pooled" "schedule+dispatch").ns_per_op);
-  p "    \"pooled_schedule_dispatch_minor_words_per_cycle\": %.2f\n"
-    (find "pooled" "schedule+dispatch").words_per_op;
-  p "  }\n";
-  p "}\n";
-  close_out oc
-
 let () =
-  let smoke = ref false and out = ref "BENCH_engine.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--out" :: file :: rest ->
-      out := file;
-      parse rest
-    | [ "--out" ] ->
-      prerr_endline "engine_perf: --out requires a value";
-      exit 2
-    | arg :: _ ->
-      Printf.eprintf
-        "engine_perf: unknown argument %s (usage: engine_perf [--smoke] [--out \
-         FILE])\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let ops = if !smoke then 20_000 else 1_000_000 in
-  let events_target = if !smoke then 100_000 else 2_000_000 in
-  let sweep_seeds = if !smoke then 4 else 16 in
+  let cli = Util.cli ~default_out:"BENCH_engine.json" in
+  let ops = if cli.smoke then 20_000 else 1_000_000 in
+  let events_target = if cli.smoke then 100_000 else 2_000_000 in
+  let sweep_seeds = if cli.smoke then 4 else 16 in
   let samples =
     Micro_pooled.run ~engine_name:"pooled" ~ops
     @ Micro_reference.run ~engine_name:"reference" ~ops
@@ -615,13 +453,13 @@ let () =
      [events_target] events: each switch keeps one message in flight
      hopping every link latency. *)
   let intra_horizon =
-    if !smoke then Netsim.Time.ms 20 else Netsim.Time.ms 100
+    if cli.smoke then Netsim.Time.ms 20 else Netsim.Time.ms 100
   in
   let intra = intra_bench ~parts:4 ~horizon:intra_horizon in
   Printf.printf "micro (%d ops each):\n" ops;
   List.iter
-    (fun s ->
-      Printf.printf "  %-9s %-30s %8.1f ns/op %8.2f words/op\n" s.engine s.name
+    (fun { engine; name; s } ->
+      Printf.printf "  %-9s %-30s %8.1f ns/op %8.2f words/op\n" engine name
         s.ns_per_op s.words_per_op)
     samples;
   Printf.printf
@@ -649,7 +487,7 @@ let () =
     intra.skipped_domains;
   Printf.printf "intra deterministic %b, reconfig macro deterministic %b\n"
     intra.intra_deterministic intra.reconfig_macro_deterministic;
-  let pp = parprof_bench ~repeats:(if !smoke then 2 else 5) in
+  let pp = parprof_bench ~repeats:(if cli.smoke then 2 else 5) in
   Printf.printf
     "parprof reconfig 4 partitions x %d domains: obs off %.3fs, obs on %.3fs \
      (overhead %.1f%%), outcome identical %b\n"
@@ -660,6 +498,119 @@ let () =
       Printf.printf "  domain %d: busy %.1f%%, barrier wait %.1f%%\n" d busy
         wait)
     pp.domain_split;
-  write_json ~file:!out ~smoke:!smoke ~samples ~mac_ref ~mac_pool ~sw ~intra
-    ~pp;
-  Printf.printf "wrote %s\n" !out
+  let open Obs.Json in
+  let macro (m : macro) =
+    Obj
+      [
+        ("events", Util.int m.events);
+        ("ns_per_event", Num m.ns_per_event);
+        ("events_per_sec", Num m.events_per_sec);
+        ("minor_words_per_event", Num m.minor_words_per_event);
+      ]
+  in
+  let base =
+    match List.find_opt (fun r -> r.domains_used = 1) intra.runs with
+    | Some r -> r.intra_events_per_sec
+    | None -> nan
+  in
+  let find engine name =
+    (List.find (fun s -> s.engine = engine && s.name = name) samples).s
+  in
+  let dispatch = "schedule+dispatch" in
+  Util.write_json cli ~schema:"an2-engine-perf-v1"
+    [
+      ( "micro",
+        Arr
+          (List.map
+             (fun { engine; name; s } ->
+               Obj
+                 [
+                   ("engine", Str engine);
+                   ("name", Str name);
+                   ("ops", Util.int s.ops);
+                   ("ns_per_op", Num s.ns_per_op);
+                   ("minor_words_per_op", Num s.words_per_op);
+                 ])
+             samples) );
+      ( "macro",
+        Obj
+          [
+            ("model", Str "srclan-control-plane");
+            ("reference", macro mac_ref);
+            ("pooled", macro mac_pool);
+          ] );
+      ( "sweep",
+        Obj
+          [
+            ("model", Str "reconfig-srclan-fail-switch-loss-0.05");
+            ("seeds", Util.int sw.seeds);
+            ("domains", Util.int sw.domains);
+            ("seq_seconds", Num sw.seq_seconds);
+            ("par_seconds", Num sw.par_seconds);
+            ("speedup", Num sw.sweep_speedup);
+            ("deterministic", Bool sw.deterministic);
+          ] );
+      ( "intra",
+        Obj
+          [
+            ("model", Str "srclan-control-plane-partitioned");
+            ("partitions", Util.int intra.intra_partitions);
+            ("lookahead_ns", Util.int intra.lookahead_ns);
+            ("cores_available", Util.int intra.cores_available);
+            ( "runs",
+              Arr
+                (List.map
+                   (fun r ->
+                     Obj
+                       [
+                         ("domains", Util.int r.domains_used);
+                         ("events", Util.int r.intra_events);
+                         ("seconds", Num r.seconds);
+                         ("events_per_sec", Num r.intra_events_per_sec);
+                         ("mev_per_sec", Num (r.intra_events_per_sec /. 1e6));
+                         ( "speedup_vs_1_domain",
+                           Num (r.intra_events_per_sec /. base) );
+                       ])
+                   intra.runs) );
+            ("skipped_domains", Arr (List.map Util.int intra.skipped_domains));
+            ("deterministic", Bool intra.intra_deterministic);
+            ( "reconfig_macro_deterministic",
+              Bool intra.reconfig_macro_deterministic );
+          ] );
+      ( "parprof",
+        Obj
+          [
+            ("model", Str "reconfig-srclan-fail-switch-4-partitions");
+            ("worker_domains", Util.int pp.parprof_domains);
+            ("obs_off_seconds", Num pp.obs_off_seconds);
+            ("obs_on_seconds", Num pp.obs_on_seconds);
+            ("obs_overhead_pct", Num pp.obs_overhead_pct);
+            ("obs_outcome_identical", Bool pp.obs_outcome_identical);
+            ( "domains",
+              Arr
+                (Array.to_list
+                   (Array.map
+                      (fun (d, busy, wait) ->
+                        Obj
+                          [
+                            ("domain", Util.int d);
+                            ("busy_pct", Num busy);
+                            ("barrier_wait_pct", Num wait);
+                          ])
+                      pp.domain_split)) );
+          ] );
+      ( "derived",
+        Obj
+          [
+            ("macro_events_per_sec_before", Num mac_ref.events_per_sec);
+            ("macro_events_per_sec_after", Num mac_pool.events_per_sec);
+            ( "macro_speedup",
+              Num (mac_pool.events_per_sec /. mac_ref.events_per_sec) );
+            ( "schedule_dispatch_speedup",
+              Num
+                ((find "reference" dispatch).ns_per_op
+                /. (find "pooled" dispatch).ns_per_op) );
+            ( "pooled_schedule_dispatch_minor_words_per_cycle",
+              Num (find "pooled" dispatch).words_per_op );
+          ] );
+    ]

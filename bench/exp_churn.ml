@@ -66,12 +66,11 @@ type cell = {
 }
 
 let run_cell ~duration ~seeds ~fault_rate ~flap_period_ms =
-  let t0 = Unix.gettimeofday () in
-  let results =
-    Netsim.Sweep.map ~seeds:(List.init seeds (fun i -> 1 + i)) (fun s ->
-        churn_job ~duration ~fault_rate ~flap_period_ms s)
+  let results, seconds =
+    Util.time (fun () ->
+        Netsim.Sweep.map ~seeds:(List.init seeds (fun i -> 1 + i)) (fun s ->
+            churn_job ~duration ~fault_rate ~flap_period_ms s))
   in
-  let seconds = Unix.gettimeofday () -. t0 in
   let outs = List.map snd results in
   let sum f = List.fold_left (fun a r -> a +. f r) 0.0 outs in
   let sumi f = List.fold_left (fun a r -> a + f r) 0 outs in
@@ -103,60 +102,32 @@ let run_cell ~duration ~seeds ~fault_rate ~flap_period_ms =
     seconds;
   }
 
-let write_json ~file ~smoke ~duration_ms ~cells ~deterministic =
-  let oc = open_out file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"churn\",\n";
-  p "  \"smoke\": %b,\n" smoke;
-  p "  \"duration_ms\": %d,\n" duration_ms;
-  p "  \"deterministic\": %b,\n" deterministic;
-  p "  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      p "    {\"fault_rate\": %g, \"flap_period_ms\": %d, \"seeds\": %d,\n"
-        c.fault_rate c.flap_period_ms c.seeds;
-      p "     \"faults\": %d, \"transitions\": %d, \"reconfigs\": %d,\n"
-        c.faults c.transitions c.reconfigs;
-      p "     \"converged_fraction\": %.4f,\n" c.converged_fraction;
-      p "     \"convergence_mean_ms\": %.4f, \"convergence_max_ms\": %.4f,\n"
-        c.convergence_mean_ms c.convergence_max_ms;
-      p "     \"cells_lost\": %.1f, \"cells_lost_per_event\": %.1f,\n"
-        c.cells_lost c.cells_lost_per_event;
-      p "     \"max_skeptic_level\": %d, \"flow_lossless\": %b,\n"
-        c.max_skeptic_level c.flow_lossless;
-      p "     \"all_drained\": %b, \"seconds\": %.3f}%s\n" c.all_drained
-        c.seconds
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
+let cell_json c =
+  let open Obs.Json in
+  Obj
+    [
+      ("fault_rate", Num c.fault_rate);
+      ("flap_period_ms", Util.int c.flap_period_ms);
+      ("seeds", Util.int c.seeds);
+      ("faults", Util.int c.faults);
+      ("transitions", Util.int c.transitions);
+      ("reconfigs", Util.int c.reconfigs);
+      ("converged_fraction", Num c.converged_fraction);
+      ("convergence_mean_ms", Num c.convergence_mean_ms);
+      ("convergence_max_ms", Num c.convergence_max_ms);
+      ("cells_lost", Num c.cells_lost);
+      ("cells_lost_per_event", Num c.cells_lost_per_event);
+      ("max_skeptic_level", Util.int c.max_skeptic_level);
+      ("flow_lossless", Bool c.flow_lossless);
+      ("all_drained", Bool c.all_drained);
+      ("seconds", Num c.seconds);
+    ]
 
 let () =
-  let smoke = ref false and out = ref "BENCH_churn.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--out" :: file :: rest ->
-      out := file;
-      parse rest
-    | [ "--out" ] ->
-      prerr_endline "exp_churn: --out requires a value";
-      exit 2
-    | arg :: _ ->
-      Printf.eprintf
-        "exp_churn: unknown argument %s (usage: exp_churn [--smoke] [--out \
-         FILE])\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let duration_ms = if !smoke then 2_000 else 10_000 in
+  let cli = Util.cli ~default_out:"BENCH_churn.json" in
+  let duration_ms = if cli.smoke then 2_000 else 10_000 in
   let duration = Netsim.Time.ms duration_ms in
-  let seeds = if !smoke then 2 else 4 in
+  let seeds = if cli.smoke then 2 else 4 in
   let rates = [ 1.0; 4.0; 10.0 ] in
   let periods = [ 100; 300; 1000 ] in
   let cells =
@@ -185,5 +156,9 @@ let () =
   let deterministic = seq = par in
   Printf.printf "seq/par deterministic: %b\n%!" deterministic;
   if not deterministic then exit 1;
-  write_json ~file:!out ~smoke:!smoke ~duration_ms ~cells ~deterministic;
-  Printf.printf "wrote %s\n" !out
+  Util.write_json cli ~schema:"an2-churn-v1"
+    [
+      ("duration_ms", Util.int duration_ms);
+      ("deterministic", Obs.Json.Bool deterministic);
+      ("cells", Obs.Json.Arr (List.map cell_json cells));
+    ]

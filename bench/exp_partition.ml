@@ -68,13 +68,12 @@ type family = {
 }
 
 let run_family ~name ~graph ~circuits ~one_sided ~seeds =
-  let t0 = Unix.gettimeofday () in
-  let results =
-    Netsim.Sweep.map
-      ~seeds:(List.init seeds (fun i -> 1 + i))
-      (partition_job ~graph ~circuits ~one_sided)
+  let results, seconds =
+    Util.time (fun () ->
+        Netsim.Sweep.map
+          ~seeds:(List.init seeds (fun i -> 1 + i))
+          (partition_job ~graph ~circuits ~one_sided))
   in
-  let seconds = Unix.gettimeofday () -. t0 in
   let outs = List.map snd results in
   let count f = List.length (List.filter f outs) in
   let sum f = List.fold_left (fun a r -> a +. f r) 0.0 outs in
@@ -133,7 +132,6 @@ type storm = {
 }
 
 let run_storm ~circuits ~pace_us ~seeds =
-  let t0 = Unix.gettimeofday () in
   let job seed =
     Faults.Partition.run ~graph:(src_lan seed)
       {
@@ -147,8 +145,9 @@ let run_storm ~circuits ~pace_us ~seeds =
         seed;
       }
   in
-  let results =
-    Netsim.Sweep.map ~seeds:(List.init seeds (fun i -> 1 + i)) job
+  let results, storm_seconds =
+    Util.time (fun () ->
+        Netsim.Sweep.map ~seeds:(List.init seeds (fun i -> 1 + i)) job)
   in
   let outs = List.map snd results in
   let sumi f = List.fold_left (fun a r -> a + f r) 0 outs in
@@ -173,72 +172,48 @@ let run_storm ~circuits ~pace_us ~seeds =
         (fun a r -> max a r.Faults.Partition.worst_signaling_backlog)
         0 outs;
     storm_drained = List.for_all (fun r -> r.Faults.Partition.drained) outs;
-    storm_seconds = Unix.gettimeofday () -. t0;
+    storm_seconds;
   }
 
-let write_json ~file ~smoke ~families ~storms ~deterministic =
-  let oc = open_out file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"partition\",\n";
-  p "  \"smoke\": %b,\n" smoke;
-  p "  \"deterministic\": %b,\n" deterministic;
-  p "  \"e30_split_heal\": [\n";
-  List.iteri
-    (fun i f ->
-      p "    {\"family\": \"%s\", \"seeds\": %d,\n" f.name f.seeds;
-      p "     \"healed\": %d, \"divergent\": %d, \"reconciled\": %d,\n"
-        f.healed f.divergent f.reconciled;
-      p "     \"heal_mean_ms\": %.4f, \"heal_max_ms\": %.4f, \
-         \"baseline_single_link_ms\": %.4f,\n"
-        f.heal_mean_ms f.heal_max_ms f.baseline_mean_ms;
-      p "     \"intra_preserved_mean\": %.5f, \"intra_preserved_min\": %.5f,\n"
-        f.intra_preserved_mean f.intra_preserved_min;
-      p "     \"zero_leaks\": %b, \"all_served\": %b, \"all_drained\": %b, \
-         \"seconds\": %.3f}%s\n"
-        f.zero_leaks f.all_served f.all_drained f.seconds
-        (if i = List.length families - 1 then "" else ","))
-    families;
-  p "  ],\n";
-  p "  \"e31_readmission_storm\": [\n";
-  List.iteri
-    (fun i s ->
-      p "    {\"pace_us\": %d, \"seeds\": %d, \"readmitted\": %d, \
-         \"failed\": %d,\n"
-        s.pace_us s.storm_seeds s.readmitted s.failed;
-      p "     \"readmit_mean_ms\": %.4f, \"readmit_max_ms\": %.4f, \
-         \"worst_backlog\": %d, \"all_drained\": %b, \"seconds\": %.3f}%s\n"
-        s.readmit_mean_ms s.readmit_max_ms s.backlog_max s.storm_drained
-        s.storm_seconds
-        (if i = List.length storms - 1 then "" else ","))
-    storms;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
+let family_json f =
+  let open Obs.Json in
+  Obj
+    [
+      ("family", Str f.name);
+      ("seeds", Util.int f.seeds);
+      ("healed", Util.int f.healed);
+      ("divergent", Util.int f.divergent);
+      ("reconciled", Util.int f.reconciled);
+      ("heal_mean_ms", Num f.heal_mean_ms);
+      ("heal_max_ms", Num f.heal_max_ms);
+      ("baseline_single_link_ms", Num f.baseline_mean_ms);
+      ("intra_preserved_mean", Num f.intra_preserved_mean);
+      ("intra_preserved_min", Num f.intra_preserved_min);
+      ("zero_leaks", Bool f.zero_leaks);
+      ("all_served", Bool f.all_served);
+      ("all_drained", Bool f.all_drained);
+      ("seconds", Num f.seconds);
+    ]
+
+let storm_json s =
+  let open Obs.Json in
+  Obj
+    [
+      ("pace_us", Util.int s.pace_us);
+      ("seeds", Util.int s.storm_seeds);
+      ("readmitted", Util.int s.readmitted);
+      ("failed", Util.int s.failed);
+      ("readmit_mean_ms", Num s.readmit_mean_ms);
+      ("readmit_max_ms", Num s.readmit_max_ms);
+      ("worst_backlog", Util.int s.backlog_max);
+      ("all_drained", Bool s.storm_drained);
+      ("seconds", Num s.storm_seconds);
+    ]
 
 let () =
-  let smoke = ref false and out = ref "BENCH_partition.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--out" :: file :: rest ->
-      out := file;
-      parse rest
-    | [ "--out" ] ->
-      prerr_endline "exp_partition: --out requires a value";
-      exit 2
-    | arg :: _ ->
-      Printf.eprintf
-        "exp_partition: unknown argument %s (usage: exp_partition [--smoke] \
-         [--out FILE])\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let seeds = if !smoke then 4 else 25 in
-  let circuits = if !smoke then 8 else 16 in
+  let cli = Util.cli ~default_out:"BENCH_partition.json" in
+  let seeds = if cli.smoke then 4 else 25 in
+  let circuits = if cli.smoke then 8 else 16 in
   let specs =
     [
       ("src-lan", src_lan, false);
@@ -261,8 +236,8 @@ let () =
         f)
       specs
   in
-  let storm_circuits = if !smoke then 16 else 40 in
-  let storm_seeds = if !smoke then 3 else 10 in
+  let storm_circuits = if cli.smoke then 16 else 40 in
+  let storm_seeds = if cli.smoke then 3 else 10 in
   let storms =
     List.map
       (fun pace_us ->
@@ -288,6 +263,10 @@ let () =
   let storms_ok =
     List.for_all (fun s -> s.failed = 0 && s.storm_drained) storms
   in
-  write_json ~file:!out ~smoke:!smoke ~families ~storms ~deterministic;
-  Printf.printf "wrote %s\n" !out;
+  Util.write_json cli ~schema:"an2-partition-v1"
+    [
+      ("deterministic", Obs.Json.Bool deterministic);
+      ("e30_split_heal", Obs.Json.Arr (List.map family_json families));
+      ("e31_readmission_storm", Obs.Json.Arr (List.map storm_json storms));
+    ];
   if not (deterministic && healed_everywhere && storms_ok) then exit 1

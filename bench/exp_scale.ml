@@ -19,11 +19,6 @@
 
    Usage: dune exec bench/exp_scale.exe [-- --smoke] [-- --out FILE] *)
 
-let time_it f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* Resident set size in kB, from /proc/self/status (0 if unreadable —
    non-Linux). *)
 let vm_rss_kb () =
@@ -88,7 +83,7 @@ let inter_pod_cut k = k * k * k / 4  (* first aggregation-core link *)
 let run_global ~k =
   let g, _pods = Topo.Build.fat_tree ~k in
   let (o : Reconfig.Runner.outcome), wall =
-    time_it (fun () ->
+    Util.time (fun () ->
         Reconfig.Runner.run_after_failure ~params:scale_params
           ~detection_delay:detection g ~fail:(`Link (intra_pod_cut k)))
   in
@@ -105,7 +100,7 @@ let run_global ~k =
 let run_hier ~k ~fail =
   let g, pods = Topo.Build.fat_tree ~k in
   let (o : Reconfig.Hier.outcome), wall =
-    time_it (fun () ->
+    Util.time (fun () ->
         Reconfig.Hier.repair ~params:scale_params ~detection_delay:detection g
           pods ~fail)
   in
@@ -123,7 +118,7 @@ let run_hier ~k ~fail =
   }
 
 let measure_size k =
-  let (g, pods), build_seconds = time_it (fun () -> Topo.Build.fat_tree ~k) in
+  let (g, pods), build_seconds = Util.time (fun () -> Topo.Build.fat_tree ~k) in
   (* Touch the adjacency index so its cost is part of the build. *)
   ignore (Topo.Graph.switch_degree g 0);
   Gc.full_major ();
@@ -171,95 +166,70 @@ let determinism_check ~k ~domains =
   let base = run 1 in
   List.for_all (fun d -> run d = base) domains
 
-let write_json ~file ~smoke ~cores ~domains_checked ~deterministic rows =
-  let oc = open_out file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"an2-scale-v1\",\n";
-  p "  \"smoke\": %b,\n" smoke;
-  p "  \"model\": \"fat-tree-reconfig-edge-cost-1us\",\n";
-  p "  \"detection_delay_ms\": %.1f,\n" (ms detection);
-  p "  \"sizes\": [\n";
-  let repair_obj name (r : repair_row) last =
-    p
-      "      \"%s\": { \"strategy\": \"%s\", \"converged\": %b, \
-       \"correct\": %b, \"participants\": %d, \"messages\": %d, \
-       \"elapsed_ms\": %.3f, \"wall_seconds\": %.3f }%s\n"
-      name r.strategy r.converged r.correct r.participants r.messages
-      r.elapsed_ms r.wall_seconds
-      (if last then "" else ",")
-  in
-  List.iteri
-    (fun i r ->
-      p "    { \"k\": %d, \"switches\": %d, \"hosts\": %d, \"links\": %d, \
-         \"pods\": %d,\n"
-        r.k r.switches r.hosts r.links r.pods;
-      p "      \"build_seconds\": %.4f, \"heap_words\": %d, \"rss_kb\": %d,\n"
-        r.build_seconds r.heap_words r.rss_kb;
-      repair_obj "global" r.global false;
-      repair_obj "pod_local" r.pod_local false;
-      repair_obj "escalated" r.escalated true;
-      p "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  (match rows with
-   | first :: _ :: _ ->
-     let last = List.nth rows (List.length rows - 1) in
-     p "  \"headline\": {\n";
-     p "    \"switch_span\": \"%dx\",\n" (last.switches / first.switches);
-     p "    \"pod_local_elapsed_ratio_largest_vs_smallest\": %.3f,\n"
-       (last.pod_local.elapsed_ms /. first.pod_local.elapsed_ms);
-     p "    \"global_elapsed_ratio_largest_vs_smallest\": %.3f,\n"
-       (last.global.elapsed_ms /. first.global.elapsed_ms);
-     p "    \"global_excl_detection_ratio\": %.3f,\n"
-       ((last.global.elapsed_ms -. ms detection)
-       /. (first.global.elapsed_ms -. ms detection));
-     p "    \"pod_local_messages_largest\": %d,\n" last.pod_local.messages;
-     p "    \"global_messages_largest\": %d\n" last.global.messages;
-     p "  },\n"
-   | _ -> ());
-  p "  \"determinism\": {\n";
-  p "    \"partitions\": 4,\n";
-  p "    \"domains_checked\": [%s],\n"
-    (String.concat ", " (List.map string_of_int domains_checked));
-  p "    \"outcome_identical\": %b,\n" deterministic;
-  p "    \"cores_available\": %d,\n" cores;
-  (* On a box with fewer cores than domains, extra domains only add
-     barrier overhead: determinism is still asserted, speedup would be
-     noise. Consumers (CI) must not read a speedup off this file when
-     this flag is false. *)
-  p "    \"speedup_meaningful\": %b\n"
-    (cores >= List.fold_left max 1 domains_checked);
-  p "  }\n";
-  p "}\n";
-  close_out oc
+let repair_json (r : repair_row) =
+  let open Obs.Json in
+  Obj
+    [
+      ("strategy", Str r.strategy);
+      ("converged", Bool r.converged);
+      ("correct", Bool r.correct);
+      ("participants", Util.int r.participants);
+      ("messages", Util.int r.messages);
+      ("elapsed_ms", Num r.elapsed_ms);
+      ("wall_seconds", Num r.wall_seconds);
+    ]
+
+let size_json r =
+  let open Obs.Json in
+  Obj
+    [
+      ("k", Util.int r.k);
+      ("switches", Util.int r.switches);
+      ("hosts", Util.int r.hosts);
+      ("links", Util.int r.links);
+      ("pods", Util.int r.pods);
+      ("build_seconds", Num r.build_seconds);
+      ("heap_words", Util.int r.heap_words);
+      ("rss_kb", Util.int r.rss_kb);
+      ("global", repair_json r.global);
+      ("pod_local", repair_json r.pod_local);
+      ("escalated", repair_json r.escalated);
+    ]
+
+(* Largest fabric against smallest; only with two sizes or more. *)
+let headline rows =
+  match rows with
+  | first :: _ :: _ ->
+    let last = List.nth rows (List.length rows - 1) in
+    let open Obs.Json in
+    [
+      ( "headline",
+        Obj
+          [
+            ( "switch_span",
+              Str (Printf.sprintf "%dx" (last.switches / first.switches)) );
+            ( "pod_local_elapsed_ratio_largest_vs_smallest",
+              Num (last.pod_local.elapsed_ms /. first.pod_local.elapsed_ms) );
+            ( "global_elapsed_ratio_largest_vs_smallest",
+              Num (last.global.elapsed_ms /. first.global.elapsed_ms) );
+            ( "global_excl_detection_ratio",
+              Num
+                ((last.global.elapsed_ms -. ms detection)
+                /. (first.global.elapsed_ms -. ms detection)) );
+            ("pod_local_messages_largest", Util.int last.pod_local.messages);
+            ("global_messages_largest", Util.int last.global.messages);
+          ] );
+    ]
+  | _ -> []
 
 let () =
-  let smoke = ref false and out = ref "BENCH_scale.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--out" :: file :: rest ->
-      out := file;
-      parse rest
-    | [ "--out" ] ->
-      prerr_endline "exp_scale: --out requires a value";
-      exit 2
-    | arg :: _ ->
-      Printf.eprintf
-        "exp_scale: unknown argument %s (usage: exp_scale [--smoke] [--out \
-         FILE])\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let ks = if !smoke then [ 8 ] else [ 8; 16; 32; 48; 64 ] in
+  let cli = Util.cli ~default_out:"BENCH_scale.json" in
+  let ks = if cli.smoke then [ 8 ] else [ 8; 16; 32; 48; 64 ] in
   let rows = List.map measure_size ks in
   let domains_checked = [ 1; 2; 4 ] in
   let deterministic, det_wall =
-    time_it (fun () -> determinism_check ~k:8 ~domains:(List.tl domains_checked))
+    Util.time (fun () ->
+        determinism_check ~k:8 ~domains:(List.tl domains_checked))
   in
   let cores = Netsim.Sweep.domains_available () in
   Printf.printf
@@ -267,9 +237,31 @@ let () =
      cores available)\n%!"
     (String.concat "/" (List.map string_of_int domains_checked))
     deterministic det_wall cores;
-  write_json ~file:!out ~smoke:!smoke ~cores ~domains_checked ~deterministic
-    rows;
-  Printf.printf "wrote %s\n" !out;
+  let open Obs.Json in
+  Util.write_json cli ~schema:"an2-scale-v1"
+    ([
+       ("model", Str "fat-tree-reconfig-edge-cost-1us");
+       ("detection_delay_ms", Num (ms detection));
+       ("sizes", Arr (List.map size_json rows));
+     ]
+    @ headline rows
+    @ [
+        ( "determinism",
+          Obj
+            [
+              ("partitions", Util.int 4);
+              ("domains_checked", Arr (List.map Util.int domains_checked));
+              ("outcome_identical", Bool deterministic);
+              ("cores_available", Util.int cores);
+              (* On a box with fewer cores than domains, extra domains
+                 only add barrier overhead: determinism is still
+                 asserted, speedup would be noise. Consumers (CI) must
+                 not read a speedup off this file when this flag is
+                 false. *)
+              ( "speedup_meaningful",
+                Bool (cores >= List.fold_left max 1 domains_checked) );
+            ] );
+      ]);
   if not deterministic then exit 1;
   if
     List.exists

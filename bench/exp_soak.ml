@@ -53,7 +53,7 @@ let report_key (r : Soak.report) =
       (fun (c : Soak.checkpoint) -> (c.ck_window, c.ck_digest, c.ck_bytes))
       r.checkpoints )
 
-let json_report oc (r : Soak.report) =
+let report_json (r : Soak.report) =
   let n_ck = List.length r.checkpoints in
   let last_bytes =
     match List.rev r.checkpoints with
@@ -67,50 +67,40 @@ let json_report oc (r : Soak.report) =
     /. float_of_int (max 1 n_ck)
     /. 1e6
   in
-  Printf.fprintf oc
-    "{\"windows\": %d, \"sim_s\": %.1f, \"arrivals\": %d, \"established\": \
-     %d, \"failed\": %d,\n\
-    \     \"granted\": %d, \"denied\": %d, \"held_released\": %d, \
-     \"reconfigs\": %d, \"reconfigs_converged\": %d,\n\
-    \     \"link_failures\": %d, \"link_repairs\": %d, \"partitions\": %d, \
-     \"rerouted\": %d, \"dissolved\": %d, \"readmitted\": %d,\n\
-    \     \"audits_run\": %d, \"audits_clean\": %d, \"gc_reclaimed\": %d,\n\
-    \     \"checkpoints\": %d, \"checkpoint_bytes\": %d, \
-     \"checkpoint_write_ms_mean\": %.3f,\n\
-    \     \"final_digest\": %d, \"violation_window\": %d, \"wall_s\": %.2f}"
-    r.windows
-    (Netsim.Time.to_s r.sim_time)
-    r.arrivals r.established r.failed r.granted r.denied r.held_released
-    r.reconfigs r.reconfigs_converged r.link_failures r.link_repairs
-    r.partitions r.rerouted r.dissolved r.readmitted r.audits_run
-    r.audits_clean r.gc_reclaimed n_ck last_bytes write_ms_mean
-    r.final_digest
-    (match r.violation with Some (w, _) -> w | None -> -1)
-    r.wall_s
+  let open Obs.Json in
+  Obj
+    [
+      ("windows", Util.int r.windows);
+      ("sim_s", Num (Netsim.Time.to_s r.sim_time));
+      ("arrivals", Util.int r.arrivals);
+      ("established", Util.int r.established);
+      ("failed", Util.int r.failed);
+      ("granted", Util.int r.granted);
+      ("denied", Util.int r.denied);
+      ("held_released", Util.int r.held_released);
+      ("reconfigs", Util.int r.reconfigs);
+      ("reconfigs_converged", Util.int r.reconfigs_converged);
+      ("link_failures", Util.int r.link_failures);
+      ("link_repairs", Util.int r.link_repairs);
+      ("partitions", Util.int r.partitions);
+      ("rerouted", Util.int r.rerouted);
+      ("dissolved", Util.int r.dissolved);
+      ("readmitted", Util.int r.readmitted);
+      ("audits_run", Util.int r.audits_run);
+      ("audits_clean", Util.int r.audits_clean);
+      ("gc_reclaimed", Util.int r.gc_reclaimed);
+      ("checkpoints", Util.int n_ck);
+      ("checkpoint_bytes", Util.int last_bytes);
+      ("checkpoint_write_ms_mean", Num write_ms_mean);
+      ("final_digest", Util.int r.final_digest);
+      ( "violation_window",
+        Util.int (match r.violation with Some (w, _) -> w | None -> -1) );
+      ("wall_s", Num r.wall_s);
+    ]
 
 let () =
-  let smoke = ref false
-  and out = ref "BENCH_soak.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--out" :: file :: rest ->
-      out := file;
-      parse rest
-    | [ "--out" ] ->
-      prerr_endline "exp_soak: --out requires a value";
-      exit 2
-    | arg :: _ ->
-      Printf.eprintf
-        "exp_soak: unknown argument %s (usage: exp_soak [--smoke] [--out \
-         FILE])\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let smoke = !smoke in
+  let cli = Util.cli ~default_out:"BENCH_soak.json" in
+  let smoke = cli.smoke in
   (* Full mode soaks 1.1 simulated hours with the leak planted past
      the 1 h mark; smoke keeps the same structure over 30 s. *)
   let cfg =
@@ -190,30 +180,26 @@ let () =
      with bisection vs %.3f s from scratch (%.0fx)\n%!"
     detected b.offending_window b.probes b.bisect_wall_s naive.wall_s speedup;
   (* --- JSON + gates ------------------------------------------------- *)
-  let oc = open_out !out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"soak\",\n";
-  p "  \"smoke\": %b,\n" smoke;
-  p "  \"e36_soak\": ";
-  json_report oc main;
-  p ",\n";
-  p "  \"resume_identical\": %b,\n" resume_identical;
-  p "  \"sweep_deterministic\": %b,\n" sweep_deterministic;
-  p "  \"e36_bisect\": {\n";
-  p "    \"inject_at_sim_s\": %.0f, \"detected_window\": %d, \
-     \"offending_window\": %d, \"probes\": %d,\n"
-    (Netsim.Time.to_s inject_at)
-    detected b.offending_window b.probes;
-  p "    \"bisect_s\": %.4f, \"from_scratch_s\": %.4f, \"speedup\": %.1f, \
-     \"reproduced\": %b,\n"
-    b.bisect_wall_s naive.wall_s speedup reproduced;
-  p "    \"fault_run\": ";
-  json_report oc fault;
-  p "\n  }\n";
-  p "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out;
+  let open Obs.Json in
+  Util.write_json cli ~schema:"an2-soak-v1"
+    [
+      ("e36_soak", report_json main);
+      ("resume_identical", Bool resume_identical);
+      ("sweep_deterministic", Bool sweep_deterministic);
+      ( "e36_bisect",
+        Obj
+          [
+            ("inject_at_sim_s", Num (Netsim.Time.to_s inject_at));
+            ("detected_window", Util.int detected);
+            ("offending_window", Util.int b.offending_window);
+            ("probes", Util.int b.probes);
+            ("bisect_s", Num b.bisect_wall_s);
+            ("from_scratch_s", Num naive.wall_s);
+            ("speedup", Num speedup);
+            ("reproduced", Bool reproduced);
+            ("fault_run", report_json fault);
+          ] );
+    ];
   (* Acceptance: clean soak, byte-identical resume, deterministic
      sweep, leak reproduced — and in the full run the bisection must
      come in at <= 1/10th of the from-scratch cost. *)

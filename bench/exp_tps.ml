@@ -43,9 +43,9 @@ type family = {
 }
 
 let run_cell ~config_name ~mk_graph ~config ~profile =
-  let t0 = Unix.gettimeofday () in
-  let knee, points = Faults.Tps.find_knee ~mk_graph config profile in
-  let seconds = Unix.gettimeofday () -. t0 in
+  let (knee, points), seconds =
+    Util.time (fun () -> Faults.Tps.find_knee ~mk_graph config profile)
+  in
   (* The knee is always a probed, sustained rate; report its point. *)
   let at_knee =
     match List.find_opt (fun p -> p.Faults.Tps.rate = knee) points with
@@ -95,89 +95,71 @@ let run_family ~name ~mk_graph ~profile =
     ratio = improved.knee_tps /. baseline.knee_tps;
   }
 
-let json_point oc last p =
-  let open Faults.Tps in
-  Printf.fprintf oc
-    "      {\"rate\": %.0f, \"offered\": %.1f, \"arrivals\": %d, \
-     \"established\": %d, \"failed\": %d, \"granted\": %d, \"denied\": %d, \
-     \"p50_us\": %.1f, \"p99_us\": %.1f, \"final_backlog\": %d, \
-     \"peak_backlog\": %d, \"diverged\": %b, \"cross_shard\": %d, \
-     \"escrow_conflicts\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
-     \"sim_events\": %d,\n       \"backlog_curve\": [%s]}%s\n"
-    p.rate p.offered_rate p.arrivals p.established p.failed p.granted p.denied
-    p.p50_us p.p99_us p.final_backlog p.peak_backlog p.diverged p.cross_shard
-    p.escrow_conflicts p.cache_hits p.cache_misses p.sim_events
-    (String.concat ", "
-       (Array.to_list
-          (Array.map
-             (fun (t, b) -> Printf.sprintf "[%.3f, %d]" t b)
-             p.backlog_curve)))
-    (if last then "" else ",")
+let point_json (p : Faults.Tps.point) =
+  let open Obs.Json in
+  Obj
+    [
+      ("rate", Num p.rate);
+      ("offered", Num p.offered_rate);
+      ("arrivals", Util.int p.arrivals);
+      ("established", Util.int p.established);
+      ("failed", Util.int p.failed);
+      ("granted", Util.int p.granted);
+      ("denied", Util.int p.denied);
+      ("p50_us", Num p.p50_us);
+      ("p99_us", Num p.p99_us);
+      ("final_backlog", Util.int p.final_backlog);
+      ("peak_backlog", Util.int p.peak_backlog);
+      ("diverged", Bool p.diverged);
+      ("cross_shard", Util.int p.cross_shard);
+      ("escrow_conflicts", Util.int p.escrow_conflicts);
+      ("cache_hits", Util.int p.cache_hits);
+      ("cache_misses", Util.int p.cache_misses);
+      ("sim_events", Util.int p.sim_events);
+      ( "backlog_curve",
+        Arr
+          (Array.to_list
+             (Array.map
+                (fun (t, b) -> Arr [ Num t; Util.int b ])
+                p.backlog_curve))
+      );
+    ]
 
-let json_cell oc last c =
-  Printf.fprintf oc
-    "    {\"config\": \"%s\", \"knee_tps\": %.0f, \"p50_us_at_knee\": %.1f, \
-     \"p99_us_at_knee\": %.1f,\n\
-    \     \"established\": %d, \"granted\": %d, \"denied\": %d, \
-     \"cross_shard\": %d, \"escrow_conflicts\": %d,\n\
-    \     \"cache_hits\": %d, \"cache_misses\": %d, \"seconds\": %.2f,\n\
-    \     \"points\": [\n"
-    c.config_name c.knee_tps c.p50_us c.p99_us c.established c.granted
-    c.denied c.cross_shard c.escrow_conflicts c.cache_hits c.cache_misses
-    c.seconds;
-  List.iteri
-    (fun i p -> json_point oc (i = List.length c.points - 1) p)
-    c.points;
-  Printf.fprintf oc "    ]}%s\n" (if last then "" else ",")
+let cell_json c =
+  let open Obs.Json in
+  Obj
+    [
+      ("config", Str c.config_name);
+      ("knee_tps", Num c.knee_tps);
+      ("p50_us_at_knee", Num c.p50_us);
+      ("p99_us_at_knee", Num c.p99_us);
+      ("established", Util.int c.established);
+      ("granted", Util.int c.granted);
+      ("denied", Util.int c.denied);
+      ("cross_shard", Util.int c.cross_shard);
+      ("escrow_conflicts", Util.int c.escrow_conflicts);
+      ("cache_hits", Util.int c.cache_hits);
+      ("cache_misses", Util.int c.cache_misses);
+      ("seconds", Num c.seconds);
+      ("points", Arr (List.map point_json c.points));
+    ]
 
-let write_json ~file ~smoke ~families ~deterministic =
-  let oc = open_out file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"tps\",\n";
-  p "  \"smoke\": %b,\n" smoke;
-  p "  \"deterministic\": %b,\n" deterministic;
-  p "  \"e35_knee\": [\n";
-  List.iteri
-    (fun i f ->
-      p "   {\"family\": \"%s\", \"switches\": %d, \"hosts\": %d, \
-         \"knee_ratio\": %.3f,\n\
-        \    \"cells\": [\n"
-        f.family_name f.switches f.hosts f.ratio;
-      json_cell oc false f.baseline;
-      json_cell oc true f.improved;
-      p "   ]}%s\n" (if i = List.length families - 1 then "" else ",")
-    )
-    families;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
+let family_json f =
+  let open Obs.Json in
+  Obj
+    [
+      ("family", Str f.family_name);
+      ("switches", Util.int f.switches);
+      ("hosts", Util.int f.hosts);
+      ("knee_ratio", Num f.ratio);
+      ("cells", Arr [ cell_json f.baseline; cell_json f.improved ]);
+    ]
 
 let () =
-  let smoke = ref false
-  and out = ref "BENCH_tps.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--out" :: file :: rest ->
-      out := file;
-      parse rest
-    | [ "--out" ] ->
-      prerr_endline "exp_tps: --out requires a value";
-      exit 2
-    | arg :: _ ->
-      Printf.eprintf
-        "exp_tps: unknown argument %s (usage: exp_tps [--smoke] [--out \
-         FILE])\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let profile = profile (if !smoke then 200 else 500) in
+  let cli = Util.cli ~default_out:"BENCH_tps.json" in
+  let profile = profile (if cli.smoke then 200 else 500) in
   let specs =
-    if !smoke then
+    if cli.smoke then
       [
         ("src-lan", fun () -> Topo.Build.src_lan ());
         ("fat-tree:8", fun () -> fst (Topo.Build.fat_tree ~k:8));
@@ -206,10 +188,13 @@ let () =
   let par = Netsim.Sweep.map ~seeds:seed_list job in
   let deterministic = seq = par in
   Printf.printf "seq/par deterministic: %b\n%!" deterministic;
-  write_json ~file:!out ~smoke:!smoke ~families ~deterministic;
-  Printf.printf "wrote %s\n" !out;
+  Util.write_json cli ~schema:"an2-tps-v1"
+    [
+      ("deterministic", Obs.Json.Bool deterministic);
+      ("e35_knee", Obs.Json.Arr (List.map family_json families));
+    ];
   (* The acceptance gate: the knee-raisers must actually raise it. *)
-  let floor = if !smoke then 1.0 else 2.0 in
+  let floor = if cli.smoke then 1.0 else 2.0 in
   let raised = List.for_all (fun f -> f.ratio >= floor) families in
   if not raised then
     List.iter

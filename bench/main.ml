@@ -45,28 +45,30 @@ let experiments =
 (* F3 shares F2's runner. *)
 let canonical = function "F3" -> "F2" | id -> id
 
-let run_ids ids =
-  let ids = List.map canonical ids in
-  List.iter (fun (id, _, f) -> if List.mem id ids then f ()) experiments
-
 let () =
-  let args = Array.to_list Sys.argv in
-  match args with
-  | _ :: "--list" :: _ ->
-    List.iter (fun (id, what, _) -> Printf.printf "%-5s %s\n" id what) experiments;
-    print_endline "micro  B1-B4 Bechamel kernels (also run by the full suite)"
-  | _ :: "--only" :: ids ->
-    let known, unknown =
-      List.partition
-        (fun id ->
-          id = "micro"
-          || List.exists (fun (eid, _, _) -> eid = canonical id) experiments)
-        ids
-    in
-    List.iter (Printf.eprintf "unknown experiment id: %s\n") unknown;
-    run_ids known;
-    if List.mem "micro" known then Micro.run ()
-  | _ ->
-    run_ids (List.map (fun (id, _, _) -> id) experiments);
-    Micro.run ();
-    Printf.printf "\nAll experiments complete.\n"
+  let list = ref false and only = ref None in
+  Util.parse_argv ~usage:"[--list] [--only ID...]"
+    [
+      ("--list", Util.Flag (fun () -> list := true));
+      ("--only", Util.Rest (fun ids -> only := Some ids));
+    ];
+  let known id =
+    List.exists (fun (eid, _, _) -> eid = canonical id) experiments
+  in
+  if !list then
+    List.iter
+      (fun (id, what, _) -> Printf.printf "%-5s %s\n" id what)
+      experiments
+  else
+    match !only with
+    | Some ids ->
+      let unknown = List.filter (fun id -> not (known id)) ids in
+      if unknown <> [] then begin
+        List.iter (Printf.eprintf "unknown experiment id: %s\n") unknown;
+        exit 2
+      end;
+      let ids = List.map canonical ids in
+      List.iter (fun (id, _, f) -> if List.mem id ids then f ()) experiments
+    | None ->
+      List.iter (fun (_, _, f) -> f ()) experiments;
+      Printf.printf "\nAll experiments complete.\n"

@@ -1,36 +1,18 @@
 (* Perf-trajectory harness.
 
    Times the matching kernels (including the retained list-based
-   reference, so the bitset speedup is measured, not asserted) and a
-   recirculating full-backlog VOQ macro-benchmark, then writes the
-   numbers as JSON. Checking the JSON in at each optimization commit
-   leaves a machine-readable perf trail next to the code.
+   reference, so the bitset speedup is measured, not asserted), the
+   Slepian-Duguid insert, an SRC-LAN reconfiguration and the credit
+   round trip, and a recirculating full-backlog VOQ macro-benchmark,
+   then writes the numbers as JSON. Checking the JSON in at each
+   optimization commit leaves a machine-readable perf trail next to
+   the code.
 
    Usage: dune exec bench/perf.exe [-- --smoke] [-- --out FILE] *)
 
 let n = 16
 let density = 0.75
-
-type sample = { name : string; ops : int; ns_per_op : float; words_per_op : float }
-
-let measure ~name ~ops f =
-  for _ = 1 to min ops 1000 do
-    f ()
-  done;
-  (* warmup *)
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to ops do
-    f ()
-  done;
-  let t1 = Unix.gettimeofday () in
-  let w1 = Gc.minor_words () in
-  {
-    name;
-    ops;
-    ns_per_op = (t1 -. t0) *. 1e9 /. float_of_int ops;
-    words_per_op = (w1 -. w0) /. float_of_int ops;
-  }
+let measure ~name ~ops f = (name, Util.measure ~ops f)
 
 let kernels ~ops =
   let make_req seed =
@@ -77,7 +59,52 @@ let kernels ~ops =
     measure ~name:"rng-int" ~ops:(ops * 50) (fun () ->
         ignore (Netsim.Rng.int rng 16))
   in
-  [ pim_bitset; pim_reference; islip; greedy; hk; rng_int ]
+  let sd_insert =
+    let rng = Netsim.Rng.create 4 in
+    let frame = 1024 in
+    let s = Frame.Schedule.create ~n ~frame in
+    (* Pre-fill to 90% so insertions exercise the swap chain. *)
+    let r = Frame.Reservation.random_admissible ~rng ~n ~frame ~fill:0.9 in
+    for i = 0 to n - 1 do
+      for o = 0 to n - 1 do
+        ignore
+          (Frame.Schedule.add_reservation s ~input:i ~output:o
+             ~cells:(Frame.Reservation.get r i o))
+      done
+    done;
+    (* Insert and remove one cell between a lightly loaded pair. *)
+    measure ~name:"slepian-duguid-insert" ~ops (fun () ->
+        match Frame.Schedule.add_cell s ~input:0 ~output:0 with
+        | Ok _ -> ignore (Frame.Schedule.remove_cell s ~input:0 ~output:0)
+        | Error _ -> ())
+  in
+  (* A whole reconfiguration costs about 100 us, so it runs 1/100 as
+     often as the kernels above. *)
+  let reconfig =
+    measure ~name:"reconfig-src-lan" ~ops:(max 1 (ops / 100)) (fun () ->
+        let g = Topo.Build.src_lan () in
+        ignore (Reconfig.Runner.run g ~triggers:[ (0, 0) ]))
+  in
+  let credit =
+    let up = Flow.Credit.Upstream.create ~total:64 in
+    let ds = Flow.Credit.Downstream.create ~capacity:64 ~cumulative:false in
+    measure ~name:"credit-roundtrip" ~ops (fun () ->
+        Flow.Credit.Upstream.on_send up;
+        Flow.Credit.Downstream.on_arrival ds;
+        Flow.Credit.Upstream.on_credit up
+          (Flow.Credit.Downstream.on_forward ds))
+  in
+  [
+    pim_bitset;
+    pim_reference;
+    islip;
+    greedy;
+    hk;
+    rng_int;
+    sd_insert;
+    reconfig;
+    credit;
+  ]
 
 (* Full-backlog VOQ switch under PIM3: every transferred cell is
    re-injected, so all N^2 virtual output queues stay occupied and
@@ -109,113 +136,43 @@ let macro_bench ?(obs = Obs.Sink.null) ~slots () =
     ignore (model.Fabric.Model.step_count ~slot)
   done;
   let cells = ref 0 in
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for slot = warmup to warmup + slots - 1 do
-    cells := !cells + model.Fabric.Model.step_count ~slot
-  done;
-  let t1 = Unix.gettimeofday () in
-  let w1 = Gc.minor_words () in
-  let elapsed = t1 -. t0 in
+  let words, elapsed =
+    Util.time (fun () ->
+        let w0 = Gc.minor_words () in
+        for slot = warmup to warmup + slots - 1 do
+          cells := !cells + model.Fabric.Model.step_count ~slot
+        done;
+        Gc.minor_words () -. w0)
+  in
   {
     slots;
     cells = !cells;
     ns_per_slot = elapsed *. 1e9 /. float_of_int slots;
     cells_per_sec = float_of_int !cells /. elapsed;
-    minor_words_per_slot = (w1 -. w0) /. float_of_int slots;
+    minor_words_per_slot = words /. float_of_int slots;
   }
 
-(* Observability overhead: the same full-backlog run with the sink
-   disabled (the shipped default — must stay allocation-free) and with
-   an enabled sink collecting counters, gauges, histograms and trace
-   events every slot. *)
-type obs_cost = {
-  off : macro;
-  on_ : macro;
-  overhead_pct : float;
-  on_words_per_slot : float;
-}
-
-let obs_bench ~slots =
+let () =
+  let cli = Util.cli ~default_out:"BENCH_fabric.json" in
+  let ops = if cli.smoke then 2_000 else 100_000 in
+  let slots = if cli.smoke then 2_000 else 100_000 in
+  let samples = kernels ~ops in
+  let m = macro_bench ~slots () in
+  (* Observability overhead: the same full-backlog run with the sink
+     disabled (the shipped default — must stay allocation-free) and
+     with an enabled sink collecting counters, gauges, histograms and
+     trace events every slot. *)
   let off = macro_bench ~slots () in
   let on_ =
     macro_bench ~obs:(Obs.Sink.create ~trace_capacity:4096 ()) ~slots ()
   in
-  {
-    off;
-    on_;
-    overhead_pct = 100.0 *. (on_.ns_per_slot /. off.ns_per_slot -. 1.0);
-    on_words_per_slot = on_.minor_words_per_slot;
-  }
-
-(* ------------------------------------------------------------------ *)
-
-let write_json ~file ~smoke ~samples ~speedup ~(m : macro) ~(o : obs_cost) =
-  let oc = open_out file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"an2-perf-v1\",\n";
-  p "  \"smoke\": %b,\n" smoke;
-  p "  \"config\": { \"n\": %d, \"density\": %.2f, \"pim_iterations\": 3 },\n" n
-    density;
-  p "  \"kernels\": [\n";
-  List.iteri
-    (fun k s ->
-      p "    { \"name\": \"%s\", \"ops\": %d, \"ns_per_op\": %.1f, \"minor_words_per_op\": %.1f }%s\n"
-        (Obs.Metrics.json_escape s.name) s.ops s.ns_per_op s.words_per_op
-        (if k = List.length samples - 1 then "" else ","))
-    samples;
-  p "  ],\n";
-  p "  \"derived\": { \"pim3_bitset_speedup_vs_reference\": %.2f },\n" speedup;
-  p "  \"macro\": {\n";
-  p "    \"model\": \"voq-pim3-16x16-full-backlog\",\n";
-  p "    \"slots\": %d,\n" m.slots;
-  p "    \"cells\": %d,\n" m.cells;
-  p "    \"ns_per_slot\": %.1f,\n" m.ns_per_slot;
-  p "    \"cells_per_sec\": %.0f,\n" m.cells_per_sec;
-  p "    \"minor_words_per_slot\": %.2f\n" m.minor_words_per_slot;
-  p "  },\n";
-  p "  \"obs\": {\n";
-  p "    \"off_ns_per_slot\": %.1f,\n" o.off.ns_per_slot;
-  p "    \"off_minor_words_per_slot\": %.2f,\n" o.off.minor_words_per_slot;
-  p "    \"on_ns_per_slot\": %.1f,\n" o.on_.ns_per_slot;
-  p "    \"on_minor_words_per_slot\": %.2f,\n" o.on_words_per_slot;
-  p "    \"overhead_pct\": %.1f\n" o.overhead_pct;
-  p "  }\n";
-  p "}\n";
-  close_out oc
-
-let () =
-  let smoke = ref false and out = ref "BENCH_fabric.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--out" :: file :: rest ->
-      out := file;
-      parse rest
-    | [ "--out" ] ->
-      prerr_endline "perf: --out requires a value";
-      exit 2
-    | arg :: _ ->
-      Printf.eprintf "perf: unknown argument %s (usage: perf [--smoke] [--out FILE])\n" arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let ops = if !smoke then 2_000 else 100_000 in
-  let slots = if !smoke then 2_000 else 100_000 in
-  let samples = kernels ~ops in
-  let m = macro_bench ~slots () in
-  let o = obs_bench ~slots in
-  let find name = List.find (fun s -> s.name = name) samples in
-  let speedup =
-    (find "pim3-16x16-reference").ns_per_op /. (find "pim3-16x16").ns_per_op
-  in
+  let overhead_pct = 100.0 *. ((on_.ns_per_slot /. off.ns_per_slot) -. 1.0) in
+  let ns name = (List.assoc name samples).Util.ns_per_op in
+  let speedup = ns "pim3-16x16-reference" /. ns "pim3-16x16" in
   Printf.printf "kernels (%d ops each):\n" ops;
   List.iter
-    (fun s ->
-      Printf.printf "  %-24s %10.1f ns/op %10.1f words/op\n" s.name s.ns_per_op
+    (fun (name, (s : Util.sample)) ->
+      Printf.printf "  %-24s %10.1f ns/op %10.1f words/op\n" name s.ns_per_op
         s.words_per_op)
     samples;
   Printf.printf "pim3 bitset speedup vs reference: %.2fx\n" speedup;
@@ -224,7 +181,48 @@ let () =
     m.slots m.ns_per_slot (m.cells_per_sec /. 1e6) m.minor_words_per_slot;
   Printf.printf
     "observability: off %.1f ns/slot (%.2f words), on %.1f ns/slot (%.2f words), overhead %.1f%%\n"
-    o.off.ns_per_slot o.off.minor_words_per_slot o.on_.ns_per_slot
-    o.on_words_per_slot o.overhead_pct;
-  write_json ~file:!out ~smoke:!smoke ~samples ~speedup ~m ~o;
-  Printf.printf "wrote %s\n" !out
+    off.ns_per_slot off.minor_words_per_slot on_.ns_per_slot
+    on_.minor_words_per_slot overhead_pct;
+  let open Obs.Json in
+  Util.write_json cli ~schema:"an2-perf-v1"
+    [
+      ( "config",
+        Obj
+          [
+            ("n", Util.int n);
+            ("density", Num density);
+            ("pim_iterations", Util.int 3);
+          ] );
+      ( "kernels",
+        Arr
+          (List.map
+             (fun (name, (s : Util.sample)) ->
+               Obj
+                 [
+                   ("name", Str name);
+                   ("ops", Util.int s.ops);
+                   ("ns_per_op", Num s.ns_per_op);
+                   ("minor_words_per_op", Num s.words_per_op);
+                 ])
+             samples) );
+      ("derived", Obj [ ("pim3_bitset_speedup_vs_reference", Num speedup) ]);
+      ( "macro",
+        Obj
+          [
+            ("model", Str "voq-pim3-16x16-full-backlog");
+            ("slots", Util.int m.slots);
+            ("cells", Util.int m.cells);
+            ("ns_per_slot", Num m.ns_per_slot);
+            ("cells_per_sec", Num m.cells_per_sec);
+            ("minor_words_per_slot", Num m.minor_words_per_slot);
+          ] );
+      ( "obs",
+        Obj
+          [
+            ("off_ns_per_slot", Num off.ns_per_slot);
+            ("off_minor_words_per_slot", Num off.minor_words_per_slot);
+            ("on_ns_per_slot", Num on_.ns_per_slot);
+            ("on_minor_words_per_slot", Num on_.minor_words_per_slot);
+            ("overhead_pct", Num overhead_pct);
+          ] );
+    ]

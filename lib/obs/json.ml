@@ -2,7 +2,8 @@
    and the exporters hand-print their output, so round-trip tests and
    the [an2sim report] renderer parse it back by hand. Only what
    Chrome-trace/metrics/heartbeat JSON needs: objects, arrays, strings
-   (with escapes), numbers, true/false/null. *)
+   (with escapes), numbers, true/false/null. The printer below writes
+   the bench harnesses' JSON. *)
 
 type t =
   | Null
@@ -199,3 +200,60 @@ let str = function Str s -> s | _ -> raise (Bad "not a string")
 let num = function Num x -> x | _ -> raise (Bad "not a number")
 let arr = function Arr l -> l | _ -> raise (Bad "not an array")
 let obj = function Obj l -> l | _ -> raise (Bad "not an object")
+
+(* ---- printer ---- *)
+
+(* Integral values below 1e17 print every digit with "%.0f"; any
+   other finite value takes the fewest significant digits that read
+   back to it. *)
+let number x =
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e17 then Printf.sprintf "%.0f" x
+  else
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p x in
+      if p >= 17 || float_of_string s = x then s else shortest (p + 1)
+    in
+    shortest 1
+
+let rec has_obj = function
+  | Obj _ -> true
+  | Arr items -> List.exists has_obj items
+  | Null | Bool _ | Num _ | Str _ -> false
+
+let to_string v =
+  let b = Buffer.create 1024 in
+  let add = Buffer.add_string b in
+  let quoted s =
+    add "\"";
+    add (Metrics.json_escape s);
+    add "\""
+  in
+  let rec value indent = function
+    | Null -> add "null"
+    | Bool x -> add (string_of_bool x)
+    | Num x -> add (number x)
+    | Str s -> quoted s
+    | Arr items -> members indent ("[", "]") (List.map (fun v -> (None, v)) items)
+    | Obj fields ->
+      members indent ("{", "}") (List.map (fun (k, v) -> (Some k, v)) fields)
+  and members indent (op, cl) items =
+    let inner = indent ^ "  " in
+    let one_line = not (List.exists (fun (_, v) -> has_obj v) items) in
+    add op;
+    List.iteri
+      (fun i (key, v) ->
+        if i > 0 then add (if one_line then ", " else ",");
+        if not one_line then add ("\n" ^ inner);
+        Option.iter
+          (fun k ->
+            quoted k;
+            add ": ")
+          key;
+        value inner v)
+      items;
+    if not one_line then add ("\n" ^ indent);
+    add cl
+  in
+  value "" v;
+  Buffer.contents b

@@ -1,4 +1,5 @@
-(** A minimal JSON reader for the observability exporters' own output.
+(** A minimal JSON reader for the observability exporters' own output,
+    and the printer the bench harnesses write their JSON with.
 
     The repo deliberately carries no JSON library — the exporters
     hand-print their JSON — so the round-trip tests and the
@@ -23,6 +24,13 @@ exception Bad of string
 
 val parse : string -> t
 (** Raises {!Bad} on malformed input or trailing garbage. *)
+
+val to_string : t -> string
+(** [v] as JSON that {!parse} reads back to [v]. A float prints as the
+    shortest decimal that parses back to it, an integral one without a
+    fraction, a non-finite one as [null]. An array or object holding
+    no object prints on one line; any other puts each member on its
+    own line, indented two spaces per level. No trailing newline. *)
 
 val member : string -> t -> t
 (** Field of an object; raises {!Bad} when missing or not an object. *)

@@ -21,6 +21,7 @@ let programs =
   [
     ("an2sim", "bin/an2sim.exe");
     ("main", "bench/main.exe");
+    ("perf", "bench/perf.exe");
     ("failover", "examples/failover.exe");
   ]
 

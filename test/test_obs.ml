@@ -373,6 +373,77 @@ let test_engine_obs_probes () =
     (Obs.Trace.total (Obs.Sink.trace obs))
 
 (* ------------------------------------------------------------------ *)
+(* The JSON printer *)
+
+(* Nested finite values whose strings mix quotes, backslashes, control
+   characters and multi-byte UTF-8 with plain ASCII. *)
+let json_gen =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        oneofl [ "\""; "\\"; "\n"; "\t"; "\r"; "\x00"; "\x1f"; "/" ];
+        (* e-acute, the euro sign, and U+1D11E (four bytes) *)
+        oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9d\x84\x9e" ];
+        map (String.make 1) printable;
+      ]
+  in
+  let str = map (String.concat "") (list_size (0 -- 6) piece) in
+  let finite = map (fun x -> if Float.is_finite x then x else 0.5) float in
+  let num =
+    oneof
+      [
+        finite;
+        map float_of_int int;
+        oneofl
+          [ 0.0; -0.0; 0.1; 1e-7; 1e17; 1e300; 5e-324; max_float; -.max_float ];
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun x -> Json.Num x) num;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 2))) );
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n / 2)))) );
+             ])
+
+let test_json_print_roundtrip =
+  qtest "to_string parses back to the same value" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = v)
+
+let test_json_non_finite () =
+  Alcotest.(check string) "null" "[null, null, null]"
+    (Json.to_string (Json.Arr [ Num nan; Num infinity; Num neg_infinity ]))
+
+let test_json_integral () =
+  List.iter
+    (fun (x, s) -> Alcotest.(check string) s s (Json.to_string (Json.Num x)))
+    [
+      (3.0, "3");
+      (-42.0, "-42");
+      (1e15, "1000000000000000");
+      (0.5, "0.5");
+      (0.1, "0.1");
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "obs"
@@ -410,6 +481,14 @@ let () =
           test_merge_order_equivalence;
           Alcotest.test_case "cross-domain claim asserts" `Quick
             test_cross_domain_claim_asserts;
+        ] );
+      ( "json",
+        [
+          test_json_print_roundtrip;
+          Alcotest.test_case "non-finite prints null" `Quick
+            test_json_non_finite;
+          Alcotest.test_case "integral floats print no fraction" `Quick
+            test_json_integral;
         ] );
       ( "engine",
         [
