@@ -84,8 +84,9 @@ let reservations t =
 
 let headroom t lid = Network.frame_length t.net - reserved t lid
 
-(* Shortest switch path where every link (host links included) has
-   [cells] of headroom: the shared BFS kernel with a capacity filter. *)
+(* Shortest route where every link (host links included) has [cells] of
+   headroom: the shared BFS kernel with a capacity filter, answering
+   with the links it approved, which are the links reserved. *)
 let capacity_route t ~src_host ~dst_host ~cells =
   let g = Network.graph t.net in
   match
@@ -97,10 +98,11 @@ let capacity_route t ~src_host ~dst_host ~cells =
       Error No_capacity
     else
       match
-        Topo.Paths.route ~usable:(fun lid -> headroom t lid >= cells) g ~src:a
-          ~dst:b
+        Topo.Paths.route_links
+          ~usable:(fun lid -> headroom t lid >= cells)
+          g ~src:a ~dst:b ~tail:[ dst_link ]
       with
-      | Some path -> Ok path
+      | Some (switches, links) -> Ok (switches, src_link :: links)
       | None ->
         (* Distinguish "physically disconnected" from "saturated". *)
         if Topo.Paths.route g ~src:a ~dst:b = None then Error No_route
@@ -130,19 +132,14 @@ let request t ~src_host ~dst_host ~cells =
   let outcome =
     match capacity_route t ~src_host ~dst_host ~cells with
     | Error d -> Error d
-    | Ok switches ->
-      (match
-         Network.links_of_switch_path t.net ~src_host ~dst_host switches
-       with
-       | Error _ -> Error No_route
-       | Ok links ->
-         let vc =
-           Network.register_guaranteed t.net ~src_host ~dst_host ~cells
-             ~switches ~links
-         in
-         List.iter (fun lid -> add_reserved t lid cells) links;
-         install_schedules t vc cells;
-         Ok vc)
+    | Ok (switches, links) ->
+      let vc =
+        Network.register_guaranteed t.net ~src_host ~dst_host ~cells ~switches
+          ~links
+      in
+      List.iter (fun lid -> add_reserved t lid cells) links;
+      install_schedules t vc cells;
+      Ok vc
   in
   if obs_on t then begin
     match outcome with
@@ -183,21 +180,15 @@ let reroute_after_failure t vc =
          ~dst_host:vc.Network.dst_host ~cells
      with
      | Error d -> dissolve d
-     | Ok switches ->
-       (match
-          Network.links_of_switch_path t.net ~src_host:vc.Network.src_host
-            ~dst_host:vc.Network.dst_host switches
-        with
-        | Error _ -> dissolve No_route
-        | Ok links ->
-          Network.remove_schedule_entries t.net vc cells;
-          Network.uninstall t.net vc;
-          vc.Network.switches <- switches;
-          vc.Network.links <- links;
-          Network.install t.net vc;
-          List.iter (fun lid -> add_reserved t lid cells) links;
-          install_schedules t vc cells;
-          Ok ()))
+     | Ok (switches, links) ->
+       Network.remove_schedule_entries t.net vc cells;
+       Network.uninstall t.net vc;
+       vc.Network.switches <- switches;
+       vc.Network.links <- links;
+       Network.install t.net vc;
+       List.iter (fun lid -> add_reserved t lid cells) links;
+       install_schedules t vc cells;
+       Ok ())
 
 (* Fault injection for the soak harness: silently inflate a link's
    reservation count without touching any circuit. Invisible to every
@@ -425,101 +416,95 @@ module Service = struct
     occupy t co ~cost:t.params.route_cost (fun () ->
         match capacity_route t.core ~src_host ~dst_host ~cells with
         | Error d -> deny d
-        | Ok switches ->
-          (match
-             Network.links_of_switch_path t.core.net ~src_host ~dst_host
-               switches
-           with
-           | Error _ -> deny No_route
-           | Ok links ->
-             (* Partition the route's links by owning shard. Foreign
-                shards are visited in ascending order — a total escrow
-                order, so concurrent cross-shard admissions cannot
-                deadlock and replay deterministically. *)
-             let per = Array.make t.core.shards [] in
-             List.iter
-               (fun lid ->
-                 let sh = shard_of t.core lid in
-                 per.(sh) <- lid :: per.(sh))
-               links;
-             let foreign = ref [] in
-             for sh = t.core.shards - 1 downto 0 do
-               if sh <> co && per.(sh) <> [] then foreign := sh :: !foreign
-             done;
-             if !foreign <> [] then begin
-               t.cross_shard <- t.cross_shard + 1;
-               if obs_on t.core then Obs.Metrics.Counter.incr t.c_cross_shard
-             end;
-             let escrowed = ref [] in
-             (* Compensation: return every escrowed shard's cells. *)
-             let undo () =
-               List.iter
-                 (fun sh ->
-                   List.iter
-                     (fun lid -> sub_reserved t.core lid cells)
-                     per.(sh))
-                 !escrowed
-             in
-             let conflict () =
-               undo ();
-               t.escrow_conflicts <- t.escrow_conflicts + 1;
-               if obs_on t.core then
-                 Obs.Metrics.Counter.incr t.c_escrow_conflicts;
-               deny No_capacity
-             in
-             let commit () =
-               let writes =
-                 if batched t then 0
-                 else List.length switches * t.params.write_cost
-               in
-               occupy t co ~cost:(t.params.admit_cost + writes) (fun () ->
-                   (* Re-validate the coordinator's own links: another
-                      admission may have landed since the route was
-                      computed. *)
-                   if
-                     List.exists
-                       (fun lid -> headroom t.core lid < cells)
-                       per.(co)
-                   then conflict ()
-                   else begin
-                     List.iter
-                       (fun lid -> add_reserved t.core lid cells)
-                       per.(co);
-                     let vc =
-                       Network.register_guaranteed
-                         ~install:(not (batched t)) t.core.net ~src_host
-                         ~dst_host ~cells ~switches ~links
-                     in
-                     install_schedules t.core vc cells;
-                     if batched t then begin
-                       t.pending_writes.(co) <- vc :: t.pending_writes.(co);
-                       arm_flush t co
-                     end;
-                     t.granted <- t.granted + 1;
-                     if obs_on t.core then
-                       Obs.Metrics.Counter.incr t.core.c_granted;
-                     t.in_flight <- t.in_flight - 1;
-                     on_done (Ok vc)
-                   end)
-             in
-             let rec escrow = function
-               | [] -> commit ()
-               | sh :: rest ->
-                 occupy t sh ~cost:t.params.escrow_cost (fun () ->
-                     if
-                       List.exists
-                         (fun lid -> headroom t.core lid < cells)
-                         per.(sh)
-                     then conflict ()
-                     else begin
-                       List.iter
-                         (fun lid -> add_reserved t.core lid cells)
-                         per.(sh);
-                       escrowed := sh :: !escrowed;
-                       escrow rest
-                     end)
-             in
-             escrow !foreign))
+        | Ok (switches, links) ->
+          (* Partition the route's links by owning shard. Foreign
+             shards are visited in ascending order — a total escrow
+             order, so concurrent cross-shard admissions cannot
+             deadlock and replay deterministically. *)
+          let per = Array.make t.core.shards [] in
+          List.iter
+            (fun lid ->
+              let sh = shard_of t.core lid in
+              per.(sh) <- lid :: per.(sh))
+            links;
+          let foreign = ref [] in
+          for sh = t.core.shards - 1 downto 0 do
+            if sh <> co && per.(sh) <> [] then foreign := sh :: !foreign
+          done;
+          if !foreign <> [] then begin
+            t.cross_shard <- t.cross_shard + 1;
+            if obs_on t.core then Obs.Metrics.Counter.incr t.c_cross_shard
+          end;
+          let escrowed = ref [] in
+          (* Compensation: return every escrowed shard's cells. *)
+          let undo () =
+            List.iter
+              (fun sh ->
+                List.iter
+                  (fun lid -> sub_reserved t.core lid cells)
+                  per.(sh))
+              !escrowed
+          in
+          let conflict () =
+            undo ();
+            t.escrow_conflicts <- t.escrow_conflicts + 1;
+            if obs_on t.core then
+              Obs.Metrics.Counter.incr t.c_escrow_conflicts;
+            deny No_capacity
+          in
+          let commit () =
+            let writes =
+              if batched t then 0
+              else List.length switches * t.params.write_cost
+            in
+            occupy t co ~cost:(t.params.admit_cost + writes) (fun () ->
+                (* Re-validate the coordinator's own links: another
+                   admission may have landed since the route was
+                   computed. *)
+                if
+                  List.exists
+                    (fun lid -> headroom t.core lid < cells)
+                    per.(co)
+                then conflict ()
+                else begin
+                  List.iter
+                    (fun lid -> add_reserved t.core lid cells)
+                    per.(co);
+                  let vc =
+                    Network.register_guaranteed
+                      ~install:(not (batched t)) t.core.net ~src_host
+                      ~dst_host ~cells ~switches ~links
+                  in
+                  install_schedules t.core vc cells;
+                  if batched t then begin
+                    t.pending_writes.(co) <- vc :: t.pending_writes.(co);
+                    arm_flush t co
+                  end;
+                  t.granted <- t.granted + 1;
+                  if obs_on t.core then
+                    Obs.Metrics.Counter.incr t.core.c_granted;
+                  t.in_flight <- t.in_flight - 1;
+                  on_done (Ok vc)
+                end)
+          in
+          let rec escrow = function
+            | [] -> commit ()
+            | sh :: rest ->
+              occupy t sh ~cost:t.params.escrow_cost (fun () ->
+                  if
+                    List.exists
+                      (fun lid -> headroom t.core lid < cells)
+                      per.(sh)
+                  then conflict ()
+                  else begin
+                    List.iter
+                      (fun lid -> add_reserved t.core lid cells)
+                      per.(sh);
+                    escrowed := sh :: !escrowed;
+                    escrow rest
+                  end)
+          in
+          escrow !foreign)
 
   let release t vc =
     match vc.Network.cls with

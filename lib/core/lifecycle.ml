@@ -167,36 +167,24 @@ let switch_alive g s =
 (* Recompute a host pair's route on the current topology. *)
 let compute_route t ~src_host ~dst_host =
   let g = Network.graph t.net in
-  match
-    ( Network.host_attachment t.net src_host,
-      Network.host_attachment t.net dst_host )
-  with
-  | Error e, _ | _, Error e -> Error e
-  | Ok (a, _), Ok (b, _) ->
-    let path =
-      match t.params.routing with
-      | Shortest -> Topo.Paths.route g ~src:a ~dst:b
-      | Updown ->
-        (* Orientation rooted at the source attachment: any root gives
-           a deadlock-free up*/down* discipline, and the source is
-           always in its own component. The orientation depends only
-           on the graph, so it shares the version-keyed cache. *)
-        let orient =
-          match Hashtbl.find_opt t.orient_cache a with
-          | Some o -> o
-          | None ->
-            let o = Topo.Updown.orient g (Topo.Spanning.bfs g ~root:a) in
-            if t.params.path_cache then Hashtbl.add t.orient_cache a o;
-            o
-        in
-        Topo.Updown.route g orient ~src:a ~dst:b
-    in
-    (match path with
-     | None -> Error (Printf.sprintf "hosts %d and %d are partitioned" src_host dst_host)
-     | Some switches ->
-       (match Network.links_of_switch_path t.net ~src_host ~dst_host switches with
-        | Error e -> Error e
-        | Ok links -> Ok (switches, links)))
+  Network.route_between t.net ~src_host ~dst_host
+    (match t.params.routing with
+     | Shortest -> Topo.Paths.route_links g
+     | Updown ->
+       fun ~src ~dst ~tail ->
+         (* Orientation rooted at the source attachment: any root gives
+            a deadlock-free up*/down* discipline, and the source is
+            always in its own component. The orientation depends only
+            on the graph, so it shares the version-keyed cache. *)
+         let orient =
+           match Hashtbl.find_opt t.orient_cache src with
+           | Some o -> o
+           | None ->
+             let o = Topo.Updown.orient g (Topo.Spanning.bfs g ~root:src) in
+             if t.params.path_cache then Hashtbl.add t.orient_cache src o;
+             o
+         in
+         Topo.Updown.route_links g orient ~src ~dst ~tail)
 
 (* [route_for] additionally reports whether the answer came from the
    cache, so the caller can charge the cached or uncached route cost. *)

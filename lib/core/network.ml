@@ -53,13 +53,6 @@ let links_of_switch_path t ~src_host ~dst_host switches =
   match (host_attachment t src_host, host_attachment t dst_host) with
   | Error e, _ | _, Error e -> Error e
   | Ok (first, src_link), Ok (last, dst_link) ->
-    let rec expand acc = function
-      | a :: (b :: _ as rest) ->
-        (match Topo.Graph.switch_link t.graph a b with
-         | Some lid -> expand (lid :: acc) rest
-         | None -> Error (Printf.sprintf "switches %d and %d not adjacent" a b))
-      | _ -> Ok (List.rev acc)
-    in
     (match switches with
      | [] -> Error "empty switch path"
      | s0 :: _ ->
@@ -67,17 +60,21 @@ let links_of_switch_path t ~src_host ~dst_host switches =
        else if List.nth switches (List.length switches - 1) <> last then
          Error "path does not end at destination attachment"
        else
-         (match expand [] switches with
-          | Error e -> Error e
-          | Ok mids -> Ok ((src_link :: mids) @ [ dst_link ])))
+         (match Topo.Paths.links_of_switches t.graph switches ~tail:[ dst_link ] with
+          | Error (a, b) ->
+            Error (Printf.sprintf "switches %d and %d not adjacent" a b)
+          | Ok links -> Ok (src_link :: links)))
 
-let find_route t ~src_host ~dst_host =
+let route_between t ~src_host ~dst_host search =
   match (host_attachment t src_host, host_attachment t dst_host) with
   | Error e, _ | _, Error e -> Error e
-  | Ok (a, _), Ok (b, _) ->
-    (match Topo.Paths.route t.graph ~src:a ~dst:b with
-     | Some path -> Ok path
+  | Ok (a, src_link), Ok (b, dst_link) ->
+    (match search ~src:a ~dst:b ~tail:[ dst_link ] with
+     | Some (switches, links) -> Ok (switches, src_link :: links)
      | None -> Error (Printf.sprintf "switches %d and %d are partitioned" a b))
+
+let find_route t ~src_host ~dst_host =
+  route_between t ~src_host ~dst_host (Topo.Paths.route_links t.graph)
 
 (* Pair each switch on the path with its incoming and outgoing link. *)
 let table_entries vc =
@@ -102,25 +99,22 @@ let uninstall t vc =
 let setup_best_effort t ~src_host ~dst_host =
   match find_route t ~src_host ~dst_host with
   | Error e -> Error e
-  | Ok switches ->
-    (match links_of_switch_path t ~src_host ~dst_host switches with
-     | Error e -> Error e
-     | Ok links ->
-       let vc =
-         {
-           vc_id = t.next_vc;
-           src_host;
-           dst_host;
-           cls = Best_effort;
-           switches;
-           links;
-           paged_out = false;
-         }
-       in
-       t.next_vc <- t.next_vc + 1;
-       Hashtbl.add t.vcs vc.vc_id vc;
-       install t vc;
-       Ok vc)
+  | Ok (switches, links) ->
+    let vc =
+      {
+        vc_id = t.next_vc;
+        src_host;
+        dst_host;
+        cls = Best_effort;
+        switches;
+        links;
+        paged_out = false;
+      }
+    in
+    t.next_vc <- t.next_vc + 1;
+    Hashtbl.add t.vcs vc.vc_id vc;
+    install t vc;
+    Ok vc
 
 let register_best_effort t ~src_host ~dst_host =
   let vc =
@@ -206,25 +200,19 @@ let find_vc t id = Hashtbl.find_opt t.vcs id
 
 let iter_vcs t f = Hashtbl.iter (fun _ vc -> f vc) t.vcs
 
-let set_route t vc ~switches =
+let set_route t vc ~switches ~links =
   match vc.cls with
   | Guaranteed _ -> Error "guaranteed circuits are moved by bandwidth central"
   | Best_effort ->
-    (match
-       links_of_switch_path t ~src_host:vc.src_host ~dst_host:vc.dst_host
-         switches
-     with
-     | Error e -> Error e
-     | Ok links ->
-       if List.exists (fun lid -> (Topo.Graph.link t.graph lid).Topo.Graph.state <> Topo.Graph.Working) links
-       then Error "path crosses a dead link"
-       else begin
-         uninstall t vc;
-         vc.switches <- switches;
-         vc.links <- links;
-         install t vc;
-         Ok ()
-       end)
+    if not (List.for_all (Topo.Graph.link_working t.graph) links) then
+      Error "path crosses a dead link"
+    else begin
+      uninstall t vc;
+      vc.switches <- switches;
+      vc.links <- links;
+      install t vc;
+      Ok ()
+    end
 
 let next_hop t ~switch ~vc_id =
   match Hashtbl.find_opt t.tables.(switch) vc_id with
@@ -237,18 +225,7 @@ let reroute t vc =
   | Best_effort ->
     (match find_route t ~src_host:vc.src_host ~dst_host:vc.dst_host with
      | Error e -> Error e
-     | Ok switches ->
-       (match
-          links_of_switch_path t ~src_host:vc.src_host ~dst_host:vc.dst_host
-            switches
-        with
-        | Error e -> Error e
-        | Ok links ->
-          uninstall t vc;
-          vc.switches <- switches;
-          vc.links <- links;
-          install t vc;
-          Ok ()))
+     | Ok (switches, links) -> set_route t vc ~switches ~links)
 
 let page_out t vc =
   (match vc.cls with
@@ -396,15 +373,9 @@ let page_in t vc =
        setup cell would. *)
     match find_route t ~src_host:vc.src_host ~dst_host:vc.dst_host with
     | Error e -> Error e
-    | Ok switches ->
-      (match
-         links_of_switch_path t ~src_host:vc.src_host ~dst_host:vc.dst_host
-           switches
-       with
-       | Error e -> Error e
-       | Ok links ->
-         vc.switches <- switches;
-         vc.links <- links;
-         vc.paged_out <- false;
-         install t vc;
-         Ok ())
+    | Ok (switches, links) ->
+      vc.switches <- switches;
+      vc.links <- links;
+      vc.paged_out <- false;
+      install t vc;
+      Ok ()

@@ -36,10 +36,20 @@ val switch_schedule : t -> int -> Frame.Schedule.t
 (** The guaranteed-traffic frame schedule of a switch, indexed by
     crossbar port. *)
 
-val find_route : t -> src_host:int -> dst_host:int -> (int list, string) result
-(** Shortest switch path between the hosts' working attachments. AN2
+val find_route :
+  t -> src_host:int -> dst_host:int -> (int list * int list, string) result
+(** Shortest route between the hosts' working attachments: the switch
+    path and the links the search crossed, host links included. AN2
     needs no up*/down* restriction for best-effort circuits because
     per-VC buffers already prevent deadlock (paper §5). *)
+
+val route_between :
+  t -> src_host:int -> dst_host:int ->
+  (src:int -> dst:int -> tail:int list -> (int list * int list) option) ->
+  (int list * int list, string) result
+(** The route a search ({!Topo.Paths.route_links} or
+    {!Topo.Updown.route_links}) finds between the hosts' working
+    attachment switches, with the two host links at its ends. *)
 
 val setup_best_effort : t -> src_host:int -> dst_host:int -> (vc, string) result
 (** Create a best-effort circuit: chooses the route and installs a
@@ -100,9 +110,10 @@ val find_vc : t -> int -> vc option
 val iter_vcs : t -> (vc -> unit) -> unit
 (** Iterate over all live circuits (order unspecified). *)
 
-val set_route : t -> vc -> switches:int list -> (unit, string) result
-(** Move a best-effort circuit onto an explicit switch path (validated
-    against the current topology): the mechanics behind both failure
+val set_route :
+  t -> vc -> switches:int list -> links:int list -> (unit, string) result
+(** Move a best-effort circuit onto a searched route (links as in
+    {!vc}; refused if one is dead): the mechanics behind both failure
     re-routing and load-balancing moves (§2). *)
 
 val next_hop : t -> switch:int -> vc_id:int -> (int * int) option
@@ -133,8 +144,8 @@ val host_attachment : t -> int -> (int * int, string) result
 
 val links_of_switch_path :
   t -> src_host:int -> dst_host:int -> int list -> (int list, string) result
-(** Expand a switch path to the full link sequence, host links
-    included. *)
+(** Expand a hand-built switch path to the full link sequence, host
+    links included ({!Topo.Paths.links_of_switches}). *)
 
 val install : t -> vc -> unit
 (** (Re)install routing-table entries for the circuit's current

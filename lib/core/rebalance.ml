@@ -88,48 +88,32 @@ let rebalance ?(max_stretch = 1) net =
             && (not vc.Network.paged_out)
             && List.mem hot_link vc.Network.links
           then begin
+            let src_host = vc.Network.src_host and dst_host = vc.Network.dst_host in
             match
-              ( Network.host_attachment net vc.Network.src_host,
-                Network.host_attachment net vc.Network.dst_host )
+              ( Network.route_between net ~src_host ~dst_host
+                  (Topo.Paths.route_links ~usable:(fun lid -> lid <> hot_link) g),
+                Network.find_route net ~src_host ~dst_host )
             with
-            | Ok (a, _), Ok (b, _) ->
-              (match
-                 ( Topo.Paths.route ~usable:(fun lid -> lid <> hot_link) g
-                     ~src:a ~dst:b,
-                   Topo.Paths.route g ~src:a ~dst:b )
-               with
-               | Some alt, Some shortest
-                 when List.length alt
-                      <= List.length shortest + max_stretch ->
-                 (* The detour must strictly improve this circuit's
-                    bottleneck: every new switch link must end up
-                    cooler than the hot link is now. *)
-                 let rec new_links acc = function
-                   | x :: (y :: _ as rest) ->
-                     (match Topo.Graph.switch_link g x y with
-                      | Some lid -> new_links (lid :: acc) rest
-                      | None -> acc)
-                   | _ -> acc
-                 in
-                 let candidate_links = new_links [] alt in
-                 let worst_after =
-                   List.fold_left
-                     (fun acc lid ->
-                       let l =
-                         if List.mem lid vc.Network.links then load lid
-                         else load lid + 1
-                       in
-                       max acc l)
-                     0 candidate_links
-                 in
-                 if worst_after < hot_load then begin
-                   match Network.set_route net vc ~switches:alt with
-                   | Ok () ->
-                     moved := true;
-                     incr moves
-                   | Error _ -> ()
-                 end
-               | _ -> ())
+            | Ok (alt, links), Ok (shortest, _)
+              when List.length alt <= List.length shortest + max_stretch ->
+              (* The detour must strictly improve this circuit's
+                 bottleneck: every new switch link must end up cooler
+                 than the hot link is now. *)
+              let worst_after =
+                List.fold_left
+                  (fun acc lid ->
+                    if not (is_switch_link g lid) then acc
+                    else if List.mem lid vc.Network.links then max acc (load lid)
+                    else max acc (load lid + 1))
+                  0 links
+              in
+              if worst_after < hot_load then begin
+                match Network.set_route net vc ~switches:alt ~links with
+                | Ok () ->
+                  moved := true;
+                  incr moves
+                | Error _ -> ()
+              end
             | _ -> ()
           end);
       if !moved then continue := true

@@ -46,28 +46,6 @@ type circuit = {
   mutable blackholed_since : Netsim.Time.t option;
 }
 
-(* Turn a switch sequence from Paths.route into the link ids it
-   crosses. Paths.route only walks working links, so the lookup in
-   switch_link (also working-only) cannot miss. *)
-let links_of_switch_path g switches =
-  let rec walk = function
-    | a :: (b :: _ as rest) ->
-      let link =
-        match Topo.Graph.switch_link g a b with
-        | Some id -> id
-        | None -> invalid_arg "Churn: route crosses a missing link"
-      in
-      link :: walk rest
-    | _ -> []
-  in
-  walk switches
-
-let route_links g ~src ~dst =
-  match Topo.Paths.route g ~src ~dst with
-  | Some switches when List.length switches >= 2 ->
-    Some (links_of_switch_path g switches)
-  | _ -> None
-
 let run ?(obs = Obs.Sink.null) ~graph p =
   let engine = Netsim.Engine.create ~obs () in
   let obs_on = obs.Obs.Sink.enabled in
@@ -91,7 +69,11 @@ let run ?(obs = Obs.Sink.null) ~graph p =
       List.init p.circuits (fun _ ->
           let src = Netsim.Rng.int rng n_switches in
           let dst = (src + 1 + Netsim.Rng.int rng (n_switches - 1)) mod n_switches in
-          let route = Option.value (route_links graph ~src ~dst) ~default:[] in
+          let route =
+            match Topo.Paths.route_links graph ~src ~dst ~tail:[] with
+            | Some (_, links) -> links
+            | None -> []
+          in
           { src; dst; route; blackholed_since = None })
   in
   let cells_lost = ref 0.0 in
@@ -191,8 +173,8 @@ let run ?(obs = Obs.Sink.null) ~graph p =
         match c.blackholed_since with
         | None -> ()
         | Some t0 -> (
-          match route_links graph ~src:c.src ~dst:c.dst with
-          | Some links ->
+          match Topo.Paths.route_links graph ~src:c.src ~dst:c.dst ~tail:[] with
+          | Some (_, links) ->
             lose c ~from_:t0 ~until:now;
             c.blackholed_since <- None;
             c.route <- links;

@@ -103,6 +103,58 @@ let percentile sorted q =
     sorted.(max 0 (min (n - 1) (rank - 1)))
   end
 
+let point_of_run ~profile ~arrivals ~latencies_us ~curve ~engine lc svc =
+  let duration = profile.Workload.duration in
+  let windows = Array.length curve in
+  let ls = Lifecycle.stats lc in
+  let ss = Service.stats svc in
+  Array.sort Float.compare latencies_us;
+  let backlogs = Array.map snd curve in
+  let peak = Array.fold_left max 0 backlogs in
+  let final = backlogs.(windows - 1) in
+  let mid = backlogs.((windows / 2) - 1) in
+  (* Divergence, either way the control plane stops keeping up:
+     (a) the in-flight backlog at the end of the offered-load interval
+     is absolutely deep and still growing past the midpoint (a
+     saturated queue grows linearly, final ≈ 2 × mid, so the test is
+     final > 1.5 × mid — above a sustained plateau, below linear
+     growth); or (b) setups die terminally (timeout storms): past
+     deep saturation the backlog *plateaus* because attempts are
+     bounded, so failures, not queue depth, are the signal there. *)
+  let failed = ls.Lifecycle.failed in
+  let thresholds = default_thresholds in
+  let diverged =
+    (final > thresholds.final_backlog_min
+    && float_of_int final > thresholds.final_over_mid *. float_of_int mid)
+    || float_of_int failed *. 100.0
+       > thresholds.terminal_failure_pct *. float_of_int arrivals
+  in
+  {
+    rate = profile.Workload.base_rate;
+    offered_rate = float_of_int arrivals /. Netsim.Time.to_s duration;
+    arrivals;
+    established = ls.Lifecycle.established;
+    failed;
+    granted = ss.Service.granted;
+    denied = ss.Service.denied_no_route + ss.Service.denied_no_capacity;
+    cross_shard = ss.Service.cross_shard;
+    escrow_conflicts = ss.Service.escrow_conflicts;
+    batch_flushes = ss.Service.batch_flushes;
+    cache_hits = ls.Lifecycle.route_cache_hits;
+    cache_misses = ls.Lifecycle.route_cache_misses;
+    p50_us = percentile latencies_us 0.50;
+    p99_us = percentile latencies_us 0.99;
+    max_us = percentile latencies_us 1.0;
+    worst_signaling_backlog = ls.Lifecycle.worst_backlog;
+    worst_admission_backlog = ss.Service.worst_backlog;
+    backlog_curve = curve;
+    peak_backlog = peak;
+    final_backlog = final;
+    diverged;
+    drained = Lifecycle.in_flight lc = 0 && Service.in_flight svc = 0;
+    sim_events = Netsim.Engine.dispatched engine;
+  }
+
 let run_point ?obs ~graph config profile =
   let engine = Netsim.Engine.create ?obs () in
   let net = Network.create ~frame:config.frame graph in
@@ -184,55 +236,8 @@ let run_point ?obs ~graph config profile =
     tick config.gc_every
   end;
   Netsim.Engine.run engine;
-  let ls = Lifecycle.stats lc in
-  let ss = Service.stats svc in
-  let sorted = Array.sub !lat 0 !n_lat in
-  Array.sort Float.compare sorted;
-  let backlogs = Array.map snd curve in
-  let peak = Array.fold_left max 0 backlogs in
-  let final = backlogs.(windows - 1) in
-  let mid = backlogs.((windows / 2) - 1) in
-  (* Divergence, either way the control plane stops keeping up:
-     (a) the in-flight backlog at the end of the offered-load interval
-     is absolutely deep and still growing past the midpoint (a
-     saturated queue grows linearly, final ≈ 2 × mid, so the test is
-     final > 1.5 × mid — above a sustained plateau, below linear
-     growth); or (b) setups die terminally (timeout storms): past
-     deep saturation the backlog *plateaus* because attempts are
-     bounded, so failures, not queue depth, are the signal there. *)
-  let failed = ls.Lifecycle.failed in
-  let thresholds = default_thresholds in
-  let diverged =
-    (final > thresholds.final_backlog_min
-    && float_of_int final > thresholds.final_over_mid *. float_of_int mid)
-    || float_of_int failed *. 100.0
-       > thresholds.terminal_failure_pct *. float_of_int n_arrivals
-  in
-  {
-    rate = profile.Workload.base_rate;
-    offered_rate = float_of_int n_arrivals /. Netsim.Time.to_s duration;
-    arrivals = n_arrivals;
-    established = ls.Lifecycle.established;
-    failed;
-    granted = ss.Service.granted;
-    denied = ss.Service.denied_no_route + ss.Service.denied_no_capacity;
-    cross_shard = ss.Service.cross_shard;
-    escrow_conflicts = ss.Service.escrow_conflicts;
-    batch_flushes = ss.Service.batch_flushes;
-    cache_hits = ls.Lifecycle.route_cache_hits;
-    cache_misses = ls.Lifecycle.route_cache_misses;
-    p50_us = percentile sorted 0.50;
-    p99_us = percentile sorted 0.99;
-    max_us = percentile sorted 1.0;
-    worst_signaling_backlog = ls.Lifecycle.worst_backlog;
-    worst_admission_backlog = ss.Service.worst_backlog;
-    backlog_curve = curve;
-    peak_backlog = peak;
-    final_backlog = final;
-    diverged;
-    drained = Lifecycle.in_flight lc = 0 && Service.in_flight svc = 0;
-    sim_events = Netsim.Engine.dispatched engine;
-  }
+  point_of_run ~profile ~arrivals:n_arrivals
+    ~latencies_us:(Array.sub !lat 0 !n_lat) ~curve ~engine lc svc
 
 (* Knee search, tezos bin_tps_evaluation style: geometric probing from
    [rate_start] to bracket the divergence point (at most

@@ -88,6 +88,18 @@ type point = {
   sim_events : int;
 }
 
+val point_of_run :
+  profile:An2.Workload.profile ->
+  arrivals:int ->
+  latencies_us:float array ->
+  curve:(float * int) array ->
+  engine:Netsim.Engine.t ->
+  An2.Lifecycle.t ->
+  An2.Bandwidth_central.Service.t ->
+  point
+(** The point of a finished run of [profile]: what {!run_point} returns
+    after posting its arrivals. Sorts [latencies_us] in place. *)
+
 val run_point :
   ?obs:Obs.Sink.t ->
   graph:Topo.Graph.t ->

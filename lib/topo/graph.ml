@@ -413,7 +413,7 @@ let switch_link t s s' =
    annotations matter: left polymorphic, [seen.(o) <> stamp] would be
    a call to the generic comparison. *)
 let bfs_route ?usable t ~src ~dst ~(seen : int array) ~(stamp : int)
-    ~(prev : int array) ~(queue : int array) =
+    ~(prev : int array) ~(via : int array) ~(queue : int array) =
   ensure_csr t;
   let off = t.sw_off and adj = t.sw_adj and far = t.sw_far and live = t.live in
   seen.(src) <- stamp;
@@ -432,6 +432,7 @@ let bfs_route ?usable t ~src ~dst ~(seen : int array) ~(stamp : int)
         then begin
           seen.(o) <- stamp;
           prev.(o) <- s;
+          via.(o) <- id;
           queue.(!tail) <- o;
           incr tail
         end

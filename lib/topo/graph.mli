@@ -133,13 +133,15 @@ val bfs_route :
   seen:int array ->
   stamp:int ->
   prev:int array ->
+  via:int array ->
   queue:int array ->
   bool
 (** The search loop of {!Paths.route}, which owns its scratch; call
     that instead. Breadth-first from [src] over working switch-to-switch
     links, in {!iter_switch_neighbors} order, until [dst] is
-    discovered: each discovered switch [s] gets [seen.(s) <- stamp] and
-    its predecessor in [prev.(s)], and [queue] (at least
+    discovered: each discovered switch [s] gets [seen.(s) <- stamp],
+    its predecessor in [prev.(s)] and the link it was discovered over
+    in [via.(s)], and [queue] (at least
     {!switch_count} long) holds the frontier. [usable], when given,
     filters the links crossed; it is called only for a working link to
     an undiscovered switch. Returns whether [dst] was discovered.

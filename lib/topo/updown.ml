@@ -30,11 +30,14 @@ let legal_path t = function
     check first false rest
 
 (* BFS over (switch, phase) states. Phase 0: only ups so far (may still
-   go up or down); phase 1: has gone down (only down allowed). *)
+   go up or down); phase 1: has gone down (only down allowed). Each
+   discovered state keeps the state it came from in [prev] and the link
+   it came over in [via]. *)
 let search g t ~src =
   let n = Graph.switch_count g in
   let dist = Array.make (2 * n) (-1) in
   let prev = Array.make (2 * n) (-1) in
+  let via = Array.make (2 * n) (-1) in
   let state s phase = (2 * s) + phase in
   dist.(state src 0) <- 0;
   (* Each state enters the queue once, when its distance is set. *)
@@ -45,7 +48,7 @@ let search g t ~src =
     incr head;
     let s = st / 2 and phase = st mod 2 in
     let d = dist.(st) in
-    Graph.iter_switch_neighbors g s (fun s' _ ->
+    Graph.iter_switch_neighbors g s (fun s' lid ->
         let up = up t ~from:s ~to_:s' in
         let allowed = (not up) || phase = 0 in
         if allowed then begin
@@ -54,12 +57,13 @@ let search g t ~src =
           if dist.(st') = -1 then begin
             dist.(st') <- d + 1;
             prev.(st') <- st;
+            via.(st') <- lid;
             queue.(!tail) <- st';
             incr tail
           end
         end)
   done;
-  (dist, prev)
+  (dist, prev, via)
 
 let best_state dist s =
   let d0 = dist.(2 * s) and d1 = dist.((2 * s) + 1) in
@@ -70,24 +74,26 @@ let best_state dist s =
   | a, b -> if a <= b then Some (2 * s, a) else Some ((2 * s) + 1, b)
 
 let distances g t ~src =
-  let dist, _ = search g t ~src in
+  let dist, _, _ = search g t ~src in
   Array.init (Graph.switch_count g) (fun s ->
       match best_state dist s with None -> -1 | Some (_, d) -> d)
 
-let route g t ~src ~dst =
-  if src = dst then Some [ src ]
+let route_links g t ~src ~dst ~tail =
+  if src = dst then Some ([ src ], tail)
   else begin
-    let dist, prev = search g t ~src in
+    let dist, prev, via = search g t ~src in
     match best_state dist dst with
     | None -> None
     | Some (st, _) ->
-      let rec walk acc st =
+      let rec walk switches links st =
         let s = st / 2 in
-        if s = src && dist.(st) = 0 then s :: acc
-        else walk (s :: acc) prev.(st)
+        if s = src && dist.(st) = 0 then (s :: switches, links)
+        else walk (s :: switches) (via.(st) :: links) prev.(st)
       in
-      Some (walk [] st)
+      Some (walk [] tail st)
   end
+
+let route g t ~src ~dst = Option.map fst (route_links g t ~src ~dst ~tail:[])
 
 let mean_stretch g t =
   let n = Graph.switch_count g in

@@ -1115,6 +1115,140 @@ let test_e2e_slot_loop_allocation () =
     true
     (extra <= slots)
 
+(* ------------------------------------------------------------------ *)
+(* Parallel links: the links reserved and installed are the links the
+   route search crossed *)
+
+(* Switches 0 and 1 joined by two parallel links, [l0] the lower id,
+   and [pairs] host pairs: host 2i on switch 0, host 2i + 1 on switch
+   1. *)
+let twin_links ~pairs =
+  let g = Topo.Graph.create () in
+  Topo.Graph.add_switches g 2;
+  let l0 = Topo.Graph.connect g (Switch 0) (Switch 1) in
+  let l1 = Topo.Graph.connect g (Switch 0) (Switch 1) in
+  for _ = 1 to pairs do
+    let a = Topo.Graph.add_host g and b = Topo.Graph.add_host g in
+    ignore (Topo.Graph.connect g (Host a) (Switch 0));
+    ignore (Topo.Graph.connect g (Host b) (Switch 1))
+  done;
+  (g, l0, l1)
+
+let twin_frame = 16
+
+(* Every link's reservation is within the frame, and every schedule a
+   partial permutation per slot. *)
+let check_within_frame g reserved net =
+  for lid = 0 to Topo.Graph.link_count g - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "link %d reservation <= frame" lid)
+      true
+      (reserved lid <= twin_frame)
+  done;
+  for s = 0 to Topo.Graph.switch_count g - 1 do
+    Alcotest.(check bool) "schedule valid" true
+      (Frame.Schedule.valid (An2.Network.switch_schedule net s))
+  done
+
+let crosses (vc : An2.Network.vc) lid = List.mem lid vc.links
+
+let test_twin_request () =
+  let g, l0, l1 = twin_links ~pairs:2 in
+  let net = An2.Network.create ~frame:twin_frame g in
+  let bwc = An2.Bandwidth_central.create net in
+  let admit src dst =
+    match
+      An2.Bandwidth_central.request bwc ~src_host:src ~dst_host:dst
+        ~cells:twin_frame
+    with
+    | Ok vc -> vc
+    | Error d -> Alcotest.failf "denied: %a" An2.Bandwidth_central.pp_denial d
+  in
+  let a = admit 0 1 in
+  let b = admit 2 3 in
+  Alcotest.(check bool) "first circuit on the first link" true (crosses a l0);
+  Alcotest.(check bool) "second circuit on its twin" true (crosses b l1);
+  Alcotest.(check int) "first link full" twin_frame
+    (An2.Bandwidth_central.reserved bwc l0);
+  Alcotest.(check int) "twin full" twin_frame (An2.Bandwidth_central.reserved bwc l1);
+  check_within_frame g (An2.Bandwidth_central.reserved bwc) net
+
+let test_twin_service_submit () =
+  let g, l0, l1 = twin_links ~pairs:2 in
+  let net = An2.Network.create ~frame:twin_frame g in
+  let engine = Netsim.Engine.create () in
+  let module S = An2.Bandwidth_central.Service in
+  let svc = S.create ~engine net S.default_params in
+  (* One admission at a time, each run to completion. *)
+  let admit src dst =
+    let result = ref None in
+    S.submit svc ~src_host:src ~dst_host:dst ~cells:twin_frame
+      ~on_done:(fun r -> result := Some r);
+    Netsim.Engine.run engine;
+    match !result with
+    | Some (Ok vc) -> vc
+    | Some (Error d) -> Alcotest.failf "denied: %a" An2.Bandwidth_central.pp_denial d
+    | None -> Alcotest.fail "admission never finished"
+  in
+  let a = admit 0 1 in
+  let b = admit 2 3 in
+  Alcotest.(check bool) "first circuit on the first link" true (crosses a l0);
+  Alcotest.(check bool) "second circuit on its twin" true (crosses b l1);
+  Alcotest.(check int) "no escrow conflict" 0 (S.stats svc).escrow_conflicts;
+  check_within_frame g (S.reserved svc) net
+
+(* Host 0 reaches switch 0 over two host links. With the first twin
+   down, its circuit lands on the second; once the first is back and
+   full, losing host 0's first attachment must re-admit the circuit
+   over the twin that has headroom, not the first link between the two
+   switches. *)
+let test_twin_reroute_after_failure () =
+  let g, l0, l1 = twin_links ~pairs:2 in
+  let spare = Topo.Graph.connect g (Host 0) (Switch 0) in
+  let net = An2.Network.create ~frame:twin_frame g in
+  let bwc = An2.Bandwidth_central.create net in
+  let admit src dst =
+    match
+      An2.Bandwidth_central.request bwc ~src_host:src ~dst_host:dst
+        ~cells:twin_frame
+    with
+    | Ok vc -> vc
+    | Error d -> Alcotest.failf "denied: %a" An2.Bandwidth_central.pp_denial d
+  in
+  Topo.Graph.fail_link g l0;
+  let a = admit 0 1 in
+  Alcotest.(check bool) "admitted over the twin" true (crosses a l1);
+  Topo.Graph.restore_link g l0;
+  let b = admit 2 3 in
+  Alcotest.(check bool) "second circuit on the restored link" true (crosses b l0);
+  Topo.Graph.fail_link g (List.hd a.links);
+  (match An2.Bandwidth_central.reroute_after_failure bwc a with
+   | Ok () -> ()
+   | Error d -> Alcotest.failf "reroute denied: %a" An2.Bandwidth_central.pp_denial d);
+  Alcotest.(check bool) "re-admitted over the spare attachment" true
+    (List.hd a.links = spare);
+  Alcotest.(check bool) "and over the twin" true (crosses a l1);
+  Alcotest.(check int) "first link still full" twin_frame
+    (An2.Bandwidth_central.reserved bwc l0);
+  Alcotest.(check int) "twin full" twin_frame (An2.Bandwidth_central.reserved bwc l1);
+  check_within_frame g (An2.Bandwidth_central.reserved bwc) net
+
+let test_twin_rebalance () =
+  let g, l0, l1 = twin_links ~pairs:1 in
+  let net = An2.Network.create g in
+  for _ = 1 to 4 do
+    match An2.Network.setup_best_effort net ~src_host:0 ~dst_host:1 with
+    | Ok vc -> Alcotest.(check bool) "piled on the first link" true (crosses vc l0)
+    | Error e -> Alcotest.fail e
+  done;
+  let load lid = List.assoc lid (An2.Rebalance.link_loads net) in
+  Alcotest.(check bool) "moved some" true (An2.Rebalance.rebalance net > 0);
+  Alcotest.(check int) "first link" 2 (load l0);
+  Alcotest.(check int) "twin" 2 (load l1);
+  An2.Network.iter_vcs net (fun vc ->
+      Alcotest.(check bool) "table entries consistent" true
+        (path_is_connected net vc))
+
 let () =
   Alcotest.run "an2"
     [
@@ -1195,6 +1329,16 @@ let () =
             test_rebalance_respects_stretch;
           Alcotest.test_case "routes stay valid" `Quick
             test_rebalance_keeps_routes_valid;
+        ] );
+      ( "parallel-links",
+        [
+          Alcotest.test_case "request takes the idle twin" `Quick test_twin_request;
+          Alcotest.test_case "service submit takes the idle twin" `Quick
+            test_twin_service_submit;
+          Alcotest.test_case "reroute after failure takes the twin" `Quick
+            test_twin_reroute_after_failure;
+          Alcotest.test_case "rebalance moves onto the twin" `Quick
+            test_twin_rebalance;
         ] );
       ( "multicast",
         [

@@ -15,18 +15,27 @@
      and never exceeds the frame;
    - paging: paged circuits have no table entries anywhere. *)
 
-let frame = 32
-
 type world = {
   g : Topo.Graph.t;
   net : An2.Network.t;
   bwc : An2.Bandwidth_central.t;
 }
 
-let make_world () =
-  let g = Topo.Build.src_lan () in
+let make_world ~frame g =
   let net = An2.Network.create ~frame g in
   { g; net; bwc = An2.Bandwidth_central.create net }
+
+(* The SRC LAN with a parallel twin of every edge switch's link to
+   backbone switch 0: admission, reroutes and rebalancing must reserve
+   and install the twin their search crossed, not the first link
+   between the two switches. Its fuzz runs an 8-cell frame, so that
+   links fill up and the search has to pass over a full first link. *)
+let twinned_src_lan () =
+  let g = Topo.Build.src_lan () in
+  for e = 2 to 9 do
+    ignore (Topo.Graph.connect g (Switch e) (Switch 0))
+  done;
+  g
 
 let live_vcs w =
   let acc = ref [] in
@@ -89,7 +98,7 @@ let check_accounting w =
     (fun (l : Topo.Graph.link) ->
       let want = Option.value ~default:0 (Hashtbl.find_opt expected l.link_id) in
       let got = An2.Bandwidth_central.reserved w.bwc l.link_id in
-      got = want && got <= frame)
+      got = want && got <= An2.Network.frame_length w.net)
     (Topo.Graph.links w.g)
 
 let check_all w step op =
@@ -196,9 +205,9 @@ let apply_op rng w =
     ignore (An2.Rebalance.rebalance w.net);
     "rebalance"
 
-let run_fuzz seed steps =
+let run_fuzz ?(frame = 32) g seed steps =
   let rng = Netsim.Rng.create seed in
-  let w = make_world () in
+  let w = make_world ~frame g in
   for step = 1 to steps do
     let op = apply_op rng w in
     check_all w step op
@@ -206,10 +215,15 @@ let run_fuzz seed steps =
 
 let test_fuzz_seeds () =
   for seed = 0 to 19 do
-    run_fuzz seed 300
+    run_fuzz (Topo.Build.src_lan ()) seed 300
   done
 
-let test_fuzz_long () = run_fuzz 424242 2000
+let test_fuzz_long () = run_fuzz (Topo.Build.src_lan ()) 424242 2000
+
+let test_fuzz_twinned () =
+  for seed = 0 to 19 do
+    run_fuzz ~frame:8 (twinned_src_lan ()) seed 300
+  done
 
 let () =
   Alcotest.run "model"
@@ -218,5 +232,7 @@ let () =
         [
           Alcotest.test_case "20 seeds x 300 ops" `Quick test_fuzz_seeds;
           Alcotest.test_case "one long run (2000 ops)" `Slow test_fuzz_long;
+          Alcotest.test_case "parallel links: 20 seeds x 300 ops" `Quick
+            test_fuzz_twinned;
         ] );
     ]

@@ -818,7 +818,9 @@ let test_route_kernel_allocation () =
       only_result "switch_link" (fun () -> Topo.Graph.switch_link g s s');
       only_result "Paths.route" (fun () -> Topo.Paths.route g ~src:s ~dst:s');
       only_result "Paths.route ~usable" (fun () ->
-          Topo.Paths.route ?usable g ~src:s ~dst:s')
+          Topo.Paths.route ?usable g ~src:s ~dst:s');
+      only_result "Paths.route_links ~usable" (fun () ->
+          Topo.Paths.route_links ?usable g ~src:s ~dst:s' ~tail:[])
     done
   done;
   for h = 0 to nh - 1 do
@@ -869,17 +871,61 @@ let random_usable rng g =
   let ok = Array.init (Topo.Graph.link_count g) (fun _ -> Netsim.Rng.int rng 4 > 0) in
   fun lid -> ok.(lid)
 
-(* Every ordered pair, self pairs and unreachable pairs included. *)
+(* Whether [links] are the links a search may answer with for [path]:
+   each working, passing [usable] and joining its two consecutive
+   switches; without [usable], the lowest-id working link between them,
+   which [switch_link] names. *)
+let links_fit ?usable g path links =
+  let joins lid a b =
+    match ((Topo.Graph.link g lid).a.node, (Topo.Graph.link g lid).b.node) with
+    | Switch x, Switch y -> (x = a && y = b) || (x = b && y = a)
+    | _ -> false
+  in
+  let rec fit = function
+    | a :: (b :: _ as rest), lid :: lids ->
+      Topo.Graph.link_working g lid
+      && joins lid a b
+      && (match usable with
+          | Some u -> u lid
+          | None -> Topo.Graph.switch_link g a b = Some lid)
+      && fit (rest, lids)
+    | [ _ ], [] -> true
+    | _ -> false
+  in
+  fit (path, links)
+
+(* Every ordered pair, self pairs and unreachable pairs included. The
+   link search must find the oracle's path, with fitting links before
+   its tail. *)
 let all_pairs_agree ?usable g =
   let n = Topo.Graph.switch_count g in
   let ok = ref true in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
-      if Topo.Paths.route ?usable g ~src ~dst <> oracle_route ?usable g ~src ~dst
-      then ok := false
+      let expected = oracle_route ?usable g ~src ~dst in
+      if Topo.Paths.route ?usable g ~src ~dst <> expected then ok := false;
+      match Topo.Paths.route_links ?usable g ~src ~dst ~tail:[ -1 ] with
+      | None -> if expected <> None then ok := false
+      | Some (path, links) -> (
+        match List.rev links with
+        | -1 :: crossed ->
+          if Some path <> expected || not (links_fit ?usable g path (List.rev crossed))
+          then ok := false
+        | _ -> ok := false)
     done
   done;
   !ok
+
+(* A parallel twin for [k] random switch-to-switch links, where both
+   ends have a free port. *)
+let add_twins rng g k =
+  let nl = Topo.Graph.link_count g in
+  for _ = 1 to k do
+    match Topo.Graph.link g (Netsim.Rng.int rng nl) with
+    | { a = { node = Switch x; _ }; b = { node = Switch y; _ }; _ } -> (
+      try ignore (Topo.Graph.connect g (Switch x) (Switch y)) with Failure _ -> ())
+    | _ -> ()
+  done
 
 let test_route_differential =
   qtest ~count:150 "Paths.route == full-exhaustion BFS under churn"
@@ -889,9 +935,10 @@ let test_route_differential =
        QCheck.Gen.(
          pair (triple (int_range 0 10_000) (int_range 2 24) (int_range 0 20))
            (int_range 0 30)))
-    (fun (((seed, _, _) as params), steps) ->
+    (fun (((seed, _, extra) as params), steps) ->
       let g = build_random params in
       let rng = Netsim.Rng.create (seed + 1) in
+      add_twins rng g (1 + (extra / 4));
       let ok = ref (all_pairs_agree g) in
       for _ = 1 to 3 do
         churn rng g steps;

@@ -394,9 +394,10 @@ let test_tps_point_sane () =
     q.Faults.Tps.diverged
 
 (* [Faults.Tps.run_point] as it was before arrivals came from a
-   cursor: every arrival posted at t = 0, latencies in a list. Fault
-   schedules and periodic gc are left out; the cases below use
-   neither. *)
+   cursor: every arrival posted at t = 0, latencies in a list. Only the
+   posting differs; the point is summed up by the same
+   [Faults.Tps.point_of_run]. Fault schedules and periodic gc are left
+   out; the cases below use neither. *)
 let eager_run_point ~graph (config : Faults.Tps.config) profile =
   let module L = An2.Lifecycle in
   let module S = An2.Bandwidth_central.Service in
@@ -440,45 +441,8 @@ let eager_run_point ~graph (config : Faults.Tps.config) profile =
         curve.(i) <- (Netsim.Time.to_s at, L.in_flight lc + S.in_flight svc))
   done;
   Netsim.Engine.run engine;
-  let ls = L.stats lc and ss = S.stats svc in
-  let sorted = Array.of_list !latencies in
-  Array.sort compare sorted;
-  let pct q =
-    let k = Array.length sorted in
-    if k = 0 then 0.0
-    else sorted.(max 0 (min (k - 1) (int_of_float (ceil (q *. float_of_int k)) - 1)))
-  in
-  let backlogs = Array.map snd curve in
-  let final = backlogs.(windows - 1) and mid = backlogs.((windows / 2) - 1) in
-  let th = Faults.Tps.default_thresholds in
-  {
-    Faults.Tps.rate = profile.An2.Workload.base_rate;
-    offered_rate = float_of_int n /. Netsim.Time.to_s duration;
-    arrivals = n;
-    established = ls.L.established;
-    failed = ls.L.failed;
-    granted = ss.S.granted;
-    denied = ss.S.denied_no_route + ss.S.denied_no_capacity;
-    cross_shard = ss.S.cross_shard;
-    escrow_conflicts = ss.S.escrow_conflicts;
-    batch_flushes = ss.S.batch_flushes;
-    cache_hits = ls.L.route_cache_hits;
-    cache_misses = ls.L.route_cache_misses;
-    p50_us = pct 0.50;
-    p99_us = pct 0.99;
-    max_us = pct 1.0;
-    worst_signaling_backlog = ls.L.worst_backlog;
-    worst_admission_backlog = ss.S.worst_backlog;
-    backlog_curve = curve;
-    peak_backlog = Array.fold_left max 0 backlogs;
-    final_backlog = final;
-    diverged =
-      (final > th.final_backlog_min
-      && float_of_int final > th.final_over_mid *. float_of_int mid)
-      || float_of_int ls.L.failed *. 100.0 > th.terminal_failure_pct *. float_of_int n;
-    drained = L.in_flight lc = 0 && S.in_flight svc = 0;
-    sim_events = Netsim.Engine.dispatched engine;
-  }
+  Faults.Tps.point_of_run ~profile ~arrivals:n
+    ~latencies_us:(Array.of_list !latencies) ~curve ~engine lc svc
 
 (* Past the knee (about 26,000/s on src_lan) setups queue, time out and
    retry, so same-instant events are common: the cursor must give the
