@@ -1,24 +1,29 @@
-(* The transport split. Sender-side state (window buffer, timers,
-   acks) only ever moves through [sched_local]/[cancel_local]/
-   [post_back]; receiver-side state only through [post_fwd]. In a
-   {!Netsim.Cluster} run the two ends live on different domains, so
-   the loss draws are split too: [lost_fwd] is drawn where [transmit]
-   runs (sender), [lost_back] where [receive] runs (receiver). *)
-type wire = {
+(* The transport split. Sender-side state (window, store, timer, acks)
+   only ever moves through [post_back] and the resend half's
+   [sched_local]/[cancel_local]; receiver-side state only through
+   [post_fwd]. In a {!Netsim.Cluster} run the two ends live on
+   different domains, so the loss draws are split too: [lost_fwd] is
+   drawn where [transmit] runs (sender), [lost_back] where [receive]
+   runs (receiver). *)
+type resend = {
   sched_local : delay:Netsim.Time.t -> (unit -> unit) -> Netsim.Engine.event_id;
   cancel_local : Netsim.Engine.event_id -> unit;
-  post_fwd : (unit -> unit) -> unit;
-  post_back : (unit -> unit) -> unit;
   lost_fwd : unit -> bool;
   lost_back : unit -> bool;
+  retransmit_after : Netsim.Time.t;
 }
 
-type 'msg full = {
-  wire : wire;
-  retransmit_after : Netsim.Time.t;
+type 'msg t = {
+  post_fwd : (unit -> unit) -> unit;
+  post_back : (unit -> unit) -> unit;
+  resend : resend option;
   window : int;
   deliver : 'msg -> unit;
-  buf : (int, 'msg) Hashtbl.t;  (* unacknowledged, by sequence *)
+  mutable store : 'msg array;
+      (* what the channel may still send, slot [seq land (length - 1)]:
+         [base .. next - 1] with a resend half, the held messages
+         [highest_sent + 1 .. next - 1] without one. Allocated at the
+         first store, doubled when full. *)
   mutable base : int;  (* oldest unacknowledged sequence *)
   mutable next : int;  (* next sequence to assign *)
   mutable highest_sent : int;  (* highest sequence ever transmitted *)
@@ -26,145 +31,111 @@ type 'msg full = {
   mutable timer : Netsim.Engine.event_id;
       (* retransmit timer; [Engine.no_event] when disarmed *)
   mutable transmissions : int;
+  mutable on_ack : unit -> unit;
+      (* without a resend half: the one ack thunk of the channel. Set
+         once, after the record: a recursive definition would allocate
+         the record twice per channel. *)
 }
 
-(* The same window over a wire that loses nothing and keeps order:
-   every transmission arrives, so nothing is kept for resending and
-   every ack acknowledges exactly the oldest outstanding message.
-   [held] is the window's backlog — sequences [l_base + window] up to
-   [l_next - 1], oldest first; everything below went out when sent or
-   when an ack made room. [on_ack] is the one ack thunk of the
-   channel: it needs no value, since an ack only slides [l_base] by
-   one, and it touches sender state only. *)
-type 'msg lossless = {
-  post_fwd : (unit -> unit) -> unit;
-  post_back : (unit -> unit) -> unit;
-  l_window : int;
-  l_deliver : 'msg -> unit;
-  held : 'msg Queue.t;
-  mutable l_base : int;
-  mutable l_next : int;
-  on_ack : unit -> unit;
-}
+let oldest_stored t =
+  match t.resend with None -> t.highest_sent + 1 | Some _ -> t.base
 
-type 'msg t = Full of 'msg full | Lossless of 'msg lossless
+let store t seq msg =
+  let cap = Array.length t.store and oldest = oldest_stored t in
+  if seq - oldest >= cap then begin
+    let bigger = Array.make (max 4 (2 * cap)) msg in
+    for s = oldest to seq - 1 do
+      bigger.(s land (Array.length bigger - 1)) <- t.store.(s land (cap - 1))
+    done;
+    t.store <- bigger
+  end;
+  t.store.(seq land (Array.length t.store - 1)) <- msg
 
-let create_over ~wire ~retransmit_after ~window ~deliver =
-  if window < 1 then invalid_arg "Reliable.create_over: window >= 1";
-  Full
-    {
-      wire;
-      retransmit_after;
-      window;
-      deliver;
-      buf = Hashtbl.create 16;
-      base = 0;
-      next = 0;
-      highest_sent = -1;
-      expected = 0;
-      timer = Netsim.Engine.no_event;
-      transmissions = 0;
-    }
+let stored t seq = t.store.(seq land (Array.length t.store - 1))
 
 let rec arm_timer t =
-  if t.timer = Netsim.Engine.no_event && t.base < t.next then
+  match t.resend with
+  | Some r when t.timer = Netsim.Engine.no_event && t.base < t.next ->
     t.timer <-
-      t.wire.sched_local ~delay:t.retransmit_after (fun () ->
+      r.sched_local ~delay:r.retransmit_after (fun () ->
           t.timer <- Netsim.Engine.no_event;
           (* Go-back-N: resend the whole window from base. *)
-          let upto = min t.next (t.base + t.window) in
-          for seq = t.base to upto - 1 do
-            transmit t seq
+          for seq = t.base to min t.next (t.base + t.window) - 1 do
+            transmit t seq (stored t seq)
           done;
           arm_timer t)
+  | _ -> ()
 
-and transmit t seq =
-  match Hashtbl.find_opt t.buf seq with
-  | None -> ()  (* already acknowledged *)
-  | Some msg ->
-    t.transmissions <- t.transmissions + 1;
-    if seq > t.highest_sent then t.highest_sent <- seq;
-    if not (t.wire.lost_fwd ()) then
-      t.wire.post_fwd (fun () -> receive t seq msg)
+and transmit t seq msg =
+  t.transmissions <- t.transmissions + 1;
+  if seq > t.highest_sent then t.highest_sent <- seq;
+  match t.resend with
+  | Some r when r.lost_fwd () -> ()
+  | _ -> t.post_fwd (fun () -> receive t seq msg)
 
 and receive t seq msg =
   if seq = t.expected then begin
     t.expected <- t.expected + 1;
     t.deliver msg
   end;
-  (* Cumulative acknowledgment (itself droppable). *)
-  let ack = t.expected in
-  if not (t.wire.lost_back ()) then
-    t.wire.post_back (fun () -> handle_ack t ack)
+  (* Cumulative acknowledgment (itself droppable). Over a wire that
+     keeps every cell and its order it acknowledges exactly the oldest
+     outstanding message, so it needs no value. *)
+  match t.resend with
+  | None -> t.post_back t.on_ack
+  | Some r ->
+    let ack = t.expected in
+    if not (r.lost_back ()) then t.post_back (fun () -> handle_ack t ack)
 
 and handle_ack t ack =
   if ack > t.base then begin
-    for seq = t.base to ack - 1 do
-      Hashtbl.remove t.buf seq
-    done;
     t.base <- ack;
-    (* Cancelling [no_event] is a no-op, so no disarmed check needed. *)
-    t.wire.cancel_local t.timer;
-    t.timer <- Netsim.Engine.no_event;
+    (match t.resend with
+     | Some r ->
+       (* Cancelling [no_event] is a no-op, so no disarmed check needed. *)
+       r.cancel_local t.timer;
+       t.timer <- Netsim.Engine.no_event
+     | None -> ());
     (* The window slid forward: transmit queued messages that now fit. *)
     let upto = min t.next (t.base + t.window) in
     for seq = max (t.highest_sent + 1) t.base to upto - 1 do
-      transmit t seq
+      transmit t seq (stored t seq)
     done;
     arm_timer t
   end
 
-(* The receiving end delivers on arrival: the wire keeps order, so
-   each arrival is the next in sequence. *)
-let transmit_lossless l msg =
-  l.post_fwd (fun () ->
-      l.l_deliver msg;
-      l.post_back l.on_ack)
-
-let create_lossless ~post_fwd ~post_back ~window ~deliver =
-  if window < 1 then invalid_arg "Reliable.create_lossless: window >= 1";
-  (* The ack of the oldest outstanding message makes room for exactly
-     the oldest held one, as [handle_ack] sends it. *)
-  let rec l =
+let create ~post_fwd ~post_back ~resend ~window ~deliver =
+  if window < 1 then invalid_arg "Reliable.create: window >= 1";
+  let t =
     {
       post_fwd;
       post_back;
-      l_window = window;
-      l_deliver = deliver;
-      held = Queue.create ();
-      l_base = 0;
-      l_next = 0;
-      on_ack =
-        (fun () ->
-          l.l_base <- l.l_base + 1;
-          if not (Queue.is_empty l.held) then
-            transmit_lossless l (Queue.pop l.held));
+      resend;
+      window;
+      deliver;
+      store = [||];
+      base = 0;
+      next = 0;
+      highest_sent = -1;
+      expected = 0;
+      timer = Netsim.Engine.no_event;
+      transmissions = 0;
+      on_ack = ignore;
     }
   in
-  Lossless l
+  t.on_ack <- (fun () -> handle_ack t (t.base + 1));
+  t
 
 let send t msg =
-  match t with
-  | Full t ->
-    let seq = t.next in
-    t.next <- seq + 1;
-    Hashtbl.add t.buf seq msg;
-    if seq < t.base + t.window then transmit t seq;
-    arm_timer t
-  | Lossless l ->
-    let seq = l.l_next in
-    l.l_next <- seq + 1;
-    if seq < l.l_base + l.l_window then transmit_lossless l msg
-    else Queue.push msg l.held
+  let seq = t.next in
+  t.next <- seq + 1;
+  let in_window = seq < t.base + t.window in
+  (match t.resend with
+   | Some _ -> store t seq msg
+   | None -> if not in_window then store t seq msg);
+  if in_window then transmit t seq msg;
+  arm_timer t
 
-let transmissions = function
-  | Full t -> t.transmissions
-  | Lossless l -> l.l_next - Queue.length l.held
-
-let idle = function
-  | Full t -> t.base = t.next
-  | Lossless l -> l.l_base = l.l_next
-
-let retransmit_armed = function
-  | Full t -> t.timer <> Netsim.Engine.no_event
-  | Lossless _ -> false
+let transmissions t = t.transmissions
+let idle t = t.base = t.next
+let retransmit_armed t = t.timer <> Netsim.Engine.no_event

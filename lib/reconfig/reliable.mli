@@ -16,65 +16,59 @@
     At zero loss the channel is not a plain latency: its window still
     binds. A sender with more than [window] messages outstanding holds
     the rest back until acknowledgments make room, so a burst of
-    messages leaves one ack round trip apart per window. Over such a
-    wire {!create_lossless} gives the same deliveries at the same
-    times without the retransmission machinery. *)
+    messages leaves one ack round trip apart per window. *)
 
 type 'msg t
 
-type wire = {
+type resend = {
   sched_local : delay:Netsim.Time.t -> (unit -> unit) -> Netsim.Engine.event_id;
       (** Cancellable scheduling at the {e sender}: retransmit timers. *)
   cancel_local : Netsim.Engine.event_id -> unit;
-  post_fwd : (unit -> unit) -> unit;
-      (** Run a thunk at the {e receiver}, one wire latency later. *)
-  post_back : (unit -> unit) -> unit;
-      (** Run a thunk back at the {e sender}, one wire latency later. *)
   lost_fwd : unit -> bool;
       (** Per-transmission drop draw, made at the sender. *)
   lost_back : unit -> bool;
       (** Per-acknowledgment drop draw, made at the receiver. *)
+  retransmit_after : Netsim.Time.t;
+      (** Timeout before the window is resent from its oldest
+          unacknowledged message. *)
 }
-(** How the channel touches the world. The protocol core partitions
-    its state: everything reached through [sched_local]/[post_back]
-    belongs to the sender, everything reached through [post_fwd] to
-    the receiver — so the two ends of a channel may live on different
-    {!Netsim.Cluster} partitions (and domains), with the cross-
-    partition hops carried by [Cluster.send] at the wire latency. *)
+(** The half of a channel that copes with a wire that loses cells. *)
 
-val create_over :
-  wire:wire ->
-  retransmit_after:Netsim.Time.t ->
-  window:int ->
-  deliver:('msg -> unit) ->
-  'msg t
-(** One direction of one link over [wire]: [deliver] fires exactly
-    once per sent message, in order, at the receiving end (inside a
-    [post_fwd] thunk). [window] is the go-back-N window and
-    [retransmit_after] the timeout before resending. Raises
-    [Invalid_argument] if [window < 1]. *)
-
-val create_lossless :
+val create :
   post_fwd:((unit -> unit) -> unit) ->
   post_back:((unit -> unit) -> unit) ->
+  resend:resend option ->
   window:int ->
   deliver:('msg -> unit) ->
   'msg t
-(** The same go-back-N window for a wire that never loses a cell and
-    keeps order, with [post_fwd]/[post_back] as in {!wire}. Sequence
-    numbers, acknowledgments and the window are kept; loss draws,
-    retransmission timers and the table of unacknowledged messages
-    are not — only the messages the window holds back wait, oldest
-    first. Each message costs one forward and one backward event, as
-    in {!create_over}.
+(** One direction of one link: [deliver] fires exactly once per sent
+    message, in order, at the receiving end (inside a [post_fwd]
+    thunk). [post_fwd] runs a thunk at the {e receiver} one wire
+    latency later, [post_back] one back at the {e sender}. The
+    channel's state is split along them: everything reached through
+    [post_back] and [resend] belongs to the sender, everything reached
+    through [post_fwd] to the receiver, so the two ends may live on
+    different {!Netsim.Cluster} partitions (and domains), with the
+    cross-partition hops carried by [Cluster.send] at the wire
+    latency. [window] is the go-back-N window. Raises
+    [Invalid_argument] if [window < 1].
 
-    It is observably the same channel as {!create_over} at zero loss
-    when twice the wire latency is below [retransmit_after]: every
-    acknowledgment then cancels the timer before it fires, so that
-    channel never retransmits either. Deliveries, their times and
-    their order among other events, {!transmissions} and {!idle}
-    agree; {!retransmit_armed} is always [false]. Raises
-    [Invalid_argument] if [window < 1]. *)
+    With [resend = Some r], the channel draws [r.lost_fwd] per
+    transmission and [r.lost_back] per acknowledgment, keeps every
+    unacknowledged message, and arms one timer of [r.retransmit_after]
+    while messages are outstanding; every acknowledgment that slides
+    the window cancels it and arms it again.
+
+    [resend = None] is only for a wire that never loses a cell, keeps
+    order, and brings each acknowledgment back before
+    [retransmit_after] would have fired (twice the wire latency below
+    it). Over such a wire every timer would be cancelled before it
+    fires, so the channel without a resend half makes the same
+    deliveries at the same times, in the same order among other
+    events, with the same {!transmissions} and {!idle}; it draws
+    nothing, schedules no timer and keeps only the messages its window
+    holds back. Over any other wire it is another channel: it models
+    neither the wire's losses nor the timer's retransmissions. *)
 
 val send : 'msg t -> 'msg -> unit
 (** Queue a message; it is retransmitted until acknowledged. *)
@@ -87,6 +81,7 @@ val idle : 'msg t -> bool
 (** No unacknowledged messages outstanding. *)
 
 val retransmit_armed : 'msg t -> bool
-(** The retransmission timer currently holds a scheduled event. The
-    invariant the tests assert: an {!idle} channel has it disarmed, so
-    a quiescent control plane leaves nothing pending on the engine. *)
+(** The retransmission timer currently holds a scheduled event; always
+    [false] without a resend half. The invariant the tests assert: an
+    {!idle} channel has it disarmed, so a quiescent control plane
+    leaves nothing pending on the engine. *)

@@ -393,14 +393,14 @@ let run ?(params = default_params) ?(obs = Obs.Sink.null) ?heartbeat
   let window = 32 in
   (* All control traffic crosses the wire through a reliable go-back-N
      channel per directed link (the substrate the paper's protocol
-     assumes). With [control_loss = 0] nothing is ever resent, but the
-     channel still shapes the traffic: a sender with more than a
-     window of messages outstanding holds the rest until acks make
-     room. Messages cross partitions through the cluster's send hook;
-     an inter-switch link's latency is >= the lookahead by
-     construction, so every hop of the reliable channel is admissible.
-     Sender-side channel state lives with the sending switch,
-     receiver-side state with the receiving one. *)
+     assumes). With [control_loss = 0] nothing is ever resent and the
+     channel goes without its resend half, but it still shapes the
+     traffic: a sender with more than a window of messages outstanding
+     holds the rest until acks make room. Messages cross partitions
+     through the cluster's send hook; an inter-switch link's latency
+     is >= the lookahead by construction, so every hop of the reliable
+     channel is admissible. Sender-side channel state lives with the
+     sending switch, receiver-side state with the receiving one. *)
   let rec channel ~src ~dst latency =
     let sp = part.(src) and dp = part.(dst) in
     match Hashtbl.find_opt channels.(sp) (src, dst) with
@@ -418,31 +418,28 @@ let run ?(params = default_params) ?(obs = Obs.Sink.null) ?heartbeat
             messages.(dp) <- messages.(dp) + 1;
             deliver ~src ~dst msg)
       in
-      let ch =
-        (* A wire that cannot lose, under a timer that cannot fire
-           before the oldest message's ack is back, needs no loss
-           draws, timers or resend buffer (DESIGN.md, "Lossless
-           control channels"). *)
+      (* A wire that cannot lose, under a timer that cannot fire before
+         the oldest message's ack is back, needs no resend half
+         (DESIGN.md, "One reliable control channel"). *)
+      let resend =
         if params.control_loss <= 0.0 && 2 * latency < params.retransmit_after
-        then
-          Reliable.create_lossless ~post_fwd ~post_back ~window ~deliver:arrive
+        then None
         else
-          let wire =
+          Some
             {
               Reliable.sched_local =
                 (fun ~delay thunk ->
                   Netsim.Engine.schedule engines.(sp) ~delay thunk);
               cancel_local = (fun id -> Netsim.Engine.cancel engines.(sp) id);
-              post_fwd;
-              post_back;
               lost_fwd =
                 (fun () -> Netsim.Rng.bernoulli rngs.(sp) params.control_loss);
               lost_back =
                 (fun () -> Netsim.Rng.bernoulli rngs.(dp) params.control_loss);
+              retransmit_after = params.retransmit_after;
             }
-          in
-          Reliable.create_over ~wire ~retransmit_after:params.retransmit_after
-            ~window ~deliver:arrive
+      in
+      let ch =
+        Reliable.create ~post_fwd ~post_back ~resend ~window ~deliver:arrive
       in
       Hashtbl.add channels.(sp) (src, dst) ch;
       ch

@@ -19,11 +19,12 @@ type world = {
   g : Topo.Graph.t;
   net : An2.Network.t;
   bwc : An2.Bandwidth_central.t;
+  mutable capacity_denials : int;  (* requests denied for a full link *)
 }
 
 let make_world ~frame g =
   let net = An2.Network.create ~frame g in
-  { g; net; bwc = An2.Bandwidth_central.create net }
+  { g; net; bwc = An2.Bandwidth_central.create net; capacity_denials = 0 }
 
 (* The SRC LAN with a parallel twin of every edge switch's link to
    backbone switch 0: admission, reroutes and rebalancing must reserve
@@ -136,10 +137,14 @@ let apply_op rng w =
     "teardown-be"
   | 2 ->
     let a = random_host rng w and b = random_host rng w in
-    if a <> b then
-      ignore
-        (An2.Bandwidth_central.request w.bwc ~src_host:a ~dst_host:b
-           ~cells:(1 + Netsim.Rng.int rng 6));
+    (if a <> b then
+       match
+         An2.Bandwidth_central.request w.bwc ~src_host:a ~dst_host:b
+           ~cells:(1 + Netsim.Rng.int rng 6)
+       with
+       | Error An2.Bandwidth_central.No_capacity ->
+         w.capacity_denials <- w.capacity_denials + 1
+       | Ok _ | Error An2.Bandwidth_central.No_route -> ());
     "request-cbr"
   | 3 ->
     (match pick_vc rng w is_guaranteed with
@@ -211,18 +216,26 @@ let run_fuzz ?(frame = 32) g seed steps =
   for step = 1 to steps do
     let op = apply_op rng w in
     check_all w step op
-  done
+  done;
+  w.capacity_denials
 
+(* At the 32-cell frame, 1-6-cell requests almost never fill a link;
+   the 8-cell frame fills links, so the invariants are also checked
+   across capacity denials, and the case fails if none happened. *)
 let test_fuzz_seeds () =
+  let denials = ref 0 in
   for seed = 0 to 19 do
-    run_fuzz (Topo.Build.src_lan ()) seed 300
-  done
+    ignore (run_fuzz (Topo.Build.src_lan ()) seed 300);
+    denials := !denials + run_fuzz ~frame:8 (Topo.Build.src_lan ()) seed 300
+  done;
+  Printf.printf "capacity denials at an 8-cell frame: %d\n" !denials;
+  Alcotest.(check bool) "some request denied for capacity" true (!denials > 0)
 
-let test_fuzz_long () = run_fuzz (Topo.Build.src_lan ()) 424242 2000
+let test_fuzz_long () = ignore (run_fuzz (Topo.Build.src_lan ()) 424242 2000)
 
 let test_fuzz_twinned () =
   for seed = 0 to 19 do
-    run_fuzz ~frame:8 (twinned_src_lan ()) seed 300
+    ignore (run_fuzz ~frame:8 (twinned_src_lan ()) seed 300)
   done
 
 let () =
