@@ -108,22 +108,21 @@ let capacity_route t ~src_host ~dst_host ~cells =
         if Topo.Paths.route g ~src:a ~dst:b = None then Error No_route
         else Error No_capacity
 
-let install_schedules t vc cells =
-  List.iter
-    (fun (s, (in_link, out_link)) ->
-      let input = Network.port_at t.net s in_link
-      and output = Network.port_at t.net s out_link in
-      match
-        Frame.Schedule.add_reservation (Network.switch_schedule t.net s) ~input
-          ~output ~cells
-      with
-      | Ok _ -> ()
-      | Error e ->
-        (* Admission guarantees per-link headroom, and headroom at
-           both ports is exactly the Slepian-Duguid admissibility
-           condition, so insertion cannot fail. *)
-        failwith ("Bandwidth_central: schedule insertion failed: " ^ e))
-    (Network.table_entries vc)
+let place_cells t cells s in_link out_link =
+  let input = Network.port_at t.net s in_link
+  and output = Network.port_at t.net s out_link in
+  match
+    Frame.Schedule.add_reservation (Network.switch_schedule t.net s) ~input
+      ~output ~cells
+  with
+  | Ok _ -> ()
+  | Error e ->
+    (* Admission guarantees per-link headroom, and headroom at both
+       ports is exactly the Slepian-Duguid admissibility condition, so
+       insertion cannot fail. *)
+    failwith ("Bandwidth_central: schedule insertion failed: " ^ e)
+
+let install_schedules t vc cells = Network.iter_hops place_cells t cells vc
 
 let request t ~src_host ~dst_host ~cells =
   if cells < 1 || cells > Network.frame_length t.net then
@@ -352,16 +351,18 @@ module Service = struct
   let coordinator t src_host = src_host mod t.core.shards
 
   (* Occupy shard [sh]'s admission processor for [cost]; [k] runs when
-     the processor gets to it. The queue includes the work in service. *)
+     the processor gets to it. The queue includes the work in service,
+     so [k] starts with [leave t sh]: folding the decrement into the
+     job spares a wrapper closure per queued job. *)
   let occupy t sh ~cost k =
     t.queue_len.(sh) <- t.queue_len.(sh) + 1;
     if t.queue_len.(sh) > t.worst_backlog then t.worst_backlog <- t.queue_len.(sh);
     let start = max (Netsim.Engine.now t.engine) t.busy_until.(sh) in
     let finish = start + cost in
     t.busy_until.(sh) <- finish;
-    Netsim.Engine.post_at t.engine ~at:finish (fun () ->
-        t.queue_len.(sh) <- t.queue_len.(sh) - 1;
-        k ())
+    Netsim.Engine.post_at t.engine ~at:finish k
+
+  let leave t sh = t.queue_len.(sh) <- t.queue_len.(sh) - 1
 
   let batched t = t.params.flush_every > 0
 
@@ -387,6 +388,7 @@ module Service = struct
           occupy t sh
             ~cost:(t.params.write_cost + (entries * t.params.write_unit))
             (fun () ->
+              leave t sh;
               List.iter
                 (fun vc ->
                   match Network.find_vc t.core.net vc.Network.vc_id with
@@ -398,113 +400,157 @@ module Service = struct
                 vcs))
     end
 
+  (* One admission in flight. Each shard owns the route's links that
+     [shard_of] assigns it. Foreign shards are escrowed in ascending
+     order, a total escrow order, so concurrent cross-shard admissions
+     cannot deadlock and replay deterministically; the order also
+     makes the escrowed set exactly the foreign shards below
+     [frontier], the shard being escrowed (all shards once the
+     coordinator commits). *)
+  type admission = {
+    svc : t;
+    src_host : int;
+    dst_host : int;
+    cells : int;
+    co : int;  (* coordinator shard *)
+    on_done : (Network.vc, denial) result -> unit;
+    mutable switches : int list;
+    mutable links : int list;
+    mutable frontier : int;
+  }
+
+  let rec has_link core sh = function
+    | [] -> false
+    | lid :: rest -> shard_of core lid = sh || has_link core sh rest
+
+  let rec short core sh cells = function
+    | [] -> false
+    | lid :: rest ->
+      (shard_of core lid = sh && headroom core lid < cells)
+      || short core sh cells rest
+
+  let rec reserve core sh cells = function
+    | [] -> ()
+    | lid :: rest ->
+      if shard_of core lid = sh then add_reserved core lid cells;
+      reserve core sh cells rest
+
+  (* Compensation: return the cells of every escrowed shard. *)
+  let rec refund core a = function
+    | [] -> ()
+    | lid :: rest ->
+      let sh = shard_of core lid in
+      if sh <> a.co && sh < a.frontier then sub_reserved core lid a.cells;
+      refund core a rest
+
+  (* The first foreign shard at or above [sh] that owns a route link;
+     [shards] when none is left. *)
+  let rec next_foreign a sh =
+    let core = a.svc.core in
+    if sh >= core.shards then core.shards
+    else if sh <> a.co && has_link core sh a.links then sh
+    else next_foreign a (sh + 1)
+
+  let deny a d =
+    let t = a.svc in
+    (match d with
+     | No_route -> t.denied_no_route <- t.denied_no_route + 1
+     | No_capacity -> t.denied_no_capacity <- t.denied_no_capacity + 1);
+    if obs_on t.core then count_denial t.core d;
+    t.in_flight <- t.in_flight - 1;
+    a.on_done (Error d)
+
+  let conflict a =
+    let t = a.svc in
+    refund t.core a a.links;
+    t.escrow_conflicts <- t.escrow_conflicts + 1;
+    if obs_on t.core then Obs.Metrics.Counter.incr t.c_escrow_conflicts;
+    deny a No_capacity
+
+  let rec route a =
+    let t = a.svc in
+    leave t a.co;
+    match
+      capacity_route t.core ~src_host:a.src_host ~dst_host:a.dst_host
+        ~cells:a.cells
+    with
+    | Error d -> deny a d
+    | Ok (switches, links) ->
+      a.switches <- switches;
+      a.links <- links;
+      let first = next_foreign a 0 in
+      if first < t.core.shards then begin
+        t.cross_shard <- t.cross_shard + 1;
+        if obs_on t.core then Obs.Metrics.Counter.incr t.c_cross_shard
+      end;
+      escrow a first
+
+  and escrow a sh =
+    let t = a.svc in
+    a.frontier <- sh;
+    if sh >= t.core.shards then begin
+      let writes =
+        if batched t then 0 else List.length a.switches * t.params.write_cost
+      in
+      occupy t a.co ~cost:(t.params.admit_cost + writes) (fun () -> commit a)
+    end
+    else occupy t sh ~cost:t.params.escrow_cost (fun () -> hold a)
+
+  (* A foreign shard's processor reaches the admission: escrow its
+     cells, or give up if another admission took the headroom. *)
+  and hold a =
+    let t = a.svc and sh = a.frontier in
+    leave t sh;
+    if short t.core sh a.cells a.links then conflict a
+    else begin
+      reserve t.core sh a.cells a.links;
+      escrow a (next_foreign a (sh + 1))
+    end
+
+  and commit a =
+    let t = a.svc and co = a.co and cells = a.cells in
+    leave t co;
+    (* Re-validate the coordinator's own links: another admission may
+       have landed since the route was computed. *)
+    if short t.core co cells a.links then conflict a
+    else begin
+      reserve t.core co cells a.links;
+      let vc =
+        Network.register_guaranteed ~install:(not (batched t)) t.core.net
+          ~src_host:a.src_host ~dst_host:a.dst_host ~cells
+          ~switches:a.switches ~links:a.links
+      in
+      install_schedules t.core vc cells;
+      if batched t then begin
+        t.pending_writes.(co) <- vc :: t.pending_writes.(co);
+        arm_flush t co
+      end;
+      t.granted <- t.granted + 1;
+      if obs_on t.core then Obs.Metrics.Counter.incr t.core.c_granted;
+      t.in_flight <- t.in_flight - 1;
+      a.on_done (Ok vc)
+    end
+
   let submit t ~src_host ~dst_host ~cells ~on_done =
     if cells < 1 || cells > Network.frame_length t.core.net then
       invalid_arg "Bandwidth_central.Service.submit: bad cell count";
     t.submitted <- t.submitted + 1;
     t.in_flight <- t.in_flight + 1;
     if obs_on t.core then Obs.Metrics.Counter.incr t.core.c_requests;
-    let co = coordinator t src_host in
-    let deny d =
-      (match d with
-       | No_route -> t.denied_no_route <- t.denied_no_route + 1
-       | No_capacity -> t.denied_no_capacity <- t.denied_no_capacity + 1);
-      if obs_on t.core then count_denial t.core d;
-      t.in_flight <- t.in_flight - 1;
-      on_done (Error d)
+    let a =
+      {
+        svc = t;
+        src_host;
+        dst_host;
+        cells;
+        co = coordinator t src_host;
+        on_done;
+        switches = [];
+        links = [];
+        frontier = 0;
+      }
     in
-    occupy t co ~cost:t.params.route_cost (fun () ->
-        match capacity_route t.core ~src_host ~dst_host ~cells with
-        | Error d -> deny d
-        | Ok (switches, links) ->
-          (* Partition the route's links by owning shard. Foreign
-             shards are visited in ascending order — a total escrow
-             order, so concurrent cross-shard admissions cannot
-             deadlock and replay deterministically. *)
-          let per = Array.make t.core.shards [] in
-          List.iter
-            (fun lid ->
-              let sh = shard_of t.core lid in
-              per.(sh) <- lid :: per.(sh))
-            links;
-          let foreign = ref [] in
-          for sh = t.core.shards - 1 downto 0 do
-            if sh <> co && per.(sh) <> [] then foreign := sh :: !foreign
-          done;
-          if !foreign <> [] then begin
-            t.cross_shard <- t.cross_shard + 1;
-            if obs_on t.core then Obs.Metrics.Counter.incr t.c_cross_shard
-          end;
-          let escrowed = ref [] in
-          (* Compensation: return every escrowed shard's cells. *)
-          let undo () =
-            List.iter
-              (fun sh ->
-                List.iter
-                  (fun lid -> sub_reserved t.core lid cells)
-                  per.(sh))
-              !escrowed
-          in
-          let conflict () =
-            undo ();
-            t.escrow_conflicts <- t.escrow_conflicts + 1;
-            if obs_on t.core then
-              Obs.Metrics.Counter.incr t.c_escrow_conflicts;
-            deny No_capacity
-          in
-          let commit () =
-            let writes =
-              if batched t then 0
-              else List.length switches * t.params.write_cost
-            in
-            occupy t co ~cost:(t.params.admit_cost + writes) (fun () ->
-                (* Re-validate the coordinator's own links: another
-                   admission may have landed since the route was
-                   computed. *)
-                if
-                  List.exists
-                    (fun lid -> headroom t.core lid < cells)
-                    per.(co)
-                then conflict ()
-                else begin
-                  List.iter
-                    (fun lid -> add_reserved t.core lid cells)
-                    per.(co);
-                  let vc =
-                    Network.register_guaranteed
-                      ~install:(not (batched t)) t.core.net ~src_host
-                      ~dst_host ~cells ~switches ~links
-                  in
-                  install_schedules t.core vc cells;
-                  if batched t then begin
-                    t.pending_writes.(co) <- vc :: t.pending_writes.(co);
-                    arm_flush t co
-                  end;
-                  t.granted <- t.granted + 1;
-                  if obs_on t.core then
-                    Obs.Metrics.Counter.incr t.core.c_granted;
-                  t.in_flight <- t.in_flight - 1;
-                  on_done (Ok vc)
-                end)
-          in
-          let rec escrow = function
-            | [] -> commit ()
-            | sh :: rest ->
-              occupy t sh ~cost:t.params.escrow_cost (fun () ->
-                  if
-                    List.exists
-                      (fun lid -> headroom t.core lid < cells)
-                      per.(sh)
-                  then conflict ()
-                  else begin
-                    List.iter
-                      (fun lid -> add_reserved t.core lid cells)
-                      per.(sh);
-                    escrowed := sh :: !escrowed;
-                    escrow rest
-                  end)
-          in
-          escrow !foreign)
+    occupy t a.co ~cost:t.params.route_cost (fun () -> route a)
 
   let release t vc =
     match vc.Network.cls with
@@ -513,6 +559,7 @@ module Service = struct
     | Network.Guaranteed _ ->
       let co = coordinator t vc.Network.src_host in
       occupy t co ~cost:t.params.release_cost (fun () ->
+          leave t co;
           (* The circuit may have been dissolved (reroute denial, an
              earlier release) between the request and the processor
              getting to it; a stale release is dropped, not applied. *)

@@ -49,6 +49,17 @@ type stats = {
   route_cache_misses : int;
 }
 
+(* A route as the crawl uses it: the lists {!Network.assign_route}
+   records, and the same path as arrays, which the crawl indexes hop by
+   hop. A cached route hands the same arrays to every attempt that hits
+   it; nothing writes to them. *)
+type route = {
+  switches : int list;
+  links : int list;
+  switch_at : int array;
+  link_at : int array;
+}
+
 type t = {
   engine : Netsim.Engine.t;
   net : Network.t;
@@ -74,7 +85,7 @@ type t = {
      [route_for] is a function of the graph state alone, so cached
      runs replay byte-identically to uncached ones. *)
   mutable cache_version : int;
-  route_cache : (int, (int list * int list, string) result) Hashtbl.t;
+  route_cache : (int, (route, string) result) Hashtbl.t;
   orient_cache : (int, Topo.Updown.t) Hashtbl.t;
   mutable route_cache_hits : int;
   mutable route_cache_misses : int;
@@ -167,24 +178,35 @@ let switch_alive g s =
 (* Recompute a host pair's route on the current topology. *)
 let compute_route t ~src_host ~dst_host =
   let g = Network.graph t.net in
-  Network.route_between t.net ~src_host ~dst_host
-    (match t.params.routing with
-     | Shortest -> Topo.Paths.route_links g
-     | Updown ->
-       fun ~src ~dst ~tail ->
-         (* Orientation rooted at the source attachment: any root gives
-            a deadlock-free up*/down* discipline, and the source is
-            always in its own component. The orientation depends only
-            on the graph, so it shares the version-keyed cache. *)
-         let orient =
-           match Hashtbl.find_opt t.orient_cache src with
-           | Some o -> o
-           | None ->
-             let o = Topo.Updown.orient g (Topo.Spanning.bfs g ~root:src) in
-             if t.params.path_cache then Hashtbl.add t.orient_cache src o;
-             o
-         in
-         Topo.Updown.route_links g orient ~src ~dst ~tail)
+  let search =
+    match t.params.routing with
+    | Shortest -> Topo.Paths.route_links g
+    | Updown ->
+      fun ~src ~dst ~tail ->
+        (* Orientation rooted at the source attachment: any root gives
+           a deadlock-free up*/down* discipline, and the source is
+           always in its own component. The orientation depends only
+           on the graph, so it shares the version-keyed cache. *)
+        let orient =
+          match Hashtbl.find_opt t.orient_cache src with
+          | Some o -> o
+          | None ->
+            let o = Topo.Updown.orient g (Topo.Spanning.bfs g ~root:src) in
+            if t.params.path_cache then Hashtbl.add t.orient_cache src o;
+            o
+        in
+        Topo.Updown.route_links g orient ~src ~dst ~tail
+  in
+  match Network.route_between t.net ~src_host ~dst_host search with
+  | Ok (switches, links) ->
+    Ok
+      {
+        switches;
+        links;
+        switch_at = Array.of_list switches;
+        link_at = Array.of_list links;
+      }
+  | Error e -> Error e
 
 (* [route_for] additionally reports whether the answer came from the
    cache, so the caller can charge the cached or uncached route cost. *)
@@ -232,7 +254,9 @@ type pending = {
 }
 
 (* Occupy switch [s]'s signaling processor for [cost]; [k] runs when
-   the processor gets to it. The queue includes the cell in service. *)
+   the processor gets to it. The queue includes the cell in service,
+   so [k] starts with [leave t s]: folding the decrement into the job
+   spares a wrapper closure per queued cell. *)
 let process_for t s ~cost k =
   t.queue_len.(s) <- t.queue_len.(s) + 1;
   if obs_on t then
@@ -244,9 +268,9 @@ let process_for t s ~cost k =
   let start = max (Netsim.Engine.now t.engine) t.busy_until.(s) in
   let finish = start + cost in
   t.busy_until.(s) <- finish;
-  Netsim.Engine.post_at t.engine ~at:finish (fun () ->
-      t.queue_len.(s) <- t.queue_len.(s) - 1;
-      k ())
+  Netsim.Engine.post_at t.engine ~at:finish k
+
+let leave t s = t.queue_len.(s) <- t.queue_len.(s) - 1
 
 (* One signaling cell's worth of processing. *)
 let process_at t s k = process_for t s ~cost:t.params.proc_delay k
@@ -300,22 +324,14 @@ let rec start_attempt t p =
       (* No route right now (partition, dead attachment). The topology
          may heal before we run out of attempts. *)
       retry t p
-    | Ok (switches, links), cached ->
-      Network.assign_route t.net p.vc ~switches ~links;
-      p.path_switches <- Array.of_list switches;
-      p.path_links <- Array.of_list links;
+    | Ok r, cached ->
+      Network.assign_route t.net p.vc ~switches:r.switches ~links:r.links;
+      p.path_switches <- r.switch_at;
+      p.path_links <- r.link_at;
       let epoch = p.epoch in
       p.timer <-
         Netsim.Engine.schedule t.engine ~delay:t.params.setup_timeout (fun () ->
             on_timeout t p epoch);
-      let g = Network.graph t.net in
-      (* The setup cell leaves the source host over its attachment. *)
-      let launch () =
-        if Topo.Graph.link_working g p.path_links.(0) then
-          Netsim.Engine.post t.engine ~delay:(latency g p.path_links.(0))
-            (fun () -> setup_arrives t p epoch 0)
-        (* else: dead attachment mid-flight; the timeout recovers. *)
-      in
       (* Route computation is charged to the ingress switch's
          signaling processor — the line card resolving the source
          route. A zero cost (the default) launches inline, leaving
@@ -323,11 +339,22 @@ let rec start_attempt t p =
       let cost =
         if cached then t.params.route_cost_cached else t.params.route_cost
       in
-      if cost = 0 then launch ()
-      else
-        process_for t p.path_switches.(0) ~cost (fun () ->
-            if (not p.resolved) && p.epoch = epoch then launch ())
+      if cost = 0 then launch t p epoch
+      else begin
+        let s = p.path_switches.(0) in
+        process_for t s ~cost (fun () ->
+            leave t s;
+            if (not p.resolved) && p.epoch = epoch then launch t p epoch)
+      end
   end
+
+(* The setup cell leaves the source host over its attachment. Over a
+   dead attachment it goes nowhere; the timeout recovers. *)
+and launch t p epoch =
+  let g = Network.graph t.net in
+  if Topo.Graph.link_working g p.path_links.(0) then
+    Netsim.Engine.post t.engine ~delay:(latency g p.path_links.(0)) (fun () ->
+        setup_arrives t p epoch 0)
 
 and retry t p =
   if p.resolved then ()
@@ -372,14 +399,16 @@ and on_timeout t p epoch =
 and setup_arrives t p epoch i =
   let s = p.path_switches.(i) in
   process_at t s (fun () ->
+      leave t s;
       if p.resolved || p.epoch <> epoch then ()
       else begin
         let g = Network.graph t.net in
         if not (switch_alive g s) then ()
           (* Crashed switch swallows the cell; the timeout recovers. *)
         else begin
-          Network.install_entry t.net p.vc ~switch:s;
           let out = p.path_links.(i + 1) in
+          Network.install_hop t.net p.vc ~switch:s ~in_link:p.path_links.(i)
+            ~out_link:out;
           if not (Topo.Graph.link_working g out) then crankback t p epoch i
           else if i + 1 < Array.length p.path_switches then
             Netsim.Engine.post t.engine ~delay:(latency g out) (fun () ->
@@ -397,6 +426,7 @@ and setup_arrives t p epoch i =
 and ack_arrives t p epoch i =
   let s = p.path_switches.(i) in
   process_at t s (fun () ->
+      leave t s;
       if p.resolved || p.epoch <> epoch then ()
       else begin
         let g = Network.graph t.net in
@@ -443,6 +473,7 @@ and crankback t p epoch i =
       Netsim.Engine.post t.engine ~delay:(latency g back) (fun () ->
           let prev = p.path_switches.(j - 1) in
           process_at t prev (fun () ->
+              leave t prev;
               if p.resolved || p.epoch <> epoch then ()
               else if not (switch_alive g prev) then ()
               else begin
@@ -488,6 +519,16 @@ let readmit t ?(on_circuit = fun _ -> ()) vcs ~on_done =
                 if !remaining = 0 then on_done ())))
       vcs
 
+(* Whether the circuit's path passes [s] through exactly the links of
+   [entry]: [Exit] ends the walk at the first such hop. *)
+let same_hop s (in_link, out_link) s' in' out' =
+  if s = s' && in_link = in' && out_link = out' then raise_notrace Exit
+
+let on_path vc s entry =
+  match Network.iter_hops same_hop s entry vc with
+  | () -> false
+  | exception Exit -> true
+
 (* An installed table entry is legitimate iff its circuit exists, is
    not dark, the switch carries that exact entry on the circuit's
    current path, and every link of that path works. Everything else is
@@ -520,9 +561,7 @@ let orphan_entries t =
           | Some vc ->
             (not vc.Network.paged_out)
             && (not (Hashtbl.mem broken_ids vc_id))
-            && List.exists
-                 (fun (s', e) -> s' = s && e = entry)
-                 (Network.table_entries vc)
+            && on_path vc s entry
         in
         if not keep then orphans := (s, vc_id) :: !orphans)
       (Network.table_bindings t.net s)

@@ -86,15 +86,27 @@ let table_entries vc =
   in
   walk vc.links vc.switches []
 
-let install t vc =
-  List.iter
-    (fun (s, entry) -> Hashtbl.replace t.tables.(s) vc.vc_id entry)
-    (table_entries vc)
+(* The same pairing without building it: [f x y s in_link out_link] at
+   each hop. [f] takes its context as [x] and [y] rather than
+   capturing it, so a closed [f] makes the walk allocate nothing. *)
+let rec walk_hops f x y links switches =
+  match (links, switches) with
+  | in_link :: (out_link :: _ as links), s :: switches ->
+    f x y s in_link out_link;
+    walk_hops f x y links switches
+  | _ -> ()
 
-let uninstall t vc =
-  List.iter
-    (fun (s, _) -> Hashtbl.remove t.tables.(s) vc.vc_id)
-    (table_entries vc)
+let iter_hops f x y vc = walk_hops f x y vc.links vc.switches
+
+let install_hop t vc ~switch ~in_link ~out_link =
+  Hashtbl.replace t.tables.(switch) vc.vc_id (in_link, out_link)
+
+let set_entry t vc s in_link out_link =
+  install_hop t vc ~switch:s ~in_link ~out_link
+
+let drop_entry t vc s _ _ = Hashtbl.remove t.tables.(s) vc.vc_id
+let install t vc = iter_hops set_entry t vc vc
+let uninstall t vc = iter_hops drop_entry t vc vc
 
 let setup_best_effort t ~src_host ~dst_host =
   match find_route t ~src_host ~dst_host with
@@ -137,11 +149,6 @@ let assign_route _t vc ~switches ~links =
   vc.links <- links;
   vc.paged_out <- false
 
-let install_entry t vc ~switch =
-  match List.assoc_opt switch (table_entries vc) with
-  | Some entry -> Hashtbl.replace t.tables.(switch) vc.vc_id entry
-  | None -> invalid_arg "Network.install_entry: switch not on the circuit's path"
-
 let uninstall_entry t vc ~switch = Hashtbl.remove t.tables.(switch) vc.vc_id
 let remove_entry t ~switch ~vc_id = Hashtbl.remove t.tables.(switch) vc_id
 
@@ -178,15 +185,14 @@ let port_at t s lid =
 
 exception Missing_cell of { switch : int; input : int; output : int }
 
-let remove_schedule_entries t vc cells =
-  List.iter
-    (fun (s, (in_link, out_link)) ->
-      let input = port_at t s in_link and output = port_at t s out_link in
-      for _ = 1 to cells do
-        if not (Frame.Schedule.remove_cell t.schedules.(s) ~input ~output) then
-          raise (Missing_cell { switch = s; input; output })
-      done)
-    (table_entries vc)
+let remove_cells t cells s in_link out_link =
+  let input = port_at t s in_link and output = port_at t s out_link in
+  for _ = 1 to cells do
+    if not (Frame.Schedule.remove_cell t.schedules.(s) ~input ~output) then
+      raise (Missing_cell { switch = s; input; output })
+  done
+
+let remove_schedule_entries t vc cells = iter_hops remove_cells t cells vc
 
 let teardown t vc =
   uninstall t vc;

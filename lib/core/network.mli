@@ -65,12 +65,15 @@ val register_best_effort : t -> src_host:int -> dst_host:int -> vc
 val assign_route : t -> vc -> switches:int list -> links:int list -> unit
 (** Point the circuit at a path (clearing [paged_out]) without touching
     any routing table — entry installation is the caller's job, e.g.
-    one switch at a time via {!install_entry}. *)
+    one switch at a time via {!install_hop}. *)
 
-val install_entry : t -> vc -> switch:int -> unit
+val install_hop :
+  t -> vc -> switch:int -> in_link:int -> out_link:int -> unit
 (** Install the circuit's routing-table entry at one switch of its
-    current path (raises [Invalid_argument] if the switch is not on
-    it) — one hop of setup-cell processing. *)
+    current path: the hop entering [switch] over [in_link] and leaving
+    over [out_link] — one hop of setup-cell processing. The caller
+    holds the hop's links ({!Lifecycle}'s crawl carries its path as
+    arrays), so nothing searches the path. *)
 
 val uninstall_entry : t -> vc -> switch:int -> unit
 (** Drop the circuit's entry at one switch, if present — one hop of a
@@ -172,7 +175,18 @@ val port_at : t -> int -> int -> int
     terminates. *)
 
 val table_entries : vc -> (int * (int * int)) list
-(** [(switch, (in_link, out_link))] along the circuit's path. *)
+(** [(switch, (in_link, out_link))] along the circuit's path, as a
+    fresh list. *)
+
+val iter_hops :
+  ('a -> 'b -> int -> int -> int -> unit) -> 'a -> 'b -> vc -> unit
+(** [iter_hops f x y vc] calls [f x y s in_link out_link] at each hop
+    of the circuit's path, source side first: the pairs
+    {!table_entries} lists, without building the list. [f] gets its
+    context as [x] and [y] instead of capturing it, so a closed [f]
+    walks the path without allocating. [install], [uninstall],
+    [remove_schedule_entries] and {!Bandwidth_central}'s schedule
+    placement all walk it this way. *)
 
 (** {1 Snapshots} *)
 

@@ -134,6 +134,14 @@ let expand_bursts rng p ~hosts =
     go [] 0
   end
 
+(* Stdlib [List.merge] is not tail-recursive: a long timeline would
+   use stack proportional to its length. *)
+let[@tail_mod_cons] rec merge base bursts =
+  match (base, bursts) with
+  | [], rest | rest, [] -> rest
+  | b :: base', u :: bursts' ->
+    if u.at < b.at then u :: merge base bursts' else b :: merge base' bursts
+
 let expand p ~hosts =
   if hosts < 2 then invalid_arg "Workload.expand: need at least two hosts";
   if p.mix.cells_min < 1 || p.mix.cells_max < p.mix.cells_min then
@@ -142,6 +150,8 @@ let expand p ~hosts =
   let bursts =
     expand_bursts (Netsim.Rng.create (p.seed + 0x9e3779b9)) p ~hosts
   in
-  (* Stable sort keeps base-before-burst on equal timestamps — a
-     deterministic total order. *)
-  List.stable_sort (fun x y -> compare x.at y.at) (base @ bursts)
+  (* The base stream is generated in time order; only the bursts
+     overlap. Sorting them stably and merging with base first on equal
+     timestamps gives the order a stable sort of [base @ bursts] gives,
+     a deterministic total order, without sorting the base stream. *)
+  merge base (List.stable_sort (fun x y -> Int.compare x.at y.at) bursts)

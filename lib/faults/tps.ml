@@ -95,20 +95,25 @@ type point = {
   sim_events : int;
 }
 
-let percentile sorted q =
+(* The latency at quantile [q] of [sorted] (ns), in microseconds.
+   [Netsim.Time.to_us] is monotone, so converting the order statistic
+   gives the same float as sorting converted values would. *)
+let percentile (sorted : int array) q =
   let n = Array.length sorted in
   if n = 0 then 0.0
   else begin
     let rank = int_of_float (ceil (q *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+    Netsim.Time.to_us sorted.(max 0 (min (n - 1) (rank - 1)))
   end
 
-let point_of_run ~profile ~arrivals ~latencies_us ~curve ~engine lc svc =
+let point_of_run ~profile ~arrivals ~latencies_ns ~curve ~engine lc svc =
   let duration = profile.Workload.duration in
   let windows = Array.length curve in
   let ls = Lifecycle.stats lc in
   let ss = Service.stats svc in
-  Array.sort Float.compare latencies_us;
+  (* Sorted as ints: a float array through the polymorphic [Array.sort]
+     would box both floats of every comparison. *)
+  Array.sort Int.compare latencies_ns;
   let backlogs = Array.map snd curve in
   let peak = Array.fold_left max 0 backlogs in
   let final = backlogs.(windows - 1) in
@@ -142,9 +147,9 @@ let point_of_run ~profile ~arrivals ~latencies_us ~curve ~engine lc svc =
     batch_flushes = ss.Service.batch_flushes;
     cache_hits = ls.Lifecycle.route_cache_hits;
     cache_misses = ls.Lifecycle.route_cache_misses;
-    p50_us = percentile latencies_us 0.50;
-    p99_us = percentile latencies_us 0.99;
-    max_us = percentile latencies_us 1.0;
+    p50_us = percentile latencies_ns 0.50;
+    p99_us = percentile latencies_ns 0.99;
+    max_us = percentile latencies_ns 1.0;
     worst_signaling_backlog = ls.Lifecycle.worst_backlog;
     worst_admission_backlog = ss.Service.worst_backlog;
     backlog_curve = curve;
@@ -165,16 +170,16 @@ let run_point ?obs ~graph config profile =
   let hosts = Topo.Graph.host_count graph in
   let arrivals = Workload.expand profile ~hosts in
   let n_arrivals = List.length arrivals in
-  (* Setup latencies in microseconds, unboxed: [lat.(0 .. n_lat - 1)]. *)
-  let lat = ref (Array.make 1024 0.0) and n_lat = ref 0 in
+  (* Setup latencies in nanoseconds: [lat.(0 .. n_lat - 1)]. *)
+  let lat = ref (Array.make 1024 0) and n_lat = ref 0 in
   let record_latency at =
     let now = Netsim.Engine.now engine in
     if !n_lat = Array.length !lat then begin
-      let grown = Array.make (2 * !n_lat) 0.0 in
+      let grown = Array.make (2 * !n_lat) 0 in
       Array.blit !lat 0 grown 0 !n_lat;
       lat := grown
     end;
-    !lat.(!n_lat) <- Netsim.Time.to_us (now - at);
+    !lat.(!n_lat) <- now - at;
     incr n_lat
   in
   let arrive a =
@@ -237,7 +242,7 @@ let run_point ?obs ~graph config profile =
   end;
   Netsim.Engine.run engine;
   point_of_run ~profile ~arrivals:n_arrivals
-    ~latencies_us:(Array.sub !lat 0 !n_lat) ~curve ~engine lc svc
+    ~latencies_ns:(Array.sub !lat 0 !n_lat) ~curve ~engine lc svc
 
 (* Knee search, tezos bin_tps_evaluation style: geometric probing from
    [rate_start] to bracket the divergence point (at most

@@ -91,14 +91,16 @@ type point = {
 val point_of_run :
   profile:An2.Workload.profile ->
   arrivals:int ->
-  latencies_us:float array ->
+  latencies_ns:Netsim.Time.t array ->
   curve:(float * int) array ->
   engine:Netsim.Engine.t ->
   An2.Lifecycle.t ->
   An2.Bandwidth_central.Service.t ->
   point
 (** The point of a finished run of [profile]: what {!run_point} returns
-    after posting its arrivals. Sorts [latencies_us] in place. *)
+    after posting its arrivals. [latencies_ns] holds one setup latency
+    per completed setup, in nanoseconds; it is sorted in place, and
+    the percentiles are read from it in microseconds. *)
 
 val run_point :
   ?obs:Obs.Sink.t ->

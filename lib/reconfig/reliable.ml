@@ -35,6 +35,11 @@ type 'msg t = {
       (* without a resend half: the one ack thunk of the channel. Set
          once, after the record: a recursive definition would allocate
          the record twice per channel. *)
+  handle_ack : 'msg t -> int -> unit;
+      (* always the toplevel [handle_ack] below. Reached through this
+         field, it keeps [receive] out of the [let rec] group: a thunk
+         built inside the group captures the group's environment too,
+         a word more on every message and every ack. *)
 }
 
 let oldest_stored t =
@@ -53,6 +58,20 @@ let store t seq msg =
 
 let stored t seq = t.store.(seq land (Array.length t.store - 1))
 
+let receive t seq msg =
+  if seq = t.expected then begin
+    t.expected <- t.expected + 1;
+    t.deliver msg
+  end;
+  (* Cumulative acknowledgment (itself droppable). Over a wire that
+     keeps every cell and its order it acknowledges exactly the oldest
+     outstanding message, so it needs no value. *)
+  match t.resend with
+  | None -> t.post_back t.on_ack
+  | Some r ->
+    let ack = t.expected in
+    if not (r.lost_back ()) then t.post_back (fun () -> t.handle_ack t ack)
+
 let rec arm_timer t =
   match t.resend with
   | Some r when t.timer = Netsim.Engine.no_event && t.base < t.next ->
@@ -70,22 +89,12 @@ and transmit t seq msg =
   t.transmissions <- t.transmissions + 1;
   if seq > t.highest_sent then t.highest_sent <- seq;
   match t.resend with
-  | Some r when r.lost_fwd () -> ()
-  | _ -> t.post_fwd (fun () -> receive t seq msg)
-
-and receive t seq msg =
-  if seq = t.expected then begin
-    t.expected <- t.expected + 1;
-    t.deliver msg
-  end;
-  (* Cumulative acknowledgment (itself droppable). Over a wire that
-     keeps every cell and its order it acknowledges exactly the oldest
-     outstanding message, so it needs no value. *)
-  match t.resend with
-  | None -> t.post_back t.on_ack
-  | Some r ->
-    let ack = t.expected in
-    if not (r.lost_back ()) then t.post_back (fun () -> handle_ack t ack)
+  | Some r -> if not (r.lost_fwd ()) then t.post_fwd (fun () -> receive t seq msg)
+  | None ->
+    (* A wire without a resend half keeps every cell and its order, so
+       each cell arrives as the receiver's next expected one: the
+       thunk need not carry [seq]. *)
+    t.post_fwd (fun () -> receive t t.expected msg)
 
 and handle_ack t ack =
   if ack > t.base then begin
@@ -121,6 +130,7 @@ let create ~post_fwd ~post_back ~resend ~window ~deliver =
       timer = Netsim.Engine.no_event;
       transmissions = 0;
       on_ack = ignore;
+      handle_ack;
     }
   in
   t.on_ack <- (fun () -> handle_ack t (t.base + 1));

@@ -346,6 +346,162 @@ let test_guaranteed_reroute_dissolves_on_denial () =
           (An2.Bandwidth_central.reserved bwc l.link_id))
       (Topo.Graph.links g)
 
+(* The hop walker against [table_entries]: [install] and [uninstall]
+   walk the path in place; each reference applies the listed pairs one
+   by one. Random switch and link lists, repeats and unequal lengths
+   included, so a switch the path visits twice and a path that ends
+   early are both covered. Hop by hop, [Lifecycle]'s crawl installs
+   hop [i] from the path as arrays: switch [i] between links [i] and
+   [i + 1], which must be [table_entries]' [i]-th pair. *)
+let bindings net =
+  List.init
+    (Topo.Graph.switch_count (An2.Network.graph net))
+    (An2.Network.table_bindings net)
+
+let test_hop_walker_tables =
+  qtest ~count:300 "hop walker = table_entries (tables)"
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_bound 8) (int_bound 5))
+        (list_of_size Gen.(int_bound 10) (int_bound 50)))
+    (fun (switches, links) ->
+      let g = Topo.Build.linear 6 in
+      let fresh () =
+        let net = An2.Network.create ~frame:16 g in
+        let vc =
+          An2.Network.register_guaranteed ~install:false net ~src_host:0
+            ~dst_host:1 ~cells:1 ~switches ~links
+        in
+        (net, vc)
+      in
+      let net, vc = fresh () and ref_net, ref_vc = fresh () in
+      let entries = An2.Network.table_entries ref_vc in
+      let set_ref (s, (in_link, out_link)) =
+        An2.Network.install_hop ref_net ref_vc ~switch:s ~in_link ~out_link
+      in
+      let clear () =
+        An2.Network.uninstall net vc;
+        List.iter
+          (fun (s, _) -> An2.Network.uninstall_entry ref_net ref_vc ~switch:s)
+          entries
+      in
+      let switch_at = Array.of_list switches and link_at = Array.of_list links in
+      let hops = min (Array.length switch_at) (Array.length link_at - 1) in
+      let crawl_ok =
+        List.length entries = max 0 hops
+        && List.for_all
+             (fun i ->
+               An2.Network.install_hop net vc ~switch:switch_at.(i)
+                 ~in_link:link_at.(i) ~out_link:link_at.(i + 1);
+               set_ref (List.nth entries i);
+               bindings net = bindings ref_net)
+             (List.init (max 0 hops) Fun.id)
+      in
+      clear ();
+      let cleared = bindings net = bindings ref_net in
+      An2.Network.install net vc;
+      List.iter set_ref entries;
+      let installed = bindings net = bindings ref_net in
+      clear ();
+      crawl_ok && cleared && installed && bindings net = bindings ref_net)
+
+(* Schedule placement ([Bandwidth_central]) and removal
+   ([remove_schedule_entries]) walk the path too. The reference network
+   takes the same routes and places and removes the same cells pair
+   by pair over [table_entries]. *)
+let schedule_cells net =
+  List.init
+    (Topo.Graph.switch_count (An2.Network.graph net))
+    (fun s ->
+      let sched = An2.Network.switch_schedule net s in
+      List.init (Frame.Schedule.frame sched) (fun slot ->
+          List.init (Frame.Schedule.n sched) (fun input ->
+              Frame.Schedule.output_at sched ~slot ~input)))
+
+let test_hop_walker_schedules =
+  qtest ~count:100 "hop walker = table_entries (schedules)"
+    QCheck.(
+      list_of_size Gen.(int_range 1 12)
+        (triple (int_bound 15) (int_bound 15) (int_range 1 4)))
+    (fun requests ->
+      let g, _ = Topo.Build.fat_tree ~k:4 in
+      let net = An2.Network.create ~frame:16 g in
+      let ref_net = An2.Network.create ~frame:16 g in
+      let bwc = An2.Bandwidth_central.create net in
+      let pairs f (vc : An2.Network.vc) =
+        List.iter
+          (fun (s, (in_link, out_link)) ->
+            f (An2.Network.switch_schedule ref_net s)
+              (An2.Network.port_at ref_net s in_link)
+              (An2.Network.port_at ref_net s out_link))
+          (An2.Network.table_entries vc)
+      in
+      let admitted =
+        List.filter_map
+          (fun (src_host, dst, cells) ->
+            let dst_host = if dst = src_host then (dst + 1) mod 16 else dst in
+            match An2.Bandwidth_central.request bwc ~src_host ~dst_host ~cells with
+            | Error _ -> None
+            | Ok vc ->
+              let ref_vc =
+                An2.Network.register_guaranteed ref_net ~src_host ~dst_host ~cells
+                  ~switches:vc.switches ~links:vc.links
+              in
+              pairs
+                (fun sched input output ->
+                  match Frame.Schedule.add_reservation sched ~input ~output ~cells with
+                  | Ok _ -> ()
+                  | Error e -> failwith e)
+                ref_vc;
+              Some (vc, ref_vc, cells))
+          requests
+      in
+      let placed = schedule_cells net = schedule_cells ref_net in
+      List.iteri
+        (fun i (vc, ref_vc, cells) ->
+          if i mod 2 = 0 then begin
+            An2.Network.remove_schedule_entries net vc cells;
+            pairs
+              (fun sched input output ->
+                for _ = 1 to cells do
+                  assert (Frame.Schedule.remove_cell sched ~input ~output)
+                done)
+              ref_vc
+          end)
+        admitted;
+      placed && schedule_cells net = schedule_cells ref_net)
+
+(* A circuit's routing-table entries cost their bindings and nothing
+   else: installing a 5-switch circuit allocates five 4-word hash
+   buckets and five 3-word link pairs, and uninstalling it nothing. *)
+let test_install_allocation_pinned () =
+  let g = Topo.Build.linear 5 in
+  let h1, h2 = Topo.Build.with_host_pair g in
+  let net = An2.Network.create ~frame:16 g in
+  let switches, links =
+    match An2.Network.find_route net ~src_host:h1 ~dst_host:h2 with
+    | Ok route -> route
+    | Error e -> Alcotest.fail e
+  in
+  let vc =
+    An2.Network.register_guaranteed ~install:false net ~src_host:h1 ~dst_host:h2
+      ~cells:1 ~switches ~links
+  in
+  Alcotest.(check int) "5 switches" 5 (List.length switches);
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let overhead = words ignore in
+  let count () = List.length (List.concat (bindings net)) in
+  let installed = words (fun () -> An2.Network.install net vc) -. overhead in
+  Alcotest.(check int) "5 bindings" 5 (count ());
+  let uninstalled = words (fun () -> An2.Network.uninstall net vc) -. overhead in
+  Alcotest.(check int) "no bindings left" 0 (count ());
+  Alcotest.(check (float 0.)) "install: 5 x (4 + 3) words" 35. installed;
+  Alcotest.(check (float 0.)) "uninstall: nothing" 0. uninstalled
+
 (* A dissolving reroute releases the circuit's schedule cells once.
    Two 3-cell circuits leave host 0 through the same port pair of
    switch 0; the far one loses link 1-2 and has nowhere to go. Its
@@ -1271,6 +1427,10 @@ let () =
             test_reroute_guaranteed_rejected;
           Alcotest.test_case "page out/in" `Quick test_page_out_in;
           Alcotest.test_case "partitioned" `Quick test_no_route_when_partitioned;
+          test_hop_walker_tables;
+          test_hop_walker_schedules;
+          Alcotest.test_case "install allocation pinned" `Quick
+            test_install_allocation_pinned;
         ] );
       ( "bandwidth-central",
         [

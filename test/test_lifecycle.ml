@@ -271,6 +271,81 @@ let test_deterministic_under_jitter () =
   in
   Alcotest.(check bool) "identical runs" true (run () = run ())
 
+(* The orphan check walks each circuit's path per table binding; the
+   reference is the check as it was, a search of [table_entries]. The
+   tables are tampered with first: entries whose links differ from the
+   path's in one end or both, entries at switches off the path,
+   entries of circuits that do not exist, dark circuits and a failed
+   link, so that every reason to keep or drop an entry occurs. *)
+let reference_orphans net =
+  let g = An2.Network.graph net in
+  let keep s vc_id entry =
+    match An2.Network.find_vc net vc_id with
+    | None -> false
+    | Some vc ->
+      (not vc.An2.Network.paged_out)
+      && vc.An2.Network.links <> []
+      && List.for_all (Topo.Graph.link_working g) vc.An2.Network.links
+      && List.exists
+           (fun (s', e) -> s' = s && e = entry)
+           (An2.Network.table_entries vc)
+  in
+  List.concat
+    (List.init (Topo.Graph.switch_count g) (fun s ->
+         List.filter_map
+           (fun (vc_id, entry) -> if keep s vc_id entry then None else Some (s, vc_id))
+           (An2.Network.table_bindings net s)))
+
+let test_orphan_check_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"orphan check = table_entries reference"
+       QCheck.(
+         triple
+           (list_of_size Gen.(int_range 1 6) (pair (int_bound 15) (int_bound 15)))
+           (list_of_size Gen.(int_bound 12)
+              (quad (int_bound 7) (int_bound 40) (int_bound 9) (int_bound 9)))
+           (pair (int_bound 3) (int_bound 80)))
+       (fun (pairs, tampering, (dark, failed)) ->
+         let g, _ = Topo.Build.fat_tree ~k:4 in
+         let net = An2.Network.create g in
+         let engine = Netsim.Engine.create () in
+         let lc = An2.Lifecycle.create ~engine net An2.Lifecycle.default_params in
+         let vcs = ref [] in
+         List.iter
+           (fun (src, dst) ->
+             let dst = if src = dst then (dst + 1) mod 16 else dst in
+             An2.Lifecycle.setup lc ~src_host:src ~dst_host:dst ~on_done:(function
+               | Ok vc -> vcs := vc :: !vcs
+               | Error _ -> ()))
+           pairs;
+         Netsim.Engine.run engine;
+         let vcs = Array.of_list (List.rev !vcs) in
+         let n = Array.length vcs in
+         let links vc k =
+           let l = vc.An2.Network.links in
+           if k < List.length l then List.nth l k else k
+         in
+         if n > 0 then
+           List.iter
+             (fun (v, s, i, o) ->
+               (* [v] past the circuits names one that does not exist. *)
+               let vc =
+                 if v < n then vcs.(v) else { vcs.(0) with An2.Network.vc_id = 1000 + v }
+               in
+               let path = vc.An2.Network.switches in
+               let switch = if s < List.length path then List.nth path s else s mod 20 in
+               An2.Network.install_hop net vc ~switch ~in_link:(links vc i)
+                 ~out_link:(links vc o))
+             tampering;
+         if dark < n then vcs.(dark).An2.Network.paged_out <- true;
+         if failed < Topo.Graph.link_count g then Topo.Graph.fail_link g failed;
+         let expected = reference_orphans net in
+         let audited = An2.Lifecycle.audit lc in
+         let reclaimed = An2.Lifecycle.gc lc in
+         audited = List.length expected
+         && reclaimed = audited
+         && reference_orphans net = []))
+
 let () =
   Alcotest.run "lifecycle"
     [
@@ -290,6 +365,7 @@ let () =
             test_timeout_on_crashed_switch_leaves_orphans_for_gc;
           Alcotest.test_case "gc sweeps reconfigured circuit" `Quick
             test_gc_sweeps_reconfigured_circuit;
+          test_orphan_check_matches_reference;
         ] );
       ( "admission",
         [

@@ -69,6 +69,65 @@ let test_scale_and_seed () =
   in
   Alcotest.(check bool) "seed changes the timeline" true (a <> b)
 
+(* [expand] merges the sorted base stream with the stably sorted
+   bursts; the reference stably sorts the two concatenated. Tie-heavy
+   profiles: a base stream a few ns apart, bursts squeezed into a span
+   of a few ns, so many arrivals of both streams share a timestamp. *)
+let tie_heavy_gen =
+  QCheck.Gen.(
+    map
+      (fun (seed, (base_rate, burst_rate), (span, duration_us, guaranteed)) ->
+        {
+          An2.Workload.default_profile with
+          base_rate;
+          burst_rate;
+          burst_span = span;
+          duration = Netsim.Time.us duration_us;
+          mix =
+            {
+              An2.Workload.default_profile.An2.Workload.mix with
+              guaranteed_fraction = guaranteed;
+            };
+          seed;
+        })
+      (triple (int_bound 10_000)
+         (pair (float_range 1e7 5e8) (float_range 1e5 2e7))
+         (triple (int_range 1 8) (int_range 1 30) (float_range 0.0 1.0))))
+
+let print_profile (p : An2.Workload.profile) =
+  Printf.sprintf "seed=%d base_rate=%.0f burst_rate=%.0f span=%d duration=%d"
+    p.seed p.base_rate p.burst_rate p.burst_span p.duration
+
+let test_expand_matches_stable_sort =
+  prop ~count:200 "expand = stable sort of base @ bursts"
+    (QCheck.make ~print:print_profile tie_heavy_gen)
+    (fun p ->
+      An2.Workload.expand p ~hosts:24 = Oracle.Workload_reference.expand p ~hosts:24)
+
+(* The property above decides ties only if there are any: at this
+   profile many base arrivals share their timestamp with a burst. *)
+let test_tie_heavy_profile_ties () =
+  let p =
+    {
+      An2.Workload.default_profile with
+      base_rate = 2e8;
+      burst_rate = 1e7;
+      burst_span = 2;
+      duration = Netsim.Time.us 20;
+    }
+  in
+  let times q =
+    List.map (fun (a : An2.Workload.arrival) -> a.at) (An2.Workload.expand q ~hosts:24)
+  in
+  let base = times { p with burst_rate = 0.0 } in
+  let shared = List.filter (fun at -> List.mem at base) (times { p with base_rate = 0.0 }) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d burst arrivals tie with the base stream" (List.length shared))
+    true
+    (List.length shared >= 20);
+  Alcotest.(check bool) "merge = stable sort" true
+    (An2.Workload.expand p ~hosts:24 = Oracle.Workload_reference.expand p ~hosts:24)
+
 (* ------------------------------------------------------------------ *)
 (* Bandwidth accounting: per-link reserved cells must equal the sum
    over live guaranteed circuits, whatever churn the core sees. *)
@@ -271,6 +330,39 @@ let test_escrow_conflict_deterministic () =
       (An2.Bandwidth_central.Service.reservations svc)
   | _ -> Alcotest.fail "expected exactly one grant"
 
+(* Admissions racing on a small frame across up to five shards: an
+   escrow can fail at the coordinator or at any foreign shard. Once
+   everything has drained, the links must hold exactly the cells of
+   the circuits still granted, so every failed escrow returned what it
+   held and nothing more. *)
+let test_service_accounting_under_contention =
+  prop ~count:150 "service accounting under escrow conflicts"
+    QCheck.(
+      pair (int_range 1 5)
+        (list_of_size Gen.(int_range 1 40)
+           (quad (int_bound 15) (int_bound 15) (int_range 1 6) (int_bound 3))))
+    (fun (shards, requests) ->
+      let g, _ = Topo.Build.fat_tree ~k:4 in
+      let engine = Netsim.Engine.create () in
+      let net = An2.Network.create ~frame:8 g in
+      let svc = Service.create ~engine ~shards net Service.default_params in
+      let live = ref [] in
+      List.iteri
+        (fun i (src, dst, cells, release) ->
+          let dst = if src = dst then (dst + 1) mod 16 else dst in
+          Netsim.Engine.post_at engine ~at:(i / 4 * 50_000) (fun () ->
+              Service.submit svc ~src_host:src ~dst_host:dst ~cells ~on_done:(function
+                | Ok vc when release = 0 ->
+                  Netsim.Engine.post engine ~delay:70_000 (fun () -> Service.release svc vc)
+                | Ok vc -> live := vc :: !live
+                | Error _ -> ())))
+        requests;
+      Netsim.Engine.run engine;
+      let st = Service.stats svc in
+      st.Service.granted + st.Service.denied_no_route + st.Service.denied_no_capacity
+      = List.length requests
+      && Service.reservations svc = expected_reservations !live)
+
 let test_service_deterministic () =
   let scenario () =
     let g = Topo.Build.src_lan () in
@@ -410,7 +502,7 @@ let eager_run_point ~graph (config : Faults.Tps.config) profile =
   let n = List.length arrivals in
   let latencies = ref [] in
   let record at =
-    latencies := Netsim.Time.to_us (Netsim.Engine.now engine - at) :: !latencies
+    latencies := (Netsim.Engine.now engine - at) :: !latencies
   in
   List.iter
     (fun (a : An2.Workload.arrival) ->
@@ -442,7 +534,7 @@ let eager_run_point ~graph (config : Faults.Tps.config) profile =
   done;
   Netsim.Engine.run engine;
   Faults.Tps.point_of_run ~profile ~arrivals:n
-    ~latencies_us:(Array.of_list !latencies) ~curve ~engine lc svc
+    ~latencies_ns:(Array.of_list !latencies) ~curve ~engine lc svc
 
 (* Past the knee (about 26,000/s on src_lan) setups queue, time out and
    retry, so same-instant events are common: the cursor must give the
@@ -457,6 +549,42 @@ let test_cursor_matches_eager () =
   Alcotest.(check bool) "cursor = eager" true
     (p = eager_run_point ~graph:(Topo.Build.src_lan ()) config profile)
 
+(* [point_of_run] sorts integer nanoseconds and converts only the
+   order statistics it reads; the reference converts every latency to
+   microseconds first and sorts the floats, as the point did before.
+   [Netsim.Time.to_us] is monotone, so the two agree bit for bit. *)
+let float_sort_percentiles latencies_ns =
+  let sorted = Array.map Netsim.Time.to_us latencies_ns in
+  Array.sort Float.compare sorted;
+  let n = Array.length sorted in
+  let pick q =
+    if n = 0 then 0.0
+    else sorted.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
+  in
+  (pick 0.50, pick 0.99, pick 1.0)
+
+let test_percentiles_match_float_sort =
+  prop ~count:300 "point percentiles = float-sort reference"
+    QCheck.(
+      array_of_size
+        Gen.(int_bound 300)
+        (make Gen.(oneof [ int_bound 40; int_bound 5_000_000; int_bound max_int ])))
+    (fun latencies_ns ->
+      let graph = Topo.Build.src_lan () in
+      let engine = Netsim.Engine.create () in
+      let net = An2.Network.create graph in
+      let lc = An2.Lifecycle.create ~engine net Faults.Tps.tuned_lifecycle in
+      let svc = An2.Bandwidth_central.Service.create ~engine net Service.default_params in
+      let p =
+        Faults.Tps.point_of_run ~profile:short_profile
+          ~arrivals:(Array.length latencies_ns) ~latencies_ns:(Array.copy latencies_ns)
+          ~curve:(Array.make 2 (0.0, 0)) ~engine lc svc
+      in
+      let p50, p99, pmax = float_sort_percentiles latencies_ns in
+      Float.equal p.Faults.Tps.p50_us p50
+      && Float.equal p.Faults.Tps.p99_us p99
+      && Float.equal p.Faults.Tps.max_us pmax)
+
 (* Clock-free pins on the control-srclan benchmark workload at its
    quick size (20,000/s for 200 ms, seed 1): the minor words of one
    point, and the engine's queue-depth peak. Both are exact counts of
@@ -469,13 +597,34 @@ let quick_srclan_profile =
     (An2.Workload.with_seed { An2.Workload.default_profile with duration = ms 200 } 1)
     ~rate:20_000.0
 
-let test_point_allocation_pinned () =
-  let graph = Topo.Build.src_lan () in
+let point_words graph profile =
   let w0 = Gc.minor_words () in
-  let p = Faults.Tps.run_point ~graph Faults.Tps.improved_config quick_srclan_profile in
-  let words = Gc.minor_words () -. w0 in
+  let p = Faults.Tps.run_point ~graph Faults.Tps.improved_config profile in
+  (p, Gc.minor_words () -. w0)
+
+(* 1,288,147 words, 248 per arrival: the path walks, latency sort and
+   arrival merge allocate nothing, so what is left is mostly one
+   closure per engine event. *)
+let test_point_allocation_pinned () =
+  let p, words = point_words (Topo.Build.src_lan ()) quick_srclan_profile in
   Alcotest.(check int) "arrivals" 5190 p.Faults.Tps.arrivals;
-  let bound = 3_272_867. *. 1.05 in
+  let bound = 1_288_147. *. 1.05 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words <= %.0f" words bound)
+    true (words <= bound)
+
+(* The same pin on the control-fattree16 workload's quick size:
+   fat-tree:8 at 10,000/s for 100 ms, seed 1, where the route cache
+   mostly misses and admissions cross shards. *)
+let test_fattree_point_allocation_pinned () =
+  let profile =
+    An2.Workload.scale
+      (An2.Workload.with_seed { An2.Workload.default_profile with duration = ms 100 } 1)
+      ~rate:10_000.0
+  in
+  let p, words = point_words (fst (Topo.Build.fat_tree ~k:8)) profile in
+  Alcotest.(check int) "arrivals" 1303 p.Faults.Tps.arrivals;
+  let bound = 467_994. *. 1.05 in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words <= %.0f" words bound)
     true (words <= bound)
@@ -505,6 +654,9 @@ let () =
           Alcotest.test_case "base stream stable without bursts" `Quick
             test_base_stream_stable_without_bursts;
           Alcotest.test_case "scale and seed" `Quick test_scale_and_seed;
+          test_expand_matches_stable_sort;
+          Alcotest.test_case "tie-heavy profile ties" `Quick
+            test_tie_heavy_profile_ties;
         ] );
       ( "accounting",
         [
@@ -521,6 +673,7 @@ let () =
             test_escrow_conflict_deterministic;
           Alcotest.test_case "deterministic replay" `Quick
             test_service_deterministic;
+          test_service_accounting_under_contention;
         ] );
       ( "path cache",
         [
@@ -531,8 +684,11 @@ let () =
         [
           Alcotest.test_case "point sanity" `Quick test_tps_point_sane;
           Alcotest.test_case "cursor = eager posting" `Quick test_cursor_matches_eager;
+          test_percentiles_match_float_sort;
           Alcotest.test_case "allocation pinned (src_lan)" `Quick
             test_point_allocation_pinned;
+          Alcotest.test_case "allocation pinned (fat-tree:8)" `Quick
+            test_fattree_point_allocation_pinned;
           Alcotest.test_case "queue depth pinned (src_lan)" `Quick test_queue_depth_pinned;
         ] );
     ]
