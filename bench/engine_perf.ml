@@ -1,7 +1,7 @@
 (* Engine perf-trajectory harness.
 
-   Measures the discrete-event engine core — schedule/dispatch and
-   schedule/cancel cycles, and an SRC-LAN control-plane macro — on
+   Measures the discrete-event engine core — post/dispatch cycles
+   and an SRC-LAN control-plane macro — on
    both the production pooled engine and the retained pre-pool
    reference implementation, so the speedup is measured, not asserted.
    A multi-seed reconfiguration sweep (the real protocol runner)
@@ -14,14 +14,10 @@
 
 module type ENGINE = sig
   type t
-  type event_id
 
-  val no_event : event_id
   val create : ?obs:Obs.Sink.t -> unit -> t
   val now : t -> Netsim.Time.t
-  val schedule : t -> delay:Netsim.Time.t -> (unit -> unit) -> event_id
   val post : t -> delay:Netsim.Time.t -> (unit -> unit) -> unit
-  val cancel : t -> event_id -> unit
   val pending : t -> int
   val dispatched : t -> int
   val step : t -> bool
@@ -74,31 +70,23 @@ module Micro (E : ENGINE) = struct
       measure ~engine:engine_name ~name:"schedule+dispatch-1k-near" ~ops
         (fun () -> ignore (E.step e : bool))
     in
-    let sched_cancel =
-      (* Cancel then step: the step reaps the corpse, so neither heap
-         nor pool grows across iterations. *)
-      let e = E.create () in
-      measure ~engine:engine_name ~name:"schedule+cancel+reap" ~ops (fun () ->
-          let id = E.schedule e ~delay:1 noop in
-          E.cancel e id;
-          ignore (E.step e : bool))
-    in
-    [ sched_dispatch; backlogged; near_backlog; sched_cancel ]
+    [ sched_dispatch; backlogged; near_backlog ]
 end
 
 (* ------------------------------------------------------------------ *)
 (* Macro: the SRC-LAN control-plane event pattern. Each delivered
    control message at a switch forwards to its next neighbour
    (round-robin) and re-arms the go-back-N retransmit timer of the
-   channel it goes out on — cancelling the previous one — exactly the
-   schedule/cancel churn the reliable channels impose during
-   reconfiguration. As in [Reconfig.Reliable] there is one timer per
-   directed (switch, neighbour) channel, and with a 10 ms timeout
-   against ~10 us acks the cancelled timers accumulate as heap corpses
-   until reaped, so the heap runs thousands deep — the regime a live
-   installation's timer population puts the engine in. Thunks are
-   preallocated per switch and per channel, so the measured loop is
-   the engine. *)
+   channel it goes out on — retiring the previous one by bumping the
+   channel's stamp — exactly the timer churn the reliable channels
+   impose during reconfiguration. As in [Reconfig.Reliable] there is
+   one live timer per directed (switch, neighbour) channel, and with a
+   10 ms timeout against ~10 us acks the retired timers stay queued
+   until they come due and do nothing, so the heap runs thousands
+   deep — the regime a live installation's timer population puts the
+   engine in. Message thunks are preallocated per switch; each timer
+   carries its stamp, so an arm allocates one small closure, as in
+   [Reconfig.Reliable]. *)
 
 type macro = {
   events : int;
@@ -125,12 +113,11 @@ module Macro (E : ENGINE) = struct
     let channels = !channels in
     let e = E.create () in
     let count = ref 0 in
-    let timers = Array.make channels E.no_event in
+    let stamps = Array.make channels 0 in
     let rr = Array.make n 0 in
     let msg_thunk = Array.make n noop in
-    let chan_thunk = Array.make channels noop in
     let retransmit_after = Netsim.Time.ms 10 in
-    let msg s =
+    let rec msg s =
       incr count;
       if !count < events_target then begin
         let k = nbrs.(s) in
@@ -138,19 +125,17 @@ module Macro (E : ENGINE) = struct
         let d = k.(j) in
         rr.(s) <- (if j + 1 = Array.length k then 0 else j + 1);
         (* The ack for the channel's previous message has landed:
-           disarm and re-arm its retransmit timer. *)
+           retire its retransmit timer and arm a fresh one. *)
         let c = chan_base.(s) + j in
-        E.cancel e timers.(c);
-        timers.(c) <- E.schedule e ~delay:retransmit_after chan_thunk.(c);
+        let stamp = stamps.(c) + 1 in
+        stamps.(c) <- stamp;
+        E.post e ~delay:retransmit_after (timer s c stamp);
         (* The message itself: one link hop plus line-card time. *)
         E.post e ~delay:(Netsim.Time.us 10) msg_thunk.(d)
       end
-    in
+    and timer s c stamp () = if stamps.(c) = stamp then msg s in
     for s = 0 to n - 1 do
       msg_thunk.(s) <- (fun () -> msg s);
-      for j = 0 to Array.length nbrs.(s) - 1 do
-        chan_thunk.(chan_base.(s) + j) <- (fun () -> msg s)
-      done;
       E.post e ~delay:0 msg_thunk.(s)
     done;
     let words, elapsed =
@@ -280,31 +265,27 @@ let intra_macro ~parts ~domains ~horizon =
   let channels = !channels in
   (* Each slot of these arrays is owned by exactly one partition (its
      switch's), so domains never race on them. *)
-  let timers = Array.make channels Netsim.Engine.no_event in
+  let stamps = Array.make channels 0 in
   let rr = Array.make n 0 in
   let msg_thunk = Array.make n noop in
-  let chan_thunk = Array.make channels noop in
   let retransmit_after = Netsim.Time.ms 10 in
-  let msg s =
+  let rec msg s =
     let k = nbrs.(s) in
     let j = rr.(s) in
     let d, lid = k.(j) in
     rr.(s) <- (if j + 1 = Array.length k then 0 else j + 1);
     let c = chan_base.(s) + j in
     let e = engines.(part.(s)) in
-    Netsim.Engine.cancel e timers.(c);
-    timers.(c) <-
-      Netsim.Engine.schedule e ~delay:retransmit_after chan_thunk.(c);
+    let stamp = stamps.(c) + 1 in
+    stamps.(c) <- stamp;
+    Netsim.Engine.post e ~delay:retransmit_after (timer s c stamp);
     let lat = (Topo.Graph.link g lid).latency in
     if part.(d) = part.(s) then Netsim.Engine.post e ~delay:lat msg_thunk.(d)
     else Netsim.Cluster.send cl ~src:part.(s) ~dst:part.(d) ~delay:lat
         msg_thunk.(d)
-  in
+  and timer s c stamp () = if stamps.(c) = stamp then msg s in
   for s = 0 to n - 1 do
     msg_thunk.(s) <- (fun () -> msg s);
-    for j = 0 to Array.length nbrs.(s) - 1 do
-      chan_thunk.(chan_base.(s) + j) <- (fun () -> msg s)
-    done;
     Netsim.Engine.post engines.(part.(s)) ~delay:0 msg_thunk.(s)
   done;
   let (), seconds =

@@ -239,7 +239,8 @@ let route_for t ~src_host ~dst_host =
 
 (* One in-progress setup. [epoch] stamps the current attempt: events
    belonging to an abandoned attempt (timeout fired, source moved on)
-   compare their stamp and evaporate. *)
+   compare their stamp and evaporate. The attempt's timeout is one of
+   them, and so is every timeout once the setup is [resolved]. *)
 type pending = {
   vc : Network.vc;
   on_done : (Network.vc, string) result -> unit;
@@ -247,7 +248,6 @@ type pending = {
   mutable attempt_started_at : Netsim.Time.t;
   mutable attempt : int;
   mutable epoch : int;
-  mutable timer : Netsim.Engine.event_id;
   mutable path_switches : int array;
   mutable path_links : int array;
   mutable resolved : bool;
@@ -280,8 +280,6 @@ let latency g lid = (Topo.Graph.link g lid).Topo.Graph.latency
 let finish t p result =
   if not p.resolved then begin
     p.resolved <- true;
-    Netsim.Engine.cancel t.engine p.timer;
-    p.timer <- Netsim.Engine.no_event;
     t.in_flight <- t.in_flight - 1;
     (match result with
      | Ok _ ->
@@ -329,9 +327,8 @@ let rec start_attempt t p =
       p.path_switches <- r.switch_at;
       p.path_links <- r.link_at;
       let epoch = p.epoch in
-      p.timer <-
-        Netsim.Engine.schedule t.engine ~delay:t.params.setup_timeout (fun () ->
-            on_timeout t p epoch);
+      Netsim.Engine.post t.engine ~delay:t.params.setup_timeout (fun () ->
+          on_timeout t p epoch);
       (* Route computation is charged to the ingress switch's
          signaling processor — the line card resolving the source
          route. A zero cost (the default) launches inline, leaving
@@ -465,8 +462,6 @@ and crankback t p epoch i =
       Netsim.Engine.post t.engine ~delay:(latency g back) (fun () ->
           if (not p.resolved) && p.epoch = epoch then begin
             p.epoch <- p.epoch + 1;
-            Netsim.Engine.cancel t.engine p.timer;
-            p.timer <- Netsim.Engine.no_event;
             retry t p
           end)
     else
@@ -494,7 +489,6 @@ let submit t vc ~on_done =
       attempt_started_at = Netsim.Engine.now t.engine;
       attempt = 0;
       epoch = 0;
-      timer = Netsim.Engine.no_event;
       path_switches = [||];
       path_links = [||];
       resolved = false;

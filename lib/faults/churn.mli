@@ -63,8 +63,8 @@ type result = {
   flow_throughput_mean : float;  (** over flow checks; 0 if none *)
   flow_lossless : bool;  (** no flow check ever overflowed a buffer *)
   drained : bool;
-      (** after cancelling the schedule and stopping every monitor the
-          engine reached [pending = 0] — nothing leaks *)
+      (** after retiring the schedule's timers and stopping every
+          monitor the engine reached [pending = 0] — nothing leaks *)
 }
 
 val run : ?obs:Obs.Sink.t -> graph:Topo.Graph.t -> params -> result

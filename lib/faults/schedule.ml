@@ -97,11 +97,9 @@ let expand items =
     (List.rev timeline)
 
 type driver = {
-  engine : Netsim.Engine.t;
-  timers : Netsim.Engine.event_id array;
+  armed : bool array;  (* per timeline entry: not fired, not cancelled *)
   mutable control_loss : float;
   mutable injected : int;
-  mutable cancelled : bool;
 }
 
 let apply graph = function
@@ -115,42 +113,31 @@ let install ~engine ~graph ?(on_action = fun _ _ -> ()) timeline =
   let now = Netsim.Engine.now engine in
   let d =
     {
-      engine;
-      timers = Array.make (List.length timeline) Netsim.Engine.no_event;
+      armed = Array.make (List.length timeline) true;
       control_loss = 0.0;
       injected = 0;
-      cancelled = false;
     }
   in
   List.iteri
     (fun i (at, action) ->
       if at < now then invalid_arg "Schedule.install: action in the past";
-      d.timers.(i) <-
-        Netsim.Engine.schedule_at engine ~at (fun () ->
-            d.timers.(i) <- Netsim.Engine.no_event;
+      Netsim.Engine.post_at engine ~at (fun () ->
+          if d.armed.(i) then begin
+            d.armed.(i) <- false;
             apply graph action;
             (match action with
              | Set_control_loss p -> d.control_loss <- p
              | _ -> ());
             d.injected <- d.injected + 1;
-            on_action at action))
+            on_action at action
+          end))
     timeline;
   d
 
-let cancel d =
-  if not d.cancelled then begin
-    d.cancelled <- true;
-    Array.iteri
-      (fun i id ->
-        Netsim.Engine.cancel d.engine id;
-        d.timers.(i) <- Netsim.Engine.no_event)
-      d.timers
-  end
+let cancel d = Array.fill d.armed 0 (Array.length d.armed) false
 
 let control_loss d = d.control_loss
 let injected d = d.injected
 
 let remaining d =
-  Array.fold_left
-    (fun acc id -> if id = Netsim.Engine.no_event then acc else acc + 1)
-    0 d.timers
+  Array.fold_left (fun acc armed -> if armed then acc + 1 else acc) 0 d.armed

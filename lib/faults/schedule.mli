@@ -12,7 +12,7 @@
     timeline of primitive actions (all randomness comes from the
     schedule's own seeds, so the same schedule always produces the same
     timeline), and the timeline is then {!install}ed onto a
-    {!Netsim.Engine} as cancellable timers that drive the
+    {!Netsim.Engine} as timers the driver can retire, which drive the
     {!Topo.Graph} fail/restore operations — which compose under
     overlap, because link state is cause-tracked. *)
 
@@ -91,9 +91,11 @@ val install :
     [Invalid_argument]. *)
 
 val cancel : driver -> unit
-(** Cancel every action that has not fired yet — after this the driver
-    contributes nothing further to [Netsim.Engine.pending], so a churn
-    run can reach quiescence. *)
+(** Retire every action that has not fired yet: its timer still
+    fires when due but applies nothing, so once the engine runs past
+    the last retired timer the driver contributes nothing to
+    [Netsim.Engine.pending] and a churn run can reach quiescence.
+    Idempotent. *)
 
 val control_loss : driver -> float
 (** Current control-plane drop probability (last [Set_control_loss]

@@ -86,6 +86,10 @@ type point = {
           the signal) *)
   drained : bool;  (** everything resolved once arrivals stopped *)
   sim_events : int;
+      (** events the engine dispatched for the point
+          ({!Netsim.Engine.dispatched}), timers retired by their owner
+          included: a setup timeout whose setup had already finished
+          counts once, when it fires and does nothing *)
 }
 
 val point_of_run :

@@ -22,8 +22,9 @@ type t = {
   mutable probation_start : Netsim.Time.t option;
   mutable probation_wait : Netsim.Time.t;
   mutable transitions : int;
-  mutable timer : Netsim.Engine.event_id;
-      (* the pending tick; [Engine.no_event] when stopped *)
+  mutable stamp : int;
+      (* a tick runs only if armed under the current stamp; [stop]
+         bumps it, retiring the pending tick *)
   mutable running : bool;
 }
 
@@ -39,7 +40,7 @@ let create ~engine ~params ~link_up ~on_transition =
     probation_start = None;
     probation_wait = 0;
     transitions = 0;
-    timer = Netsim.Engine.no_event;
+    stamp = 0;
     running = false;
   }
 
@@ -88,14 +89,15 @@ let on_ping t =
     end
   end
 
-let rec tick t =
-  t.timer <- Netsim.Engine.no_event;
-  on_ping t;
-  if t.running then arm t
+let rec tick t stamp =
+  if stamp = t.stamp then begin
+    on_ping t;
+    arm t
+  end
 
 and arm t =
-  t.timer <-
-    Netsim.Engine.schedule t.engine ~delay:t.params.interval (fun () -> tick t)
+  let stamp = t.stamp in
+  Netsim.Engine.post t.engine ~delay:t.params.interval (fun () -> tick t stamp)
 
 let start t =
   if not t.running then begin
@@ -104,9 +106,10 @@ let start t =
   end
 
 let stop t =
-  t.running <- false;
-  Netsim.Engine.cancel t.engine t.timer;
-  t.timer <- Netsim.Engine.no_event
+  if t.running then begin
+    t.running <- false;
+    t.stamp <- t.stamp + 1
+  end
 
 let declared_up t = t.declared_up
 let transitions t = t.transitions

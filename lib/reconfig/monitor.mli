@@ -32,11 +32,12 @@ val start : t -> unit
 (** Begin pinging. No-op if already running. *)
 
 val stop : t -> unit
-(** Cancel the pending ping timer and stop re-arming it. A stopped
-    monitor schedules nothing further, so an engine whose only
-    remaining work was the monitor's tick drains to quiescence
-    ([Netsim.Engine.pending] reaches 0). [start] may be called again
-    later; declared state and skeptic history are kept. *)
+(** Retire the pending ping timer and stop re-arming it: the tick
+    still fires when due but pings nothing and posts nothing, so an
+    engine whose only remaining work was the monitor's tick drains to
+    quiescence within one interval. [start] may be called again later,
+    even before the retired tick is due; declared state and skeptic
+    history are kept. *)
 
 val declared_up : t -> bool
 val transitions : t -> int

@@ -1,13 +1,11 @@
 (* The transport split. Sender-side state (window, store, timer, acks)
    only ever moves through [post_back] and the resend half's
-   [sched_local]/[cancel_local]; receiver-side state only through
-   [post_fwd]. In a {!Netsim.Cluster} run the two ends live on
+   [sched_local]; receiver-side state only through [post_fwd]. In a {!Netsim.Cluster} run the two ends live on
    different domains, so the loss draws are split too: [lost_fwd] is
    drawn where [transmit] runs (sender), [lost_back] where [receive]
    runs (receiver). *)
 type resend = {
-  sched_local : delay:Netsim.Time.t -> (unit -> unit) -> Netsim.Engine.event_id;
-  cancel_local : Netsim.Engine.event_id -> unit;
+  sched_local : delay:Netsim.Time.t -> (unit -> unit) -> unit;
   lost_fwd : unit -> bool;
   lost_back : unit -> bool;
   retransmit_after : Netsim.Time.t;
@@ -28,8 +26,10 @@ type 'msg t = {
   mutable next : int;  (* next sequence to assign *)
   mutable highest_sent : int;  (* highest sequence ever transmitted *)
   mutable expected : int;  (* receiver: next in-order sequence *)
-  mutable timer : Netsim.Engine.event_id;
-      (* retransmit timer; [Engine.no_event] when disarmed *)
+  mutable armed : bool;  (* a retransmit timer is live *)
+  mutable stamp : int;
+      (* a retransmit timer acts only if armed under the current stamp;
+         disarming bumps it, retiring the timer *)
   mutable transmissions : int;
   mutable on_ack : unit -> unit;
       (* without a resend half: the one ack thunk of the channel. Set
@@ -74,15 +74,18 @@ let receive t seq msg =
 
 let rec arm_timer t =
   match t.resend with
-  | Some r when t.timer = Netsim.Engine.no_event && t.base < t.next ->
-    t.timer <-
-      r.sched_local ~delay:r.retransmit_after (fun () ->
-          t.timer <- Netsim.Engine.no_event;
+  | Some r when (not t.armed) && t.base < t.next ->
+    t.armed <- true;
+    let stamp = t.stamp in
+    r.sched_local ~delay:r.retransmit_after (fun () ->
+        if stamp = t.stamp then begin
+          t.armed <- false;
           (* Go-back-N: resend the whole window from base. *)
           for seq = t.base to min t.next (t.base + t.window) - 1 do
             transmit t seq (stored t seq)
           done;
-          arm_timer t)
+          arm_timer t
+        end)
   | _ -> ()
 
 and transmit t seq msg =
@@ -99,12 +102,10 @@ and transmit t seq msg =
 and handle_ack t ack =
   if ack > t.base then begin
     t.base <- ack;
-    (match t.resend with
-     | Some r ->
-       (* Cancelling [no_event] is a no-op, so no disarmed check needed. *)
-       r.cancel_local t.timer;
-       t.timer <- Netsim.Engine.no_event
-     | None -> ());
+    if t.armed then begin
+      t.armed <- false;
+      t.stamp <- t.stamp + 1
+    end;
     (* The window slid forward: transmit queued messages that now fit. *)
     let upto = min t.next (t.base + t.window) in
     for seq = max (t.highest_sent + 1) t.base to upto - 1 do
@@ -127,7 +128,8 @@ let create ~post_fwd ~post_back ~resend ~window ~deliver =
       next = 0;
       highest_sent = -1;
       expected = 0;
-      timer = Netsim.Engine.no_event;
+      armed = false;
+      stamp = 0;
       transmissions = 0;
       on_ack = ignore;
       handle_ack;
@@ -148,4 +150,4 @@ let send t msg =
 
 let transmissions t = t.transmissions
 let idle t = t.base = t.next
-let retransmit_armed t = t.timer <> Netsim.Engine.no_event
+let retransmit_armed t = t.armed

@@ -21,9 +21,8 @@
 type 'msg t
 
 type resend = {
-  sched_local : delay:Netsim.Time.t -> (unit -> unit) -> Netsim.Engine.event_id;
-      (** Cancellable scheduling at the {e sender}: retransmit timers. *)
-  cancel_local : Netsim.Engine.event_id -> unit;
+  sched_local : delay:Netsim.Time.t -> (unit -> unit) -> unit;
+      (** Scheduling at the {e sender}: retransmit timers. *)
   lost_fwd : unit -> bool;
       (** Per-transmission drop draw, made at the sender. *)
   lost_back : unit -> bool;
@@ -57,13 +56,14 @@ val create :
     transmission and [r.lost_back] per acknowledgment, keeps every
     unacknowledged message, and arms one timer of [r.retransmit_after]
     while messages are outstanding; every acknowledgment that slides
-    the window cancels it and arms it again.
+    the window retires it (it fires when due and does nothing) and
+    arms a fresh one.
 
     [resend = None] is only for a wire that never loses a cell, keeps
     order, and brings each acknowledgment back before
     [retransmit_after] would have fired (twice the wire latency below
-    it). Over such a wire every timer would be cancelled before it
-    fires, so the channel without a resend half makes the same
+    it). Over such a wire every timer would be retired before it
+    is due, so the channel without a resend half makes the same
     deliveries at the same times, in the same order among other
     events, with the same {!transmissions} and {!idle}; it draws
     nothing, schedules no timer and keeps only the messages its window
@@ -81,7 +81,7 @@ val idle : 'msg t -> bool
 (** No unacknowledged messages outstanding. *)
 
 val retransmit_armed : 'msg t -> bool
-(** The retransmission timer currently holds a scheduled event; always
-    [false] without a resend half. The invariant the tests assert: an
-    {!idle} channel has it disarmed, so a quiescent control plane
-    leaves nothing pending on the engine. *)
+(** A live retransmission timer is armed; always [false] without a
+    resend half. The invariant the tests assert: an {!idle} channel
+    has it disarmed, so a quiescent control plane posts nothing more
+    once its retired timers have fired. *)

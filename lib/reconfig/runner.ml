@@ -428,9 +428,7 @@ let run ?(params = default_params) ?(obs = Obs.Sink.null) ?heartbeat
           Some
             {
               Reliable.sched_local =
-                (fun ~delay thunk ->
-                  Netsim.Engine.schedule engines.(sp) ~delay thunk);
-              cancel_local = (fun id -> Netsim.Engine.cancel engines.(sp) id);
+                (fun ~delay thunk -> Netsim.Engine.post engines.(sp) ~delay thunk);
               lost_fwd =
                 (fun () -> Netsim.Rng.bernoulli rngs.(sp) params.control_loss);
               lost_back =

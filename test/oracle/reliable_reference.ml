@@ -1,12 +1,11 @@
 (* The transport split. Sender-side state (window buffer, timers,
-   acks) only ever moves through [sched_local]/[cancel_local]/
-   [post_back]; receiver-side state only through [post_fwd]. In a
+   acks) only ever moves through [sched_local]/[post_back];
+   receiver-side state only through [post_fwd]. In a
    {!Netsim.Cluster} run the two ends live on different domains, so
    the loss draws are split too: [lost_fwd] is drawn where [transmit]
    runs (sender), [lost_back] where [receive] runs (receiver). *)
 type wire = {
-  sched_local : delay:Netsim.Time.t -> (unit -> unit) -> Netsim.Engine.event_id;
-  cancel_local : Netsim.Engine.event_id -> unit;
+  sched_local : delay:Netsim.Time.t -> (unit -> unit) -> unit;
   post_fwd : (unit -> unit) -> unit;
   post_back : (unit -> unit) -> unit;
   lost_fwd : unit -> bool;
@@ -23,8 +22,8 @@ type 'msg t = {
   mutable next : int;  (* next sequence to assign *)
   mutable highest_sent : int;  (* highest sequence ever transmitted *)
   mutable expected : int;  (* receiver: next in-order sequence *)
-  mutable timer : Netsim.Engine.event_id;
-      (* retransmit timer; [Engine.no_event] when disarmed *)
+  mutable armed : bool;  (* a retransmit timer is live *)
+  mutable stamp : int;  (* the live timer's; disarming bumps it *)
   mutable transmissions : int;
 }
 
@@ -40,21 +39,26 @@ let create_over ~wire ~retransmit_after ~window ~deliver =
     next = 0;
     highest_sent = -1;
     expected = 0;
-    timer = Netsim.Engine.no_event;
+    armed = false;
+    stamp = 0;
     transmissions = 0;
   }
 
 let rec arm_timer t =
-  if t.timer = Netsim.Engine.no_event && t.base < t.next then
-    t.timer <-
-      t.wire.sched_local ~delay:t.retransmit_after (fun () ->
-          t.timer <- Netsim.Engine.no_event;
+  if (not t.armed) && t.base < t.next then begin
+    t.armed <- true;
+    let stamp = t.stamp in
+    t.wire.sched_local ~delay:t.retransmit_after (fun () ->
+        if stamp = t.stamp then begin
+          t.armed <- false;
           (* Go-back-N: resend the whole window from base. *)
           let upto = min t.next (t.base + t.window) in
           for seq = t.base to upto - 1 do
             transmit t seq
           done;
-          arm_timer t)
+          arm_timer t
+        end)
+  end
 
 and transmit t seq =
   match Hashtbl.find_opt t.buf seq with
@@ -81,9 +85,10 @@ and handle_ack t ack =
       Hashtbl.remove t.buf seq
     done;
     t.base <- ack;
-    (* Cancelling [no_event] is a no-op, so no disarmed check needed. *)
-    t.wire.cancel_local t.timer;
-    t.timer <- Netsim.Engine.no_event;
+    if t.armed then begin
+      t.armed <- false;
+      t.stamp <- t.stamp + 1
+    end;
     (* The window slid forward: transmit queued messages that now fit. *)
     let upto = min t.next (t.base + t.window) in
     for seq = max (t.highest_sent + 1) t.base to upto - 1 do
@@ -101,4 +106,4 @@ let send t msg =
 
 let transmissions t = t.transmissions
 let idle t = t.base = t.next
-let retransmit_armed t = t.timer <> Netsim.Engine.no_event
+let retransmit_armed t = t.armed

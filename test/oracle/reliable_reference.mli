@@ -1,7 +1,7 @@
 (** The go-back-N control channel as it was when a lossless wire had a
     channel of its own: a [Hashtbl] of every unacknowledged message, a
     loss draw per transmission and per acknowledgment, and a
-    retransmission timer cancelled and re-armed on every ack. Kept as
+    retransmission timer retired and re-armed on every ack. Kept as
     the model that [test_reconfig]'s differential checks
     {!Reconfig.Reliable} against: the same deliveries at the same
     times, the same transmissions, timers and loss draws. Do not use
@@ -10,9 +10,8 @@
 type 'msg t
 
 type wire = {
-  sched_local : delay:Netsim.Time.t -> (unit -> unit) -> Netsim.Engine.event_id;
-      (** Cancellable scheduling at the sender: retransmit timers. *)
-  cancel_local : Netsim.Engine.event_id -> unit;
+  sched_local : delay:Netsim.Time.t -> (unit -> unit) -> unit;
+      (** Scheduling at the sender: retransmit timers. *)
   post_fwd : (unit -> unit) -> unit;
       (** Run a thunk at the receiver, one wire latency later. *)
   post_back : (unit -> unit) -> unit;

@@ -82,21 +82,17 @@ let test_eheap_pop_if_at_most () =
 (* Differential: pooled engine vs the retained reference.
 
    Both engines satisfy the same module surface, so one interpreter
-   runs the same random program — schedule (with nesting), cancel
-   (live, fired and already-cancelled handles alike), step, run_until
-   — on each, keeping per-engine id tables because handles are opaque
-   and engine-specific. After every operation the observable state
+   runs the same random program — post (with nesting), step,
+   run_until — on each. After every operation the observable state
    (clock, pending count, dispatch log) must agree exactly; at the end
    both run to quiescence and the full dispatch logs must be equal. *)
 
 module type ENGINE = sig
   type t
-  type event_id
 
   val create : ?obs:Obs.Sink.t -> unit -> t
   val now : t -> Netsim.Time.t
-  val schedule : t -> delay:Netsim.Time.t -> (unit -> unit) -> event_id
-  val cancel : t -> event_id -> unit
+  val post : t -> delay:Netsim.Time.t -> (unit -> unit) -> unit
   val pending : t -> int
   val dispatched : t -> int
   val step : t -> bool
@@ -106,8 +102,7 @@ end
 
 type op =
   | Sched of int (* delay: a small range forces FIFO ties *)
-  | Sched_nested of int * int (* on dispatch, schedule a child *)
-  | Cancel of int (* cancel the k-th handle ever returned, any state *)
+  | Sched_nested of int * int (* on dispatch, post a child *)
   | Step
   | Run_until of int (* horizon = now + dt *)
   | Burst of int (* n events at delays 0..4, enough to turn the wheel on *)
@@ -118,7 +113,6 @@ let op_gen =
       [
         (4, map (fun d -> Sched d) (int_range 0 4));
         (2, map2 (fun d d' -> Sched_nested (d, d')) (int_range 0 4) (int_range 0 4));
-        (3, map (fun k -> Cancel k) (int_range 0 40));
         (2, return Step);
         (1, map (fun dt -> Run_until dt) (int_range 0 6));
       ])
@@ -126,10 +120,9 @@ let op_gen =
 (* The same ops around the wheel's span W: delays of W - 1, W, W + 1
    and k W plus a small offset, horizons that jump past W, and small
    delays and steps that bring the clock close enough for later
-   schedules to land in the wheel at times already queued in the
-   overflow heap. A burst of 200 pending events turns the wheel on,
-   at whatever point of the program it comes. Cancels then reach
-   corpses in both parts. *)
+   posts to land in the wheel at times already queued in the overflow
+   heap. A burst of 200 pending events turns the wheel on, at
+   whatever point of the program it comes. *)
 let far_op_gen =
   let w = Netsim.Engine.wheel_span in
   QCheck.Gen.(
@@ -148,7 +141,6 @@ let far_op_gen =
       [
         (4, map (fun d -> Sched d) delay);
         (2, map2 (fun d d' -> Sched_nested (d, d')) delay delay);
-        (3, map (fun k -> Cancel k) (int_range 0 40));
         (2, return Step);
         (1, map (fun dt -> Run_until dt) (int_range 0 6));
         (1, map (fun dt -> Run_until dt) (int_range (w - 4) ((2 * w) + 4)));
@@ -158,7 +150,6 @@ let far_op_gen =
 let print_op = function
   | Sched d -> Printf.sprintf "Sched %d" d
   | Sched_nested (d, d') -> Printf.sprintf "Sched_nested (%d, %d)" d d'
-  | Cancel k -> Printf.sprintf "Cancel %d" k
   | Step -> "Step"
   | Run_until dt -> Printf.sprintf "Run_until +%d" dt
   | Burst n -> Printf.sprintf "Burst %d" n
@@ -174,51 +165,37 @@ module Interp (E : ENGINE) = struct
   type t = {
     e : E.t;
     log : (int * int) list ref; (* (tag, dispatch time), newest first *)
-    mutable ids : E.event_id list; (* newest first *)
-    mutable n_ids : int;
     mutable n_tags : int;
   }
 
-  let create ?obs () =
-    { e = E.create ?obs (); log = ref []; ids = []; n_ids = 0; n_tags = 0 }
+  let create ?obs () = { e = E.create ?obs (); log = ref []; n_tags = 0 }
 
   let fresh_tag t =
     let tag = t.n_tags in
     t.n_tags <- tag + 1;
     tag
 
-  let remember t id =
-    t.ids <- id :: t.ids;
-    t.n_ids <- t.n_ids + 1
-
   let apply t op =
     match op with
     | Sched d ->
       let tag = fresh_tag t in
-      remember t
-        (E.schedule t.e ~delay:d (fun () ->
-             t.log := (tag, E.now t.e) :: !(t.log)))
+      E.post t.e ~delay:d (fun () -> t.log := (tag, E.now t.e) :: !(t.log))
     | Sched_nested (d, d') ->
       let tag = fresh_tag t in
       let tag' = fresh_tag t in
-      remember t
-        (E.schedule t.e ~delay:d (fun () ->
-             t.log := (tag, E.now t.e) :: !(t.log);
-             (* The child is scheduled mid-dispatch, so in the pooled
-                engine it may reuse the slot just vacated. *)
-             remember t
-               (E.schedule t.e ~delay:d' (fun () ->
-                    t.log := (tag', E.now t.e) :: !(t.log)))))
-    | Cancel k ->
-      if t.n_ids > 0 then E.cancel t.e (List.nth t.ids (k mod t.n_ids))
+      E.post t.e ~delay:d (fun () ->
+          t.log := (tag, E.now t.e) :: !(t.log);
+          (* The child is posted mid-dispatch, so in the pooled engine
+             it may reuse the slot just vacated. *)
+          E.post t.e ~delay:d' (fun () ->
+              t.log := (tag', E.now t.e) :: !(t.log)))
     | Step -> ignore (E.step t.e : bool)
     | Run_until dt -> E.run_until t.e (E.now t.e + dt)
     | Burst n ->
       for i = 0 to n - 1 do
         let tag = fresh_tag t in
-        remember t
-          (E.schedule t.e ~delay:(i mod 5) (fun () ->
-               t.log := (tag, E.now t.e) :: !(t.log)))
+        E.post t.e ~delay:(i mod 5) (fun () ->
+            t.log := (tag, E.now t.e) :: !(t.log))
       done
 
   let state t = (E.now t.e, E.pending t.e, E.dispatched t.e, !(t.log))
@@ -319,7 +296,7 @@ let print_ranked_case c =
     (String.concat ";" (List.map string_of_int c.after))
 
 (* The tie-break counter is the third int of the engine's section;
-   the pool's free list and generations follow it. *)
+   the pool's free list follows it. *)
 let scheduled_total e =
   let module R = Netsim.Snapshot.R in
   let sec = Netsim.Engine.save e in
@@ -329,7 +306,6 @@ let scheduled_total e =
       ignore (R.int r);
       let total = R.int r in
       ignore (R.int r);
-      ignore (R.int_array r);
       ignore (R.int_array r);
       total)
 
@@ -382,89 +358,52 @@ let test_reserve_needs_empty_wheel () =
       ignore (Netsim.Engine.reserve e 1 : int))
 
 (* ------------------------------------------------------------------ *)
-(* Generation-tagged reuse *)
+(* Pool reuse *)
 
-let test_stale_id_after_fire () =
-  let e = Netsim.Engine.create () in
-  let a = Netsim.Engine.schedule e ~delay:1 (fun () -> ()) in
-  Alcotest.(check bool) "a fires" true (Netsim.Engine.step e);
-  (* The slot a occupied is free again; the next schedule reuses it. *)
-  let fired_b = ref false in
-  let _b = Netsim.Engine.schedule e ~delay:1 (fun () -> fired_b := true) in
-  Netsim.Engine.cancel e a;
-  (* stale: same slot, older generation *)
-  Netsim.Engine.run e;
-  Alcotest.(check bool) "b unaffected by stale cancel" true !fired_b;
-  Alcotest.(check int) "nothing pending" 0 (Netsim.Engine.pending e)
-
-let test_stale_id_after_cancel_and_reap () =
-  let e = Netsim.Engine.create () in
-  let a = Netsim.Engine.schedule e ~delay:5 (fun () -> Alcotest.fail "cancelled event fired") in
-  Netsim.Engine.cancel e a;
-  Netsim.Engine.cancel e a;
-  (* double cancel: no-op *)
-  Alcotest.(check int) "not pending" 0 (Netsim.Engine.pending e);
-  (* Reaping the corpse advances the clock, as in the reference. *)
-  Alcotest.(check bool) "reap step" true (Netsim.Engine.step e);
-  Alcotest.(check int) "clock at corpse time" 5 (Netsim.Engine.now e);
-  let fired_b = ref false in
-  let _b = Netsim.Engine.schedule e ~delay:1 (fun () -> fired_b := true) in
-  Netsim.Engine.cancel e a;
-  (* stale after slot reuse *)
-  Netsim.Engine.run e;
-  Alcotest.(check bool) "b fires" true !fired_b
-
-let test_reschedule_from_own_thunk () =
-  (* An event that reschedules itself reuses its own slot, and the old
-     handle goes stale immediately. *)
+let test_repost_from_own_thunk () =
+  (* An event that posts its successor reuses its own slot. *)
   let e = Netsim.Engine.create () in
   let count = ref 0 in
-  let first = ref Netsim.Engine.no_event in
   let rec tick () =
     incr count;
-    if !count < 3 then begin
-      let id = Netsim.Engine.schedule e ~delay:1 tick in
-      if !count = 1 then Netsim.Engine.cancel e !first;
-      (* stale: already fired *)
-      ignore id
-    end
+    if !count < 3 then Netsim.Engine.post e ~delay:1 tick
   in
-  first := Netsim.Engine.schedule e ~delay:1 tick;
+  Netsim.Engine.post e ~delay:1 tick;
   Netsim.Engine.run e;
   Alcotest.(check int) "three ticks" 3 !count;
   Alcotest.(check int) "clock" 3 (Netsim.Engine.now e)
 
-let test_cancel_no_event () =
-  let e = Netsim.Engine.create () in
-  Netsim.Engine.cancel e Netsim.Engine.no_event;
-  let fired = ref false in
-  Netsim.Engine.post e ~delay:1 (fun () -> fired := true);
-  Netsim.Engine.cancel e Netsim.Engine.no_event;
-  Netsim.Engine.run e;
-  Alcotest.(check bool) "posted event fires" true !fired
-
 let test_pool_growth_under_load () =
   (* Push the pool through several growth doublings with a mix of
-     live and cancelled events; everything live must still fire. *)
+     live and retired timers (a stamp per timer, bumped to retire it
+     and post a replacement); every timer fires, and exactly the live
+     ones act. *)
   let e = Netsim.Engine.create () in
   let fired = ref 0 in
-  let cancelled_fired = ref 0 in
+  let acted = ref 0 in
   let n = 10_000 in
-  let ids =
-    Array.init n (fun i ->
-        Netsim.Engine.schedule e ~delay:(1 + (i mod 97)) (fun () -> incr fired))
+  let stamps = Array.make n 0 in
+  let arm i delay =
+    let stamp = stamps.(i) in
+    Netsim.Engine.post e ~delay (fun () ->
+        incr fired;
+        if stamps.(i) = stamp then incr acted)
   in
   for i = 0 to n - 1 do
+    arm i (1 + (i mod 97))
+  done;
+  let replaced = (n + 2) / 3 in
+  for i = 0 to n - 1 do
     if i mod 3 = 0 then begin
-      Netsim.Engine.cancel e ids.(i);
-      ids.(i) <- Netsim.Engine.schedule e ~delay:(1 + (i mod 89)) (fun () ->
-          incr cancelled_fired)
+      stamps.(i) <- stamps.(i) + 1;
+      arm i (1 + (i mod 89))
     end
   done;
+  Alcotest.(check int) "every timer queued" (n + replaced)
+    (Netsim.Engine.pending e);
   Netsim.Engine.run e;
-  let replaced = (n + 2) / 3 in
-  Alcotest.(check int) "survivors fired" (n - replaced) !fired;
-  Alcotest.(check int) "replacements fired" replaced !cancelled_fired;
+  Alcotest.(check int) "every timer fired" (n + replaced) !fired;
+  Alcotest.(check int) "live timers acted" n !acted;
   Alcotest.(check int) "drained" 0 (Netsim.Engine.pending e)
 
 (* ------------------------------------------------------------------ *)
@@ -567,15 +506,11 @@ let () =
           Alcotest.test_case "reserve needs an empty wheel" `Quick
             test_reserve_needs_empty_wheel;
         ] );
-      ( "generations",
+      ( "pool",
         [
-          Alcotest.test_case "stale id after fire" `Quick test_stale_id_after_fire;
-          Alcotest.test_case "stale id after cancel+reap" `Quick
-            test_stale_id_after_cancel_and_reap;
-          Alcotest.test_case "reschedule from own thunk" `Quick
-            test_reschedule_from_own_thunk;
-          Alcotest.test_case "cancel no_event" `Quick test_cancel_no_event;
-          Alcotest.test_case "pool growth under load" `Quick
+          Alcotest.test_case "repost from own thunk" `Quick
+            test_repost_from_own_thunk;
+          Alcotest.test_case "growth under load" `Quick
             test_pool_growth_under_load;
         ] );
       ( "sweep",

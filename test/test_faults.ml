@@ -2,7 +2,7 @@
 
    The schedule layer must be deterministic (same schedule, same
    timeline), drive the cause-tracked graph correctly under
-   overlapping faults, and leave nothing pending once cancelled; the
+   overlapping faults, and apply nothing once cancelled; the
    churn runner must be a pure function of its parameters so that
    sequential and parallel sweeps agree byte for byte. *)
 
@@ -231,11 +231,24 @@ let test_driver_cancel_drains () =
   Alcotest.(check bool) "some injected" true (Faults.Schedule.injected driver > 0);
   Alcotest.(check bool) "some remaining" true
     (Faults.Schedule.remaining driver > 0);
+  let injected = Faults.Schedule.injected driver in
+  let was_working = Topo.Graph.link_working g 0 in
   Faults.Schedule.cancel driver;
   Alcotest.(check int) "none remaining after cancel" 0
     (Faults.Schedule.remaining driver);
+  (* The retired timers still fire, through the flap's last restore at
+     10 s, and apply nothing. *)
+  Netsim.Engine.run engine;
   Alcotest.(check int) "engine drained after cancel" 0
-    (Netsim.Engine.pending engine)
+    (Netsim.Engine.pending engine);
+  Alcotest.(check int) "clock at the last retired timer" (s 10)
+    (Netsim.Engine.now engine);
+  Alcotest.(check int) "no action applied after cancel" injected
+    (Faults.Schedule.injected driver);
+  Alcotest.(check bool) "link state untouched" was_working
+    (Topo.Graph.link_working g 0);
+  Alcotest.(check int) "still none remaining" 0
+    (Faults.Schedule.remaining driver)
 
 let test_driver_rejects_past () =
   let engine = Netsim.Engine.create () in

@@ -370,9 +370,9 @@ let test_heap_length_and_clear () =
 let test_engine_order () =
   let e = Netsim.Engine.create () in
   let log = ref [] in
-  ignore (Netsim.Engine.schedule e ~delay:30 (fun () -> log := 30 :: !log));
-  ignore (Netsim.Engine.schedule e ~delay:10 (fun () -> log := 10 :: !log));
-  ignore (Netsim.Engine.schedule e ~delay:20 (fun () -> log := 20 :: !log));
+  Netsim.Engine.post e ~delay:30 (fun () -> log := 30 :: !log);
+  Netsim.Engine.post e ~delay:10 (fun () -> log := 10 :: !log);
+  Netsim.Engine.post e ~delay:20 (fun () -> log := 20 :: !log);
   Netsim.Engine.run e;
   Alcotest.(check (list int)) "time order" [ 10; 20; 30 ] (List.rev !log)
 
@@ -380,7 +380,7 @@ let test_engine_fifo_simultaneous () =
   let e = Netsim.Engine.create () in
   let log = ref [] in
   List.iter
-    (fun tag -> ignore (Netsim.Engine.schedule e ~delay:5 (fun () -> log := tag :: !log)))
+    (fun tag -> Netsim.Engine.post e ~delay:5 (fun () -> log := tag :: !log))
     [ "a"; "b"; "c" ];
   Netsim.Engine.run e;
   Alcotest.(check (list string)) "fifo" [ "a"; "b"; "c" ] (List.rev !log)
@@ -388,7 +388,7 @@ let test_engine_fifo_simultaneous () =
 let test_engine_clock_advances () =
   let e = Netsim.Engine.create () in
   let seen = ref (-1) in
-  ignore (Netsim.Engine.schedule e ~delay:42 (fun () -> seen := Netsim.Engine.now e));
+  Netsim.Engine.post e ~delay:42 (fun () -> seen := Netsim.Engine.now e);
   Netsim.Engine.run e;
   Alcotest.(check int) "clock at event" 42 !seen;
   Alcotest.(check int) "clock after run" 42 (Netsim.Engine.now e)
@@ -396,40 +396,18 @@ let test_engine_clock_advances () =
 let test_engine_nested_scheduling () =
   let e = Netsim.Engine.create () in
   let hits = ref [] in
-  ignore
-    (Netsim.Engine.schedule e ~delay:10 (fun () ->
-         hits := Netsim.Engine.now e :: !hits;
-         ignore
-           (Netsim.Engine.schedule e ~delay:5 (fun () ->
-                hits := Netsim.Engine.now e :: !hits))));
+  Netsim.Engine.post e ~delay:10 (fun () ->
+      hits := Netsim.Engine.now e :: !hits;
+      Netsim.Engine.post e ~delay:5 (fun () ->
+          hits := Netsim.Engine.now e :: !hits));
   Netsim.Engine.run e;
   Alcotest.(check (list int)) "nested times" [ 10; 15 ] (List.rev !hits)
-
-let test_engine_cancel () =
-  let e = Netsim.Engine.create () in
-  let fired = ref false in
-  let id = Netsim.Engine.schedule e ~delay:10 (fun () -> fired := true) in
-  Netsim.Engine.cancel e id;
-  Netsim.Engine.run e;
-  Alcotest.(check bool) "cancelled" false !fired;
-  (* double-cancel is a no-op *)
-  Netsim.Engine.cancel e id
-
-let test_engine_cancel_one_of_many () =
-  let e = Netsim.Engine.create () in
-  let log = ref [] in
-  let _a = Netsim.Engine.schedule e ~delay:1 (fun () -> log := "a" :: !log) in
-  let b = Netsim.Engine.schedule e ~delay:2 (fun () -> log := "b" :: !log) in
-  let _c = Netsim.Engine.schedule e ~delay:3 (fun () -> log := "c" :: !log) in
-  Netsim.Engine.cancel e b;
-  Netsim.Engine.run e;
-  Alcotest.(check (list string)) "b skipped" [ "a"; "c" ] (List.rev !log)
 
 let test_engine_run_until () =
   let e = Netsim.Engine.create () in
   let log = ref [] in
-  ignore (Netsim.Engine.schedule e ~delay:10 (fun () -> log := 10 :: !log));
-  ignore (Netsim.Engine.schedule e ~delay:50 (fun () -> log := 50 :: !log));
+  Netsim.Engine.post e ~delay:10 (fun () -> log := 10 :: !log);
+  Netsim.Engine.post e ~delay:50 (fun () -> log := 50 :: !log);
   Netsim.Engine.run_until e 20;
   Alcotest.(check (list int)) "only first" [ 10 ] (List.rev !log);
   Alcotest.(check int) "clock at horizon" 20 (Netsim.Engine.now e);
@@ -438,36 +416,23 @@ let test_engine_run_until () =
 
 let test_engine_rejects_past () =
   let e = Netsim.Engine.create () in
-  ignore (Netsim.Engine.schedule e ~delay:10 (fun () -> ()));
+  Netsim.Engine.post e ~delay:10 (fun () -> ());
   Netsim.Engine.run e;
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Netsim.Engine.schedule_at e ~at:5 (fun () -> ()));
+       Netsim.Engine.post_at e ~at:5 (fun () -> ());
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "negative delay" true
     (try
-       ignore (Netsim.Engine.schedule e ~delay:(-1) (fun () -> ()));
+       Netsim.Engine.post e ~delay:(-1) (fun () -> ());
        false
      with Invalid_argument _ -> true)
 
-let test_engine_cancel_during_dispatch () =
-  (* An event may cancel another event scheduled for the same time. *)
-  let e = Netsim.Engine.create () in
-  let fired = ref [] in
-  let b = ref None in
-  ignore
-    (Netsim.Engine.schedule e ~delay:5 (fun () ->
-         fired := "a" :: !fired;
-         match !b with Some id -> Netsim.Engine.cancel e id | None -> ()));
-  b := Some (Netsim.Engine.schedule e ~delay:5 (fun () -> fired := "b" :: !fired));
-  Netsim.Engine.run e;
-  Alcotest.(check (list string)) "b suppressed" [ "a" ] (List.rev !fired)
-
 let test_engine_step_and_pending () =
   let e = Netsim.Engine.create () in
-  ignore (Netsim.Engine.schedule e ~delay:1 (fun () -> ()));
-  ignore (Netsim.Engine.schedule e ~delay:2 (fun () -> ()));
+  Netsim.Engine.post e ~delay:1 (fun () -> ());
+  Netsim.Engine.post e ~delay:2 (fun () -> ());
   Alcotest.(check int) "pending" 2 (Netsim.Engine.pending e);
   Alcotest.(check bool) "step true" true (Netsim.Engine.step e);
   Alcotest.(check bool) "step true" true (Netsim.Engine.step e);
@@ -611,12 +576,8 @@ let () =
           Alcotest.test_case "fifo simultaneous" `Quick test_engine_fifo_simultaneous;
           Alcotest.test_case "clock advances" `Quick test_engine_clock_advances;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
-          Alcotest.test_case "cancel one of many" `Quick test_engine_cancel_one_of_many;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
-          Alcotest.test_case "cancel during dispatch" `Quick
-            test_engine_cancel_during_dispatch;
           Alcotest.test_case "step/pending" `Quick test_engine_step_and_pending;
         ] );
       ( "stats",

@@ -328,40 +328,40 @@ let test_cross_domain_claim_asserts () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Engine.pending (live-count semantics) *)
+(* Engine.pending (queued-count semantics) *)
 
 let test_engine_pending_live_count () =
+  (* A timer retired by its owner (the stamp moved on) stays queued,
+     and counted, until it fires and does nothing. *)
   let e = Netsim.Engine.create () in
   let fired = ref 0 in
-  let a = Netsim.Engine.schedule e ~delay:10 (fun () -> incr fired) in
-  let _b = Netsim.Engine.schedule e ~delay:20 (fun () -> incr fired) in
-  let c = Netsim.Engine.schedule e ~delay:30 (fun () -> incr fired) in
+  let stamp = ref 0 in
+  let timer mine () = if !stamp = mine then incr fired in
+  Netsim.Engine.post e ~delay:10 (timer 0);
+  Netsim.Engine.post e ~delay:20 (timer 0);
+  Netsim.Engine.post e ~delay:30 (timer 0);
   Alcotest.(check int) "three pending" 3 (Netsim.Engine.pending e);
-  Netsim.Engine.cancel e a;
-  Alcotest.(check int) "cancel drops the count" 2 (Netsim.Engine.pending e);
-  Netsim.Engine.cancel e a;
-  Alcotest.(check int) "double cancel is a no-op" 2 (Netsim.Engine.pending e);
-  (* The first step reaps the cancelled corpse at the head of the
-     queue without dispatching anything: the count must not move. *)
   ignore (Netsim.Engine.step e);
-  Alcotest.(check int) "reaping leaves the count alone" 2
+  Alcotest.(check int) "dispatch drops the count" 2 (Netsim.Engine.pending e);
+  Alcotest.(check int) "live timer acted" 1 !fired;
+  incr stamp;
+  Alcotest.(check int) "retiring leaves the count alone" 2
     (Netsim.Engine.pending e);
-  Alcotest.(check int) "cancelled event skipped" 0 !fired;
   ignore (Netsim.Engine.step e);
-  Alcotest.(check int) "dispatch drops the count" 1 (Netsim.Engine.pending e);
-  Alcotest.(check int) "live event fired" 1 !fired;
+  Alcotest.(check int) "a retired timer is dispatched" 1
+    (Netsim.Engine.pending e);
+  Alcotest.(check int) "retired timer did nothing" 1 !fired;
+  Alcotest.(check int) "clock at the retired timer" 20 (Netsim.Engine.now e);
   Netsim.Engine.run e;
   Alcotest.(check int) "drained" 0 (Netsim.Engine.pending e);
-  Alcotest.(check int) "both live events fired" 2 !fired;
-  (* Cancelling an already-fired event must not corrupt the count. *)
-  Netsim.Engine.cancel e c;
-  Alcotest.(check int) "cancel after fire is a no-op" 0 (Netsim.Engine.pending e)
+  Alcotest.(check int) "every event dispatched" 3 (Netsim.Engine.dispatched e);
+  Alcotest.(check int) "only the first acted" 1 !fired
 
 let test_engine_obs_probes () =
   let obs = Obs.Sink.create () in
   let e = Netsim.Engine.create ~obs () in
   for i = 1 to 5 do
-    ignore (Netsim.Engine.schedule e ~delay:(Netsim.Time.us i) (fun () -> ()))
+    Netsim.Engine.post e ~delay:(Netsim.Time.us i) (fun () -> ())
   done;
   Netsim.Engine.run e;
   let m = Obs.Sink.metrics obs in

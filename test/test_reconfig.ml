@@ -427,9 +427,10 @@ let test_judge_missing_edge () =
    message 1,801,419. The bound is 1,387,865 plus 5%. The engine
    events the repair schedules are exact too: three per message (the
    cell, its ack and the line-card handling) and one per trigger.
-   With a retransmission timer per message they were 52,970, 13,242
-   of them cancelled, so a timer, a cancel or any other event per
-   message that comes back fails here. *)
+   With a retransmission timer per message they were 52,970, so a
+   timer or any other event per message that comes back fails here.
+   Every event scheduled is dispatched, a timer retired by its owner
+   included. *)
 let test_reconfig_allocation_pinned () =
   let run ?obs () =
     let g, _ = Topo.Build.fat_tree ~k:16 in
@@ -451,17 +452,21 @@ let test_reconfig_allocation_pinned () =
   ignore (run ~obs ());
   let m = Obs.Sink.metrics obs in
   let count name = Obs.Metrics.Counter.value (Obs.Metrics.counter m name) in
-  Alcotest.(check (pair int int)) "engine events scheduled, cancelled"
-    (39_728, 0)
-    (count "engine.events.scheduled", count "engine.events.cancelled")
+  Alcotest.(check (pair int int)) "engine events scheduled, dispatched"
+    (39_728, 39_728)
+    (count "engine.events.scheduled", count "engine.events.dispatched")
 
 (* The same pin on the resend path, through the cluster: switch 0 of
    fat-tree:8 fails under 5% control loss, over 4 partitions on one
-   domain. The loss draws, retransmit timers and their cancels are
-   exact for a given seed, so the engine events scheduled and
-   cancelled and the wire transmissions are pinned as they are; the
-   minor words get 5% on top of the 326,994 this run allocated
-   when the lossless channel was a separate implementation. *)
+   domain. The loss draws and retransmit timers are exact for a given
+   seed, so the engine events scheduled and dispatched and the wire
+   transmissions are pinned as they are; the minor words get 5% on
+   top of the 326,994 this run allocated when the lossless channel was
+   a separate implementation. Every timer is dispatched, the 2,114 its
+   channel retired included: when the engine cancelled them instead,
+   6,892 events were dispatched. A retired timer still bounds the
+   window it falls in, as its cancelled entry did, so each partition
+   runs 195 windows either way. *)
 let test_reconfig_lossy_pinned () =
   let params =
     { Reconfig.Runner.default_params with control_loss = 0.05; seed = 9 }
@@ -488,9 +493,11 @@ let test_reconfig_lossy_pinned () =
   ignore (run ~obs ());
   let m = Obs.Sink.metrics obs in
   let count name = Obs.Metrics.Counter.value (Obs.Metrics.counter m name) in
-  Alcotest.(check (pair int int)) "engine events scheduled, cancelled"
-    (9_006, 2_114)
-    (count "engine.events.scheduled", count "engine.events.cancelled")
+  Alcotest.(check (pair int int)) "engine events scheduled, dispatched"
+    (9_006, 9_006)
+    (count "engine.events.scheduled", count "engine.events.dispatched");
+  Alcotest.(check (list int)) "windows per partition" [ 195; 195; 195; 195 ]
+    (List.init 4 (fun p -> count (Printf.sprintf "parprof.p%d.windows" p)))
 
 let test_judge_event_between_completions () =
   (* A ring of 6 configures from switch 0; link 2 dies while the
@@ -519,9 +526,7 @@ let test_judge_event_between_completions () =
    retransmission timer, both loss coins drawn from [rng]. *)
 let resend ~engine ~rng ~loss =
   {
-    Reconfig.Reliable.sched_local =
-      (fun ~delay f -> Netsim.Engine.schedule engine ~delay f);
-    cancel_local = Netsim.Engine.cancel engine;
+    Reconfig.Reliable.sched_local = Netsim.Engine.post engine;
     lost_fwd = (fun () -> Netsim.Rng.bernoulli rng loss);
     lost_back = (fun () -> Netsim.Rng.bernoulli rng loss);
     retransmit_after = Netsim.Time.us 50;
@@ -617,7 +622,7 @@ let test_reliable_exactly_once_random_windows =
    of sends [gap] ns after the previous one. Returns the delivery log
    (time, payload), the transmissions, the final [idle],
    [retransmit_armed] after every burst and every delivery, and the
-   engine's events scheduled, cancelled and left pending after 1 s. *)
+   engine's events scheduled, dispatched and left pending after 1 s. *)
 let run_channel ~latency schedule make =
   let obs = Obs.Sink.create () in
   let engine = Netsim.Engine.create ~obs () in
@@ -650,18 +655,20 @@ let run_channel ~latency schedule make =
     transmissions (),
     idle (),
     List.rev !probes,
-    (count "engine.events.scheduled", count "engine.events.cancelled",
+    (count "engine.events.scheduled", count "engine.events.dispatched",
      Netsim.Engine.pending engine) )
 
-let reference ~seed ~loss ~window engine post deliver =
+(* [timers] counts the retransmit timers the reference arms. *)
+let reference ?(timers = ref 0) ~seed ~loss ~window engine post deliver =
   let rng = Netsim.Rng.create seed in
   let c =
     Oracle.Reliable_reference.create_over
       ~wire:
         {
           Oracle.Reliable_reference.sched_local =
-            (fun ~delay f -> Netsim.Engine.schedule engine ~delay f);
-          cancel_local = Netsim.Engine.cancel engine;
+            (fun ~delay f ->
+              incr timers;
+              Netsim.Engine.post engine ~delay f);
           post_fwd = post;
           post_back = post;
           lost_fwd = (fun () -> Netsim.Rng.bernoulli rng loss);
@@ -693,8 +700,9 @@ let test_reliable_matches_reference =
      resend half the channel is the reference event for event, loss
      draws included. At zero loss and twice the latency below the
      timer the channel without one delivers the same at the same
-     times, never arms a timer, and schedules exactly the reference's
-     events less its timers, all of which the reference cancelled. *)
+     times, never arms a timer, and schedules and dispatches exactly
+     the reference's events less its timers, all of which the
+     reference retired (no retransmission). *)
   qtest ~count:300 "channel = reference at any loss"
     (QCheck.make
        ~print:(fun (seed, loss, window, latency, schedule) ->
@@ -714,8 +722,9 @@ let test_reliable_matches_reference =
                  (list_size (int_range 1 12)
                     (pair (int_range 0 (Netsim.Time.us 30)) (int_range 1 20)))))))
     (fun (seed, loss, window, latency, schedule) ->
-      let ((log, tx, idle, _, (scheduled, cancelled, pending)) as expected) =
-        run_channel ~latency schedule (reference ~seed ~loss ~window)
+      let timers = ref 0 in
+      let ((log, tx, idle, _, (scheduled, dispatched, pending)) as expected) =
+        run_channel ~latency schedule (reference ~timers ~seed ~loss ~window)
       in
       run_channel ~latency schedule
         (channel ~seed ~loss ~with_resend:true ~window)
@@ -723,14 +732,15 @@ let test_reliable_matches_reference =
       && (loss > 0.0
          || 2 * latency >= Netsim.Time.us 50
          ||
-         let log', tx', idle', probes', (scheduled', cancelled', pending') =
+         let log', tx', idle', probes', (scheduled', dispatched', pending') =
            run_channel ~latency schedule
              (channel ~seed ~loss ~with_resend:false ~window)
          in
          log' = log && tx' = tx && idle' = idle
          && List.for_all not probes'
-         && scheduled' = scheduled - cancelled
-         && cancelled' = 0 && pending' = pending))
+         && scheduled' = scheduled - !timers
+         && dispatched' = dispatched - !timers
+         && pending' = pending))
 
 let test_reliable_retransmits () =
   let engine, ch, received = reliable_pair ~loss:0.5 ~seed:7 in
@@ -1060,7 +1070,7 @@ let run_monitor ~flips ~total_time =
   let engine = Netsim.Engine.create () in
   let up = ref true in
   List.iter
-    (fun at -> ignore (Netsim.Engine.schedule_at engine ~at (fun () -> up := not !up)))
+    (fun at -> Netsim.Engine.post_at engine ~at (fun () -> up := not !up))
     flips;
   let transitions = ref [] in
   let m =
@@ -1113,30 +1123,63 @@ let test_monitor_no_false_alarms () =
   Alcotest.(check int) "no transitions" 0 (List.length transitions);
   Alcotest.(check bool) "still up" true (Reconfig.Monitor.declared_up m)
 
-let test_monitor_stop_drains_engine () =
-  (* A monitor's self-reposting tick must be cancellable, or any engine
-     hosting one never drains. *)
-  let engine = Netsim.Engine.create () in
+(* A monitor over a link that is always up, counting its pings (each
+   tick samples [link_up] once). *)
+let counting_monitor engine =
+  let pings = ref 0 in
   let m =
     Reconfig.Monitor.create ~engine ~params:Reconfig.Monitor.default_params
-      ~link_up:(fun () -> true)
+      ~link_up:(fun () -> incr pings; true)
       ~on_transition:(fun ~up:_ _ -> ())
   in
+  (m, pings)
+
+let test_monitor_stop_drains_engine () =
+  (* A monitor's self-reposting tick must be retirable, or any engine
+     hosting one never drains. *)
+  let engine = Netsim.Engine.create () in
+  let m, pings = counting_monitor engine in
   Reconfig.Monitor.start m;
   Netsim.Engine.run_until engine (Netsim.Time.s 1);
   (* The next tick is always pending while running... *)
   Alcotest.(check int) "tick pending" 1 (Netsim.Engine.pending engine);
+  let pinged = !pings in
   Reconfig.Monitor.stop m;
-  (* ...and gone once stopped: the engine is quiescent. *)
-  Alcotest.(check int) "drained after stop" 0 (Netsim.Engine.pending engine);
+  (* ...and once stopped it fires as a retired tick: it pings nothing
+     and posts nothing, so the engine drains. *)
   Netsim.Engine.run engine;
-  Alcotest.(check bool) "no further ticks" true
-    (Netsim.Engine.pending engine = 0);
+  Alcotest.(check int) "drained after stop" 0 (Netsim.Engine.pending engine);
+  Alcotest.(check int) "retired tick pinged nothing" pinged !pings;
+  Alcotest.(check int) "clock at the retired tick"
+    (Netsim.Time.s 1 + Netsim.Time.ms 50)
+    (Netsim.Engine.now engine);
   (* Restart keeps working: pings resume. *)
   Reconfig.Monitor.start m;
   Alcotest.(check int) "re-armed" 1 (Netsim.Engine.pending engine);
   Reconfig.Monitor.stop m;
-  Alcotest.(check int) "re-drained" 0 (Netsim.Engine.pending engine)
+  Netsim.Engine.run engine;
+  Alcotest.(check int) "re-drained" 0 (Netsim.Engine.pending engine);
+  Alcotest.(check int) "no pings after the second stop" pinged !pings
+
+let test_monitor_restart_within_interval () =
+  (* Stop at 25 ms and start again at once, while the tick armed at 0
+     is still due at 50 ms. That tick is retired: the restarted
+     monitor pings once per 50 ms interval from 25 ms (75, 125, 175),
+     not also at 50, 100, 150 and 200 ms. *)
+  let engine = Netsim.Engine.create () in
+  let m, pings = counting_monitor engine in
+  Reconfig.Monitor.start m;
+  Netsim.Engine.run_until engine (Netsim.Time.ms 25);
+  Reconfig.Monitor.stop m;
+  Reconfig.Monitor.start m;
+  Alcotest.(check int) "retired tick and fresh tick queued" 2
+    (Netsim.Engine.pending engine);
+  Netsim.Engine.run_until engine (Netsim.Time.ms 60);
+  Alcotest.(check int) "the tick armed before the stop pinged nothing" 0
+    !pings;
+  Netsim.Engine.run_until engine (Netsim.Time.ms 200);
+  Alcotest.(check int) "one ping per interval" 3 !pings;
+  Alcotest.(check int) "one tick pending" 1 (Netsim.Engine.pending engine)
 
 let test_monitor_relapse_doubles_probation () =
   (* Flap storm: each relapse during probation bumps the skeptic, and
@@ -1184,6 +1227,8 @@ let test_monitor_relapse_doubles_probation () =
      monitor eventually re-declares it up. *)
   Alcotest.(check bool) "eventually recovered" true
     (Reconfig.Monitor.declared_up m);
+  (* The retired tick fires, and posts nothing more. *)
+  Netsim.Engine.run engine;
   Alcotest.(check int) "engine quiescent after stop" 0
     (Netsim.Engine.pending engine)
 
@@ -1283,6 +1328,8 @@ let () =
           Alcotest.test_case "flapping damped (paper)" `Quick
             test_monitor_flapping_damped;
           Alcotest.test_case "no false alarms" `Quick test_monitor_no_false_alarms;
+          Alcotest.test_case "restart within one interval" `Quick
+            test_monitor_restart_within_interval;
           Alcotest.test_case "stop drains the engine" `Quick
             test_monitor_stop_drains_engine;
           Alcotest.test_case "relapse doubles probation" `Quick

@@ -162,17 +162,19 @@ let test_digest_fingerprints_state () =
 (* Module sections: save -> restore -> save is byte-identical *)
 
 let test_engine_section_roundtrip () =
-  let e = Netsim.Engine.create () in
-  (* cancellations thread the pool free-list, which save must carry *)
+  let obs = Obs.Sink.create () in
+  let e = Netsim.Engine.create ~obs () in
+  (* nested posts reuse slots out of order, threading the pool's
+     free list, which save must carry *)
   for i = 1 to 20 do
-    let c =
-      Netsim.Engine.schedule_at e ~at:(Netsim.Time.ms (i * 3)) (fun () -> ())
-    in
-    if i mod 4 = 0 then Netsim.Engine.cancel e c
+    Netsim.Engine.post_at e ~at:(Netsim.Time.ms (i * 3)) (fun () ->
+        if i mod 4 = 0 then
+          Netsim.Engine.post e ~delay:(Netsim.Time.ms (i mod 7)) ignore)
   done;
   Netsim.Engine.run e;
   let s1 = Netsim.Engine.save e in
-  let e2 = Netsim.Engine.restore s1 in
+  let obs2 = Obs.Sink.create () in
+  let e2 = Netsim.Engine.restore ~obs:obs2 s1 in
   let s2 = Netsim.Engine.save e2 in
   Alcotest.(check bool)
     "engine save/restore/save bytes" true
@@ -180,43 +182,47 @@ let test_engine_section_roundtrip () =
   Alcotest.(check bool)
     "clock survives restore" true
     (Netsim.Engine.now e2 = Netsim.Engine.now e);
-  (* future scheduling behaves identically on both sides of the seam *)
-  let at = Netsim.Time.ms 100 in
-  let i1 = Netsim.Engine.schedule_at e ~at (fun () -> ())
-  and i2 = Netsim.Engine.schedule_at e2 ~at (fun () -> ()) in
-  Alcotest.(check bool) "same next event id" true (i1 = i2)
+  (* future posting behaves identically on both sides of the seam:
+     each dispatch's trace span names its pool slot *)
+  let slots_after obs e =
+    for i = 1 to 5 do
+      Netsim.Engine.post e ~delay:(Netsim.Time.ms (10 - i)) ignore
+    done;
+    Netsim.Engine.run e;
+    let slots = ref [] in
+    Obs.Trace.iter (Obs.Sink.trace obs) (fun ev ->
+        slots := ev.Obs.Trace.ev :: !slots);
+    List.filteri (fun i _ -> i < 5) !slots
+  in
+  Alcotest.(check (list int)) "same slots after restore"
+    (slots_after obs e) (slots_after obs2 e2)
 
 let test_engine_tie_break_counter () =
-  (* The FIFO tie-break counter a snapshot carries counts every
-     schedule, whether it went to the near-future wheel or to the
-     overflow heap. 300 events pending at once turn the wheel on. *)
+  (* The FIFO tie-break counter a snapshot carries counts every post,
+     whether it went to the near-future wheel or to the overflow heap.
+     300 events pending at once turn the wheel on. *)
   let e = Netsim.Engine.create () in
   let w = Netsim.Engine.wheel_span in
-  let schedules = ref 0 in
-  let sched delay f =
-    incr schedules;
-    Netsim.Engine.schedule e ~delay f
+  let posts = ref 0 in
+  let post delay f =
+    incr posts;
+    Netsim.Engine.post e ~delay f
   in
   for i = 0 to 299 do
     let delay = if i mod 3 = 0 then (i mod 4 * w) + (i mod 7) else i mod 50 in
-    let id =
-      sched delay (fun () ->
-          if i mod 5 = 0 then ignore (sched (w + 1) ignore : Netsim.Engine.event_id))
-    in
-    if i mod 7 = 0 then Netsim.Engine.cancel e id
+    post delay (fun () -> if i mod 5 = 0 then post (w + 1) ignore)
   done;
   Netsim.Engine.run e;
   let counter =
-    Snap.read (Netsim.Engine.save e) ~name:"netsim-engine" ~version:1 (fun r ->
+    Snap.read (Netsim.Engine.save e) ~name:"netsim-engine" ~version:2 (fun r ->
         let _clock = Snap.R.int r in
         let _dispatched = Snap.R.int r in
         let counter = Snap.R.int r in
         let _free_head = Snap.R.int r in
         let _free_next = Snap.R.int_array r in
-        let _gen = Snap.R.int_array r in
         counter)
   in
-  Alcotest.(check int) "counter = schedules" !schedules counter
+  Alcotest.(check int) "counter = posts" !posts counter
 
 let test_graph_section_roundtrip () =
   let g = Topo.Build.src_lan () in
