@@ -70,6 +70,9 @@ type t = {
   queue_len : int array;
   mutable worst_backlog : int;
   mutable in_flight : int;
+  claimed : (int, unit) Hashtbl.t;
+      (* vc ids with a setup pending, or scheduled by [readmit]: such a
+         circuit is not dark, and a second setup on it is a fault *)
   mutable setups : int;
   mutable established : int;
   mutable failed : int;
@@ -115,6 +118,7 @@ let create ?(obs = Obs.Sink.null) ~engine net params =
     queue_len = Array.make n 0;
     worst_backlog = 0;
     in_flight = 0;
+    claimed = Hashtbl.create 64;
     setups = 0;
     established = 0;
     failed = 0;
@@ -281,6 +285,7 @@ let finish t p result =
   if not p.resolved then begin
     p.resolved <- true;
     t.in_flight <- t.in_flight - 1;
+    Hashtbl.remove t.claimed p.vc.Network.vc_id;
     (match result with
      | Ok _ ->
        t.established <- t.established + 1;
@@ -478,7 +483,15 @@ and crankback t p epoch i =
   in
   step i
 
-let submit t vc ~on_done =
+(* Mark [vc] as having a setup pending or scheduled. *)
+let claim t (vc : Network.vc) =
+  if Hashtbl.mem t.claimed vc.vc_id then
+    invalid_arg
+      (Printf.sprintf "Lifecycle: vc %d already has a setup pending" vc.vc_id);
+  Hashtbl.replace t.claimed vc.vc_id ()
+
+(* Start the setup of a claimed circuit. *)
+let start t vc ~on_done =
   t.setups <- t.setups + 1;
   t.in_flight <- t.in_flight + 1;
   let p =
@@ -498,16 +511,21 @@ let submit t vc ~on_done =
 
 let setup t ~src_host ~dst_host ~on_done =
   let vc = Network.register_best_effort t.net ~src_host ~dst_host in
-  submit t vc ~on_done
+  claim t vc;
+  start t vc ~on_done
 
+(* The whole batch is claimed now, not as each paced setup starts, so
+   a repair that runs before the last one starts cannot pick it up as
+   dark again. *)
 let readmit t ?(on_circuit = fun _ -> ()) vcs ~on_done =
+  List.iter (claim t) vcs;
   let remaining = ref (List.length vcs) in
   if !remaining = 0 then on_done ()
   else
     List.iteri
       (fun i vc ->
         Netsim.Engine.post t.engine ~delay:(i * t.params.pace) (fun () ->
-            submit t vc ~on_done:(fun r ->
+            start t vc ~on_done:(fun r ->
                 on_circuit r;
                 decr remaining;
                 if !remaining = 0 then on_done ())))
@@ -584,7 +602,9 @@ let gc t =
 
 let dark t =
   let acc = ref [] in
-  Network.iter_vcs t.net (fun vc -> if vc.Network.paged_out then acc := vc :: !acc);
+  Network.iter_vcs t.net (fun vc ->
+      if vc.Network.paged_out && not (Hashtbl.mem t.claimed vc.Network.vc_id)
+      then acc := vc :: !acc);
   List.sort (fun a b -> compare a.Network.vc_id b.Network.vc_id) !acc
 
 (* Drop the legal-path cache. The cache is pure memoization — route

@@ -122,7 +122,11 @@ val readmit :
     [params.pace] (all at once when 0). [on_circuit] fires as each
     individual readmission resolves (e.g. to close a loss-accounting
     window); [on_done] fires once every one has reached [Ok] or a
-    terminal error. *)
+    terminal error. The whole batch counts as having a setup pending
+    from this call on, so {!dark} leaves it out before its paced
+    setups start. Raises [Invalid_argument] if a circuit of [vcs]
+    already has a setup pending: two crawls must never race over one
+    circuit. *)
 
 val gc : t -> int
 (** Sweep every switch's routing table, dropping entries whose circuit
@@ -137,7 +141,9 @@ val audit : t -> int
     anything. 0 after a gc — the zero-leak check. *)
 
 val dark : t -> Network.vc list
-(** Paged-out circuits awaiting re-admission, in vc-id order. *)
+(** Paged-out circuits awaiting re-admission, in vc-id order. A
+    circuit with a setup pending — still retrying after a timeout, or
+    handed to {!readmit} and not yet resolved — is not awaiting it. *)
 
 val in_flight : t -> int
 (** Setups started but not yet resolved. *)

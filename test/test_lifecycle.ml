@@ -162,6 +162,57 @@ let test_gc_sweeps_reconfigured_circuit () =
   Alcotest.(check bool) "circuit back" false vc.An2.Network.paged_out;
   Alcotest.(check int) "still no leaks" 0 (An2.Lifecycle.audit lc)
 
+let dark_ids lc = List.map (fun v -> v.An2.Network.vc_id) (An2.Lifecycle.dark lc)
+
+let test_pending_setup_not_dark () =
+  (* A setup that timed out is paged out while it waits out its retry
+     backoff, but it is still pending: it is not dark, and readmitting
+     it would start a second crawl over the same circuit, which is a
+     fault. Once it fails for good it is dark, and a readmitted batch
+     stops being dark at the readmit call, before its paced setups
+     start. *)
+  let g, net, h1, h2 = linear_net 3 in
+  let engine = Netsim.Engine.create () in
+  let lc =
+    An2.Lifecycle.create ~engine net
+      { An2.Lifecycle.default_params with
+        max_attempts = 3; setup_timeout = ms 5; pace = ms 1 }
+  in
+  Netsim.Engine.post_at engine ~at:(us 250) (fun () ->
+      Topo.Graph.fail_switch g 2);
+  let result = ref None in
+  An2.Lifecycle.setup lc ~src_host:h1 ~dst_host:h2 ~on_done:(fun r ->
+      result := Some r);
+  Netsim.Engine.run_until engine (ms 5);
+  let vc =
+    let only = ref None in
+    An2.Network.iter_vcs net (fun vc -> only := Some vc);
+    Option.get !only
+  in
+  Alcotest.(check bool) "timed out, paged out" true vc.An2.Network.paged_out;
+  Alcotest.(check int) "still pending" 1 (An2.Lifecycle.in_flight lc);
+  Alcotest.(check (list int)) "a pending setup is not dark" [] (dark_ids lc);
+  Alcotest.check_raises "readmitting a pending setup"
+    (Invalid_argument
+       (Printf.sprintf "Lifecycle: vc %d already has a setup pending"
+          vc.An2.Network.vc_id))
+    (fun () -> An2.Lifecycle.readmit lc [ vc ] ~on_done:ignore);
+  Netsim.Engine.run engine;
+  Alcotest.(check bool) "failed for good" true
+    (match !result with Some (Error _) -> true | _ -> false);
+  Alcotest.(check (list int)) "dark once resolved" [ vc.An2.Network.vc_id ]
+    (dark_ids lc);
+  Topo.Graph.restore_switch g 2;
+  let readmitted = ref false in
+  An2.Lifecycle.readmit lc (An2.Lifecycle.dark lc) ~on_done:(fun () ->
+      readmitted := true);
+  Alcotest.(check (list int)) "not dark from the readmit call on" []
+    (dark_ids lc);
+  Netsim.Engine.run engine;
+  Alcotest.(check bool) "readmitted" true
+    (!readmitted && not vc.An2.Network.paged_out);
+  Alcotest.(check (list int)) "nothing dark" [] (dark_ids lc)
+
 let storm net engine ~pace ~pairs =
   let lc =
     An2.Lifecycle.create ~engine net
@@ -363,6 +414,8 @@ let () =
             test_crankback_reroutes_around_failure;
           Alcotest.test_case "timeout leaves orphans for gc" `Quick
             test_timeout_on_crashed_switch_leaves_orphans_for_gc;
+          Alcotest.test_case "pending setup is not dark" `Quick
+            test_pending_setup_not_dark;
           Alcotest.test_case "gc sweeps reconfigured circuit" `Quick
             test_gc_sweeps_reconfigured_circuit;
           test_orphan_check_matches_reference;
