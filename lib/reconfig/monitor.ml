@@ -89,10 +89,12 @@ let on_ping t =
     end
   end
 
+(* [on_ping] may stop (and restart) the monitor through
+   [on_transition]; the tick re-arms only if it is still current. *)
 let rec tick t stamp =
   if stamp = t.stamp then begin
     on_ping t;
-    arm t
+    if stamp = t.stamp then arm t
   end
 
 and arm t =
@@ -106,10 +108,8 @@ let start t =
   end
 
 let stop t =
-  if t.running then begin
-    t.running <- false;
-    t.stamp <- t.stamp + 1
-  end
+  t.running <- false;
+  t.stamp <- t.stamp + 1
 
 let declared_up t = t.declared_up
 let transitions t = t.transitions

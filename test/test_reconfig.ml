@@ -1181,6 +1181,23 @@ let test_monitor_restart_within_interval () =
   Alcotest.(check int) "one ping per interval" 3 !pings;
   Alcotest.(check int) "one tick pending" 1 (Netsim.Engine.pending engine)
 
+let test_monitor_stop_from_transition () =
+  (* A monitor stopped by its own [on_transition], inside a tick: that
+     tick must not re-arm, or the engine never drains. *)
+  let engine = Netsim.Engine.create () in
+  let m = ref None in
+  let monitor =
+    Reconfig.Monitor.create ~engine ~params:Reconfig.Monitor.default_params
+      ~link_up:(fun () -> false)
+      ~on_transition:(fun ~up:_ _ -> Reconfig.Monitor.stop (Option.get !m))
+  in
+  m := Some monitor;
+  Reconfig.Monitor.start monitor;
+  Netsim.Engine.run_until engine (Netsim.Time.s 1);
+  Alcotest.(check int) "declared down once" 1
+    (Reconfig.Monitor.transitions monitor);
+  Alcotest.(check int) "nothing pending" 0 (Netsim.Engine.pending engine)
+
 let test_monitor_relapse_doubles_probation () =
   (* Flap storm: each relapse during probation bumps the skeptic, and
      the *reopened* probation must serve the doubled wait — the wait
@@ -1328,6 +1345,8 @@ let () =
           Alcotest.test_case "flapping damped (paper)" `Quick
             test_monitor_flapping_damped;
           Alcotest.test_case "no false alarms" `Quick test_monitor_no_false_alarms;
+          Alcotest.test_case "stop from on_transition" `Quick
+            test_monitor_stop_from_transition;
           Alcotest.test_case "restart within one interval" `Quick
             test_monitor_restart_within_interval;
           Alcotest.test_case "stop drains the engine" `Quick
