@@ -1,6 +1,6 @@
 (* The pooled engine core: Eheap, differential equivalence against the
-   retained reference engine, generation-tagged id reuse, and the
-   parallel sweep runner. *)
+   retained reference engine, pool slot reuse, and the parallel sweep
+   runner. *)
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
