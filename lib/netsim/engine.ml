@@ -1,8 +1,8 @@
 (* Allocation-free discrete-event engine core.
 
    The event store is a pooled structure of arrays indexed by slot:
-   thunk, birth time and a free-list link, all in flat arrays that
-   grow geometrically and are reused forever. The ready queue has two
+   thunk, payload, birth time and a free-list link, all in flat arrays
+   that grow geometrically and are reused forever. The ready queue has two
    parts. A wheel of one-nanosecond buckets holds every event due
    within [wheel_span] of the clock; an {!Eheap} (a monomorphic 4-ary
    min-heap over (time, seq) keys whose payloads are pool slots) holds
@@ -32,6 +32,15 @@
    wheel is empty at the reservation, so every wheel entry it can tie
    with was posted after it and loses the tie anyway.
 
+   A slot holds a thunk and an int payload. A handler event's thunk is
+   the one [handler] built when the handler was registered, which
+   calls it on the payload of the event being dispatched; a thunk
+   post leaves the payload unused. Both forms travel the same pool,
+   wheel and heap and take the same tie-break ranks, so they
+   interleave in one (time, seq) order, and a handler event stores a
+   closure that exists already and an int, so posting one allocates
+   nothing.
+
    Events cannot be withdrawn once posted. A timer whose owner no
    longer wants it is retired by the owner: the thunk checks a stamp
    or flag and returns without acting. [pending] is a cached counter
@@ -44,6 +53,8 @@
    as test/oracle/engine_reference.ml, by qcheck differential tests. *)
 
 let noop () = ()
+
+type kind = int
 
 (* The wheel spans 2^13 ns = 8.192 us: every delay the data plane
    schedules (cell slots, cell hops, credit returns) except the gap of
@@ -76,6 +87,10 @@ type t = {
   mutable wheel_size : int;
   mutable scheduled_total : int;  (* the snapshot's tie-break counter *)
   mutable thunks : (unit -> unit) array;
+  mutable payloads : int array;
+  mutable payload : int;  (* the payload of the event being dispatched *)
+  mutable handlers : (unit -> unit) array;  (* by kind: the events' thunks *)
+  mutable n_handlers : int;
   mutable born : int array;
   mutable free_next : int array;
   mutable free_head : int;  (* -1 when the pool is full *)
@@ -99,6 +114,10 @@ let create ?(obs = Obs.Sink.null) () =
     wheel_size = 0;
     scheduled_total = 0;
     thunks = [||];
+    payloads = [||];
+    payload = 0;
+    handlers = [||];
+    n_handlers = 0;
     born = [||];
     free_next = [||];
     free_head = -1;
@@ -207,9 +226,11 @@ let grow t =
   let cap = Array.length t.free_next in
   let ncap = if cap = 0 then 64 else cap * 2 in
   let nthunks = Array.make ncap noop
+  and npayloads = Array.make ncap 0
   and nborn = Array.make ncap 0
   and nfree = Array.make ncap 0 in
   Array.blit t.thunks 0 nthunks 0 cap;
+  Array.blit t.payloads 0 npayloads 0 cap;
   Array.blit t.born 0 nborn 0 cap;
   Array.blit t.free_next 0 nfree 0 cap;
   (* Thread the new slots onto the free list, lowest first. *)
@@ -218,6 +239,7 @@ let grow t =
     t.free_head <- slot
   done;
   t.thunks <- nthunks;
+  t.payloads <- npayloads;
   t.born <- nborn;
   t.free_next <- nfree
 
@@ -228,27 +250,46 @@ let[@inline] release t slot =
   t.free_next.(slot) <- t.free_head;
   t.free_head <- slot
 
+let handler t f =
+  let n = t.n_handlers in
+  if n = Array.length t.handlers then begin
+    let grown = Array.make (max 4 (2 * n)) noop in
+    Array.blit t.handlers 0 grown 0 n;
+    t.handlers <- grown
+  end;
+  t.handlers.(n) <- (fun () -> f t.payload);
+  t.n_handlers <- n + 1;
+  n
+
+let check_kind t kind =
+  if kind < 0 || kind >= t.n_handlers then
+    invalid_arg "Engine.post_event: kind not registered with this engine"
+
 let check_future t at =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.post_at: time %d is in the past (now %d)" at
          t.clock)
 
-(* Take a pool slot for [thunk] and count it pending; the caller queues
-   the slot. *)
-let[@inline] take_slot t thunk =
+(* Take a free pool slot and count it pending; the caller fills the
+   slot and queues it. *)
+let[@inline] take_slot t =
   if t.free_head < 0 then grow t;
   let slot = t.free_head in
   t.free_head <- t.free_next.(slot);
-  t.thunks.(slot) <- thunk;
   t.born.(slot) <- t.clock;
   t.live <- t.live + 1;
   if t.obs.Obs.Sink.enabled then Obs.Metrics.Counter.incr t.c_scheduled;
   slot
 
-let post_at t ~at thunk =
-  check_future t at;
-  let slot = take_slot t thunk in
+let[@inline] take_event_slot t kind payload =
+  let slot = take_slot t in
+  t.thunks.(slot) <- t.handlers.(kind);
+  t.payloads.(slot) <- payload;
+  slot
+
+(* Queue a filled slot due at [at] with the next tie-break rank. *)
+let[@inline] enqueue t at slot =
   if at - t.clock < t.near then wheel_add t at slot
   else begin
     Eheap.add t.queue ~time:at ~slot;
@@ -256,9 +297,24 @@ let post_at t ~at thunk =
   end;
   t.scheduled_total <- t.scheduled_total + 1
 
+let post_at t ~at thunk =
+  check_future t at;
+  let slot = take_slot t in
+  t.thunks.(slot) <- thunk;
+  enqueue t at slot
+
 let post t ~delay thunk =
   if delay < 0 then invalid_arg "Engine.post: negative delay";
   post_at t ~at:(t.clock + delay) thunk
+
+let post_event_at t ~at kind payload =
+  check_future t at;
+  check_kind t kind;
+  enqueue t at (take_event_slot t kind payload)
+
+let post_event t ~delay kind payload =
+  if delay < 0 then invalid_arg "Engine.post_event: negative delay";
+  post_event_at t ~at:(t.clock + delay) kind payload
 
 (* Ranked events always go to the heap, keyed by their reserved rank.
    A heap entry wins a tie with the wheel, which is seq order as long
@@ -270,19 +326,29 @@ let reserve t n =
   t.scheduled_total <- t.scheduled_total + n;
   base
 
-let post_ranked t ~at ~rank thunk =
-  check_future t at;
-  let slot = take_slot t thunk in
+let[@inline] queue_ranked t at rank slot =
   Eheap.add_ranked t.queue ~time:at ~seq:rank ~slot;
   if t.near = 0 && t.live > wheel_backlog then enable_wheel t
 
+let post_ranked t ~at ~rank thunk =
+  check_future t at;
+  let slot = take_slot t in
+  t.thunks.(slot) <- thunk;
+  queue_ranked t at rank slot
+
+let post_event_ranked t ~at ~rank kind payload =
+  check_future t at;
+  check_kind t kind;
+  queue_ranked t at rank (take_event_slot t kind payload)
+
 (* Dispatch the already-popped slot at time [at]. The slot is
-   released before the thunk runs, so an event's own posting reuses it
-   immediately. *)
+   released before the event runs, so an event's own posting reuses
+   it immediately. *)
 let[@inline] fire t at slot =
   t.clock <- at;
   let thunk = t.thunks.(slot) in
   let born = t.born.(slot) in
+  t.payload <- t.payloads.(slot);
   release t slot;
   t.live <- t.live - 1;
   t.dispatched_total <- t.dispatched_total + 1;
@@ -318,7 +384,9 @@ let step t = dispatch_next t ~limit:max_int
 let run t = while step t do () done
 
 (* Snapshots. Thunks are closures and cannot be serialized, so a
-   checkpoint is only legal when the engine holds no events. What
+   checkpoint is only legal when the engine holds no events. Handlers
+   are closures too: a restored engine has none, and each layer
+   registers its own again when it is rebuilt over it. What
    remains is the deterministic skeleton: clock, dispatch count, the
    tie-break counter (every post so far, in either part), and the
    pool's free-list threading (future slot assignment, which a trace
@@ -365,6 +433,7 @@ let restore ?obs section =
       t.dispatched_total <- dispatched_total;
       t.scheduled_total <- next_seq;
       t.thunks <- Array.make cap noop;
+      t.payloads <- Array.make cap 0;
       t.born <- Array.make cap 0;
       t.free_next <- free_next;
       t.free_head <- free_head;

@@ -1,21 +1,25 @@
 (** Discrete-event simulation engine.
 
-    Events are thunks posted at absolute simulated times; the engine
-    dispatches them in time order (FIFO among simultaneous events, so a
-    given seed always replays identically). Events may post further
-    events. A posted event always runs: there is no handle to withdraw
-    it. A protocol timer is retired by its owner, whose thunk checks a
-    stamp or flag and returns without acting; the retired timer still
-    advances the clock and counts as dispatched, exactly where it was
-    due.
+    Events are posted at absolute simulated times, in one of two
+    forms: a thunk, or a {e handler event}, an int payload for a
+    handler registered once with {!handler}. The engine dispatches
+    both in one time order (FIFO among simultaneous events, whatever
+    their form, so a given seed always replays identically). Events
+    may post further events. A posted event always runs: there is no
+    handle to withdraw it. A protocol timer is retired by its owner,
+    whose event checks a stamp or flag and returns without acting; the
+    retired timer still advances the clock and counts as dispatched,
+    exactly where it was due.
 
     The core is allocation-free in steady state: events live in a
     pooled structure-of-arrays store, and the ready queue has two
     parts. A wheel of one-nanosecond buckets holds every event due
     less than {!wheel_span} after the clock, at O(1) per post and
     dispatch; a monomorphic 4-ary heap ({!Eheap}) holds the events due
-    later. A post/dispatch cycle with the obs sink off allocates zero
-    minor words (measured by [bench/engine_perf.ml]). Dispatch order is
+    later. With the obs sink off, a post/dispatch cycle allocates no
+    minor words beyond the thunk its caller built, and a handler event
+    none at all (measured by [bench/engine_perf.ml], pinned by
+    [test_engine_pool]). Dispatch order is
     the same (time, FIFO) order as one queue's, pinned to the seed's
     engine, kept with the tests as [test/oracle/engine_reference.ml],
     by differential tests. *)
@@ -55,6 +59,38 @@ val post_at : t -> at:Time.t -> (unit -> unit) -> unit
 (** Post at an absolute time. Raises [Invalid_argument] if
     [at < now t]. *)
 
+(** {1 Handler events}
+
+    A layer whose events are many and alike registers one handler and
+    posts [(kind, payload)] pairs: the int payload names the work (a
+    table slot, a hop, an op), and the layer keeps the state it
+    refers to in its own tables. Such a post allocates nothing. It
+    takes a pool slot, a tie-break rank and a place in the (time, seq)
+    order exactly as a thunk post at the same call would, so moving a
+    post from one form to the other changes no dispatch order. *)
+
+type kind
+(** A registered handler. *)
+
+val handler : t -> (int -> unit) -> kind
+(** [handler t f] registers [f] and returns its kind; an event of that
+    kind runs [f payload]. Register once per layer and engine, when
+    the layer is built: registrations are never dropped. A restored
+    engine ({!restore}) starts with none. *)
+
+val post_event : t -> delay:Time.t -> kind -> int -> unit
+(** [post_event t ~delay k payload] runs [k]'s handler on [payload] at
+    [now t + delay]. Raises [Invalid_argument] if [delay] is negative
+    or [k] is not one of [t]'s kinds. (A kind of another engine that
+    happens to be in [t]'s range is not caught: posting to the engine
+    a kind was registered with is the caller's job.) *)
+
+val post_event_at : t -> at:Time.t -> kind -> int -> unit
+(** Post a handler event at an absolute time; raises as {!post_at}
+    and {!post_event} do. *)
+
+(** {1 Ranked posting} *)
+
 val reserve : t -> int -> int
 (** [reserve t n] sets aside [n] consecutive tie-break ranks and
     returns the first, [base]. An event posted later with
@@ -74,6 +110,9 @@ val post_ranked : t -> at:Time.t -> rank:int -> (unit -> unit) -> unit
 (** [post_ranked t ~at ~rank f] runs [f] at [at], which must be
     [>= now t], ordered among events of the same time by [rank], which
     {!reserve} must have handed out and which must be used only once. *)
+
+val post_event_ranked : t -> at:Time.t -> rank:int -> kind -> int -> unit
+(** {!post_ranked} for a handler event. *)
 
 val pending : t -> int
 (** Number of queued events: posted and not yet dispatched, retired
@@ -96,8 +135,9 @@ val run_until : t -> Time.t -> unit
 
 (** {1 Snapshots}
 
-    Event thunks are closures and cannot be serialized, so checkpoints
-    are only legal at {e quiescent} points: an empty queue. What a
+    Event thunks and handlers are closures and cannot be serialized,
+    so checkpoints are only legal at {e quiescent} points: an empty
+    queue. What a
     snapshot carries is the deterministic skeleton — clock, dispatch
     count, the FIFO tie-break counter (the number of posts so far) and
     the pool's free-list threading — so a restored engine assigns
@@ -113,5 +153,7 @@ val save : t -> Snapshot.section
 
 val restore : ?obs:Obs.Sink.t -> Snapshot.section -> t
 (** Rebuild an engine from {!save}'s section. The obs sink is supplied
-    fresh (instrumentation is deliberately not snapshotted). Raises
+    fresh (instrumentation is deliberately not snapshotted), and no
+    handler is registered: the layers rebuilt over the engine register
+    theirs. Raises
     {!Snapshot.Corrupt} on damage. *)

@@ -46,6 +46,8 @@ let add t ~prio value =
 
 let min_prio t = if t.size = 0 then None else Some t.data.(0).prio
 
+let min t = if t.size = 0 then None else Some (t.data.(0).prio, t.data.(0).value)
+
 let pop t =
   if t.size = 0 then None
   else begin

@@ -18,6 +18,9 @@ val add : 'a t -> prio:int -> 'a -> unit
 val min_prio : 'a t -> int option
 (** Priority of the minimum element, if any. *)
 
+val min : 'a t -> (int * 'a) option
+(** The minimum element and its priority, left in place. *)
+
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum element (FIFO among ties). *)
 

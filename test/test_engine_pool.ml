@@ -248,6 +248,242 @@ let test_differential_obs_identical =
       ok && I_pooled.state plain = I_pooled.state instr)
 
 (* ------------------------------------------------------------------ *)
+(* Handler events: random programs mixing closure posts, posts to
+   several handlers, ranked cursors and delays on both sides of the
+   wheel's span, against the reference, where a handler event is a
+   closure over its payload. *)
+
+module type EVENT_ENGINE = sig
+  include ENGINE
+
+  type kind
+
+  val handler : t -> (int -> unit) -> kind
+  val post_event : t -> delay:Netsim.Time.t -> kind -> int -> unit
+  val post_event_at : t -> at:Netsim.Time.t -> kind -> int -> unit
+  val reserve : t -> int -> int
+  val post_event_ranked : t -> at:Netsim.Time.t -> rank:int -> kind -> int -> unit
+end
+
+type event_op =
+  | Thunk of int * int option  (* delay, the delay of a child thunk *)
+  | Event of int * int * int option  (* handler, delay, the delay of a child event *)
+  | Event_at of int * int  (* handler, time ahead of the clock *)
+  | Cursor of (int * int option) list
+      (* a sorted timeline from the clock: (step, delay of a child
+         event); reserved and started if nothing is pending *)
+  | E_step
+  | E_run_until of int
+  | Mixed_burst of int  (* n posts, closures and events in turn *)
+
+let handlers = 3
+
+let event_op_gen =
+  let w = Netsim.Engine.wheel_span in
+  QCheck.Gen.(
+    let delay =
+      frequency
+        [
+          (4, int_range 0 4);
+          (2, map (fun off -> w + off) (int_range (-4) 4));
+          (1, map2 (fun k off -> (k * w) + off) (int_range 2 3) (int_range (-4) 4));
+        ]
+    in
+    let child = frequency [ (2, return None); (1, map Option.some delay) ] in
+    frequency
+      [
+        (3, map2 (fun d c -> Thunk (d, c)) delay child);
+        (4, map3 (fun h d c -> Event (h, d, c)) (int_range 0 (handlers - 1)) delay child);
+        (1, map2 (fun h d -> Event_at (h, d)) (int_range 0 (handlers - 1)) delay);
+        ( 1,
+          map
+            (fun evs -> Cursor evs)
+            (list_size (int_range 1 12)
+               (pair (oneofl [ 0; 0; 1; 3; w - 1; w; w + 1 ]) child)) );
+        (3, return E_step);
+        (1, map (fun dt -> E_run_until dt) (int_range 0 6));
+        (1, map (fun dt -> E_run_until dt) (int_range (w - 4) ((2 * w) + 4)));
+        (1, return (Mixed_burst 200));
+      ])
+
+let print_event_op =
+  let opt = function None -> "-" | Some d -> string_of_int d in
+  function
+  | Thunk (d, c) -> Printf.sprintf "Thunk (%d, %s)" d (opt c)
+  | Event (h, d, c) -> Printf.sprintf "Event (%d, %d, %s)" h d (opt c)
+  | Event_at (h, d) -> Printf.sprintf "Event_at (%d, +%d)" h d
+  | Cursor evs ->
+    Printf.sprintf "Cursor [%s]"
+      (String.concat "; " (List.map (fun (s, c) -> Printf.sprintf "%d,%s" s (opt c)) evs))
+  | E_step -> "Step"
+  | E_run_until dt -> Printf.sprintf "Run_until +%d" dt
+  | Mixed_burst n -> Printf.sprintf "Mixed_burst %d" n
+
+(* Every dispatch logs (source, tag, time): -1 for a thunk, the
+   handler's index, or [handlers] for a cursor entry. A handler's
+   payload is its tag shifted past 16 bits, over a child delay plus
+   one (0: no child). *)
+module Event_interp (E : EVENT_ENGINE) = struct
+  type t = {
+    e : E.t;
+    log : (int * int * int) list ref;
+    mutable n_tags : int;
+    kinds : E.kind array;
+    mutable cursors : (int * int * (int * int option) array) list;
+        (* per cursor: its id, its first rank and its (time, child) entries *)
+    mutable n_cursors : int;
+    cursor_kind : E.kind;
+  }
+
+  let fresh_tag t =
+    let tag = t.n_tags in
+    t.n_tags <- tag + 1;
+    tag
+
+  let note t src tag = t.log := (src, tag, E.now t.e) :: !(t.log)
+
+  let payload tag child =
+    (tag lsl 16) lor match child with None -> 0 | Some d -> d + 1
+
+  let post_thunk t d child =
+    let tag = fresh_tag t in
+    E.post t.e ~delay:d (fun () ->
+        note t (-1) tag;
+        match child with
+        | None -> ()
+        | Some d' ->
+          let tag' = fresh_tag t in
+          E.post t.e ~delay:d' (fun () -> note t (-1) tag'))
+
+  let post_event t h d child = E.post_event t.e ~delay:d t.kinds.(h) (payload (fresh_tag t) child)
+
+  let on_event t h p =
+    note t h (p lsr 16);
+    let c = p land 0xffff in
+    if c > 0 then
+      (* The child goes to the next handler, posted mid-dispatch. *)
+      post_event t ((h + 1) mod handlers) (c - 1) None
+
+  let on_cursor t p =
+    let id = p lsr 16 and i = p land 0xffff in
+    let _, base, entries = List.find (fun (id', _, _) -> id' = id) t.cursors in
+    note t handlers ((id lsl 16) lor i);
+    if i + 1 < Array.length entries then
+      E.post_event_ranked t.e ~at:(fst entries.(i + 1)) ~rank:(base + i + 1)
+        t.cursor_kind ((id lsl 16) lor (i + 1));
+    match snd entries.(i) with
+    | None -> ()
+    | Some d -> post_event t (i mod handlers) d None
+
+  let create () =
+    let e = E.create () in
+    let self = ref None in
+    let get () = Option.get !self in
+    let kinds = Array.init handlers (fun h -> E.handler e (fun p -> on_event (get ()) h p)) in
+    let cursor_kind = E.handler e (fun p -> on_cursor (get ()) p) in
+    let t =
+      { e; log = ref []; n_tags = 0; kinds; cursors = []; n_cursors = 0; cursor_kind }
+    in
+    self := Some t;
+    t
+
+  let apply t = function
+    | Thunk (d, c) -> post_thunk t d c
+    | Event (h, d, c) -> post_event t h d c
+    | Event_at (h, d) ->
+      E.post_event_at t.e ~at:(E.now t.e + d) t.kinds.(h) (payload (fresh_tag t) None)
+    | Cursor evs ->
+      (* A reservation needs an empty wheel; an empty engine is the
+         case both engines can see. *)
+      if E.pending t.e = 0 then begin
+        let at = ref (E.now t.e) in
+        let entries =
+          Array.of_list (List.map (fun (step, c) -> at := !at + step; (!at, c)) evs)
+        in
+        let id = t.n_cursors in
+        t.n_cursors <- id + 1;
+        let base = E.reserve t.e (Array.length entries) in
+        t.cursors <- (id, base, entries) :: t.cursors;
+        E.post_event_ranked t.e ~at:(fst entries.(0)) ~rank:base t.cursor_kind (id lsl 16)
+      end
+    | E_step -> ignore (E.step t.e : bool)
+    | E_run_until dt -> E.run_until t.e (E.now t.e + dt)
+    | Mixed_burst n ->
+      for i = 0 to n - 1 do
+        if i land 1 = 0 then post_thunk t (i mod 5) None
+        else post_event t (i mod handlers) (i mod 7) None
+      done
+
+  let state t = (E.now t.e, E.pending t.e, E.dispatched t.e, !(t.log))
+end
+
+module E_pooled = Event_interp (Netsim.Engine)
+module E_reference = Event_interp (Oracle.Engine_reference)
+
+let test_differential_events =
+  qtest ~count:500 "handler events, thunks and cursors: pooled == reference"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_event_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) event_op_gen))
+    (fun ops ->
+      let a = E_pooled.create () and b = E_reference.create () in
+      let ok =
+        List.for_all
+          (fun op ->
+            E_pooled.apply a op;
+            E_reference.apply b op;
+            E_pooled.state a = E_reference.state b)
+          ops
+      in
+      Netsim.Engine.run a.e;
+      Oracle.Engine_reference.run b.e;
+      ok && E_pooled.state a = E_reference.state b)
+
+(* 10^5 post/dispatch cycles of a handler event allocate nothing, on a
+   shallow heap and with the wheel on under a 1,000-event backlog. *)
+let test_handler_events_allocate_nothing () =
+  let module E = Netsim.Engine in
+  let cycles e k =
+    let w0 = Gc.minor_words () in
+    for i = 1 to 100_000 do
+      E.post_event e ~delay:(i land 3) k i;
+      ignore (E.step e : bool)
+    done;
+    Gc.minor_words () -. w0
+  in
+  let sum = ref 0 in
+  let e = E.create () in
+  let k = E.handler e (fun p -> sum := !sum + p) in
+  ignore (cycles e k);
+  Alcotest.(check (float 0.)) "shallow" 0. (cycles e k);
+  let e = E.create () in
+  let k = E.handler e (fun p -> sum := !sum + p) in
+  for i = 0 to 999 do
+    E.post_event e ~delay:(1_000_000_000 + i) k 0
+  done;
+  for i = 0 to 199 do
+    E.post_event e ~delay:(i mod 5) k 0
+  done;
+  ignore (cycles e k);
+  Alcotest.(check (float 0.)) "wheel on, 1k backlog" 0. (cycles e k)
+
+let test_unregistered_kind () =
+  let module E = Netsim.Engine in
+  let a = E.create () and b = E.create () in
+  ignore (E.handler a ignore);
+  let k = E.handler a ignore in
+  let raises name f =
+    Alcotest.check_raises name
+      (Invalid_argument "Engine.post_event: kind not registered with this engine") f
+  in
+  raises "post_event" (fun () -> E.post_event b ~delay:0 k 0);
+  raises "post_event_at" (fun () -> E.post_event_at b ~at:0 k 0);
+  raises "post_event_ranked" (fun () ->
+      let rank = E.reserve b 1 in
+      E.post_event_ranked b ~at:0 ~rank k 0);
+  Alcotest.(check int) "nothing queued" 0 (E.pending b)
+
+(* ------------------------------------------------------------------ *)
 (* Ranked posting: timelines fed from a cursor (reserve + post_ranked,
    one pending event per timeline) against the same timelines posted
    up front with post_at. Each timeline event logs itself and posts
@@ -499,6 +735,13 @@ let () =
           test_differential;
           test_differential_obs_identical;
           test_differential_wheel;
+        ] );
+      ( "handler events",
+        [
+          test_differential_events;
+          Alcotest.test_case "post+dispatch allocates nothing" `Quick
+            test_handler_events_allocate_nothing;
+          Alcotest.test_case "unregistered kind" `Quick test_unregistered_kind;
         ] );
       ( "ranked",
         [
