@@ -277,16 +277,56 @@ module Service = struct
     worst_backlog : int;
   }
 
+  (* One unit of queued work in its slot of the work table: an
+     admission in flight, a release waiting for the coordinator, or a
+     batch of table writes. Each shard owns the route's links that
+     [shard_of] assigns it. Foreign shards are escrowed in ascending
+     order, a total escrow order, so concurrent cross-shard admissions
+     cannot deadlock and replay deterministically; the order also
+     makes the escrowed set exactly the foreign shards below
+     [frontier], the shard being escrowed (all shards once the
+     coordinator commits). Records are reused with their slot. *)
+  type work = {
+    slot : int;
+    mutable src_host : int;
+    mutable dst_host : int;
+    mutable cells : int;
+    mutable co : int;  (* coordinator shard; the flushing shard *)
+    mutable on_done : (Network.vc, denial) result -> unit;
+    mutable switches : int list;
+    mutable links : int list;
+    mutable frontier : int;
+    mutable vc : Network.vc;  (* to release *)
+    mutable batch : Network.vc list;  (* to write *)
+  }
+
+  let no_vc =
+    {
+      Network.vc_id = -1;
+      src_host = -1;
+      dst_host = -1;
+      cls = Network.Best_effort;
+      switches = [];
+      links = [];
+      paged_out = true;
+    }
+
+  let no_done (_ : (Network.vc, denial) result) = ()
+
   type nonrec t = {
     core : t;
     engine : Netsim.Engine.t;
     params : params;
+    kind : Netsim.Engine.kind;
     (* Per-shard serialized admission processor, mirroring the
        per-switch signaling processors of {!Lifecycle}. *)
     busy_until : Netsim.Time.t array;
     queue_len : int array;
     pending_writes : Network.vc list array;  (* per coordinator shard *)
     flush_armed : bool array;
+    mutable table : work array;
+    mutable free_slots : int array;  (* a stack of free slots *)
+    mutable n_free : int;
     mutable worst_backlog : int;
     mutable in_flight : int;
     mutable submitted : int;
@@ -303,32 +343,27 @@ module Service = struct
     c_batch_flushes : Obs.Metrics.Counter.t;
   }
 
-  let create ?(obs = Obs.Sink.null) ~engine ?shards net params =
-    let core = core_create ~obs ?shards net in
-    let n = core.shards in
-    {
-      core;
-      engine;
-      params;
-      busy_until = Array.make n 0;
-      queue_len = Array.make n 0;
-      pending_writes = Array.make n [];
-      flush_armed = Array.make n false;
-      worst_backlog = 0;
-      in_flight = 0;
-      submitted = 0;
-      granted = 0;
-      denied_no_route = 0;
-      denied_no_capacity = 0;
-      released = 0;
-      cross_shard = 0;
-      escrow_conflicts = 0;
-      batch_flushes = 0;
-      batched_writes = 0;
-      c_cross_shard = Obs.Sink.counter obs "bwc.cross_shard";
-      c_escrow_conflicts = Obs.Sink.counter obs "bwc.escrow_conflicts";
-      c_batch_flushes = Obs.Sink.counter obs "bwc.batch_flushes";
-    }
+  (* The service's events: an op in the low [op_bits], then a work
+     slot, or a shard for [Flush]. *)
+  type op =
+    | Route  (* the coordinator has computed the route *)
+    | Hold  (* a foreign shard escrows *)
+    | Commit  (* the coordinator commits *)
+    | Release  (* the coordinator releases *)
+    | Flush  (* a shard's flush timer *)
+    | Write  (* a shard writes a batch of table entries *)
+
+  let ops = [| Route; Hold; Commit; Release; Flush; Write |]
+
+  let op_code = function
+    | Route -> 0
+    | Hold -> 1
+    | Commit -> 2
+    | Release -> 3
+    | Flush -> 4
+    | Write -> 5
+
+  let op_bits = 3
 
   let in_flight t = t.in_flight
   let reserved t lid = reserved t.core lid
@@ -350,17 +385,63 @@ module Service = struct
 
   let coordinator t src_host = src_host mod t.core.shards
 
-  (* Occupy shard [sh]'s admission processor for [cost]; [k] runs when
-     the processor gets to it. The queue includes the work in service,
-     so [k] starts with [leave t sh]: folding the decrement into the
-     job spares a wrapper closure per queued job. *)
-  let occupy t sh ~cost k =
+  let grow_table t =
+    let cap = Array.length t.table in
+    let ncap = if cap = 0 then 16 else 2 * cap in
+    let fresh slot =
+      {
+        slot;
+        src_host = 0;
+        dst_host = 0;
+        cells = 0;
+        co = 0;
+        on_done = no_done;
+        switches = [];
+        links = [];
+        frontier = 0;
+        vc = no_vc;
+        batch = [];
+      }
+    in
+    t.table <- Array.init ncap (fun i -> if i < cap then t.table.(i) else fresh i);
+    let free = Array.make ncap 0 in
+    (* Lowest new slot on top. *)
+    for slot = ncap - 1 downto cap do
+      free.(t.n_free) <- slot;
+      t.n_free <- t.n_free + 1
+    done;
+    t.free_slots <- free
+
+  (* A free slot's record, with [co] set and the rest as the last
+     user left it: each kind of work sets what it reads. *)
+  let take t ~co =
+    if t.n_free = 0 then grow_table t;
+    t.n_free <- t.n_free - 1;
+    let w = t.table.(t.free_slots.(t.n_free)) in
+    w.co <- co;
+    w
+
+  (* Free a slot once its work is done, dropping what it held. *)
+  let free t w =
+    w.on_done <- no_done;
+    w.switches <- [];
+    w.links <- [];
+    w.vc <- no_vc;
+    w.batch <- [];
+    t.free_slots.(t.n_free) <- w.slot;
+    t.n_free <- t.n_free + 1
+
+  (* Occupy shard [sh]'s admission processor for [cost]; [op] runs on
+     [w] when the processor gets to it. The queue includes the work in
+     service, so each job starts with [leave]. *)
+  let occupy t sh ~cost w op =
     t.queue_len.(sh) <- t.queue_len.(sh) + 1;
     if t.queue_len.(sh) > t.worst_backlog then t.worst_backlog <- t.queue_len.(sh);
     let start = max (Netsim.Engine.now t.engine) t.busy_until.(sh) in
     let finish = start + cost in
     t.busy_until.(sh) <- finish;
-    Netsim.Engine.post_at t.engine ~at:finish k
+    Netsim.Engine.post_event_at t.engine ~at:finish t.kind
+      ((w.slot lsl op_bits) lor op_code op)
 
   let leave t sh = t.queue_len.(sh) <- t.queue_len.(sh) - 1
 
@@ -374,50 +455,34 @@ module Service = struct
   let arm_flush t sh =
     if not t.flush_armed.(sh) then begin
       t.flush_armed.(sh) <- true;
-      Netsim.Engine.post t.engine ~delay:t.params.flush_every (fun () ->
-          t.flush_armed.(sh) <- false;
-          let vcs = List.rev t.pending_writes.(sh) in
-          t.pending_writes.(sh) <- [];
-          t.batch_flushes <- t.batch_flushes + 1;
-          if obs_on t.core then Obs.Metrics.Counter.incr t.c_batch_flushes;
-          let entries =
-            List.fold_left
-              (fun acc vc -> acc + List.length vc.Network.switches)
-              0 vcs
-          in
-          occupy t sh
-            ~cost:(t.params.write_cost + (entries * t.params.write_unit))
-            (fun () ->
-              leave t sh;
-              List.iter
-                (fun vc ->
-                  match Network.find_vc t.core.net vc.Network.vc_id with
-                  | Some vc' when vc' == vc ->
-                    Network.install t.core.net vc;
-                    t.batched_writes <-
-                      t.batched_writes + List.length vc.Network.switches
-                  | _ -> ())
-                vcs))
+      Netsim.Engine.post_event t.engine ~delay:t.params.flush_every t.kind
+        ((sh lsl op_bits) lor op_code Flush)
     end
 
-  (* One admission in flight. Each shard owns the route's links that
-     [shard_of] assigns it. Foreign shards are escrowed in ascending
-     order, a total escrow order, so concurrent cross-shard admissions
-     cannot deadlock and replay deterministically; the order also
-     makes the escrowed set exactly the foreign shards below
-     [frontier], the shard being escrowed (all shards once the
-     coordinator commits). *)
-  type admission = {
-    svc : t;
-    src_host : int;
-    dst_host : int;
-    cells : int;
-    co : int;  (* coordinator shard *)
-    on_done : (Network.vc, denial) result -> unit;
-    mutable switches : int list;
-    mutable links : int list;
-    mutable frontier : int;
-  }
+  let flush t sh =
+    t.flush_armed.(sh) <- false;
+    let vcs = List.rev t.pending_writes.(sh) in
+    t.pending_writes.(sh) <- [];
+    t.batch_flushes <- t.batch_flushes + 1;
+    if obs_on t.core then Obs.Metrics.Counter.incr t.c_batch_flushes;
+    let entries =
+      List.fold_left (fun acc vc -> acc + List.length vc.Network.switches) 0 vcs
+    in
+    let w = take t ~co:sh in
+    w.batch <- vcs;
+    occupy t sh ~cost:(t.params.write_cost + (entries * t.params.write_unit)) w
+      Write
+
+  let write t w =
+    List.iter
+      (fun vc ->
+        match Network.find_vc t.core.net vc.Network.vc_id with
+        | Some vc' when vc' == vc ->
+          Network.install t.core.net vc;
+          t.batched_writes <- t.batched_writes + List.length vc.Network.switches
+        | _ -> ())
+      w.batch;
+    free t w
 
   let rec has_link core sh = function
     | [] -> false
@@ -445,74 +510,74 @@ module Service = struct
 
   (* The first foreign shard at or above [sh] that owns a route link;
      [shards] when none is left. *)
-  let rec next_foreign a sh =
-    let core = a.svc.core in
+  let rec next_foreign t a sh =
+    let core = t.core in
     if sh >= core.shards then core.shards
     else if sh <> a.co && has_link core sh a.links then sh
-    else next_foreign a (sh + 1)
+    else next_foreign t a (sh + 1)
 
-  let deny a d =
-    let t = a.svc in
+  (* End an admission: its slot is free before [on_done] runs, which
+     may submit the next one. *)
+  let resolve t a result =
+    let on_done = a.on_done in
+    t.in_flight <- t.in_flight - 1;
+    free t a;
+    on_done result
+
+  let deny t a d =
     (match d with
      | No_route -> t.denied_no_route <- t.denied_no_route + 1
      | No_capacity -> t.denied_no_capacity <- t.denied_no_capacity + 1);
     if obs_on t.core then count_denial t.core d;
-    t.in_flight <- t.in_flight - 1;
-    a.on_done (Error d)
+    resolve t a (Error d)
 
-  let conflict a =
-    let t = a.svc in
+  let conflict t a =
     refund t.core a a.links;
     t.escrow_conflicts <- t.escrow_conflicts + 1;
     if obs_on t.core then Obs.Metrics.Counter.incr t.c_escrow_conflicts;
-    deny a No_capacity
+    deny t a No_capacity
 
-  let rec route a =
-    let t = a.svc in
-    leave t a.co;
-    match
-      capacity_route t.core ~src_host:a.src_host ~dst_host:a.dst_host
-        ~cells:a.cells
-    with
-    | Error d -> deny a d
-    | Ok (switches, links) ->
-      a.switches <- switches;
-      a.links <- links;
-      let first = next_foreign a 0 in
-      if first < t.core.shards then begin
-        t.cross_shard <- t.cross_shard + 1;
-        if obs_on t.core then Obs.Metrics.Counter.incr t.c_cross_shard
-      end;
-      escrow a first
-
-  and escrow a sh =
-    let t = a.svc in
+  let escrow t a sh =
     a.frontier <- sh;
     if sh >= t.core.shards then begin
       let writes =
         if batched t then 0 else List.length a.switches * t.params.write_cost
       in
-      occupy t a.co ~cost:(t.params.admit_cost + writes) (fun () -> commit a)
+      occupy t a.co ~cost:(t.params.admit_cost + writes) a Commit
     end
-    else occupy t sh ~cost:t.params.escrow_cost (fun () -> hold a)
+    else occupy t sh ~cost:t.params.escrow_cost a Hold
+
+  let route t a =
+    match
+      capacity_route t.core ~src_host:a.src_host ~dst_host:a.dst_host
+        ~cells:a.cells
+    with
+    | Error d -> deny t a d
+    | Ok (switches, links) ->
+      a.switches <- switches;
+      a.links <- links;
+      let first = next_foreign t a 0 in
+      if first < t.core.shards then begin
+        t.cross_shard <- t.cross_shard + 1;
+        if obs_on t.core then Obs.Metrics.Counter.incr t.c_cross_shard
+      end;
+      escrow t a first
 
   (* A foreign shard's processor reaches the admission: escrow its
      cells, or give up if another admission took the headroom. *)
-  and hold a =
-    let t = a.svc and sh = a.frontier in
-    leave t sh;
-    if short t.core sh a.cells a.links then conflict a
+  let hold t a =
+    let sh = a.frontier in
+    if short t.core sh a.cells a.links then conflict t a
     else begin
       reserve t.core sh a.cells a.links;
-      escrow a (next_foreign a (sh + 1))
+      escrow t a (next_foreign t a (sh + 1))
     end
 
-  and commit a =
-    let t = a.svc and co = a.co and cells = a.cells in
-    leave t co;
+  let commit t a =
+    let co = a.co and cells = a.cells in
     (* Re-validate the coordinator's own links: another admission may
        have landed since the route was computed. *)
-    if short t.core co cells a.links then conflict a
+    if short t.core co cells a.links then conflict t a
     else begin
       reserve t.core co cells a.links;
       let vc =
@@ -527,9 +592,83 @@ module Service = struct
       end;
       t.granted <- t.granted + 1;
       if obs_on t.core then Obs.Metrics.Counter.incr t.core.c_granted;
-      t.in_flight <- t.in_flight - 1;
-      a.on_done (Ok vc)
+      resolve t a (Ok vc)
     end
+
+  (* The coordinator gets to a release. The circuit may have been
+     dissolved (reroute denial, an earlier release) between the
+     request and now; a stale release is dropped, not applied. *)
+  let release_now t w =
+    let vc = w.vc in
+    free t w;
+    match Network.find_vc t.core.net vc.Network.vc_id with
+    | Some vc' when vc' == vc ->
+      t.released <- t.released + 1;
+      core_release t.core vc
+    | _ -> ()
+
+  let on_event t ev =
+    let arg = ev lsr op_bits in
+    match ops.(ev land ((1 lsl op_bits) - 1)) with
+    | Flush -> flush t arg
+    | Route ->
+      let a = t.table.(arg) in
+      leave t a.co;
+      route t a
+    | Hold ->
+      let a = t.table.(arg) in
+      leave t a.frontier;
+      hold t a
+    | Commit ->
+      let a = t.table.(arg) in
+      leave t a.co;
+      commit t a
+    | Release ->
+      let w = t.table.(arg) in
+      leave t w.co;
+      release_now t w
+    | Write ->
+      let w = t.table.(arg) in
+      leave t w.co;
+      write t w
+
+  let make ~core ~engine ~obs params =
+    let n = core.shards in
+    let dispatch = ref ignore in
+    let t =
+      {
+        core;
+        engine;
+        params;
+        kind = Netsim.Engine.handler engine (fun ev -> !dispatch ev);
+        busy_until = Array.make n 0;
+        queue_len = Array.make n 0;
+        pending_writes = Array.make n [];
+        flush_armed = Array.make n false;
+        table = [||];
+        free_slots = [||];
+        n_free = 0;
+        worst_backlog = 0;
+        in_flight = 0;
+        submitted = 0;
+        granted = 0;
+        denied_no_route = 0;
+        denied_no_capacity = 0;
+        released = 0;
+        cross_shard = 0;
+        escrow_conflicts = 0;
+        batch_flushes = 0;
+        batched_writes = 0;
+        c_cross_shard = Obs.Sink.counter obs "bwc.cross_shard";
+        c_escrow_conflicts = Obs.Sink.counter obs "bwc.escrow_conflicts";
+        c_batch_flushes = Obs.Sink.counter obs "bwc.batch_flushes";
+      }
+    in
+    dispatch := on_event t;
+    t
+
+  let create ?(obs = Obs.Sink.null) ~engine ?shards net params =
+    make ~core:(core_create ~obs ?shards net) ~engine ~obs params
 
   let submit t ~src_host ~dst_host ~cells ~on_done =
     if cells < 1 || cells > Network.frame_length t.core.net then
@@ -537,37 +676,21 @@ module Service = struct
     t.submitted <- t.submitted + 1;
     t.in_flight <- t.in_flight + 1;
     if obs_on t.core then Obs.Metrics.Counter.incr t.core.c_requests;
-    let a =
-      {
-        svc = t;
-        src_host;
-        dst_host;
-        cells;
-        co = coordinator t src_host;
-        on_done;
-        switches = [];
-        links = [];
-        frontier = 0;
-      }
-    in
-    occupy t a.co ~cost:t.params.route_cost (fun () -> route a)
+    let a = take t ~co:(coordinator t src_host) in
+    a.src_host <- src_host;
+    a.dst_host <- dst_host;
+    a.cells <- cells;
+    a.on_done <- on_done;
+    occupy t a.co ~cost:t.params.route_cost a Route
 
   let release t vc =
     match vc.Network.cls with
     | Network.Best_effort ->
       invalid_arg "Bandwidth_central.Service.release: not guaranteed"
     | Network.Guaranteed _ ->
-      let co = coordinator t vc.Network.src_host in
-      occupy t co ~cost:t.params.release_cost (fun () ->
-          leave t co;
-          (* The circuit may have been dissolved (reroute denial, an
-             earlier release) between the request and the processor
-             getting to it; a stale release is dropped, not applied. *)
-          match Network.find_vc t.core.net vc.Network.vc_id with
-          | Some vc' when vc' == vc ->
-            t.released <- t.released + 1;
-            core_release t.core vc
-          | _ -> ())
+      let w = take t ~co:(coordinator t vc.Network.src_host) in
+      w.vc <- vc;
+      occupy t w.co ~cost:t.params.release_cost w Release
 
   (* Synchronous repair entry point for failure handlers (the soak
      harness): delegates straight to the core — repair is a
@@ -578,8 +701,8 @@ module Service = struct
   let inject_leak t ~link ~cells = core_inject_leak t.core ~link ~cells
 
   (* Snapshots. Legal only at quiescence: no in-flight admissions, no
-     pending batched writes, no armed flush timers (all of those hold
-     engine closures). What persists is the core's reservations plus
+     pending batched writes, no armed flush timers (all of those are
+     queued events naming work the snapshot does not carry). What persists is the core's reservations plus
      the per-shard processor horizons and the cumulative stats. *)
 
   let snapshot_section = "an2-bwc-service"
@@ -630,28 +753,20 @@ module Service = struct
         let escrow_conflicts = Snap.R.int r in
         let batch_flushes = Snap.R.int r in
         let batched_writes = Snap.R.int r in
-        let sink = Option.value obs ~default:Obs.Sink.null in
-        {
-          core;
-          engine;
-          params;
-          busy_until;
-          queue_len = Array.make core.shards 0;
-          pending_writes = Array.make core.shards [];
-          flush_armed = Array.make core.shards false;
-          worst_backlog;
-          in_flight = 0;
-          submitted;
-          granted;
-          denied_no_route;
-          denied_no_capacity;
-          released;
-          cross_shard;
-          escrow_conflicts;
-          batch_flushes;
-          batched_writes;
-          c_cross_shard = Obs.Sink.counter sink "bwc.cross_shard";
-          c_escrow_conflicts = Obs.Sink.counter sink "bwc.escrow_conflicts";
-          c_batch_flushes = Obs.Sink.counter sink "bwc.batch_flushes";
-        })
+        let t =
+          make ~core ~engine ~obs:(Option.value obs ~default:Obs.Sink.null)
+            params
+        in
+        Array.blit busy_until 0 t.busy_until 0 core.shards;
+        t.worst_backlog <- worst_backlog;
+        t.submitted <- submitted;
+        t.granted <- granted;
+        t.denied_no_route <- denied_no_route;
+        t.denied_no_capacity <- denied_no_capacity;
+        t.released <- released;
+        t.cross_shard <- cross_shard;
+        t.escrow_conflicts <- escrow_conflicts;
+        t.batch_flushes <- batch_flushes;
+        t.batched_writes <- batched_writes;
+        t)
 end

@@ -60,14 +60,59 @@ type route = {
   link_at : int array;
 }
 
+(* One setup, in its slot of the setup table. [epoch] stamps the
+   current attempt: events belonging to an abandoned attempt (timeout
+   fired, source moved on) carry an older stamp and evaporate. The
+   attempt's timeout is one of them, and so is every timeout once the
+   setup is [resolved]. [refs] counts the queued events and processor
+   cells that name the slot: a stale cell still reads the path its
+   setup holds when it arrives, so a slot is reused only once it is
+   resolved and [refs] is back to 0. Records are reused with their
+   slot; a free one is unresolved and holds [no_vc]. *)
+type pending = {
+  slot : int;
+  mutable vc : Network.vc;
+  mutable on_done : (Network.vc, string) result -> unit;
+  mutable submitted_at : Netsim.Time.t;
+  mutable attempt_started_at : Netsim.Time.t;
+  mutable attempt : int;
+  mutable epoch : int;
+  mutable path_switches : int array;
+  mutable path_links : int array;
+  mutable resolved : bool;
+  mutable refs : int;
+}
+
+let no_vc =
+  {
+    Network.vc_id = -1;
+    src_host = -1;
+    dst_host = -1;
+    cls = Network.Best_effort;
+    switches = [];
+    links = [];
+    paged_out = true;
+  }
+
+let no_done (_ : (Network.vc, string) result) = ()
+
 type t = {
   engine : Netsim.Engine.t;
   net : Network.t;
   params : params;
   rng : Netsim.Rng.t;
-  (* Per-switch signaling processor: cells are handled one at a time. *)
+  kind : Netsim.Engine.kind;  (* every crawl event and processor job *)
+  (* Per-switch signaling processor: cells are handled one at a time.
+     [cells.(s)] is its queue, a ring of the queued cells' events, the
+     oldest at [cell_head.(s)] and [queue_len.(s)] of them, the one in
+     service included. *)
   busy_until : Netsim.Time.t array;
   queue_len : int array;
+  cells : int array array;
+  cell_head : int array;
+  mutable table : pending array;  (* setups by slot *)
+  mutable free_slots : int array;  (* a stack of free slots *)
+  mutable n_free : int;
   mutable worst_backlog : int;
   mutable in_flight : int;
   claimed : (int, unit) Hashtbl.t;
@@ -107,46 +152,69 @@ type t = {
   h_backlog : Obs.Histogram.t;
 }
 
-let create ?(obs = Obs.Sink.null) ~engine net params =
-  let n = Topo.Graph.switch_count (Network.graph net) in
-  {
-    engine;
-    net;
-    params;
-    rng = Netsim.Rng.create params.seed;
-    busy_until = Array.make n 0;
-    queue_len = Array.make n 0;
-    worst_backlog = 0;
-    in_flight = 0;
-    claimed = Hashtbl.create 64;
-    setups = 0;
-    established = 0;
-    failed = 0;
-    attempts = 0;
-    crankbacks = 0;
-    timeouts = 0;
-    retries = 0;
-    gc_reclaimed = 0;
-    gc_runs = 0;
-    cache_version = min_int;
-    route_cache = Hashtbl.create 256;
-    orient_cache = Hashtbl.create 16;
-    route_cache_hits = 0;
-    route_cache_misses = 0;
-    obs;
-    c_established = Obs.Sink.counter obs "lifecycle.established";
-    c_failed = Obs.Sink.counter obs "lifecycle.failed";
-    c_attempts = Obs.Sink.counter obs "lifecycle.attempts";
-    c_crankbacks = Obs.Sink.counter obs "lifecycle.crankbacks";
-    c_timeouts = Obs.Sink.counter obs "lifecycle.timeouts";
-    c_retries = Obs.Sink.counter obs "lifecycle.retries";
-    c_gc_reclaimed = Obs.Sink.counter obs "lifecycle.gc_reclaimed";
-    c_route_hits = Obs.Sink.counter obs "lifecycle.route_cache_hits";
-    c_route_misses = Obs.Sink.counter obs "lifecycle.route_cache_misses";
-    g_backlog = Obs.Sink.gauge obs "lifecycle.worst_signaling_backlog";
-    h_setup_latency = Obs.Sink.histogram obs "lifecycle.setup_latency_us";
-    h_backlog = Obs.Sink.histogram obs "lifecycle.signaling_backlog";
-  }
+(* The crawl's events. Each is one int: the op in the low [op_bits],
+   then the setup's slot, the epoch of the attempt that sent it and
+   the hop. A [Job] event is a processor finishing its oldest cell
+   and carries only the switch; the cell is one of the [*_done] ops,
+   with the slot, epoch and hop of the event that queued it. *)
+type op =
+  | Job  (* a switch's processor finishes its oldest cell *)
+  | Timeout  (* the attempt's setup timeout *)
+  | Retry  (* the backoff is over: next attempt *)
+  | Route_done  (* the ingress has computed the route *)
+  | Setup  (* the setup cell reaches the switch at [hop] *)
+  | Setup_done
+  | Ack  (* the ack reaches the switch at [hop] *)
+  | Ack_done
+  | Ack_home  (* the ack reaches the source *)
+  | Release  (* the release cell reaches the switch at [hop - 1] *)
+  | Release_done
+  | Release_home  (* the release cell reaches the source *)
+
+let ops =
+  [| Job; Timeout; Retry; Route_done; Setup; Setup_done; Ack; Ack_done;
+     Ack_home; Release; Release_done; Release_home |]
+
+let op_code = function
+  | Job -> 0
+  | Timeout -> 1
+  | Retry -> 2
+  | Route_done -> 3
+  | Setup -> 4
+  | Setup_done -> 5
+  | Ack -> 6
+  | Ack_done -> 7
+  | Ack_home -> 8
+  | Release -> 9
+  | Release_done -> 10
+  | Release_home -> 11
+
+let op_bits = 4
+let slot_bits = 24
+let epoch_bits = 16
+let op_mask = (1 lsl op_bits) - 1
+let slot_mask = (1 lsl slot_bits) - 1
+let epoch_mask = (1 lsl epoch_bits) - 1
+let epoch_shift = op_bits + slot_bits
+let hop_shift = epoch_shift + epoch_bits
+
+(* A setup bumps its epoch at most twice per attempt (the attempt's
+   start, then its timeout or crankback), so its stamps stay below
+   [2 * max_attempts + 1] and fit [epoch_bits] whole. A hop indexes a
+   route, a simple path, so it stays below the switch count; the
+   table checks its slots as it grows. *)
+let check_fits (params : params) n =
+  if (2 * params.max_attempts) + 1 > epoch_mask then
+    invalid_arg "Lifecycle.create: max_attempts out of range";
+  if n > 1 lsl (Sys.int_size - 1 - hop_shift) then
+    invalid_arg "Lifecycle.create: too many switches"
+
+let[@inline] event p op hop =
+  op_code op lor (p.slot lsl op_bits) lor (p.epoch lsl epoch_shift)
+  lor (hop lsl hop_shift)
+
+(* The same event with another op: a cell keeps its epoch. *)
+let[@inline] with_op ev op = (ev land lnot op_mask) lor op_code op
 
 let in_flight t = t.in_flight
 
@@ -241,28 +309,103 @@ let route_for t ~src_host ~dst_host =
       (r, false)
   end
 
-(* One in-progress setup. [epoch] stamps the current attempt: events
-   belonging to an abandoned attempt (timeout fired, source moved on)
-   compare their stamp and evaporate. The attempt's timeout is one of
-   them, and so is every timeout once the setup is [resolved]. *)
-type pending = {
-  vc : Network.vc;
-  on_done : (Network.vc, string) result -> unit;
-  submitted_at : Netsim.Time.t;
-  mutable attempt_started_at : Netsim.Time.t;
-  mutable attempt : int;
-  mutable epoch : int;
-  mutable path_switches : int array;
-  mutable path_links : int array;
-  mutable resolved : bool;
-}
+(* ---- The setup table ---- *)
 
-(* Occupy switch [s]'s signaling processor for [cost]; [k] runs when
-   the processor gets to it. The queue includes the cell in service,
-   so [k] starts with [leave t s]: folding the decrement into the job
-   spares a wrapper closure per queued cell. *)
-let process_for t s ~cost k =
-  t.queue_len.(s) <- t.queue_len.(s) + 1;
+let grow_table t =
+  let cap = Array.length t.table in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  if ncap > 1 lsl slot_bits then failwith "Lifecycle: setup table full";
+  let fresh slot =
+    {
+      slot;
+      vc = no_vc;
+      on_done = no_done;
+      submitted_at = 0;
+      attempt_started_at = 0;
+      attempt = 0;
+      epoch = 0;
+      path_switches = [||];
+      path_links = [||];
+      resolved = false;
+      refs = 0;
+    }
+  in
+  t.table <- Array.init ncap (fun i -> if i < cap then t.table.(i) else fresh i);
+  let free = Array.make ncap 0 in
+  Array.blit t.free_slots 0 free 0 t.n_free;
+  (* Lowest new slot on top. *)
+  for slot = ncap - 1 downto cap do
+    free.(t.n_free) <- slot;
+    t.n_free <- t.n_free + 1
+  done;
+  t.free_slots <- free
+
+let take_pending t vc ~on_done =
+  if t.n_free = 0 then grow_table t;
+  t.n_free <- t.n_free - 1;
+  let p = t.table.(t.free_slots.(t.n_free)) in
+  let now = Netsim.Engine.now t.engine in
+  p.vc <- vc;
+  p.on_done <- on_done;
+  p.submitted_at <- now;
+  p.attempt_started_at <- now;
+  p.attempt <- 0;
+  p.epoch <- 0;
+  p.path_switches <- [||];
+  p.path_links <- [||];
+  p
+
+(* Free the slot of a resolved setup that no event names any more.
+   Every entry point into the crawl ends with it. *)
+let settle t p =
+  if p.resolved && p.refs = 0 then begin
+    p.resolved <- false;
+    p.vc <- no_vc;
+    p.on_done <- no_done;
+    t.free_slots.(t.n_free) <- p.slot;
+    t.n_free <- t.n_free + 1
+  end
+
+(* Post one of [p]'s events, stamped with its current epoch. *)
+let post t p ~delay op hop =
+  p.refs <- p.refs + 1;
+  Netsim.Engine.post_event t.engine ~delay t.kind (event p op hop)
+
+(* ---- Signaling processors ---- *)
+
+let push_cell t s cell =
+  let n = t.queue_len.(s) in
+  let ring = t.cells.(s) in
+  let cap = Array.length ring in
+  if n = cap then begin
+    let grown = Array.make (max 8 (2 * cap)) 0 in
+    let h = t.cell_head.(s) in
+    for k = 0 to n - 1 do
+      grown.(k) <- ring.((h + k) land (cap - 1))
+    done;
+    t.cells.(s) <- grown;
+    t.cell_head.(s) <- 0
+  end;
+  let ring = t.cells.(s) in
+  ring.((t.cell_head.(s) + n) land (Array.length ring - 1)) <- cell;
+  t.queue_len.(s) <- n + 1
+
+(* The processor of [s] is done with its oldest cell: take it off the
+   queue. *)
+let leave t s =
+  let ring = t.cells.(s) and h = t.cell_head.(s) in
+  t.cell_head.(s) <- (h + 1) land (Array.length ring - 1);
+  t.queue_len.(s) <- t.queue_len.(s) - 1;
+  ring.(h)
+
+(* Occupy switch [s]'s signaling processor for [cost] with [cell], one
+   of [p]'s events. The processor finishes its cells in the order they
+   were queued (each starts when the previous one ends, and a tie
+   keeps post order), so the [Job] event posted here dispatches the
+   oldest cell of the queue, which [leave]s it. *)
+let process_for t s ~cost p cell =
+  p.refs <- p.refs + 1;
+  push_cell t s cell;
   if obs_on t then
     Obs.Histogram.add t.h_backlog (float_of_int t.queue_len.(s));
   if t.queue_len.(s) > t.worst_backlog then begin
@@ -272,12 +415,11 @@ let process_for t s ~cost k =
   let start = max (Netsim.Engine.now t.engine) t.busy_until.(s) in
   let finish = start + cost in
   t.busy_until.(s) <- finish;
-  Netsim.Engine.post_at t.engine ~at:finish k
-
-let leave t s = t.queue_len.(s) <- t.queue_len.(s) - 1
+  Netsim.Engine.post_event_at t.engine ~at:finish t.kind
+    ((s lsl op_bits) lor op_code Job)
 
 (* One signaling cell's worth of processing. *)
-let process_at t s k = process_for t s ~cost:t.params.proc_delay k
+let process_at t s p cell = process_for t s ~cost:t.params.proc_delay p cell
 
 let latency g lid = (Topo.Graph.link g lid).Topo.Graph.latency
 
@@ -331,9 +473,7 @@ let rec start_attempt t p =
       Network.assign_route t.net p.vc ~switches:r.switches ~links:r.links;
       p.path_switches <- r.switch_at;
       p.path_links <- r.link_at;
-      let epoch = p.epoch in
-      Netsim.Engine.post t.engine ~delay:t.params.setup_timeout (fun () ->
-          on_timeout t p epoch);
+      post t p ~delay:t.params.setup_timeout Timeout 0;
       (* Route computation is charged to the ingress switch's
          signaling processor — the line card resolving the source
          route. A zero cost (the default) launches inline, leaving
@@ -341,22 +481,16 @@ let rec start_attempt t p =
       let cost =
         if cached then t.params.route_cost_cached else t.params.route_cost
       in
-      if cost = 0 then launch t p epoch
-      else begin
-        let s = p.path_switches.(0) in
-        process_for t s ~cost (fun () ->
-            leave t s;
-            if (not p.resolved) && p.epoch = epoch then launch t p epoch)
-      end
+      if cost = 0 then launch t p
+      else process_for t p.path_switches.(0) ~cost p (event p Route_done 0)
   end
 
 (* The setup cell leaves the source host over its attachment. Over a
    dead attachment it goes nowhere; the timeout recovers. *)
-and launch t p epoch =
+and launch t p =
   let g = Network.graph t.net in
   if Topo.Graph.link_working g p.path_links.(0) then
-    Netsim.Engine.post t.engine ~delay:(latency g p.path_links.(0)) (fun () ->
-        setup_arrives t p epoch 0)
+    post t p ~delay:(latency g p.path_links.(0)) Setup 0
 
 and retry t p =
   if p.resolved then ()
@@ -382,106 +516,171 @@ and retry t p =
        circuit's track are attributable to waiting, not signaling. *)
     Obs.Sink.span t.obs ~name:"phase.retry" ~cat:"lifecycle" ~ts:retry_at
       ~dur:delay ~tid:p.vc.Network.vc_id ~v:p.attempt;
-    Netsim.Engine.post t.engine ~delay (fun () -> start_attempt t p)
+    post t p ~delay Retry 0
   end
 
-and on_timeout t p epoch =
-  if (not p.resolved) && p.epoch = epoch then begin
-    t.timeouts <- t.timeouts + 1;
-    if obs_on t then Obs.Metrics.Counter.incr t.c_timeouts;
-    (* Abandon the crawl. Entries it installed stay behind as orphans
-       until the next gc — the paper's switches forget circuits only
-       when told to. *)
-    p.epoch <- p.epoch + 1;
-    p.vc.Network.paged_out <- true;
-    retry t p
-  end
+let on_timeout t p =
+  t.timeouts <- t.timeouts + 1;
+  if obs_on t then Obs.Metrics.Counter.incr t.c_timeouts;
+  (* Abandon the crawl. Entries it installed stay behind as orphans
+     until the next gc — the paper's switches forget circuits only
+     when told to. *)
+  p.epoch <- p.epoch + 1;
+  p.vc.Network.paged_out <- true;
+  retry t p
 
-(* Setup cell arrives at path hop [i] (switch p.path_switches.(i)). *)
-and setup_arrives t p epoch i =
-  let s = p.path_switches.(i) in
-  process_at t s (fun () ->
-      leave t s;
-      if p.resolved || p.epoch <> epoch then ()
-      else begin
-        let g = Network.graph t.net in
-        if not (switch_alive g s) then ()
-          (* Crashed switch swallows the cell; the timeout recovers. *)
-        else begin
-          let out = p.path_links.(i + 1) in
-          Network.install_hop t.net p.vc ~switch:s ~in_link:p.path_links.(i)
-            ~out_link:out;
-          if not (Topo.Graph.link_working g out) then crankback t p epoch i
-          else if i + 1 < Array.length p.path_switches then
-            Netsim.Engine.post t.engine ~delay:(latency g out) (fun () ->
-                setup_arrives t p epoch (i + 1))
-          else
-            (* Last switch: the cell reaches the destination host, which
-               acknowledges immediately (§2: data may follow the setup
-               cell; the ack closes the loop for the source). *)
-            Netsim.Engine.post t.engine ~delay:(2 * latency g out) (fun () ->
-                ack_arrives t p epoch i)
-        end
-      end)
-
-(* Ack crawls back toward the source through hop [i]. *)
-and ack_arrives t p epoch i =
-  let s = p.path_switches.(i) in
-  process_at t s (fun () ->
-      leave t s;
-      if p.resolved || p.epoch <> epoch then ()
-      else begin
-        let g = Network.graph t.net in
-        let back = p.path_links.(i) in
-        if not (switch_alive g s) || not (Topo.Graph.link_working g back) then ()
-          (* Swallowed ack: the source times out and retries; the fully
-             installed path becomes orphan entries for gc. *)
-        else if i = 0 then
-          Netsim.Engine.post t.engine ~delay:(latency g back) (fun () ->
-              if (not p.resolved) && p.epoch = epoch then finish t p (Ok p.vc))
-        else
-          Netsim.Engine.post t.engine ~delay:(latency g back) (fun () ->
-              ack_arrives t p epoch (i - 1))
-      end)
+(* The release cell leaves path hop [j] backwards toward the source,
+   uninstalling at each switch it reaches; at the source, the setup
+   backs off and retries on a route recomputed around the failure. A
+   dead link on the way back swallows it: the remaining prefix stays
+   as orphans and the timeout recovers. *)
+let release_from t p j =
+  let g = Network.graph t.net in
+  let back = p.path_links.(j) in
+  if not (Topo.Graph.link_working g back) then ()
+  else if j = 0 then post t p ~delay:(latency g back) Release_home 0
+  else post t p ~delay:(latency g back) Release j
 
 (* Dead next link discovered at path hop [i]: undo the entry just
    installed there (same processing slot), then walk a release cell
-   back over the installed prefix, uninstalling at each switch; at the
-   source, back off and retry on a route recomputed around the
-   failure. A dead link or switch on the way back swallows the release
-   — the remaining prefix stays as orphans and the timeout recovers. *)
-and crankback t p epoch i =
+   back over the installed prefix. *)
+let crankback t p i =
   t.crankbacks <- t.crankbacks + 1;
   if obs_on t then begin
     Obs.Metrics.Counter.incr t.c_crankbacks;
     Obs.Sink.instant t.obs ~name:"phase.crankback" ~cat:"lifecycle"
       ~ts:(Netsim.Engine.now t.engine) ~tid:p.vc.Network.vc_id ~v:i
   end;
-  let g = Network.graph t.net in
   Network.uninstall_entry t.net p.vc ~switch:p.path_switches.(i);
-  (* [step j]: the release cell leaves switch index [j] backwards. *)
-  let rec step j =
-    let back = p.path_links.(j) in
-    if not (Topo.Graph.link_working g back) then ()
-    else if j = 0 then
-      Netsim.Engine.post t.engine ~delay:(latency g back) (fun () ->
-          if (not p.resolved) && p.epoch = epoch then begin
-            p.epoch <- p.epoch + 1;
-            retry t p
-          end)
+  release_from t p i
+
+(* The setup cell has been processed at path hop [i]. *)
+let setup_done t p i =
+  let g = Network.graph t.net in
+  let s = p.path_switches.(i) in
+  if not (switch_alive g s) then ()
+    (* Crashed switch swallows the cell; the timeout recovers. *)
+  else begin
+    let out = p.path_links.(i + 1) in
+    Network.install_hop t.net p.vc ~switch:s ~in_link:p.path_links.(i)
+      ~out_link:out;
+    if not (Topo.Graph.link_working g out) then crankback t p i
+    else if i + 1 < Array.length p.path_switches then
+      post t p ~delay:(latency g out) Setup (i + 1)
     else
-      Netsim.Engine.post t.engine ~delay:(latency g back) (fun () ->
-          let prev = p.path_switches.(j - 1) in
-          process_at t prev (fun () ->
-              leave t prev;
-              if p.resolved || p.epoch <> epoch then ()
-              else if not (switch_alive g prev) then ()
-              else begin
-                Network.uninstall_entry t.net p.vc ~switch:prev;
-                step (j - 1)
-              end))
+      (* Last switch: the cell reaches the destination host, which
+         acknowledges immediately (§2: data may follow the setup
+         cell; the ack closes the loop for the source). *)
+      post t p ~delay:(2 * latency g out) Ack i
+  end
+
+(* The ack has been processed at path hop [i] on its way back. *)
+let ack_done t p i =
+  let g = Network.graph t.net in
+  let back = p.path_links.(i) in
+  if not (switch_alive g p.path_switches.(i)) || not (Topo.Graph.link_working g back)
+  then ()
+    (* Swallowed ack: the source times out and retries; the fully
+       installed path becomes orphan entries for gc. *)
+  else if i = 0 then post t p ~delay:(latency g back) Ack_home 0
+  else post t p ~delay:(latency g back) Ack (i - 1)
+
+(* The release cell has been processed at path hop [j - 1]. *)
+let release_done t p j =
+  let prev = p.path_switches.(j - 1) in
+  if switch_alive (Network.graph t.net) prev then begin
+    Network.uninstall_entry t.net p.vc ~switch:prev;
+    release_from t p (j - 1)
+  end
+
+(* One crawl event of a setup. A cell that arrives at a switch queues
+   on its processor whatever its epoch (a stale cell still costs the
+   processor its time), and a retry starts the next attempt of an
+   unresolved setup; everything else acts only for the current attempt
+   of an unresolved setup. *)
+let on_cell t ev =
+  let p = t.table.((ev lsr op_bits) land slot_mask) in
+  p.refs <- p.refs - 1;
+  let hop = ev lsr hop_shift in
+  let current =
+    (not p.resolved) && p.epoch = (ev lsr epoch_shift) land epoch_mask
   in
-  step i
+  (match ops.(ev land op_mask) with
+   | Timeout -> if current then on_timeout t p
+   | Retry -> start_attempt t p
+   | Route_done -> if current then launch t p
+   | Setup -> process_at t p.path_switches.(hop) p (with_op ev Setup_done)
+   | Setup_done -> if current then setup_done t p hop
+   | Ack -> process_at t p.path_switches.(hop) p (with_op ev Ack_done)
+   | Ack_done -> if current then ack_done t p hop
+   | Ack_home -> if current then finish t p (Ok p.vc)
+   | Release ->
+     process_at t p.path_switches.(hop - 1) p (with_op ev Release_done)
+   | Release_done -> if current then release_done t p hop
+   | Release_home ->
+     if current then begin
+       p.epoch <- p.epoch + 1;
+       retry t p
+     end
+   | Job -> assert false);
+  settle t p
+
+let on_event t ev =
+  if ev land op_mask = op_code Job then on_cell t (leave t (ev lsr op_bits))
+  else on_cell t ev
+
+let create ?(obs = Obs.Sink.null) ~engine net params =
+  let n = Topo.Graph.switch_count (Network.graph net) in
+  check_fits params n;
+  let dispatch = ref ignore in
+  let t =
+    {
+      engine;
+      net;
+      params;
+      rng = Netsim.Rng.create params.seed;
+      kind = Netsim.Engine.handler engine (fun ev -> !dispatch ev);
+      busy_until = Array.make n 0;
+      queue_len = Array.make n 0;
+      cells = Array.make n [||];
+      cell_head = Array.make n 0;
+      table = [||];
+      free_slots = [||];
+      n_free = 0;
+      worst_backlog = 0;
+      in_flight = 0;
+      claimed = Hashtbl.create 64;
+      setups = 0;
+      established = 0;
+      failed = 0;
+      attempts = 0;
+      crankbacks = 0;
+      timeouts = 0;
+      retries = 0;
+      gc_reclaimed = 0;
+      gc_runs = 0;
+      cache_version = min_int;
+      route_cache = Hashtbl.create 256;
+      orient_cache = Hashtbl.create 16;
+      route_cache_hits = 0;
+      route_cache_misses = 0;
+      obs;
+      c_established = Obs.Sink.counter obs "lifecycle.established";
+      c_failed = Obs.Sink.counter obs "lifecycle.failed";
+      c_attempts = Obs.Sink.counter obs "lifecycle.attempts";
+      c_crankbacks = Obs.Sink.counter obs "lifecycle.crankbacks";
+      c_timeouts = Obs.Sink.counter obs "lifecycle.timeouts";
+      c_retries = Obs.Sink.counter obs "lifecycle.retries";
+      c_gc_reclaimed = Obs.Sink.counter obs "lifecycle.gc_reclaimed";
+      c_route_hits = Obs.Sink.counter obs "lifecycle.route_cache_hits";
+      c_route_misses = Obs.Sink.counter obs "lifecycle.route_cache_misses";
+      g_backlog = Obs.Sink.gauge obs "lifecycle.worst_signaling_backlog";
+      h_setup_latency = Obs.Sink.histogram obs "lifecycle.setup_latency_us";
+      h_backlog = Obs.Sink.histogram obs "lifecycle.signaling_backlog";
+    }
+  in
+  dispatch := on_event t;
+  t
 
 (* Mark [vc] as having a setup pending or scheduled. *)
 let claim t (vc : Network.vc) =
@@ -494,20 +693,9 @@ let claim t (vc : Network.vc) =
 let start t vc ~on_done =
   t.setups <- t.setups + 1;
   t.in_flight <- t.in_flight + 1;
-  let p =
-    {
-      vc;
-      on_done;
-      submitted_at = Netsim.Engine.now t.engine;
-      attempt_started_at = Netsim.Engine.now t.engine;
-      attempt = 0;
-      epoch = 0;
-      path_switches = [||];
-      path_links = [||];
-      resolved = false;
-    }
-  in
-  start_attempt t p
+  let p = take_pending t vc ~on_done in
+  start_attempt t p;
+  settle t p
 
 let setup t ~src_host ~dst_host ~on_done =
   let vc = Network.register_best_effort t.net ~src_host ~dst_host in
@@ -619,8 +807,10 @@ let flush_cache t =
   Hashtbl.reset t.orient_cache;
   t.cache_version <- min_int
 
-(* Snapshots. Legal only with no setups in flight (a pending setup is
-   a web of engine closures). The cache is flushed, not serialized —
+(* Snapshots. Legal only with no setups in flight and no cell queued
+   at a processor: those are engine events and table entries that no
+   snapshot carries. The queue lengths are still written (all zero),
+   so the format is unchanged. The cache is flushed, not serialized —
    see [flush_cache]; hit/miss totals are carried as plain stats. *)
 
 let snapshot_section = "an2-lifecycle"
@@ -628,12 +818,13 @@ let snapshot_version = 1
 
 module Snap = Netsim.Snapshot
 
-let quiescent t = t.in_flight = 0
+let quiescent t = t.in_flight = 0 && Array.for_all (fun q -> q = 0) t.queue_len
 
 let save t =
   if not (quiescent t) then
     invalid_arg
-      (Printf.sprintf "Lifecycle.save: %d setups in flight" t.in_flight);
+      (Printf.sprintf "Lifecycle.save: not quiescent (%d setups in flight)"
+         t.in_flight);
   Snap.make ~name:snapshot_section ~version:snapshot_version (fun w ->
       Netsim.Rng.write w t.rng;
       Snap.W.int_array w t.busy_until;
@@ -659,10 +850,11 @@ let restore ?obs ~engine net params section =
       let n = Topo.Graph.switch_count (Network.graph net) in
       if Array.length busy_until <> n || Array.length queue_len <> n then
         Snap.R.corrupt "Lifecycle: processor array length mismatch";
+      if Array.exists (fun q -> q <> 0) queue_len then
+        Snap.R.corrupt "Lifecycle: a processor queue is not empty";
       let t = create ?obs ~engine net params in
       Netsim.Rng.blit ~src:rng ~dst:t.rng;
       Array.blit busy_until 0 t.busy_until 0 n;
-      Array.blit queue_len 0 t.queue_len 0 n;
       t.worst_backlog <- Snap.R.int r;
       t.setups <- Snap.R.int r;
       t.established <- Snap.R.int r;

@@ -158,7 +158,8 @@ val flush_cache : t -> unit
     writing run and a resumed run stand at the same cold-cache state. *)
 
 val quiescent : t -> bool
-(** No setups in flight — the only state in which {!save} is legal. *)
+(** No setups in flight and no signaling cell queued at any switch —
+    the only state in which {!save} is legal. *)
 
 val save : t -> Netsim.Snapshot.section
 (** Serialize the retry RNG stream, per-switch signaling-processor

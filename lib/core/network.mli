@@ -108,7 +108,15 @@ val teardown : t -> vc -> unit
     a guaranteed circuit). *)
 
 val vc_count : t -> int
+
 val find_vc : t -> int -> vc option
+(** The live circuit with this id. A network never reuses a vc id:
+    every register call takes the next one, and {!teardown} retires
+    it for good (a {!restore}d network goes on from the saved
+    counter). So [find_vc t vc.vc_id] is [Some vc'] with [vc' == vc]
+    exactly while [vc] is registered, and a timer that kept only the
+    id (as [Faults.Tps]'s hold timer does) finds its own circuit or
+    none. *)
 
 val iter_vcs : t -> (vc -> unit) -> unit
 (** Iterate over all live circuits (order unspecified). *)

@@ -182,41 +182,58 @@ let run_point ?obs ~graph config profile =
     !lat.(!n_lat) <- now - at;
     incr n_lat
   in
+  (* Two handler events: [hold_kind] ends a circuit's hold (payload:
+     its vc id) and [next] is the arrival cursor (payload: the
+     arrival's index). Arrivals come from a cursor over the sorted
+     timeline: each one posts its successor, so one is pending at a
+     time. Their ranks are reserved here, where posting them all would
+     have scheduled them, so same-instant events keep that order. *)
+  let hold_kind =
+    (* The circuit is the one the hold was posted for: a network
+       never reuses a vc id. Only the hold itself removes a circuit
+       here, so the lookup always finds it. *)
+    Netsim.Engine.handler engine (fun vc_id ->
+        match Network.find_vc net vc_id with
+        | Some ({ Network.cls = Network.Best_effort; _ } as vc) ->
+          Network.teardown net vc
+        | Some vc -> Service.release svc vc
+        | None -> ())
+  in
   let arrive a =
     let open Workload in
+    let on_done = function
+      | Ok vc ->
+        record_latency a.at;
+        Netsim.Engine.post_event engine ~delay:a.hold hold_kind
+          vc.Network.vc_id
+      | Error _ -> ()
+    in
     if a.cells = 0 then
-      Lifecycle.setup lc ~src_host:a.src_host ~dst_host:a.dst_host
-        ~on_done:(function
-          | Ok vc ->
-            record_latency a.at;
-            Netsim.Engine.post engine ~delay:a.hold (fun () ->
-                match Network.find_vc net vc.Network.vc_id with
-                | Some vc' when vc' == vc -> Network.teardown net vc
-                | _ -> ())
-          | Error _ -> ())
+      Lifecycle.setup lc ~src_host:a.src_host ~dst_host:a.dst_host ~on_done
     else
       Service.submit svc ~src_host:a.src_host ~dst_host:a.dst_host
-        ~cells:a.cells
-        ~on_done:(function
-          | Ok vc ->
-            record_latency a.at;
-            Netsim.Engine.post engine ~delay:a.hold (fun () ->
-                Service.release svc vc)
-          | Error _ -> ())
+        ~cells:a.cells ~on_done
   in
-  (* Arrivals come from a cursor over the sorted timeline: each one
-     posts its successor, so one is pending at a time. Their ranks are
-     reserved here, where posting them all would have scheduled them,
-     so same-instant events keep that order. *)
   let base = Netsim.Engine.reserve engine n_arrivals in
-  let rec post_from rank = function
+  let rest = ref arrivals in
+  let on_next = ref ignore in
+  let next = Netsim.Engine.handler engine (fun i -> !on_next i) in
+  let post_next i =
+    match !rest with
+    | a :: _ ->
+      Netsim.Engine.post_event_ranked engine ~at:a.Workload.at ~rank:(base + i)
+        next i
     | [] -> ()
-    | a :: rest ->
-      Netsim.Engine.post_ranked engine ~at:a.Workload.at ~rank (fun () ->
-          post_from (rank + 1) rest;
-          arrive a)
   in
-  post_from base arrivals;
+  (on_next :=
+     fun i ->
+       match !rest with
+       | a :: tl ->
+         rest := tl;
+         post_next (i + 1);
+         arrive a
+       | [] -> ());
+  post_next 0;
   (* Backlog sampler: [windows] equally spaced samples over the
      offered-load interval. *)
   let windows = max 2 config.windows in

@@ -148,6 +148,35 @@ let test_teardown () =
         (An2.Network.next_hop net ~switch:s ~vc_id:vc.vc_id))
     vc.switches
 
+(* Vc ids are never reused: not after a teardown, not across the
+   registration kinds, not after a save and restore. A timer that kept
+   only an id relies on it. *)
+let test_vc_ids_fresh () =
+  let g, net = make_net () in
+  let register net =
+    An2.Network.register_best_effort net ~src_host:0 ~dst_host:12
+  in
+  let a = register net in
+  An2.Network.teardown net a;
+  let b = register net in
+  let c =
+    match An2.Network.find_route net ~src_host:1 ~dst_host:12 with
+    | Ok (switches, links) ->
+      An2.Network.register_guaranteed net ~src_host:1 ~dst_host:12 ~cells:1
+        ~switches ~links
+    | Error e -> Alcotest.fail e
+  in
+  An2.Network.teardown net b;
+  let net' = An2.Network.restore ~graph:g (An2.Network.save net) in
+  let d = register net' in
+  let ids = List.map (fun (vc : An2.Network.vc) -> vc.vc_id) [ a; b; c; d ] in
+  Alcotest.(check int) "four distinct ids" 4
+    (List.length (List.sort_uniq compare ids));
+  Alcotest.(check bool) "torn down: gone" true
+    (An2.Network.find_vc net a.vc_id = None && An2.Network.find_vc net' b.vc_id = None);
+  Alcotest.(check bool) "the live one is itself" true
+    (match An2.Network.find_vc net' d.vc_id with Some d' -> d' == d | None -> false)
+
 let test_reroute_avoids_failure () =
   let g, net = make_net () in
   let vc =
@@ -1422,6 +1451,7 @@ let () =
           Alcotest.test_case "setup best effort" `Quick test_setup_best_effort;
           Alcotest.test_case "shortest path" `Quick test_setup_uses_shortest_path;
           Alcotest.test_case "teardown" `Quick test_teardown;
+          Alcotest.test_case "vc ids are never reused" `Quick test_vc_ids_fresh;
           Alcotest.test_case "reroute avoids failure" `Quick test_reroute_avoids_failure;
           Alcotest.test_case "guaranteed reroute rejected" `Quick
             test_reroute_guaranteed_rejected;

@@ -397,6 +397,30 @@ let test_orphan_check_matches_reference =
          && reclaimed = audited
          && reference_orphans net = []))
 
+(* The crawl allocates nothing per hop: its cells, jobs and timers are
+   handler events, and a setup's state is a reused slot of the setup
+   table. A second setup over a warm route cache on a line of 6
+   switches allocates exactly 4 more table bindings than on a line of
+   2: 28 words, a 4-word hash bucket and a 3-word link pair per hop,
+   as test_an2's install pin counts them. Everything else a setup
+   allocates (its circuit, its claim, the result) does not depend on
+   the path length. *)
+let test_crawl_allocates_nothing_per_hop () =
+  let setup_words hops =
+    let _g, net, h1, h2 = linear_net hops in
+    let engine = Netsim.Engine.create () in
+    let lc = An2.Lifecycle.create ~engine net An2.Lifecycle.default_params in
+    (* The first setup fills the route cache and grows the tables. *)
+    ignore (setup_sync engine lc ~src:h1 ~dst:h2);
+    let w0 = Gc.minor_words () in
+    let r = setup_sync engine lc ~src:h1 ~dst:h2 in
+    let words = Gc.minor_words () -. w0 in
+    (match r with Ok _ -> () | Error e -> Alcotest.fail e);
+    words
+  in
+  Alcotest.(check (float 0.)) "6 switches - 2 switches" 28.
+    (setup_words 6 -. setup_words 2)
+
 let () =
   Alcotest.run "lifecycle"
     [
@@ -405,6 +429,8 @@ let () =
           Alcotest.test_case "succeeds end to end" `Quick test_setup_succeeds;
           Alcotest.test_case "no route is terminal" `Quick
             test_no_route_is_terminal;
+          Alcotest.test_case "crawl allocates nothing per hop" `Quick
+            test_crawl_allocates_nothing_per_hop;
         ] );
       ( "recovery",
         [
