@@ -26,11 +26,12 @@ type node = {
   id : int;
   mutable tag : Tag.t;
   mutable parent : int option;
-  mutable children : int list;
-  mutable n_children : int;  (* length of [children], kept as a counter *)
+  mutable kids : int array;
+      (* the accepted children, [n_children] of them in the order they
+         accepted; a child that has reported is stored as [lnot id] *)
+  mutable n_children : int;
   mutable pending_acks : int;
   mutable acks_done : bool;
-  mutable reported_children : int list;
   mutable n_reported : int;
   mutable collected : int array;  (* union of the children's reports *)
   mutable reported_edges : int;  (* sum of the children's Report counts *)
@@ -43,11 +44,10 @@ let create_node ~id =
     id;
     tag = Tag.zero;
     parent = None;
-    children = [];
+    kids = [||];
     n_children = 0;
     pending_acks = 0;
     acks_done = false;
-    reported_children = [];
     n_reported = 0;
     collected = [||];
     reported_edges = 0;
@@ -58,7 +58,17 @@ let create_node ~id =
 let node_id n = n.id
 let current_tag n = n.tag
 let parent n = n.parent
-let children n = n.children
+let child_id k = if k < 0 then lnot k else k
+
+(* [f c :: tail] for each child [c], the latest to accept first. *)
+let map_children n f tail =
+  let acc = ref tail in
+  for i = 0 to n.n_children - 1 do
+    acc := f (child_id n.kids.(i)) :: !acc
+  done;
+  !acc
+
+let children n = map_children n Fun.id []
 let completed n = n.completed
 
 type action =
@@ -70,14 +80,18 @@ type env = {
   local_edges : unit -> int array;
 }
 
+(* Make room for as many children as invitations are out: a node only
+   accepts children while it awaits their answers. *)
+let expect_acks n count =
+  n.pending_acks <- count;
+  if Array.length n.kids < count then n.kids <- Array.make count 0
+
 let reset_for n tag parent =
   n.tag <- tag;
   n.parent <- parent;
-  n.children <- [];
   n.n_children <- 0;
   n.pending_acks <- 0;
   n.acks_done <- false;
-  n.reported_children <- [];
   n.n_reported <- 0;
   n.collected <- [||];
   n.reported_edges <- 0;
@@ -101,8 +115,9 @@ let finish_collection n env =
   | None ->
     (* Root: topology acquisition complete; distribute down the tree. *)
     n.completed <- Some (n.tag, edges);
-    List.map (fun c -> Send { dst = c; msg = Distribute (n.tag, edges) }) n.children
-    @ [ Completed n.tag ]
+    map_children n
+      (fun c -> Send { dst = c; msg = Distribute (n.tag, edges) })
+      [ Completed n.tag ]
 
 let after_acks n env =
   n.acks_done <- true;
@@ -118,7 +133,7 @@ let initiate_from n env base =
     finish_collection n env
   end
   else begin
-    n.pending_acks <- Array.length neighbors;
+    expect_acks n (Array.length neighbors);
     Array.fold_right
       (fun s acc -> Send { dst = s; msg = Invite tag } :: acc)
       neighbors []
@@ -134,7 +149,7 @@ let handle_invite n env ~from tag =
     let neighbors = env.neighbors () in
     let others = ref 0 in
     Array.iter (fun s -> if s <> from then incr others) neighbors;
-    n.pending_acks <- !others;
+    expect_acks n !others;
     let accept = Send { dst = from; msg = Ack (tag, true) } in
     let invites =
       Array.fold_right
@@ -167,7 +182,7 @@ let handle_reject n env ~stale ~newer =
 let handle_ack n env ~from tag accepted =
   if Tag.equal tag n.tag && not n.acks_done && n.pending_acks > 0 then begin
     if accepted then begin
-      n.children <- from :: n.children;
+      n.kids.(n.n_children) <- from;
       n.n_children <- n.n_children + 1
     end;
     n.pending_acks <- n.pending_acks - 1;
@@ -175,13 +190,21 @@ let handle_ack n env ~from tag accepted =
   end
   else []
 
+(* Mark child [from] as reported. False if [from] is no child, or one
+   that has reported already. *)
+let mark_reported n from =
+  let rec scan i =
+    if i = n.n_children then false
+    else if n.kids.(i) = from then begin
+      n.kids.(i) <- lnot from;
+      true
+    end
+    else scan (i + 1)
+  in
+  scan 0
+
 let handle_report n env ~from tag edges reported =
-  if
-    Tag.equal tag n.tag
-    && List.mem from n.children
-    && not (List.mem from n.reported_children)
-  then begin
-    n.reported_children <- from :: n.reported_children;
+  if Tag.equal tag n.tag && mark_reported n from then begin
     n.n_reported <- n.n_reported + 1;
     n.collected <- union n.collected edges;
     n.reported_edges <- n.reported_edges + reported;
@@ -197,10 +220,9 @@ let handle_distribute n ~from tag topology =
   in
   if Tag.equal tag n.tag && n.parent = Some from && fresh then begin
     n.completed <- Some (tag, topology);
-    List.map
+    map_children n
       (fun c -> Send { dst = c; msg = Distribute (tag, topology) })
-      n.children
-    @ [ Completed tag ]
+      [ Completed tag ]
   end
   else []
 
