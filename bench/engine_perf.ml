@@ -1,12 +1,15 @@
 (* Engine perf-trajectory harness.
 
-   Measures the discrete-event engine core — post/dispatch cycles
-   and an SRC-LAN control-plane macro — on
+   Measures the discrete-event engine core — post/dispatch cycles of
+   thunks and of handler events, and an SRC-LAN control-plane macro —
+   on
    both the production pooled engine and the retained pre-pool
    reference implementation, so the speedup is measured, not asserted.
    A multi-seed reconfiguration sweep (the real protocol runner)
    exercises [Netsim.Sweep] sequentially and in parallel and checks
    the per-seed outcomes agree. Results land in BENCH_engine.json.
+   Exits 1 if a pooled-engine micro row allocates: every post/dispatch
+   cycle of the pooled engine must allocate zero minor words.
 
    Usage: dune exec bench/engine_perf.exe [-- --smoke] [-- --out FILE] *)
 
@@ -18,6 +21,11 @@ module type ENGINE = sig
   val create : ?obs:Obs.Sink.t -> unit -> t
   val now : t -> Netsim.Time.t
   val post : t -> delay:Netsim.Time.t -> (unit -> unit) -> unit
+
+  type kind
+
+  val handler : t -> (int -> unit) -> kind
+  val post_event : t -> delay:Netsim.Time.t -> kind -> int -> unit
   val pending : t -> int
   val dispatched : t -> int
   val step : t -> bool
@@ -32,8 +40,9 @@ let measure ~engine ~name ~ops f = { engine; name; s = Util.measure ~ops f }
 let noop () = ()
 
 (* ------------------------------------------------------------------ *)
-(* Micro: bare engine cycles, preallocated thunks so the engine's own
-   allocation (and nothing else) shows in words/op. *)
+(* Micro: bare engine cycles, preallocated thunks (or a handler event)
+   so the engine's own allocation (and nothing else) shows in
+   words/op. *)
 
 module Micro (E : ENGINE) = struct
   let run ~engine_name ~ops =
@@ -70,7 +79,17 @@ module Micro (E : ENGINE) = struct
       measure ~engine:engine_name ~name:"schedule+dispatch-1k-near" ~ops
         (fun () -> ignore (E.step e : bool))
     in
-    [ sched_dispatch; backlogged; near_backlog ]
+    let handler_event =
+      (* The first cycle again with a handler event: the payload
+         travels in the pool slot, and no closure exists at all. *)
+      let e = E.create () in
+      let k = E.handler e ignore in
+      measure ~engine:engine_name ~name:"post+dispatch (handler)" ~ops
+        (fun () ->
+          E.post_event e ~delay:1 k 0;
+          ignore (E.step e : bool))
+    in
+    [ sched_dispatch; backlogged; near_backlog; handler_event ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -84,9 +103,9 @@ end
    10 ms timeout against ~10 us acks the retired timers stay queued
    until they come due and do nothing, so the heap runs thousands
    deep — the regime a live installation's timer population puts the
-   engine in. Message thunks are preallocated per switch; each timer
-   carries its stamp, so an arm allocates one small closure, as in
-   [Reconfig.Reliable]. *)
+   engine in. A message is a handler event whose payload is the switch
+   it reaches; each timer carries its stamp, so an arm allocates one
+   small closure, as in [Reconfig.Reliable]. *)
 
 type macro = {
   events : int;
@@ -115,7 +134,8 @@ module Macro (E : ENGINE) = struct
     let count = ref 0 in
     let stamps = Array.make channels 0 in
     let rr = Array.make n 0 in
-    let msg_thunk = Array.make n noop in
+    let on_msg = ref ignore in
+    let msg_kind = E.handler e (fun s -> !on_msg s) in
     let retransmit_after = Netsim.Time.ms 10 in
     let rec msg s =
       incr count;
@@ -131,12 +151,12 @@ module Macro (E : ENGINE) = struct
         stamps.(c) <- stamp;
         E.post e ~delay:retransmit_after (timer s c stamp);
         (* The message itself: one link hop plus line-card time. *)
-        E.post e ~delay:(Netsim.Time.us 10) msg_thunk.(d)
+        E.post_event e ~delay:(Netsim.Time.us 10) msg_kind d
       end
     and timer s c stamp () = if stamps.(c) = stamp then msg s in
+    on_msg := msg;
     for s = 0 to n - 1 do
-      msg_thunk.(s) <- (fun () -> msg s);
-      E.post e ~delay:0 msg_thunk.(s)
+      E.post_event e ~delay:0 msg_kind s
     done;
     let words, elapsed =
       Util.time (fun () ->
@@ -468,6 +488,9 @@ let () =
     intra.skipped_domains;
   Printf.printf "intra deterministic %b, reconfig macro deterministic %b\n"
     intra.intra_deterministic intra.reconfig_macro_deterministic;
+  let allocating =
+    List.filter (fun { engine; s; _ } -> engine = "pooled" && s.words_per_op > 0.0) samples
+  in
   let pp = parprof_bench ~repeats:(if cli.smoke then 2 else 5) in
   Printf.printf
     "parprof reconfig 4 partitions x %d domains: obs off %.3fs, obs on %.3fs \
@@ -594,4 +617,12 @@ let () =
             ( "pooled_schedule_dispatch_minor_words_per_cycle",
               Num (find "pooled" dispatch).words_per_op );
           ] );
-    ]
+    ];
+  if allocating <> [] then begin
+    List.iter
+      (fun { name; s; _ } ->
+        Printf.eprintf "engine_perf: pooled %s allocates %.2f words/op\n" name
+          s.words_per_op)
+      allocating;
+    exit 1
+  end
