@@ -1,8 +1,9 @@
 (* Allocation-free discrete-event engine core.
 
    The event store is a pooled structure of arrays indexed by slot:
-   thunk, payload, birth time and a free-list link, all in flat arrays
-   that grow geometrically and are reused forever. The ready queue has two
+   thunk, payload (once a handler exists), birth time (with an enabled
+   sink) and a free-list link, all in flat arrays that grow
+   geometrically and are reused forever. The ready queue has two
    parts. A wheel of one-nanosecond buckets holds every event due
    within [wheel_span] of the clock; an {!Eheap} (a monomorphic 4-ary
    min-heap over (time, seq) keys whose payloads are pool slots) holds
@@ -34,8 +35,8 @@
 
    A slot holds a thunk and an int payload. A handler event's thunk is
    the one [handler] built when the handler was registered, which
-   calls it on the payload of the event being dispatched; a thunk
-   post leaves the payload unused. Both forms travel the same pool,
+   calls it on the payload of the slot being dispatched; a thunk post
+   leaves the payload unused. Both forms travel the same pool,
    wheel and heap and take the same tie-break ranks, so they
    interleave in one (time, seq) order, and a handler event stores a
    closure that exists already and an int, so posting one allocates
@@ -88,7 +89,7 @@ type t = {
   mutable scheduled_total : int;  (* the snapshot's tie-break counter *)
   mutable thunks : (unit -> unit) array;
   mutable payloads : int array;
-  mutable payload : int;  (* the payload of the event being dispatched *)
+  mutable current : int;  (* the slot being dispatched *)
   mutable handlers : (unit -> unit) array;  (* by kind: the events' thunks *)
   mutable n_handlers : int;
   mutable born : int array;
@@ -115,7 +116,7 @@ let create ?(obs = Obs.Sink.null) () =
     scheduled_total = 0;
     thunks = [||];
     payloads = [||];
-    payload = 0;
+    current = 0;
     handlers = [||];
     n_handlers = 0;
     born = [||];
@@ -222,25 +223,26 @@ let pending t = t.live
 
 let dispatched t = t.dispatched_total
 
+let extend a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Double the pool. [payloads] exists only once a handler is
+   registered and [born] only with an enabled sink, the one reader of
+   birth times: an engine without them keeps two arrays per slot. *)
 let grow t =
   let cap = Array.length t.free_next in
   let ncap = if cap = 0 then 64 else cap * 2 in
-  let nthunks = Array.make ncap noop
-  and npayloads = Array.make ncap 0
-  and nborn = Array.make ncap 0
-  and nfree = Array.make ncap 0 in
-  Array.blit t.thunks 0 nthunks 0 cap;
-  Array.blit t.payloads 0 npayloads 0 cap;
-  Array.blit t.born 0 nborn 0 cap;
-  Array.blit t.free_next 0 nfree 0 cap;
+  let nfree = extend t.free_next ncap 0 in
   (* Thread the new slots onto the free list, lowest first. *)
   for slot = ncap - 1 downto cap do
     nfree.(slot) <- t.free_head;
     t.free_head <- slot
   done;
-  t.thunks <- nthunks;
-  t.payloads <- npayloads;
-  t.born <- nborn;
+  t.thunks <- extend t.thunks ncap noop;
+  if t.n_handlers > 0 then t.payloads <- extend t.payloads ncap 0;
+  if t.obs.Obs.Sink.enabled then t.born <- extend t.born ncap 0;
   t.free_next <- nfree
 
 (* Return a slot to the pool; dropping the thunk reference lets the
@@ -257,8 +259,12 @@ let handler t f =
     Array.blit t.handlers 0 grown 0 n;
     t.handlers <- grown
   end;
-  t.handlers.(n) <- (fun () -> f t.payload);
+  (* Run before any other post can reuse the slot, the thunk reads its
+     payload first. *)
+  t.handlers.(n) <- (fun () -> f t.payloads.(t.current));
   t.n_handlers <- n + 1;
+  let cap = Array.length t.free_next in
+  if Array.length t.payloads < cap then t.payloads <- extend t.payloads cap 0;
   n
 
 let check_kind t kind =
@@ -277,9 +283,11 @@ let[@inline] take_slot t =
   if t.free_head < 0 then grow t;
   let slot = t.free_head in
   t.free_head <- t.free_next.(slot);
-  t.born.(slot) <- t.clock;
   t.live <- t.live + 1;
-  if t.obs.Obs.Sink.enabled then Obs.Metrics.Counter.incr t.c_scheduled;
+  if t.obs.Obs.Sink.enabled then begin
+    t.born.(slot) <- t.clock;
+    Obs.Metrics.Counter.incr t.c_scheduled
+  end;
   slot
 
 let[@inline] take_event_slot t kind payload =
@@ -347,12 +355,12 @@ let post_event_ranked t ~at ~rank kind payload =
 let[@inline] fire t at slot =
   t.clock <- at;
   let thunk = t.thunks.(slot) in
-  let born = t.born.(slot) in
-  t.payload <- t.payloads.(slot);
+  t.current <- slot;
   release t slot;
   t.live <- t.live - 1;
   t.dispatched_total <- t.dispatched_total + 1;
   if t.obs.Obs.Sink.enabled then begin
+    let born = t.born.(slot) in
     Obs.Metrics.Counter.incr t.c_dispatched;
     Obs.Metrics.Gauge.set t.g_depth (float_of_int t.live);
     Obs.Histogram.add t.h_wait (Time.to_us (at - born));
@@ -433,8 +441,7 @@ let restore ?obs section =
       t.dispatched_total <- dispatched_total;
       t.scheduled_total <- next_seq;
       t.thunks <- Array.make cap noop;
-      t.payloads <- Array.make cap 0;
-      t.born <- Array.make cap 0;
+      if t.obs.Obs.Sink.enabled then t.born <- Array.make cap 0;
       t.free_next <- free_next;
       t.free_head <- free_head;
       t)
