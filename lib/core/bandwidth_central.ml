@@ -385,25 +385,29 @@ module Service = struct
 
   let coordinator t src_host = src_host mod t.core.shards
 
+  (* What a slot holds until work first takes it: the table's unused
+     capacity costs a word per slot, not a record. *)
+  let vacant =
+    {
+      slot = -1;
+      src_host = 0;
+      dst_host = 0;
+      cells = 0;
+      co = 0;
+      on_done = no_done;
+      switches = [];
+      links = [];
+      frontier = 0;
+      vc = no_vc;
+      batch = [];
+    }
+
   let grow_table t =
     let cap = Array.length t.table in
     let ncap = if cap = 0 then 16 else 2 * cap in
-    let fresh slot =
-      {
-        slot;
-        src_host = 0;
-        dst_host = 0;
-        cells = 0;
-        co = 0;
-        on_done = no_done;
-        switches = [];
-        links = [];
-        frontier = 0;
-        vc = no_vc;
-        batch = [];
-      }
-    in
-    t.table <- Array.init ncap (fun i -> if i < cap then t.table.(i) else fresh i);
+    let table = Array.make ncap vacant in
+    Array.blit t.table 0 table 0 cap;
+    t.table <- table;
     let free = Array.make ncap 0 in
     (* Lowest new slot on top. *)
     for slot = ncap - 1 downto cap do
@@ -417,7 +421,15 @@ module Service = struct
   let take t ~co =
     if t.n_free = 0 then grow_table t;
     t.n_free <- t.n_free - 1;
-    let w = t.table.(t.free_slots.(t.n_free)) in
+    let slot = t.free_slots.(t.n_free) in
+    let w =
+      if t.table.(slot) != vacant then t.table.(slot)
+      else begin
+        let w = { vacant with slot } in
+        t.table.(slot) <- w;
+        w
+      end
+    in
     w.co <- co;
     w
 

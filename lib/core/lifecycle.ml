@@ -311,28 +311,31 @@ let route_for t ~src_host ~dst_host =
 
 (* ---- The setup table ---- *)
 
+(* What a slot holds until a setup first takes it: the table's
+   unused capacity costs a word per slot, not a record. *)
+let vacant =
+  {
+    slot = -1;
+    vc = no_vc;
+    on_done = no_done;
+    submitted_at = 0;
+    attempt_started_at = 0;
+    attempt = 0;
+    epoch = 0;
+    path_switches = [||];
+    path_links = [||];
+    resolved = false;
+    refs = 0;
+  }
+
 let grow_table t =
   let cap = Array.length t.table in
   let ncap = if cap = 0 then 16 else 2 * cap in
   if ncap > 1 lsl slot_bits then failwith "Lifecycle: setup table full";
-  let fresh slot =
-    {
-      slot;
-      vc = no_vc;
-      on_done = no_done;
-      submitted_at = 0;
-      attempt_started_at = 0;
-      attempt = 0;
-      epoch = 0;
-      path_switches = [||];
-      path_links = [||];
-      resolved = false;
-      refs = 0;
-    }
-  in
-  t.table <- Array.init ncap (fun i -> if i < cap then t.table.(i) else fresh i);
+  let table = Array.make ncap vacant in
+  Array.blit t.table 0 table 0 cap;
+  t.table <- table;
   let free = Array.make ncap 0 in
-  Array.blit t.free_slots 0 free 0 t.n_free;
   (* Lowest new slot on top. *)
   for slot = ncap - 1 downto cap do
     free.(t.n_free) <- slot;
@@ -343,7 +346,15 @@ let grow_table t =
 let take_pending t vc ~on_done =
   if t.n_free = 0 then grow_table t;
   t.n_free <- t.n_free - 1;
-  let p = t.table.(t.free_slots.(t.n_free)) in
+  let slot = t.free_slots.(t.n_free) in
+  let p =
+    if t.table.(slot) != vacant then t.table.(slot)
+    else begin
+      let p = { vacant with slot } in
+      t.table.(slot) <- p;
+      p
+    end
+  in
   let now = Netsim.Engine.now t.engine in
   p.vc <- vc;
   p.on_done <- on_done;
