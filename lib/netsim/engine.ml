@@ -254,11 +254,8 @@ let[@inline] release t slot =
 
 let handler t f =
   let n = t.n_handlers in
-  if n = Array.length t.handlers then begin
-    let grown = Array.make (max 4 (2 * n)) noop in
-    Array.blit t.handlers 0 grown 0 n;
-    t.handlers <- grown
-  end;
+  if n = Array.length t.handlers then
+    t.handlers <- extend t.handlers (max 4 (2 * n)) noop;
   (* Run before any other post can reuse the slot, the thunk reads its
      payload first. *)
   t.handlers.(n) <- (fun () -> f t.payloads.(t.current));
