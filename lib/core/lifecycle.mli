@@ -103,7 +103,10 @@ val create : ?obs:Obs.Sink.t -> engine:Netsim.Engine.t -> Network.t -> params ->
     ["lifecycle"], tid = vc id): a [phase.crawl] span over the winning
     attempt, [phase.retry] spans covering each backoff wait,
     [phase.crankback] instants at dead-link discoveries, and
-    [phase.gc] instants carrying the reclaimed-entry count. *)
+    [phase.gc] instants carrying the reclaimed-entry count. Raises
+    [Invalid_argument] if [params.max_attempts] is above 32,767 or the
+    graph has more than 262,144 switches: a crawl event carries its
+    attempt's epoch and its hop in one int. *)
 
 val setup :
   t -> src_host:int -> dst_host:int ->
