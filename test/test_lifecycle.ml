@@ -421,6 +421,21 @@ let test_crawl_allocates_nothing_per_hop () =
   Alcotest.(check (float 0.)) "6 switches - 2 switches" 28.
     (setup_words 6 -. setup_words 2)
 
+(* A crawl event carries its attempt's epoch in 16 bits, and a setup
+   uses at most 2 * max_attempts + 1 of them. *)
+let test_attempt_limit () =
+  let _g, net, _, _ = linear_net 2 in
+  let engine = Netsim.Engine.create () in
+  let create max_attempts =
+    ignore
+      (An2.Lifecycle.create ~engine net
+         { An2.Lifecycle.default_params with max_attempts })
+  in
+  create 32_767;
+  Alcotest.check_raises "32,768 attempts"
+    (Invalid_argument "Lifecycle.create: max_attempts out of range") (fun () ->
+      create 32_768)
+
 let () =
   Alcotest.run "lifecycle"
     [
@@ -431,6 +446,7 @@ let () =
             test_no_route_is_terminal;
           Alcotest.test_case "crawl allocates nothing per hop" `Quick
             test_crawl_allocates_nothing_per_hop;
+          Alcotest.test_case "attempt limit" `Quick test_attempt_limit;
         ] );
       ( "recovery",
         [
