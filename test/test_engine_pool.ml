@@ -736,7 +736,7 @@ let () =
           test_differential_obs_identical;
           test_differential_wheel;
         ] );
-      ( "handler events",
+      ( "handlers",
         [
           test_differential_events;
           Alcotest.test_case "post+dispatch allocates nothing" `Quick
