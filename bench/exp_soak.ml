@@ -109,8 +109,7 @@ let () =
       total = Netsim.Time.s (if smoke then 30 else 3960);
       every = Netsim.Time.s 5;
       audit_every = 4;
-      thresholds =
-        { Faults.Tps.default_thresholds with terminal_failure_pct = 25.0 };
+      terminal_failure_pct = 25.0;
     }
   in
   let inject_at = Netsim.Time.s (if smoke then 20 else 3660) in

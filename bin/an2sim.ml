@@ -1036,8 +1036,7 @@ let churn_cmd =
       in
       Faults.Churn.run ~obs ~graph:g
         {
-          Faults.Churn.default_params with
-          schedule;
+          Faults.Churn.schedule;
           duration;
           circuits;
           partitions = ctx.partitions;
@@ -1122,8 +1121,7 @@ let partition_cmd =
     let once ~obs seed =
       Faults.Partition.run ~obs ~graph:(graph net)
         {
-          Faults.Partition.default_params with
-          circuits;
+          Faults.Partition.circuits;
           split_at = Netsim.Time.ms split_ms;
           heal_at = Netsim.Time.ms heal_ms;
           detection_delay = Netsim.Time.ms detect_ms;
@@ -1241,7 +1239,7 @@ let tps_cmd =
         in
         let service =
           if no_batch then
-            { An2.Bandwidth_central.Service.default_params with flush_every = 0 }
+            { An2.Bandwidth_central.Service.flush_every = 0 }
           else An2.Bandwidth_central.Service.default_params
         in
         { Faults.Tps.improved_config with lifecycle; service; shards }

@@ -243,26 +243,21 @@ let core_reroute_after_failure = reroute_after_failure
 let core_inject_leak = inject_leak
 
 module Service = struct
-  type params = {
-    route_cost : Netsim.Time.t;
-    admit_cost : Netsim.Time.t;
-    escrow_cost : Netsim.Time.t;
-    write_cost : Netsim.Time.t;
-    write_unit : Netsim.Time.t;
-    flush_every : Netsim.Time.t;
-    release_cost : Netsim.Time.t;
-  }
+  type params = { flush_every : Netsim.Time.t }
 
-  let default_params =
-    {
-      route_cost = Netsim.Time.us 80;
-      admit_cost = Netsim.Time.us 40;
-      escrow_cost = Netsim.Time.us 25;
-      write_cost = Netsim.Time.us 20;
-      write_unit = Netsim.Time.us 2;
-      flush_every = Netsim.Time.us 500;
-      release_cost = Netsim.Time.us 30;
-    }
+  let default_params = { flush_every = Netsim.Time.us 500 }
+
+  (* The coordinator and shard work of one admission (E35's cost
+     model): the capacity route, commit validation and reservation,
+     escrow per foreign shard, a routing-table write (per entry inline,
+     per flush when batched) plus a unit per entry inside a flush, and
+     a release. *)
+  let route_cost = Netsim.Time.us 80
+  let admit_cost = Netsim.Time.us 40
+  let escrow_cost = Netsim.Time.us 25
+  let write_cost = Netsim.Time.us 20
+  let write_unit = Netsim.Time.us 2
+  let release_cost = Netsim.Time.us 30
 
   type stats = {
     submitted : int;
@@ -299,17 +294,6 @@ module Service = struct
     mutable vc : Network.vc;  (* to release *)
     mutable batch : Network.vc list;  (* to write *)
   }
-
-  let no_vc =
-    {
-      Network.vc_id = -1;
-      src_host = -1;
-      dst_host = -1;
-      cls = Network.Best_effort;
-      switches = [];
-      links = [];
-      paged_out = true;
-    }
 
   let no_done (_ : (Network.vc, denial) result) = ()
 
@@ -398,7 +382,7 @@ module Service = struct
       switches = [];
       links = [];
       frontier = 0;
-      vc = no_vc;
+      vc = Network.no_vc;
       batch = [];
     }
 
@@ -438,7 +422,7 @@ module Service = struct
     w.on_done <- no_done;
     w.switches <- [];
     w.links <- [];
-    w.vc <- no_vc;
+    w.vc <- Network.no_vc;
     w.batch <- [];
     t.free_slots.(t.n_free) <- w.slot;
     t.n_free <- t.n_free + 1
@@ -482,8 +466,7 @@ module Service = struct
     in
     let w = take t ~co:sh in
     w.batch <- vcs;
-    occupy t sh ~cost:(t.params.write_cost + (entries * t.params.write_unit)) w
-      Write
+    occupy t sh ~cost:(write_cost + (entries * write_unit)) w Write
 
   let write t w =
     List.iter
@@ -553,11 +536,11 @@ module Service = struct
     a.frontier <- sh;
     if sh >= t.core.shards then begin
       let writes =
-        if batched t then 0 else List.length a.switches * t.params.write_cost
+        if batched t then 0 else List.length a.switches * write_cost
       in
-      occupy t a.co ~cost:(t.params.admit_cost + writes) a Commit
+      occupy t a.co ~cost:(admit_cost + writes) a Commit
     end
-    else occupy t sh ~cost:t.params.escrow_cost a Hold
+    else occupy t sh ~cost:escrow_cost a Hold
 
   let route t a =
     match
@@ -693,7 +676,7 @@ module Service = struct
     a.dst_host <- dst_host;
     a.cells <- cells;
     a.on_done <- on_done;
-    occupy t a.co ~cost:t.params.route_cost a Route
+    occupy t a.co ~cost:route_cost a Route
 
   let release t vc =
     match vc.Network.cls with
@@ -702,7 +685,7 @@ module Service = struct
     | Network.Guaranteed _ ->
       let w = take t ~co:(coordinator t vc.Network.src_host) in
       w.vc <- vc;
-      occupy t w.co ~cost:t.params.release_cost w Release
+      occupy t w.co ~cost:release_cost w Release
 
   (* Synchronous repair entry point for failure handlers (the soak
      harness): delegates straight to the core — repair is a

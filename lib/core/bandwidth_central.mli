@@ -100,25 +100,19 @@ val restore : ?obs:Obs.Sink.t -> Network.t -> Netsim.Snapshot.section -> t
     under load rather than an instantaneous oracle. *)
 module Service : sig
   type params = {
-    route_cost : Netsim.Time.t;
-        (** capacity-route computation, charged to the coordinator *)
-    admit_cost : Netsim.Time.t;
-        (** commit validation + reservation at the coordinator *)
-    escrow_cost : Netsim.Time.t;
-        (** per foreign shard visited by a cross-shard route *)
-    write_cost : Netsim.Time.t;
-        (** per routing-table entry when unbatched; per batch flush
-            when batched *)
-    write_unit : Netsim.Time.t;  (** per entry inside a batched flush *)
     flush_every : Netsim.Time.t;
         (** batched-write flush period; [0] disables batching (every
-            admission pays [write_cost] per entry inline) *)
-    release_cost : Netsim.Time.t;  (** coordinator work per release *)
+            admission pays the table-write cost per entry inline) *)
   }
+  (** The rest of E35's cost model is fixed, not a parameter. The
+      coordinator pays 80 us to compute a capacity route, 40 us to
+      validate and commit it, and 30 us per release; each foreign
+      shard a cross-shard route visits pays 25 us of escrow; a
+      routing-table write costs 20 us, per entry inline or per flush
+      when batched, plus 2 us per entry inside a flush. *)
 
   val default_params : params
-  (** 80/40/25/20 us, 2 us per batched entry, 500 us flush, 30 us
-      release. *)
+  (** A flush every 500 us. *)
 
   type stats = {
     submitted : int;

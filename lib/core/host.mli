@@ -7,9 +7,6 @@
     follows a single path), so reassembly needs only a per-circuit
     accumulator and an end-of-packet mark. *)
 
-val cell_payload : int
-(** 48 bytes. *)
-
 type packet = { packet_id : int; size : int  (** bytes, > 0 *) }
 
 type cell = {

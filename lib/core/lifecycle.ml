@@ -1,14 +1,8 @@
-type routing =
-  | Shortest
-  | Updown
-
 type params = {
   proc_delay : Netsim.Time.t;
   setup_timeout : Netsim.Time.t;
   max_attempts : int;
-  jitter : float;
   pace : Netsim.Time.t;
-  routing : routing;
   seed : int;
   route_cost : Netsim.Time.t;
   route_cost_cached : Netsim.Time.t;
@@ -20,9 +14,7 @@ let default_params =
     proc_delay = Netsim.Time.us 100;
     setup_timeout = Netsim.Time.ms 20;
     max_attempts = 8;
-    jitter = 0.2;
     pace = Netsim.Time.us 500;
-    routing = Shortest;
     seed = 0;
     route_cost = 0;
     route_cost_cached = 0;
@@ -30,9 +22,11 @@ let default_params =
   }
 
 (* Retry backoff: the first retry waits 1 ms, each further one doubles
-   the wait, up to 100 ms. *)
+   the wait, up to 100 ms, scaled by a seeded factor in [0.8, 1.2] so
+   colliding retries decorrelate. *)
 let backoff_base = Netsim.Time.ms 1
 let backoff_max = Netsim.Time.ms 100
+let jitter = 0.2
 
 type stats = {
   setups : int;
@@ -68,7 +62,7 @@ type route = {
    cells that name the slot: a stale cell still reads the path its
    setup holds when it arrives, so a slot is reused only once it is
    resolved and [refs] is back to 0. Records are reused with their
-   slot; a free one is unresolved and holds [no_vc]. *)
+   slot; a free one is unresolved and holds [Network.no_vc]. *)
 type pending = {
   slot : int;
   mutable vc : Network.vc;
@@ -82,17 +76,6 @@ type pending = {
   mutable resolved : bool;
   mutable refs : int;
 }
-
-let no_vc =
-  {
-    Network.vc_id = -1;
-    src_host = -1;
-    dst_host = -1;
-    cls = Network.Best_effort;
-    switches = [];
-    links = [];
-    paged_out = true;
-  }
 
 let no_done (_ : (Network.vc, string) result) = ()
 
@@ -127,14 +110,13 @@ type t = {
   mutable retries : int;
   mutable gc_reclaimed : int;
   mutable gc_runs : int;
-  (* Legal-path cache, keyed by the graph-version counter: any
-     mutation (structural or fail/restore) bumps the version, which
-     empties both tables on the next lookup. Pure memoization —
+  (* Route cache, keyed by the graph-version counter: any mutation
+     (structural or fail/restore) bumps the version, which empties the
+     table on the next lookup. Pure memoization —
      [route_for] is a function of the graph state alone, so cached
      runs replay byte-identically to uncached ones. *)
   mutable cache_version : int;
   route_cache : (int, (route, string) result) Hashtbl.t;
-  orient_cache : (int, Topo.Updown.t) Hashtbl.t;
   mutable route_cache_hits : int;
   mutable route_cache_misses : int;
   obs : Obs.Sink.t;
@@ -249,26 +231,7 @@ let switch_alive g s =
 
 (* Recompute a host pair's route on the current topology. *)
 let compute_route t ~src_host ~dst_host =
-  let g = Network.graph t.net in
-  let search =
-    match t.params.routing with
-    | Shortest -> Topo.Paths.route_links g
-    | Updown ->
-      fun ~src ~dst ~tail ->
-        (* Orientation rooted at the source attachment: any root gives
-           a deadlock-free up*/down* discipline, and the source is
-           always in its own component. The orientation depends only
-           on the graph, so it shares the version-keyed cache. *)
-        let orient =
-          match Hashtbl.find_opt t.orient_cache src with
-          | Some o -> o
-          | None ->
-            let o = Topo.Updown.orient g (Topo.Spanning.bfs g ~root:src) in
-            if t.params.path_cache then Hashtbl.add t.orient_cache src o;
-            o
-        in
-        Topo.Updown.route_links g orient ~src ~dst ~tail
-  in
+  let search = Topo.Paths.route_links (Network.graph t.net) in
   match Network.route_between t.net ~src_host ~dst_host search with
   | Ok (switches, links) ->
     Ok
@@ -292,7 +255,6 @@ let route_for t ~src_host ~dst_host =
     let v = Topo.Graph.version (Network.graph t.net) in
     if v <> t.cache_version then begin
       Hashtbl.reset t.route_cache;
-      Hashtbl.reset t.orient_cache;
       t.cache_version <- v
     end;
     let key = (src_host lsl 24) lor dst_host in
@@ -316,7 +278,7 @@ let route_for t ~src_host ~dst_host =
 let vacant =
   {
     slot = -1;
-    vc = no_vc;
+    vc = Network.no_vc;
     on_done = no_done;
     submitted_at = 0;
     attempt_started_at = 0;
@@ -371,7 +333,7 @@ let take_pending t vc ~on_done =
 let settle t p =
   if p.resolved && p.refs = 0 then begin
     p.resolved <- false;
-    p.vc <- no_vc;
+    p.vc <- Network.no_vc;
     p.on_done <- no_done;
     t.free_slots.(t.n_free) <- p.slot;
     t.n_free <- t.n_free + 1
@@ -520,7 +482,7 @@ and retry t p =
     let shift = min (p.attempt - 1) 20 in
     let raw = min backoff_max (backoff_base * (1 lsl shift)) in
     let factor =
-      1.0 +. (t.params.jitter *. ((2.0 *. Netsim.Rng.float t.rng 1.0) -. 1.0))
+      1.0 +. (jitter *. ((2.0 *. Netsim.Rng.float t.rng 1.0) -. 1.0))
     in
     let delay = max 1 (int_of_float (float_of_int raw *. factor)) in
     (* The backoff itself as a span: gaps between crawl spans on a
@@ -672,7 +634,6 @@ let create ?(obs = Obs.Sink.null) ~engine net params =
       gc_runs = 0;
       cache_version = min_int;
       route_cache = Hashtbl.create 256;
-      orient_cache = Hashtbl.create 16;
       route_cache_hits = 0;
       route_cache_misses = 0;
       obs;
@@ -806,7 +767,7 @@ let dark t =
       then acc := vc :: !acc);
   List.sort (fun a b -> compare a.Network.vc_id b.Network.vc_id) !acc
 
-(* Drop the legal-path cache. The cache is pure memoization — route
+(* Drop the route cache. The cache is pure memoization — route
    answers are a function of the graph alone — but cache *warmth*
    shows through the timed layer (route_cost vs route_cost_cached), so
    checkpoint/restore equality needs both the writing run and the
@@ -815,7 +776,6 @@ let dark t =
    [save] correspondingly never serializes cache contents. *)
 let flush_cache t =
   Hashtbl.reset t.route_cache;
-  Hashtbl.reset t.orient_cache;
   t.cache_version <- min_int
 
 (* Snapshots. Legal only with no setups in flight and no cell queued

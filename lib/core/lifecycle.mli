@@ -14,13 +14,16 @@
       source's {e setup timeout} fires;
     - a dead {e next link} discovered mid-crawl triggers {e crankback}:
       a release cell walks back uninstalling the entries installed so
-      far, and the source retries on a route recomputed around the
-      failure (optionally up*/down*-restricted);
+      far, and the source retries on a shortest route recomputed
+      around the failure (best-effort circuits stay deadlock-free
+      through per-VC credit buffers, not restricted routes: E14);
     - retries use exponential backoff with seeded jitter and are
       bounded by [max_attempts], so a setup always ends in [Ok] or a
       terminal [Error] — no live-lock. The backoff is fixed, not a
       parameter: the first retry waits 1 ms and each further one
-      doubles the wait, up to a 100 ms cap;
+      doubles the wait, up to a 100 ms cap, and each wait is scaled
+      by a uniform factor in [0.8, 1.2] so colliding retries
+      decorrelate;
     - attempts abandoned by timeout leave their installed entries
       behind as {e orphans}; {!gc} sweeps them (and the entries of
       circuits whose path a reconfiguration broke), and {!audit}
@@ -32,25 +35,14 @@
     All randomness (jitter) comes from the seed in {!params}; runs are
     deterministic and safe inside {!Netsim.Sweep}. *)
 
-type routing =
-  | Shortest  (** unrestricted shortest path, as {!Network.find_route} *)
-  | Updown
-      (** up*/down*-legal path w.r.t. a BFS tree rooted at the source
-          attachment — the deadlock-free alternate-route discipline of
-          §5, exercised by crankback *)
-
 type params = {
   proc_delay : Netsim.Time.t;
       (** line-card signaling processing per setup/release/ack hop *)
   setup_timeout : Netsim.Time.t;  (** per attempt, armed at the source *)
   max_attempts : int;  (** total attempts before a terminal error *)
-  jitter : float;
-      (** retry delay is scaled by a uniform factor in [1 - jitter,
-          1 + jitter] so colliding retries decorrelate *)
   pace : Netsim.Time.t;
       (** gap between successive {!readmit} admissions; 0 = naive
           storm, everything at once *)
-  routing : routing;
   seed : int;  (** jitter randomness *)
   route_cost : Netsim.Time.t;
       (** per-attempt route computation charged to the ingress
@@ -58,18 +50,16 @@ type params = {
           lookup free and the event timeline exactly as before this
           field existed *)
   route_cost_cached : Netsim.Time.t;
-      (** route cost when the legal-path cache answers *)
+      (** route cost when the route cache answers *)
   path_cache : bool;
-      (** memoize {!params.routing} results keyed by the graph-version
-          counter (pure memoization: any topology mutation empties the
+      (** memoize routes keyed by the graph-version counter (pure memoization: any topology mutation empties the
           cache, so cached and uncached runs are byte-identical apart
           from the charged cost) *)
 }
 
 val default_params : params
-(** 100 us/hop, 20 ms timeout, 8 attempts, 20% jitter, 500 us
-    pacing, shortest-path routing, free cached routing
-    ([route_cost = 0], cache on). *)
+(** 100 us/hop, 20 ms timeout, 8 attempts, 500 us pacing, free
+    cached routing ([route_cost = 0], cache on). *)
 
 type stats = {
   setups : int;  (** circuits handed to the layer (fresh + readmitted) *)
@@ -154,8 +144,7 @@ val in_flight : t -> int
 val stats : t -> stats
 
 val flush_cache : t -> unit
-(** Drop the legal-path cache (routes and up*/down* orientations). The
-    cache is pure memoization, but its {e warmth} shows through the
+(** Drop the route cache. The cache is pure memoization, but its {e warmth} shows through the
     timed layer ([route_cost] vs [route_cost_cached]), so
     checkpoint-based harnesses flush at every boundary to make the
     writing run and a resumed run stand at the same cold-cache state. *)

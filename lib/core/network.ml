@@ -12,6 +12,17 @@ type vc = {
   mutable paged_out : bool;
 }
 
+let no_vc =
+  {
+    vc_id = -1;
+    src_host = -1;
+    dst_host = -1;
+    cls = Best_effort;
+    switches = [];
+    links = [];
+    paged_out = true;
+  }
+
 type t = {
   graph : Topo.Graph.t;
   frame : int;

@@ -22,6 +22,11 @@ type vc = {
   mutable paged_out : bool;
 }
 
+val no_vc : vc
+(** A placeholder circuit (id -1, no path, paged out) for the reused
+    slots of {!Lifecycle} and {!Bandwidth_central.Service} that hold no
+    circuit. No table names it, and nothing may write to it. *)
+
 type t
 
 val create : ?frame:int -> Topo.Graph.t -> t
@@ -47,9 +52,9 @@ val route_between :
   t -> src_host:int -> dst_host:int ->
   (src:int -> dst:int -> tail:int list -> (int list * int list) option) ->
   (int list * int list, string) result
-(** The route a search ({!Topo.Paths.route_links} or
-    {!Topo.Updown.route_links}) finds between the hosts' working
-    attachment switches, with the two host links at its ends. *)
+(** The route a {!Topo.Paths.route_links} search (with or without a
+    [usable] filter) finds between the hosts' working attachment
+    switches, with the two host links at its ends. *)
 
 val setup_best_effort : t -> src_host:int -> dst_host:int -> (vc, string) result
 (** Create a best-effort circuit: chooses the route and installs a

@@ -6,13 +6,8 @@ type class_mix = {
 
 type profile = {
   base_rate : float;
-  diurnal_amplitude : float;
-  diurnal_period : Netsim.Time.t;
   burst_rate : float;
-  burst_alpha : float;
-  burst_min : int;
   burst_span : Netsim.Time.t;
-  hold_mean : Netsim.Time.t;
   mix : class_mix;
   duration : Netsim.Time.t;
   seed : int;
@@ -29,13 +24,8 @@ type arrival = {
 let default_profile =
   {
     base_rate = 1000.0;
-    diurnal_amplitude = 0.3;
-    diurnal_period = Netsim.Time.ms 400;
     burst_rate = 10.0;
-    burst_alpha = 1.5;
-    burst_min = 4;
     burst_span = Netsim.Time.ms 2;
-    hold_mean = Netsim.Time.ms 50;
     mix = { guaranteed_fraction = 0.5; cells_min = 1; cells_max = 4 };
     duration = Netsim.Time.s 1;
     seed = 1;
@@ -50,6 +40,15 @@ let scale p ~rate =
   }
 
 let with_seed p seed = { p with seed }
+
+(* The shape every profile shares: the base rate swings by ±30% over a
+   400 ms period, burst sizes are Pareto with tail exponent 1.5 and
+   scale 4, and circuits are held 50 ms on average. *)
+let diurnal_amplitude = 0.3
+let diurnal_period = Netsim.Time.ms 400
+let burst_alpha = 1.5
+let burst_min = 4
+let hold_mean = Netsim.Time.ms 50
 
 (* The largest burst a single heavy-tail draw may inject; keeps a
    pathological Pareto draw from swamping the timeline. *)
@@ -66,7 +65,7 @@ let draw_arrival rng p ~hosts ~at =
   let hold =
     max 1
       (int_of_float
-         (Netsim.Rng.exponential rng ~mean:(float_of_int p.hold_mean)))
+         (Netsim.Rng.exponential rng ~mean:(float_of_int hold_mean)))
   in
   let cells =
     if Netsim.Rng.bernoulli rng p.mix.guaranteed_fraction then
@@ -79,17 +78,14 @@ let draw_arrival rng p ~hosts ~at =
    rate: candidates arrive at the homogeneous peak process and are
    accepted with probability rate(t)/peak. *)
 let expand_base rng p ~hosts =
-  let peak = p.base_rate *. (1.0 +. abs_float p.diurnal_amplitude) in
+  let peak = p.base_rate *. (1.0 +. diurnal_amplitude) in
   if peak <= 0.0 then []
   else begin
-    let period_s = Netsim.Time.to_s p.diurnal_period in
+    let period_s = Netsim.Time.to_s diurnal_period in
     let rate_at t_ns =
       let t_s = Netsim.Time.to_s t_ns in
-      let phase =
-        if period_s <= 0.0 then 0.0
-        else sin (2.0 *. Float.pi *. t_s /. period_s)
-      in
-      p.base_rate *. (1.0 +. (p.diurnal_amplitude *. phase))
+      let phase = sin (2.0 *. Float.pi *. t_s /. period_s) in
+      p.base_rate *. (1.0 +. (diurnal_amplitude *. phase))
     in
     let rec go acc t_ns =
       let gap_s = Netsim.Rng.exponential rng ~mean:(1.0 /. peak) in
@@ -120,7 +116,7 @@ let expand_bursts rng p ~hosts =
       else begin
         let size =
           min burst_cap
-            (int_of_float (pareto rng ~alpha:p.burst_alpha ~xm:p.burst_min))
+            (int_of_float (pareto rng ~alpha:burst_alpha ~xm:burst_min))
         in
         let acc = ref acc in
         for _ = 1 to size do

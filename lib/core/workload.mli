@@ -21,16 +21,14 @@ type class_mix = {
 }
 
 type profile = {
-  base_rate : float;  (** mean base arrivals per simulated second *)
-  diurnal_amplitude : float;
-      (** base rate swings by [±amplitude] sinusoidally *)
-  diurnal_period : Netsim.Time.t;
-  burst_rate : float;  (** burst epochs per simulated second *)
-  burst_alpha : float;  (** Pareto tail exponent of burst sizes *)
-  burst_min : int;  (** smallest burst (the Pareto scale), arrivals *)
+  base_rate : float;
+      (** mean base arrivals per simulated second; the rate swings by
+          ±30% sinusoidally over a 400 ms period *)
+  burst_rate : float;
+      (** burst epochs per simulated second; a burst's size is Pareto
+          with tail exponent 1.5 and scale (smallest burst) 4 *)
   burst_span : Netsim.Time.t;
       (** a burst's arrivals spread uniformly over this span *)
-  hold_mean : Netsim.Time.t;  (** exponential circuit holding time *)
   mix : class_mix;
   duration : Netsim.Time.t;  (** arrivals stop here; drains continue *)
   seed : int;
@@ -45,9 +43,11 @@ type arrival = {
 }
 
 val default_profile : profile
-(** 1000/s base, ±30% diurnal over 400 ms, 10 bursts/s (Pareto α=1.5,
-    min 4, capped at 4096, spread over 2 ms), 50 ms mean hold, half
-    guaranteed at 1–4 cells, 1 s duration, seed 1. *)
+(** 1000/s base, 10 bursts/s (capped at 4096 arrivals, spread over
+    2 ms), half guaranteed at 1–4 cells, 1 s duration, seed 1. *)
+
+val hold_mean : Netsim.Time.t
+(** 50 ms: the mean of every arrival's exponential holding time. *)
 
 val scale : profile -> rate:float -> profile
 (** Same shape at a different offered load: sets [base_rate] to [rate]

@@ -70,11 +70,6 @@ val run_slot :
     RNG rule: only PIM draws, and with no eligible best-effort flow
     the matching is skipped, so [rng] is left untouched. *)
 
-val reserved_idle : scratch -> input:int -> output:int -> bool
-(** During a best-effort [transmit]: whether the input or the output
-    was given a connection by the schedule in this slot that carried
-    no guaranteed cell. *)
-
 (** {1 Switch model} *)
 
 type t

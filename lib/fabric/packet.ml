@@ -63,6 +63,4 @@ module Source = struct
       end
       else []
     end
-
-  let mean_len g = g.mean_len
 end

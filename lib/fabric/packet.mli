@@ -36,6 +36,4 @@ module Source : sig
   (** Packets whose first cell arrives at [input] in [slot] (at most
       one; a new packet cannot start while the previous one is still
       arriving on the same input link). *)
-
-  val mean_len : packet_gen -> float
 end

@@ -2,8 +2,6 @@ type params = {
   schedule : Schedule.t;
   duration : Netsim.Time.t;
   circuits : int;
-  circuit_rate : float;
-  protocol : Reconfig.Runner.params;
   partitions : int;
   domains : int;
   seed : int;
@@ -14,12 +12,12 @@ let default_params =
     schedule = [];
     duration = Netsim.Time.s 10;
     circuits = 8;
-    circuit_rate = 10_000.0;
-    protocol = Reconfig.Runner.default_params;
     partitions = 1;
     domains = 1;
     seed = 1;
   }
+
+let circuit_rate = 10_000.0
 
 type result = {
   faults_injected : int;
@@ -79,7 +77,7 @@ let run ?(obs = Obs.Sink.null) ~graph p =
   let cells_lost = ref 0.0 in
   let lose c ~from_ ~until =
     let outage = Netsim.Time.to_s (until - from_) in
-    let lost = p.circuit_rate *. outage in
+    let lost = circuit_rate *. outage in
     cells_lost := !cells_lost +. lost;
     if obs_on then begin
       Obs.Histogram.add h_blackhole (Netsim.Time.to_ms (until - from_));
@@ -196,7 +194,7 @@ let run ?(obs = Obs.Sink.null) ~graph p =
         Reconfig.Runner.run
           ~params:
             {
-              p.protocol with
+              Reconfig.Runner.default_params with
               control_loss = Schedule.control_loss driver;
               seed = p.seed + (7919 * !reconfigs);
             }
@@ -215,7 +213,7 @@ let run ?(obs = Obs.Sink.null) ~graph p =
           if obs_on then Obs.Histogram.add h_convergence ms;
           outcome.Reconfig.Runner.elapsed
         end
-        else p.protocol.Reconfig.Runner.horizon
+        else Reconfig.Runner.default_params.horizon
       in
       if obs_on then begin
         Obs.Metrics.Counter.incr c_reconfigs;

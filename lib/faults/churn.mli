@@ -18,9 +18,13 @@
     many cells each broken circuit lost.
 
     Fixed, not configurable: every monitor runs with
-    {!Reconfig.Monitor.default_params}, and every successful reroute
-    is validated by a short credit flow-control run ({!Flow.Chain})
-    over the new path length.
+    {!Reconfig.Monitor.default_params}; every reconfiguration round
+    runs with {!Reconfig.Runner.default_params}, its [control_loss]
+    taken from the schedule's current control-loss window and its
+    [seed] from [params.seed] and the round index; every circuit
+    offers {!circuit_rate} cells/s; and every successful reroute is
+    validated by a short credit flow-control run ({!Flow.Chain}) over
+    the new path length.
 
     Determinism: all randomness derives from [params.seed] and the
     schedule's own seeds, so a churn run is a pure function of its
@@ -30,11 +34,6 @@ type params = {
   schedule : Schedule.t;
   duration : Netsim.Time.t;  (** observation window *)
   circuits : int;  (** random switch-to-switch virtual circuits *)
-  circuit_rate : float;  (** cells per second offered by each circuit *)
-  protocol : Reconfig.Runner.params;
-      (** [control_loss] and [seed] are overridden per reconfiguration:
-          loss comes from the schedule's current control-loss window,
-          the seed from [seed] and the round index. *)
   partitions : int;
       (** engine partitions for each nested reconfiguration run (see
           {!Reconfig.Runner.run}; 1 runs it on one engine, through the
@@ -44,8 +43,13 @@ type params = {
 }
 
 val default_params : params
-(** Empty schedule, 10 s window, 8 circuits at 10k cells/s, default
-    protocol parameters, one partition and one domain, seed 1. *)
+(** Empty schedule, 10 s window, 8 circuits, one partition and one
+    domain, seed 1. *)
+
+val circuit_rate : float
+(** 10,000 cells/s: what each circuit offers, so a blackholed circuit
+    loses this many cells per second of outage ({!Partition} counts
+    its losses the same way). *)
 
 type result = {
   faults_injected : int;  (** schedule actions applied *)

@@ -1,12 +1,10 @@
 type params = {
   circuits : int;
-  circuit_rate : float;
   split_at : Netsim.Time.t;
   heal_at : Netsim.Time.t;
   detection_delay : Netsim.Time.t;
   extra_reconfigs : int;
   one_sided_heal : bool;
-  protocol : Reconfig.Runner.params;
   lifecycle : An2.Lifecycle.params;
   partitions : int;
   domains : int;
@@ -16,13 +14,11 @@ type params = {
 let default_params =
   {
     circuits = 12;
-    circuit_rate = 10_000.0;
     split_at = Netsim.Time.ms 100;
     heal_at = Netsim.Time.ms 400;
     detection_delay = Netsim.Time.ms 1;
     extra_reconfigs = 2;
     one_sided_heal = false;
-    protocol = Reconfig.Runner.default_params;
     lifecycle = An2.Lifecycle.default_params;
     partitions = 1;
     domains = 1;
@@ -115,7 +111,8 @@ let find_separator g =
 let tag_max a b = if Reconfig.Tag.compare a b >= 0 then a else b
 
 (* Per-circuit loss accounting, as in Churn: a circuit loses
-   [circuit_rate] cells/s while its path is broken or it is dark. *)
+   [Churn.circuit_rate] cells/s while its path is broken or it is
+   dark. *)
 type cstate = {
   vc : An2.Network.vc;
   mutable since : Netsim.Time.t option;  (* open outage window *)
@@ -178,10 +175,11 @@ let run ?(obs = Obs.Sink.null) ~graph p =
     List.map (fun lid -> (p.split_at, `Fail_link lid)) cut
     @ List.map (fun lid -> (p.heal_at, `Restore_link lid)) cut
   in
-  let horizon = heal_detect + p.protocol.Reconfig.Runner.horizon in
+  let protocol = Reconfig.Runner.default_params in
+  let horizon = heal_detect + protocol.horizon in
   let outcome =
     Reconfig.Runner.run
-      ~params:{ p.protocol with horizon; seed = p.protocol.Reconfig.Runner.seed + p.seed }
+      ~params:{ protocol with horizon; seed = protocol.seed + p.seed }
       ~obs ~events ~partitions:p.partitions ~domains:p.domains g
       ~triggers:(split_triggers @ extra_triggers @ heal_triggers)
   in
@@ -283,7 +281,7 @@ let run ?(obs = Obs.Sink.null) ~graph p =
   let close_window c now =
     match c.since with
     | Some t0 ->
-      let lost = p.circuit_rate *. Netsim.Time.to_s (now - t0) in
+      let lost = Churn.circuit_rate *. Netsim.Time.to_s (now - t0) in
       c.lost <- c.lost +. lost;
       c.since <- None;
       if obs_on then begin
@@ -332,7 +330,7 @@ let run ?(obs = Obs.Sink.null) ~graph p =
       List.iter (Topo.Graph.restore_link g) cut);
   let t_readmit =
     if heal_converged then p.heal_at + heal_elapsed
-    else heal_detect + p.protocol.Reconfig.Runner.horizon
+    else heal_detect + Reconfig.Runner.default_params.horizon
   in
   Netsim.Engine.post_at engine ~at:t_readmit (fun () ->
       (* The healed topology has been distributed: switches sweep
@@ -366,7 +364,7 @@ let run ?(obs = Obs.Sink.null) ~graph p =
   let intra_preserved =
     let offered =
       float_of_int (List.length intra)
-      *. p.circuit_rate
+      *. Churn.circuit_rate
       *. Netsim.Time.to_s (p.heal_at - p.split_at)
     in
     if offered <= 0.0 then 1.0 else 1.0 -. (cells_lost_intra /. offered)

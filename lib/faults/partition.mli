@@ -22,8 +22,9 @@
     {!Netsim.Sweep}. *)
 
 type params = {
-  circuits : int;  (** best-effort circuits over random host pairs *)
-  circuit_rate : float;  (** cells/s per circuit, for loss accounting *)
+  circuits : int;
+      (** best-effort circuits over random host pairs, each offering
+          {!Churn.circuit_rate} cells/s for loss accounting *)
   split_at : Netsim.Time.t;
   heal_at : Netsim.Time.t;
   detection_delay : Netsim.Time.t;
@@ -36,7 +37,6 @@ type params = {
       (** only the A side (the low-epoch one) detects the restore: the
           heal then {e requires} the {!Reconfig.Proto.message.Reject}
           path, because B completed long ago and initiates nothing *)
-  protocol : Reconfig.Runner.params;
   lifecycle : An2.Lifecycle.params;  (** pacing, timeout, attempts, gc *)
   partitions : int;
       (** engine partitions for the spanning control-plane run (see
@@ -46,8 +46,10 @@ type params = {
 }
 
 val default_params : params
-(** 12 circuits at 10k cells/s, split at 100 ms, heal at 400 ms, 1 ms
-    detection, 2 extra B-side rounds, two-sided heal. *)
+(** 12 circuits, split at 100 ms, heal at 400 ms, 1 ms detection, 2
+    extra B-side rounds, two-sided heal. The control plane always runs
+    with {!Reconfig.Runner.default_params}, its horizon counted from
+    the heal's detection and its seed offset by [seed]. *)
 
 type result = {
   switches_a : int;

@@ -27,20 +27,10 @@ type config = {
   every : Netsim.Time.t;  (** simulated time per checkpoint window *)
   total : Netsim.Time.t;  (** target simulated lifetime *)
   rate : float;  (** offered circuit setups per simulated second *)
-  profile : Workload.profile;
-      (** workload shape; [duration] and [seed] are overridden per
-          window, [base_rate]/[burst_rate] rescaled to [rate] *)
-  tps : Tps.config;  (** control-plane parameters (lifecycle, service,
-                         shards, frame) *)
-  thresholds : Tps.thresholds;
-      (** per-audit-period divergence verdict; only the
-          terminal-failure leg applies (boundaries always drain, so
-          the backlog legs cannot fire) *)
+  terminal_failure_pct : float;
+      (** per-audit-period divergence verdict: terminal setup failures
+          as % of the arrivals since the last audit *)
   churn_per_window : int;  (** link-failure injections per window *)
-  skeptic : Skeptic.params;  (** per-link recovery skepticism *)
-  protocol : Reconfig.Runner.params;
-      (** nested reconfiguration rounds; [seed] is overridden per
-          round *)
   partition_every : int;
       (** a separator cut-and-heal episode every Nth window; 0 =
           never *)
@@ -59,17 +49,8 @@ let default_config =
     every = Netsim.Time.s 5;
     total = Netsim.Time.s 60;
     rate = 200.0;
-    profile = Workload.default_profile;
-    tps = Tps.improved_config;
-    thresholds = { Tps.default_thresholds with terminal_failure_pct = 10.0 };
+    terminal_failure_pct = 10.0;
     churn_per_window = 2;
-    skeptic =
-      {
-        Skeptic.base_wait = Netsim.Time.ms 5;
-        max_level = 5;
-        decay = Netsim.Time.s 10;
-      };
-    protocol = Reconfig.Runner.default_params;
     partition_every = 8;
     audit_every = 4;
     inject = None;
@@ -93,6 +74,13 @@ let partition_span = Netsim.Time.ms 400
 
 (* Dark circuits re-admitted per repair. *)
 let readmit_cap = 64
+
+(* The control plane every soak runs: the TPS bench's improved one. *)
+let tps = Tps.improved_config
+
+(* Per-link recovery skepticism of the churn repairs. *)
+let skeptic =
+  { Skeptic.base_wait = Netsim.Time.ms 5; max_level = 5; decay = Netsim.Time.s 10 }
 
 type t = {
   cfg : config;
@@ -143,11 +131,10 @@ let fresh ?obs ~mk_graph cfg =
   let graph = mk_graph () in
   if Graph.host_count graph < 2 then invalid_arg "Soak: need >= 2 hosts";
   let engine = Netsim.Engine.create ?obs () in
-  let net = Network.create ~frame:cfg.tps.Tps.frame graph in
-  let lc = Lifecycle.create ?obs ~engine net cfg.tps.Tps.lifecycle in
+  let net = Network.create ~frame:tps.Tps.frame graph in
+  let lc = Lifecycle.create ?obs ~engine net tps.Tps.lifecycle in
   let svc =
-    Service.create ?obs ~engine ~shards:cfg.tps.Tps.shards net
-      cfg.tps.Tps.service
+    Service.create ?obs ~engine ~shards:tps.Tps.shards net tps.Tps.service
   in
   {
     cfg;
@@ -159,7 +146,7 @@ let fresh ?obs ~mk_graph cfg =
     svc;
     skeptics =
       Array.init (Graph.link_count graph) (fun _ ->
-          Skeptic.create ~params:cfg.skeptic ());
+          Skeptic.create ~params:skeptic ());
     tags = Array.make (Graph.switch_count graph) Tag.zero;
     global_tag = Tag.zero;
     churn_rng = Netsim.Rng.create (cfg.seed + 31);
@@ -236,11 +223,11 @@ let load ?obs cfg path =
   let graph = Graph.restore (find_section ss "topo-graph") in
   let net = Network.restore ~graph (find_section ss "an2-network") in
   let svc =
-    Service.restore ?obs ~engine net cfg.tps.Tps.service
+    Service.restore ?obs ~engine net tps.Tps.service
       (find_section ss "an2-bwc-service")
   in
   let lc =
-    Lifecycle.restore ?obs ~engine net cfg.tps.Tps.lifecycle
+    Lifecycle.restore ?obs ~engine net tps.Tps.lifecycle
       (find_section ss "an2-lifecycle")
   in
   Snap.read (find_section ss control_name) ~name:control_name
@@ -424,7 +411,7 @@ let do_repair t ~readmit =
     let batch = List.filteri (fun i _ -> i < readmit_cap) dark in
     if batch <> [] then begin
       t.readmitted <- t.readmitted + List.length batch;
-      let hold = t.cfg.profile.Workload.hold_mean in
+      let hold = Workload.hold_mean in
       Lifecycle.readmit t.lc batch
         ~on_circuit:(fun res ->
           match res with
@@ -443,7 +430,7 @@ let round t ~trigger =
   t.rounds <- t.rounds + 1;
   t.reconfigs <- t.reconfigs + 1;
   let params =
-    { t.cfg.protocol with Reconfig.Runner.seed = t.cfg.seed + (7919 * t.rounds) }
+    { Reconfig.Runner.default_params with seed = t.cfg.seed + (7919 * t.rounds) }
   in
   let outcome =
     Reconfig.Runner.run ~params ?obs:t.obs t.graph ~triggers:[ (0, trigger) ]
@@ -466,7 +453,7 @@ let round t ~trigger =
         outcome.Reconfig.Runner.switch_views;
       outcome.Reconfig.Runner.elapsed
     end
-    else t.cfg.protocol.Reconfig.Runner.horizon
+    else Reconfig.Runner.default_params.horizon
   in
   (* re-anchor the nested run's convergence instant on the outer
      timeline: repair lands once the new topology is distributed *)
@@ -557,7 +544,7 @@ let run_window t =
       | _ -> ())
     due;
   (* this window's workload: same shape, fresh per-window seed *)
-  let p = Workload.scale cfg.profile ~rate:cfg.rate in
+  let p = Workload.scale Workload.default_profile ~rate:cfg.rate in
   let p =
     {
       (Workload.with_seed p (cfg.seed + (1_000_003 * (w + 1)))) with
@@ -742,7 +729,7 @@ let run ?obs ?dir ?resume ?stop_after ~mk_graph cfg =
           if t.partition_since_audit || t.since_arrivals = 0 then []
           else if
             float_of_int failed_delta *. 100.0
-            > cfg.thresholds.Tps.terminal_failure_pct
+            > cfg.terminal_failure_pct
               *. float_of_int t.since_arrivals
           then
             [

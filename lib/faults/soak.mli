@@ -28,21 +28,27 @@
     invariants: per-link reservations equal the cells of live
     guaranteed circuits (the invariant {!config.inject} breaks), zero
     orphaned table entries after gc, drained processors, and
-    setup/admission counter accounting; plus a {!Tps.thresholds}
-    terminal-failure divergence verdict over the arrivals since the
-    last audit (skipped across partition windows, where cross-cut
-    failures are expected). On a violation the run stops and records
+    setup/admission counter accounting; plus a terminal-failure
+    divergence verdict ({!config.terminal_failure_pct}) over the
+    arrivals since the last audit (skipped across partition windows,
+    where cross-cut failures are expected). On a violation the run stops and records
     it; {!bisect} then localizes the offending window from the stored
     checkpoints — restore-and-audit probes are orders of magnitude
     cheaper than replaying — and replays just that window with the
     caller's tracing sink.
 
-    Fixed constants of the harness, not configuration: arrivals fill
-    the leading 60% of each window (the rest is drain headroom); every
-    5th guaranteed grant is held across the boundary, so checkpoints
-    carry live reservations; link outages are exponential with a
-    200 ms mean; a partition episode heals after 400 ms; and a repair
-    re-admits at most 64 dark circuits.
+    Fixed constants of the harness, not configuration: the workload is
+    {!An2.Workload.default_profile} rescaled to [rate], its duration
+    and seed set per window; the control plane is
+    {!Tps.improved_config}; arrivals fill the leading 60% of each
+    window (the rest is drain headroom); every 5th guaranteed grant is
+    held across the boundary, so checkpoints carry live reservations;
+    link outages are exponential with a 200 ms mean, and each link's
+    recovery is gated by a skeptic waiting 5 ms per level, at most 5
+    levels, forgiving a level per 10 s; nested reconfiguration rounds
+    run with {!Reconfig.Runner.default_params}, seeded per round; a
+    partition episode heals after 400 ms; and a repair re-admits at
+    most 64 dark circuits.
 
     Deliberately {e not} snapshotted: observation sinks (metrics,
     traces, flight recorders belong to a process, not to the simulated
@@ -52,17 +58,10 @@ type config = {
   every : Netsim.Time.t;  (** simulated time per checkpoint window *)
   total : Netsim.Time.t;  (** target simulated lifetime *)
   rate : float;  (** offered circuit setups per simulated second *)
-  profile : An2.Workload.profile;
-      (** workload shape; [duration] and [seed] are overridden per
-          window, rates rescaled to [rate] *)
-  tps : Tps.config;  (** control-plane parameters *)
-  thresholds : Tps.thresholds;
-      (** divergence verdict per audit period; only the
-          terminal-failure leg applies (boundaries always drain) *)
+  terminal_failure_pct : float;
+      (** divergence verdict per audit period: terminal setup failures
+          as % of the arrivals since the last audit *)
   churn_per_window : int;
-  skeptic : Reconfig.Skeptic.params;
-  protocol : Reconfig.Runner.params;
-      (** nested rounds; [seed] overridden per round *)
   partition_every : int;  (** cut-and-heal every Nth window; 0 = never *)
   audit_every : int;  (** audit every Nth checkpoint *)
   inject : (Netsim.Time.t * int * int) option;
@@ -72,10 +71,10 @@ type config = {
 }
 
 val default_config : config
-(** 5 s windows over a 60 s lifetime at 200 setups/s,
-    {!Tps.improved_config} control plane, 2 churn events per window
-    (5 ms/level-5 skeptic), a partition every 8th window, audits every
-    4th checkpoint, no planted fault, seed 1. *)
+(** 5 s windows over a 60 s lifetime at 200 setups/s, divergence above
+    10% terminal failures, 2 churn events per window, a partition
+    every 8th window, audits every 4th checkpoint, no planted fault,
+    seed 1. *)
 
 type checkpoint = {
   ck_window : int;

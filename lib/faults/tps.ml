@@ -45,12 +45,11 @@ let baseline_config =
   {
     improved_config with
     lifecycle = { tuned_lifecycle with path_cache = false };
-    service = { Service.default_params with flush_every = 0 };
+    service = { Service.flush_every = 0 };
     shards = 1;
   }
 
-(* Divergence thresholds, parameterized so long-horizon harnesses
-   (soak) can tighten or loosen drift detection. The defaults encode
+(* Divergence thresholds. Every point uses the defaults, which encode
    exactly the historical test:
    (final > 32 && 2*final > 3*mid) || failed*100 > n_arrivals.
    The float comparisons below are exact at the defaults — backlogs

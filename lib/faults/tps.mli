@@ -30,7 +30,7 @@ val tuned_lifecycle : An2.Lifecycle.params
 
 val improved_config : config
 (** This PR's control plane: 4 admission shards, batched table writes,
-    legal-path cache on. *)
+    route cache on. *)
 
 val baseline_config : config
 (** The pre-PR structure under the same cost model: one shard,
@@ -45,9 +45,11 @@ type thresholds = {
   terminal_failure_pct : float;
       (** terminal setup failures as % of arrivals *)
 }
-(** What counts as divergence. Long-horizon harnesses (soak) tune
-    these: tighter for slow-drift detection, looser where churn makes
-    transient failure bursts expected. *)
+(** What counts as divergence. {!run_point} always applies
+    {!default_thresholds}; the record is exported so a harness that
+    rebuilds a point from the public calls can apply the same test.
+    {!Soak} has its own terminal-failure percentage
+    ({!Soak.config.terminal_failure_pct}). *)
 
 val default_thresholds : thresholds
 (** The historical test, exactly: final backlog > 32 and > 1.5× the

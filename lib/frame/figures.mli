@@ -17,16 +17,12 @@ val figure2_initial_schedule : unit -> Schedule.t
 val figure2_final_schedule : unit -> Schedule.t
 (** Figure 2's printed schedule, which already contains 4->3. *)
 
-val figure3_pq_schedule : unit -> Schedule.t
-(** Just the two slots of Figure 3: slot 1 is the paper's p, slot 2
-    its q. *)
-
 val run_figure3 : unit -> Schedule.t * Schedule.add_outcome
-(** Add the 4->3 reservation to {!figure3_pq_schedule} with
-    {!Schedule.add_cell}, forcing the swap chain. Returns the
-    resulting schedule and the trace. The paper draws the chain as 3
-    figure-steps: the initial placement plus one step per
-    displacement *pair*; {!paper_steps} converts. *)
+(** Add the 4->3 reservation to the two slots of Figure 3 (slot 1 is
+    the paper's p, slot 2 its q) with {!Schedule.add_cell}, forcing
+    the swap chain. Returns the resulting schedule and the trace. The
+    paper draws the chain as 3 figure-steps: the initial placement
+    plus one step per displacement *pair*; {!paper_steps} converts. *)
 
 val paper_steps : Schedule.add_outcome -> int
 (** Figure-3-style step count: 1 for the initial placement plus one

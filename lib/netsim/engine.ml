@@ -28,10 +28,10 @@
    entry wins a tie: it was queued while its time was still a full
    span away, so before any wheel entry of the same time. The
    tie-break counter a snapshot carries counts every post, in either
-   part. A ranked post ([reserve], [post_ranked]) goes to the heap
-   with a seq reserved earlier; it keeps the same order because the
-   wheel is empty at the reservation, so every wheel entry it can tie
-   with was posted after it and loses the tie anyway.
+   part. A ranked post ([reserve], [post_event_ranked]) goes to the
+   heap with a seq reserved earlier; it keeps the same order because
+   the wheel is empty at the reservation, so every wheel entry it can
+   tie with was posted after it and loses the tie anyway.
 
    A slot holds a thunk and an int payload. A handler event's thunk is
    the one [handler] built when the handler was registered, which
@@ -331,20 +331,12 @@ let reserve t n =
   t.scheduled_total <- t.scheduled_total + n;
   base
 
-let[@inline] queue_ranked t at rank slot =
-  Eheap.add_ranked t.queue ~time:at ~seq:rank ~slot;
-  if t.near = 0 && t.live > wheel_backlog then enable_wheel t
-
-let post_ranked t ~at ~rank thunk =
-  check_future t at;
-  let slot = take_slot t in
-  t.thunks.(slot) <- thunk;
-  queue_ranked t at rank slot
-
 let post_event_ranked t ~at ~rank kind payload =
   check_future t at;
   check_kind t kind;
-  queue_ranked t at rank (take_event_slot t kind payload)
+  let slot = take_event_slot t kind payload in
+  Eheap.add_ranked t.queue ~time:at ~seq:rank ~slot;
+  if t.near = 0 && t.live > wheel_backlog then enable_wheel t
 
 (* Dispatch the already-popped slot at time [at]. The slot is
    released before the event runs, so an event's own posting reuses
@@ -426,13 +418,22 @@ let restore ?obs section =
       let cap = Array.length free_next in
       if clock < 0 || dispatched_total < 0 || next_seq < 0 then
         Snapshot.R.corrupt "Engine: negative counter";
-      if free_head < -1 || free_head >= cap then
-        Snapshot.R.corrupt "Engine: free_head out of range";
-      Array.iter
-        (fun v ->
-          if v < -1 || v >= cap then
-            Snapshot.R.corrupt "Engine: free_next link out of range")
-        free_next;
+      (* A quiescent save holds every slot on the free list: the walk
+         from its head visits each slot exactly once and ends at -1. *)
+      let seen = Bytes.make cap '\000' in
+      let rec walk slot visited =
+        if slot = -1 then visited
+        else if slot < -1 || slot >= cap then
+          Snapshot.R.corrupt "Engine: free list link out of range"
+        else if Bytes.get seen slot <> '\000' then
+          Snapshot.R.corrupt "Engine: free list loops"
+        else begin
+          Bytes.set seen slot '\001';
+          walk free_next.(slot) (visited + 1)
+        end
+      in
+      if walk free_head 0 <> cap then
+        Snapshot.R.corrupt "Engine: free list misses a pool slot";
       let t = create ?obs () in
       t.clock <- clock;
       t.dispatched_total <- dispatched_total;

@@ -94,7 +94,7 @@ val post_event_at : t -> at:Time.t -> kind -> int -> unit
 val reserve : t -> int -> int
 (** [reserve t n] sets aside [n] consecutive tie-break ranks and
     returns the first, [base]. An event posted later with
-    {!post_ranked} at rank [base + i] is ordered among same-instant
+    {!post_event_ranked} at rank [base + i] is ordered among same-instant
     events as if it had been posted at the moment of the
     reservation, [i]-th of [n]: after every event posted before,
     before every event posted after. The ranks count as posts (the
@@ -106,13 +106,12 @@ val reserve : t -> int -> int
     wheel entry posted before the reservation would lose a tie it
     should win. *)
 
-val post_ranked : t -> at:Time.t -> rank:int -> (unit -> unit) -> unit
-(** [post_ranked t ~at ~rank f] runs [f] at [at], which must be
-    [>= now t], ordered among events of the same time by [rank], which
-    {!reserve} must have handed out and which must be used only once. *)
-
 val post_event_ranked : t -> at:Time.t -> rank:int -> kind -> int -> unit
-(** {!post_ranked} for a handler event. *)
+(** [post_event_ranked t ~at ~rank k payload] runs [k]'s handler on
+    [payload] at [at], which must be [>= now t], ordered among events
+    of the same time by [rank], which {!reserve} must have handed out
+    and which must be used only once. Raises as {!post_event_at}
+    does. *)
 
 val pending : t -> int
 (** Number of queued events: posted and not yet dispatched, retired
@@ -155,5 +154,6 @@ val restore : ?obs:Obs.Sink.t -> Snapshot.section -> t
 (** Rebuild an engine from {!save}'s section. The obs sink is supplied
     fresh (instrumentation is deliberately not snapshotted), and no
     handler is registered: the layers rebuilt over the engine register
-    theirs. Raises
-    {!Snapshot.Corrupt} on damage. *)
+    theirs. Raises {!Snapshot.Corrupt} on damage, including a pool
+    free list that does not hold every slot exactly once (a loop would
+    hand one slot to two events). *)

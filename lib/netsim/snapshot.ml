@@ -34,7 +34,6 @@ type section = { name : string; version : int; payload : string }
 
 let section_name s = s.name
 let section_version s = s.version
-let section_size s = String.length s.payload
 
 module W = struct
   type t = Buffer.t
@@ -200,14 +199,6 @@ let decode s =
   if !pos <> body_len then
     corrupt "trailing garbage: %d bytes after last section" (body_len - !pos);
   List.rev !sections
-
-let write_file path sections =
-  let data = encode sections in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc data;
-  close_out oc;
-  Sys.rename tmp path
 
 let read_file path =
   let ic = open_in_bin path in

@@ -30,8 +30,6 @@ type section
 
 val section_name : section -> string
 val section_version : section -> int
-val section_size : section -> int
-(** Payload size in bytes. *)
 
 (** Payload writer: fixed-width primitives appended to a buffer. *)
 module W : sig
@@ -83,14 +81,9 @@ val encode : section list -> string
 val decode : string -> section list
 (** Inverse of {!encode}; raises {!Corrupt} on any damage. *)
 
-val write_file : string -> section list -> unit
 val read_file : string -> section list
-(** {!encode}/{!decode} through a file; [read_file] raises {!Corrupt}
-    on damage and [Sys_error] if the file cannot be read. *)
-
-val crc32 : string -> int
-(** CRC-32 (IEEE 802.3) of a byte string, in [0, 2^32). Exposed so
-    harnesses can digest-chain checkpoints cheaply. *)
+(** {!decode} of a file's bytes; raises {!Corrupt} on damage and
+    [Sys_error] if the file cannot be read. *)
 
 val digest : section list -> int
 (** CRC-32 over the sections' names, versions, lengths and payloads —

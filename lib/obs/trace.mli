@@ -67,7 +67,6 @@ val to_chrome_string : ?ts_scale:float -> t -> string
     accepted by chrome://tracing and Perfetto. [ts_scale] converts raw
     timestamps to microseconds (default 1.0). *)
 
-val to_chrome_buffer : ?ts_scale:float -> t -> Buffer.t -> unit
 val write_chrome : ?ts_scale:float -> string -> t -> unit
 
 val pp : Format.formatter -> t -> unit

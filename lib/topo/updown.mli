@@ -27,11 +27,6 @@ val distances : Graph.t -> t -> src:int -> int array
 val route : Graph.t -> t -> src:int -> dst:int -> int list option
 (** A shortest legal path, as a switch sequence. *)
 
-val route_links :
-  Graph.t -> t -> src:int -> dst:int -> tail:int list -> (int list * int list) option
-(** {!route}'s path with the switch-to-switch links its search crossed,
-    followed by [tail], as {!Paths.route_links} answers. *)
-
 val mean_stretch : Graph.t -> t -> float
 (** Mean over ordered reachable pairs of
     (up*/down* distance) / (unrestricted distance). 1.0 means the

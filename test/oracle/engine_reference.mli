@@ -32,8 +32,6 @@ val post_event_at : t -> at:Netsim.Time.t -> kind -> int -> unit
 
 val reserve : t -> int -> int
 
-val post_ranked : t -> at:Netsim.Time.t -> rank:int -> (unit -> unit) -> unit
-
 val post_event_ranked :
   t -> at:Netsim.Time.t -> rank:int -> kind -> int -> unit
 

@@ -407,8 +407,7 @@ let churn_result ~partitions ~domains =
   let ms = Netsim.Time.ms and s = Netsim.Time.s in
   Faults.Churn.run ~graph:(Topo.Build.ring 6)
     {
-      Faults.Churn.default_params with
-      schedule =
+      Faults.Churn.schedule =
         [
           Faults.Schedule.Flap
             {

@@ -484,14 +484,14 @@ let test_unregistered_kind () =
   Alcotest.(check int) "nothing queued" 0 (E.pending b)
 
 (* ------------------------------------------------------------------ *)
-(* Ranked posting: timelines fed from a cursor (reserve + post_ranked,
-   one pending event per timeline) against the same timelines posted
-   up front with post_at. Each timeline event logs itself and posts
-   children at delays around the wheel's span, so they tie with later
-   timeline events; a burst turns the wheel on mid-run, and some cases
-   never turn it on. Events posted after the reservations tie with
-   timeline events too. Dispatch log, dispatch count and the
-   snapshot's tie-break counter must all agree. *)
+(* Ranked posting: timelines fed from a cursor (reserve +
+   post_event_ranked, one pending handler event per timeline) against
+   the same timelines posted up front with post_at. Each timeline event
+   logs itself and posts children at delays around the wheel's span,
+   so they tie with later timeline events; a burst turns the wheel on
+   mid-run, and some cases never turn it on. Events posted after the
+   reservations tie with timeline events too. Dispatch log, dispatch
+   count and the snapshot's tie-break counter must all agree. *)
 
 type ranked_case = {
   pre : int list;  (* delays of events scheduled before the timelines *)
@@ -562,15 +562,22 @@ let run_ranked_case ~cursor c =
   List.iteri
     (fun si stream ->
       if cursor then begin
-        let base = E.reserve e (List.length stream) in
-        let rec post_from i = function
-          | [] -> ()
-          | ((at, _, _) as ev) :: rest ->
-            E.post_ranked e ~at ~rank:(base + i) (fun () ->
-                post_from (i + 1) rest;
-                fire si i ev)
+        (* One handler per timeline; the payload is the event's index. *)
+        let evs = Array.of_list stream in
+        let n = Array.length evs in
+        let base = E.reserve e n in
+        let post_from kind i =
+          if i < n then
+            let at, _, _ = evs.(i) in
+            E.post_event_ranked e ~at ~rank:(base + i) kind i
         in
-        post_from 0 stream
+        let rec kind =
+          lazy
+            (E.handler e (fun i ->
+                 post_from (Lazy.force kind) (i + 1);
+                 fire si i evs.(i)))
+        in
+        post_from (Lazy.force kind) 0
       end
       else List.iteri (fun i ((at, _, _) as ev) -> E.post_at e ~at (fun () -> fire si i ev)) stream)
     c.streams;

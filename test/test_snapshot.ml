@@ -224,6 +224,50 @@ let test_engine_tie_break_counter () =
   in
   Alcotest.(check int) "counter = posts" !posts counter
 
+(* An engine section with the given pool free list, all counters 0. *)
+let engine_section ~free_head free_next =
+  Snap.make ~name:"netsim-engine" ~version:2 (fun w ->
+      Snap.W.int w 0;
+      Snap.W.int w 0;
+      Snap.W.int w 0;
+      Snap.W.int w free_head;
+      Snap.W.int_array w free_next)
+
+let test_engine_free_list_checked () =
+  (* A quiescent save holds every pool slot on the free list, so the
+     walk from its head must visit each slot once and end at -1. A
+     looping list would hand one slot to two posts, and the second
+     post would overwrite the first event unseen. *)
+  let restores (free_head, free_next) =
+    match Netsim.Engine.restore (engine_section ~free_head free_next) with
+    | _ -> true
+    | exception Snap.Corrupt _ -> false
+  in
+  List.iter
+    (fun (what, list) ->
+      Alcotest.(check bool) what true (restores list))
+    [
+      ("empty pool", (-1, [||]));
+      ("one slot", (0, [| -1 |]));
+      ("three slots, any order", (1, [| -1; 2; 0 |]));
+    ];
+  List.iter
+    (fun (what, list) ->
+      Alcotest.(check bool) what false (restores list))
+    [
+      ("a slot that links to itself", (0, [| 0 |]));
+      ("a loop behind the head", (0, [| 1; 2; 1 |]));
+      ("a list that misses a slot", (0, [| -1; -1 |]));
+      ("an empty list over a pool", (-1, [| -1 |]));
+    ];
+  (* A valid list still hands out distinct slots after the restore. *)
+  let e = Netsim.Engine.restore (engine_section ~free_head:1 [| -1; 0 |]) in
+  let log = ref [] in
+  Netsim.Engine.post e ~delay:1 (fun () -> log := 1 :: !log);
+  Netsim.Engine.post e ~delay:1 (fun () -> log := 2 :: !log);
+  Netsim.Engine.run e;
+  Alcotest.(check (list int)) "both events run" [ 1; 2 ] (List.rev !log)
+
 let test_graph_section_roundtrip () =
   let g = Topo.Build.src_lan () in
   Topo.Graph.fail_link g 2;
@@ -316,5 +360,7 @@ let () =
             test_network_schedule_entry_range;
           Alcotest.test_case "engine tie-break counter" `Quick
             test_engine_tie_break_counter;
+          Alcotest.test_case "engine free list checked" `Quick
+            test_engine_free_list_checked;
         ] );
     ]

@@ -18,8 +18,7 @@ let cfg =
     rate = 100.0;
     audit_every = 2;
     partition_every = 5;
-    thresholds =
-      { Faults.Tps.default_thresholds with terminal_failure_pct = 25.0 };
+    terminal_failure_pct = 25.0;
   }
 
 let fresh_dir name =

@@ -78,8 +78,7 @@ let tie_heavy_gen =
     map
       (fun (seed, (base_rate, burst_rate), (span, duration_us, guaranteed)) ->
         {
-          An2.Workload.default_profile with
-          base_rate;
+          An2.Workload.base_rate;
           burst_rate;
           burst_span = span;
           duration = Netsim.Time.us duration_us;
